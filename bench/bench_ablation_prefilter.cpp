@@ -5,6 +5,7 @@
 // absolute rate is higher, but the shape is reproducible: an untrained
 // model emits near-uniform noise that the pre-filter rejects almost always,
 // and the rejection rate collapses as training progresses.
+#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -33,7 +34,17 @@ Point measure(std::int64_t train_iterations, std::int64_t samples) {
   } else {
     pipeline.dataset();
   }
-  const auto topologies = pipeline.sample_topologies(samples);
+  dp::service::SampleTopologiesRequest request;
+  request.model = dp::core::Pipeline::kServiceModel;
+  request.count = samples;
+  request.seed = 48;
+  auto sampled = pipeline.service().sample_topologies(request);
+  if (!sampled.ok()) {
+    std::cerr << "[bench] sample_topologies failed: "
+              << sampled.status().to_string() << "\n";
+    std::exit(1);
+  }
+  const auto& topologies = sampled->topologies;
   Point point;
   point.train_iterations = train_iterations;
   std::int64_t bowtie = 0;

@@ -8,7 +8,7 @@
 // trade-off the choice balances: too-small K underexplores (stationarity
 // gap), larger K costs sampling time linearly. Sampling runs through the
 // typed service API (SampleTopologiesRequest with a fixed seed) so the
-// numbers measure the serving path, not the legacy facade.
+// numbers measure the serving path.
 #include <iomanip>
 #include <iostream>
 #include <string>

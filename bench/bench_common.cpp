@@ -121,6 +121,21 @@ service::GenerateResult service_generate(
   return std::move(result).value();
 }
 
+std::vector<geometry::BinaryGrid> service_sample_topologies(
+    std::int64_t count, std::uint64_t seed) {
+  service::SampleTopologiesRequest request;
+  request.model = core::Pipeline::kServiceModel;
+  request.count = count;
+  request.seed = seed;
+  auto result = shared_service().sample_topologies(request);
+  if (!result.ok()) {
+    std::cerr << "[bench] sample_topologies failed: "
+              << result.status().to_string() << "\n";
+    std::abort();
+  }
+  return std::move(result->topologies);
+}
+
 void print_header(const std::string& title) {
   std::cout << "\n" << std::string(72, '=') << "\n"
             << title << "\n"

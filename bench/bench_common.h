@@ -54,6 +54,12 @@ service::GenerateResult service_generate(std::int64_t count,
                                          std::int64_t geometries_per_topology,
                                          std::uint64_t seed);
 
+/// Issues one typed SampleTopologiesRequest (full schedule) against
+/// shared_service() and returns the sampled topologies; aborts like
+/// service_generate on error.
+std::vector<geometry::BinaryGrid> service_sample_topologies(
+    std::int64_t count, std::uint64_t seed);
+
 /// Prints a horizontal rule + title to stdout (uniform bench headers).
 void print_header(const std::string& title);
 

@@ -39,9 +39,10 @@ int main() {
 
   dp::common::Rng rng(99);
   dp::diffusion::BinarySchedule schedule(cfg.schedule);
-  dp::diffusion::sample(
-      pipeline.model(), schedule, 1, side, side, dp::diffusion::SamplerConfig{},
-      rng, [&](std::int64_t k, const dp::tensor::Tensor& x) {
+  // One slot over the full schedule; the observer sees every step K..0.
+  dp::diffusion::sample_streams_strided(
+      pipeline.model(), schedule, side, side, dp::diffusion::SamplerConfig{},
+      {&rng}, {1}, nullptr, [&](std::int64_t k, const dp::tensor::Tensor& x) {
         const double ones = dp::tensor::sum(x);
         const double density = ones / static_cast<double>(x.numel());
         const double p = std::clamp(density, 1e-9, 1.0 - 1e-9);

@@ -28,7 +28,7 @@ int main() {
   // Prefer a freshly sampled topology; fall back to a dataset one if the
   // model is too raw.
   dp::geometry::BinaryGrid topology = [&] {
-    const auto sampled = pipeline.sample_topologies(8);
+    const auto sampled = dp::bench::service_sample_topologies(8, /*seed=*/7);
     for (const auto& t : sampled) {
       if (dp::legalize::prefilter_topology(t) ==
           dp::legalize::PrefilterVerdict::ok) {

@@ -88,7 +88,7 @@ int main() {
   const auto out_dir = dp::bench::output_directory();
 
   dp::geometry::BinaryGrid topology = [&] {
-    const auto sampled = pipeline.sample_topologies(8);
+    const auto sampled = dp::bench::service_sample_topologies(8, /*seed=*/8);
     for (const auto& t : sampled) {
       if (dp::legalize::prefilter_topology(t) ==
           dp::legalize::PrefilterVerdict::ok) {

@@ -154,7 +154,7 @@ int main() {
                           [&] { return dp::tensor::matmul(a, b); });
 
   // ---- conv2d forward: [16,16,32,32] * [32,16,3,3], stride 1, pad 1 -------
-  // Run under NoGradGuard — the sample_streams configuration — so the
+  // Run under NoGradGuard — the sampler's configuration — so the
   // batch-wide im2col + single-GEMM path with scratch reuse is what is
   // measured. The reference composes the retained per-sample kernels.
   dp::nn::NoGradGuard no_grad;

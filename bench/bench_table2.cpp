@@ -36,7 +36,8 @@ SolverFixture& fixture() {
     out.dataset = &pipeline.dataset();
     out.rules = pipeline.config().datagen.rules;
     out.tile = pipeline.config().datagen.tile;
-    const auto sampled = pipeline.sample_topologies(48);
+    const auto sampled =
+        dp::bench::service_sample_topologies(48, /*seed=*/11);
     for (const auto& topology : sampled) {
       if (dp::legalize::prefilter_topology(topology) ==
           dp::legalize::PrefilterVerdict::ok) {
@@ -97,9 +98,9 @@ SolveAggregate measure_solver(dp::legalize::InitMode mode,
 }
 
 void bm_topology_sampling(benchmark::State& state) {
-  auto& pipeline = dp::bench::shared_trained_pipeline();
+  std::uint64_t seed = 0;
   for (auto _ : state) {
-    auto topologies = pipeline.sample_topologies(1);
+    auto topologies = dp::bench::service_sample_topologies(1, seed++);
     benchmark::DoNotOptimize(topologies);
   }
 }
@@ -142,10 +143,10 @@ int main(int argc, char** argv) {
   dp::bench::print_header("Table II — model efficiency (scaled reproduction)");
 
   // Summary table first (independent of google-benchmark's own output).
-  auto& pipeline = dp::bench::shared_trained_pipeline();
+  (void)dp::bench::shared_service();  // Train or load before timing.
   dp::common::Timer sample_timer;
   const std::int64_t sample_count = 16;
-  (void)pipeline.sample_topologies(sample_count);
+  (void)dp::bench::service_sample_topologies(sample_count, /*seed=*/12);
   const double sampling_per_topology =
       sample_timer.seconds() / static_cast<double>(sample_count);
 

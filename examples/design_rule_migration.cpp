@@ -30,7 +30,17 @@ int main() {
   pipeline.train();
 
   std::cout << "Sampling a reusable topology set...\n";
-  const auto topologies = pipeline.sample_topologies(24);
+  auto& service = pipeline.service();
+  dp::service::SampleTopologiesRequest sample;
+  sample.model = dp::core::Pipeline::kServiceModel;
+  sample.count = 24;
+  sample.seed = 24;
+  auto sampled = service.sample_topologies(sample);
+  if (!sampled.ok()) {
+    std::cerr << "sampling failed: " << sampled.status().to_string() << "\n";
+    return 1;
+  }
+  const auto& topologies = sampled->topologies;
 
   struct Deck {
     std::string name;
@@ -49,7 +59,6 @@ int main() {
   // Each deck is one typed legalization request against the service: the
   // named rule sets ("normal" / "space" / "area") are served without
   // retraining or resampling, and a bogus name comes back NOT_FOUND.
-  auto& service = pipeline.service();
   for (const auto& deck : decks) {
     dp::service::LegalizeTopologiesRequest request;
     request.model = dp::core::Pipeline::kServiceModel;

@@ -1,16 +1,41 @@
 #include "core/pipeline.h"
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
 
 #include "common/contracts.h"
-#include "common/timer.h"
 #include "nn/checkpoint.h"
 
 namespace diffpattern::core {
 
 using geometry::BinaryGrid;
 using layout::SquishPattern;
+
+namespace {
+
+/// Swaps the EMA weights in for the scope when `ema` is non-null and not
+/// already active.
+class ScopedEmaWeights {
+ public:
+  explicit ScopedEmaWeights(diffusion::Ema* ema)
+      : ema_(ema != nullptr && !ema->active() ? ema : nullptr) {
+    if (ema_ != nullptr) {
+      ema_->swap_in();
+    }
+  }
+  ~ScopedEmaWeights() {
+    if (ema_ != nullptr) {
+      ema_->swap_out();
+    }
+  }
+  ScopedEmaWeights(const ScopedEmaWeights&) = delete;
+  ScopedEmaWeights& operator=(const ScopedEmaWeights&) = delete;
+
+ private:
+  diffusion::Ema* ema_;
+};
+
+}  // namespace
 
 PipelineConfig PipelineConfig::paper() {
   PipelineConfig cfg;
@@ -131,11 +156,11 @@ Pipeline::Pipeline(PipelineConfig config)
   model_ = std::make_unique<unet::UNet>(config_.unet_config(),
                                         rng_.split().engine()());
   service::ServiceConfig service_config;
-  // Matches the old in-pipeline sampling chunk size (bounds peak memory).
+  // Bounds peak sampling memory: large requests run in chunked rounds.
   service_config.max_fused_batch = 16;
-  // The legacy facade never capped request sizes; chunked rounds keep the
-  // memory bounded, so don't let the service's serving limits reject what
-  // the old API accepted.
+  // This service runs offline experiments and the CLI, not a shared front
+  // end; chunked rounds keep the memory bounded, so request sizes are not
+  // capped.
   service_config.max_count = std::numeric_limits<std::int64_t>::max();
   service_config.max_geometries = std::numeric_limits<std::int64_t>::max();
   service_config.flow = config_.flow;
@@ -150,19 +175,6 @@ const datagen::Dataset& Pipeline::dataset() {
                                       config_.test_fraction, data_rng);
   }
   return *dataset_;
-}
-
-ScopedEmaWeights::ScopedEmaWeights(diffusion::Ema* ema)
-    : ema_(ema != nullptr && !ema->active() ? ema : nullptr) {
-  if (ema_ != nullptr) {
-    ema_->swap_in();
-  }
-}
-
-ScopedEmaWeights::~ScopedEmaWeights() {
-  if (ema_ != nullptr) {
-    ema_->swap_out();
-  }
 }
 
 void Pipeline::train(const ProgressFn& progress) {
@@ -188,19 +200,6 @@ void Pipeline::train(const ProgressFn& progress) {
   model_synced_ = false;
 }
 
-void Pipeline::throw_status(const common::Status& status) {
-  if (status.code() == common::StatusCode::kInvalidArgument) {
-    throw std::invalid_argument(status.to_string());
-  }
-  throw std::runtime_error(status.to_string());
-}
-
-std::uint64_t Pipeline::next_request_seed() {
-  // One draw per generation call keeps the legacy semantics: results depend
-  // deterministically on the construction seed and the call sequence.
-  return static_cast<std::uint64_t>(rng_.engine()());
-}
-
 void Pipeline::sync_service() {
   if (model_synced_) {
     return;
@@ -211,8 +210,11 @@ void Pipeline::sync_service() {
   const auto status = service_->models().register_model(
       kServiceModel, config_.to_model_config(), model_->registry(),
       data.library);
+  if (status.code() == common::StatusCode::kInvalidArgument) {
+    throw std::invalid_argument(status.to_string());
+  }
   if (!status.ok()) {
-    throw_status(status);
+    throw std::runtime_error(status.to_string());
   }
   model_synced_ = true;
 }
@@ -220,71 +222,6 @@ void Pipeline::sync_service() {
 service::PatternService& Pipeline::service() {
   sync_service();
   return *service_;
-}
-
-std::vector<BinaryGrid> Pipeline::sample_topologies(std::int64_t count) {
-  DP_REQUIRE(count >= 1, "sample_topologies: count must be >= 1");
-  sync_service();
-  service::SampleTopologiesRequest request;
-  request.model = kServiceModel;
-  request.count = count;
-  request.seed = next_request_seed();
-  auto result = service_->sample_topologies(request);
-  if (!result.ok()) {
-    throw_status(result.status());
-  }
-  return std::move(result->topologies);
-}
-
-namespace {
-
-GenerationReport to_report(service::GenerateResult result) {
-  GenerationReport report;
-  report.topologies_requested = result.stats.topologies_requested;
-  report.topologies_generated = result.stats.topologies_requested;
-  report.prefilter_rejected = result.stats.prefilter_rejected;
-  report.solver_rejected = result.stats.solver_rejected;
-  report.solver_rounds = result.stats.solver_rounds;
-  report.sampling_seconds = result.stats.sampling_seconds;
-  report.solving_seconds = result.stats.solving_seconds;
-  report.patterns = std::move(result.patterns);
-  return report;
-}
-
-}  // namespace
-
-GenerationReport Pipeline::generate(std::int64_t topologies,
-                                    std::int64_t geometries_per_topology) {
-  sync_service();
-  service::GenerateRequest request;
-  request.model = kServiceModel;
-  request.count = topologies;
-  request.geometries_per_topology = geometries_per_topology;
-  request.seed = next_request_seed();
-  auto result = service_->generate(request);
-  if (!result.ok()) {
-    throw_status(result.status());
-  }
-  return to_report(std::move(result).value());
-}
-
-GenerationReport Pipeline::legalize_topologies(
-    const std::vector<BinaryGrid>& topologies,
-    std::int64_t geometries_per_topology) {
-  if (topologies.empty()) {
-    return GenerationReport{};  // Legacy behavior: empty in, empty report.
-  }
-  sync_service();
-  service::LegalizeTopologiesRequest request;
-  request.model = kServiceModel;
-  request.topologies = topologies;
-  request.geometries_per_topology = geometries_per_topology;
-  request.seed = next_request_seed();
-  auto result = service_->legalize_topologies(request);
-  if (!result.ok()) {
-    throw_status(result.status());
-  }
-  return to_report(std::move(result).value());
 }
 
 unet::UNet& Pipeline::model() { return *model_; }

@@ -1,14 +1,9 @@
-// DiffPattern pipeline facade (paper Fig. 4): dataset -> deep squish ->
-// discrete diffusion training -> topology sampling -> pre-filter ->
-// white-box legalization -> DRC -> metrics.
-//
-// Pipeline is now a thin compatibility wrapper: it still owns dataset
-// construction and training, but every generation call delegates to an
-// embedded service::PatternService (the trained model is registered there
-// under Pipeline::kServiceModel). New code should talk to the service
-// directly — typed requests, Status/Result errors, concurrent batched
-// execution; this facade keeps the original throwing single-threaded
-// surface for the existing examples, benches, and tests.
+// DiffPattern training bootstrap (paper Fig. 4): dataset -> deep squish ->
+// discrete diffusion training. Generation (topology sampling -> pre-filter
+// -> white-box legalization -> DRC) is served by service::PatternService:
+// Pipeline owns the dataset and the model, and registers the trained
+// weights with its embedded service under Pipeline::kServiceModel.
+// Callers issue typed requests with explicit seeds against service().
 #pragma once
 
 #include <cstdint>
@@ -55,9 +50,8 @@ struct PipelineConfig {
 
   /// Flow-control policy handed to the embedded PatternService (admission
   /// windows, shedding thresholds, stream buffer bound — see
-  /// service::FlowControlConfig). The facade's own sequential calls never
-  /// queue deep enough to shed; this exists so the CLI can configure the
-  /// service it exposes via service().
+  /// service::FlowControlConfig), so the CLI can configure the service it
+  /// exposes via service().
   service::FlowControlConfig flow;
 
   /// Maintain an exponential moving average of the model weights during
@@ -79,17 +73,6 @@ struct PipelineConfig {
   /// The service-side view of this configuration (model architecture,
   /// schedule, solver, tile, default rule deck).
   service::ModelConfig to_model_config() const;
-};
-
-struct GenerationReport {
-  std::vector<layout::SquishPattern> patterns;
-  std::int64_t topologies_requested = 0;
-  std::int64_t topologies_generated = 0;  // == requested (sampler never fails)
-  std::int64_t prefilter_rejected = 0;
-  std::int64_t solver_rejected = 0;
-  double sampling_seconds = 0.0;   // Total reverse-diffusion time.
-  double solving_seconds = 0.0;    // Total geometry-assignment time.
-  std::int64_t solver_rounds = 0;  // Accumulated repair rounds.
 };
 
 struct Evaluation {
@@ -132,20 +115,6 @@ class Pipeline {
                          const diffusion::LossBreakdown& loss)>;
   void train(const ProgressFn& progress = nullptr);
 
-  /// Samples topology matrices from the (trained) model.
-  std::vector<geometry::BinaryGrid> sample_topologies(std::int64_t count);
-
-  /// Full generation: sample topologies, pre-filter, legalize
-  /// (`geometries_per_topology` > 1 is DiffPattern-L).
-  GenerationReport generate(std::int64_t topologies,
-                            std::int64_t geometries_per_topology = 1);
-
-  /// Legalizes externally produced topologies (used to give baselines a
-  /// DiffPattern-style assessment in the ablation benches).
-  GenerationReport legalize_topologies(
-      const std::vector<geometry::BinaryGrid>& topologies,
-      std::int64_t geometries_per_topology = 1);
-
   unet::UNet& model();
   const PipelineConfig& config() const { return config_; }
 
@@ -160,9 +129,6 @@ class Pipeline {
  private:
   /// (Re-)registers the current weights + delta library with the service.
   void sync_service();
-  std::uint64_t next_request_seed();
-  /// Converts a service error into the facade's legacy throwing behavior.
-  [[noreturn]] static void throw_status(const common::Status& status);
 
   PipelineConfig config_;
   common::Rng rng_;
@@ -172,19 +138,6 @@ class Pipeline {
   std::unique_ptr<diffusion::Ema> ema_;
   std::unique_ptr<service::PatternService> service_;
   bool model_synced_ = false;
-};
-
-/// RAII helper: swaps EMA weights in for the scope when `ema` is non-null
-/// and not already active.
-class ScopedEmaWeights {
- public:
-  explicit ScopedEmaWeights(diffusion::Ema* ema);
-  ~ScopedEmaWeights();
-  ScopedEmaWeights(const ScopedEmaWeights&) = delete;
-  ScopedEmaWeights& operator=(const ScopedEmaWeights&) = delete;
-
- private:
-  diffusion::Ema* ema_;
 };
 
 }  // namespace diffpattern::core

@@ -174,127 +174,6 @@ LossBreakdown DiffusionTrainer::step(const Tensor& x0_batch,
   return result.breakdown;
 }
 
-Tensor sample(unet::UNet& model, const BinarySchedule& schedule,
-              std::int64_t batch, std::int64_t height, std::int64_t width,
-              const SamplerConfig& config, common::Rng& rng,
-              const SampleObserver& observer) {
-  DP_REQUIRE(batch >= 1 && height >= 1 && width >= 1,
-             "sample: bad output shape");
-  nn::NoGradGuard no_grad;
-  const auto c = model.config().in_channels;
-  Tensor x({batch, c, height, width});
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    x[i] = rng.bernoulli(0.5) ? 1.0F : 0.0F;  // Uniform stationary prior.
-  }
-  if (observer) {
-    observer(schedule.steps(), x);
-  }
-
-  for (std::int64_t k = schedule.steps(); k >= 1; --k) {
-    // Lease this shape's activation plan for the round; every tensor the
-    // forward allocates below recycles through it (see tensor/arena.h).
-    tensor::ArenaScope arena_scope(model.plan_cache(), x.shape());
-    const std::vector<std::int64_t> ks(static_cast<std::size_t>(batch), k);
-    Var logits = model.forward(x, ks, /*training=*/false, rng);
-    const Tensor p0 = unet::logits_to_prob1(logits, c).value();
-    if (k == 1) {
-      for (std::int64_t i = 0; i < x.numel(); ++i) {
-        const double p = p0[i];
-        const bool one =
-            config.final_argmax ? p >= 0.5 : rng.bernoulli(p);
-        x[i] = one ? 1.0F : 0.0F;
-      }
-    } else {
-      const auto coeffs = posterior_coeffs(schedule, k);
-      for (std::int64_t i = 0; i < x.numel(); ++i) {
-        const int xkv = x[i] != 0.0F ? 1 : 0;
-        const double a = xkv == 1 ? coeffs.a1 : coeffs.a0;
-        const double b = xkv == 1 ? coeffs.b1 : coeffs.b0;
-        const double p1 = a * p0[i] + b * (1.0 - p0[i]);
-        x[i] = rng.bernoulli(p1) ? 1.0F : 0.0F;
-      }
-    }
-    if (observer) {
-      observer(k - 1, x);
-    }
-  }
-  require_binary(x, "sample output");
-  return x;
-}
-
-Tensor sample_streams(unet::UNet& model, const BinarySchedule& schedule,
-                      std::int64_t height, std::int64_t width,
-                      const SamplerConfig& config,
-                      const std::vector<common::Rng*>& streams,
-                      const RoundHook& round_hook) {
-  const auto batch = static_cast<std::int64_t>(streams.size());
-  DP_REQUIRE(batch >= 1 && height >= 1 && width >= 1,
-             "sample_streams: bad output shape");
-  for (const auto* s : streams) {
-    DP_REQUIRE(s != nullptr, "sample_streams: null stream");
-  }
-  nn::NoGradGuard no_grad;
-  const auto c = model.config().in_channels;
-  Tensor x({batch, c, height, width});
-  const auto per_sample = x.numel() / batch;
-  // Uniform stationary prior. Slot n consumes only streams[n], so slots are
-  // independent and fan out across the compute pool: each task owns whole
-  // slots, which keeps the draw order inside every stream fixed and the
-  // output byte-identical for any thread count.
-  tensor::parallel_for(0, batch, [&](std::int64_t n0, std::int64_t n1) {
-    for (std::int64_t n = n0; n < n1; ++n) {
-      float* slot = x.data() + n * per_sample;
-      for (std::int64_t i = 0; i < per_sample; ++i) {
-        slot[i] = streams[static_cast<std::size_t>(n)]->bernoulli(0.5) ? 1.0F
-                                                                       : 0.0F;
-      }
-    }
-  });
-
-  // The forward pass never draws randomness at inference (dropout is
-  // identity when training == false), so a throwaway engine keeps the
-  // signature satisfied without coupling slots.
-  common::Rng forward_rng(0);
-  for (std::int64_t k = schedule.steps(); k >= 1; --k) {
-    // Round-scoped activation plan lease (see tensor/arena.h).
-    tensor::ArenaScope arena_scope(model.plan_cache(), x.shape());
-    const std::vector<std::int64_t> ks(static_cast<std::size_t>(batch), k);
-    Var logits = model.forward(x, ks, /*training=*/false, forward_rng);
-    const Tensor p0 = unet::logits_to_prob1(logits, c).value();
-    const auto coeffs = posterior_coeffs(schedule, k);
-    // Per-slot reverse transitions, parallel across slots (see the prior
-    // init above for why this preserves bit-reproducibility).
-    tensor::parallel_for(0, batch, [&](std::int64_t n0, std::int64_t n1) {
-      for (std::int64_t n = n0; n < n1; ++n) {
-        common::Rng& rng = *streams[static_cast<std::size_t>(n)];
-        float* slot = x.data() + n * per_sample;
-        const float* p0_slot = p0.data() + n * per_sample;
-        if (k == 1) {
-          for (std::int64_t i = 0; i < per_sample; ++i) {
-            const double p = p0_slot[i];
-            const bool one =
-                config.final_argmax ? p >= 0.5 : rng.bernoulli(p);
-            slot[i] = one ? 1.0F : 0.0F;
-          }
-        } else {
-          for (std::int64_t i = 0; i < per_sample; ++i) {
-            const int xkv = slot[i] != 0.0F ? 1 : 0;
-            const double a = xkv == 1 ? coeffs.a1 : coeffs.a0;
-            const double b = xkv == 1 ? coeffs.b1 : coeffs.b0;
-            const double p1 = a * p0_slot[i] + b * (1.0 - p0_slot[i]);
-            slot[i] = rng.bernoulli(p1) ? 1.0F : 0.0F;
-          }
-        }
-      }
-    });
-    if (round_hook) {
-      round_hook(k, batch);
-    }
-  }
-  require_binary(x, "sample_streams output");
-  return x;
-}
-
 std::int64_t strided_step_count(std::int64_t schedule_steps,
                                 std::int64_t stride) {
   DP_REQUIRE(schedule_steps >= 1, "strided_step_count: bad schedule");
@@ -306,7 +185,8 @@ tensor::Tensor sample_streams_strided(
     unet::UNet& model, const BinarySchedule& schedule, std::int64_t height,
     std::int64_t width, const SamplerConfig& config,
     const std::vector<common::Rng*>& streams,
-    const std::vector<std::int64_t>& strides, const RoundHook& round_hook) {
+    const std::vector<std::int64_t>& strides, const RoundHook& round_hook,
+    const SampleObserver& observer) {
   const auto batch = static_cast<std::int64_t>(streams.size());
   DP_REQUIRE(batch >= 1 && height >= 1 && width >= 1,
              "sample_streams_strided: bad output shape");
@@ -323,9 +203,9 @@ tensor::Tensor sample_streams_strided(
   const auto c = model.config().in_channels;
   Tensor x({batch, c, height, width});
   const auto per_sample = x.numel() / batch;
-  // Uniform stationary prior, drawn exactly as in sample_streams: slot n
-  // consumes only streams[n], tasks own whole slots, so the per-stream draw
-  // order (and therefore the bytes) is fixed for any thread count.
+  // Uniform stationary prior. Slot n consumes only streams[n] and tasks own
+  // whole slots, so the per-stream draw order (and therefore the bytes) is
+  // fixed for any thread count.
   tensor::parallel_for(0, batch, [&](std::int64_t n0, std::int64_t n1) {
     for (std::int64_t n = n0; n < n1; ++n) {
       float* slot = x.data() + n * per_sample;
@@ -335,6 +215,9 @@ tensor::Tensor sample_streams_strided(
       }
     }
   });
+  if (observer) {
+    observer(schedule.steps(), x);
+  }
 
   // Slot n's next step: starts at K, jumps by strides[n], 0 == finished.
   std::vector<std::int64_t> current_k(static_cast<std::size_t>(batch),
@@ -402,9 +285,9 @@ tensor::Tensor sample_streams_strided(
           }
         } else {
           // Jump posterior coefficients for this slot's (k_prev, k). At
-          // stride 1 these equal the ancestral posterior_prob1(k, ...)
-          // exactly (it delegates to posterior_prob1_between(k-1, k, ...)),
-          // which is what makes stride-1 reproduce sample_streams.
+          // stride 1 these are exactly the ancestral posterior_prob1(k, ...)
+          // (it delegates to posterior_prob1_between(k-1, k, ...)), so a
+          // stride-1 walk is the paper's full reverse chain (Eq. 13).
           const double a0 = schedule.posterior_prob1_between(k_prev, k, 0, 1);
           const double a1 = schedule.posterior_prob1_between(k_prev, k, 1, 1);
           const double b0 = schedule.posterior_prob1_between(k_prev, k, 0, 0);
@@ -423,64 +306,11 @@ tensor::Tensor sample_streams_strided(
     if (round_hook) {
       round_hook(k, m);
     }
+    if (observer) {
+      observer(*std::max_element(current_k.begin(), current_k.end()), x);
+    }
   }
   require_binary(x, "sample_streams_strided output");
-  return x;
-}
-
-tensor::Tensor sample_strided(unet::UNet& model,
-                              const BinarySchedule& schedule,
-                              std::int64_t batch, std::int64_t height,
-                              std::int64_t width, std::int64_t stride,
-                              const SamplerConfig& config, common::Rng& rng,
-                              const SampleObserver& observer) {
-  DP_REQUIRE(stride >= 1, "sample_strided: stride must be >= 1");
-  DP_REQUIRE(batch >= 1 && height >= 1 && width >= 1,
-             "sample_strided: bad output shape");
-  nn::NoGradGuard no_grad;
-  const auto c = model.config().in_channels;
-  Tensor x({batch, c, height, width});
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    x[i] = rng.bernoulli(0.5) ? 1.0F : 0.0F;
-  }
-  if (observer) {
-    observer(schedule.steps(), x);
-  }
-
-  std::int64_t k = schedule.steps();
-  while (k >= 1) {
-    // Round-scoped activation plan lease (see tensor/arena.h).
-    tensor::ArenaScope arena_scope(model.plan_cache(), x.shape());
-    const std::int64_t k_prev = std::max<std::int64_t>(0, k - stride);
-    const std::vector<std::int64_t> ks(static_cast<std::size_t>(batch), k);
-    Var logits = model.forward(x, ks, /*training=*/false, rng);
-    const Tensor p0 = unet::logits_to_prob1(logits, c).value();
-    if (k_prev == 0) {
-      for (std::int64_t i = 0; i < x.numel(); ++i) {
-        const double p = p0[i];
-        const bool one = config.final_argmax ? p >= 0.5 : rng.bernoulli(p);
-        x[i] = one ? 1.0F : 0.0F;
-      }
-    } else {
-      // Jump posterior coefficients for (x_k, x0_tilde) combinations.
-      const double a0 = schedule.posterior_prob1_between(k_prev, k, 0, 1);
-      const double a1 = schedule.posterior_prob1_between(k_prev, k, 1, 1);
-      const double b0 = schedule.posterior_prob1_between(k_prev, k, 0, 0);
-      const double b1 = schedule.posterior_prob1_between(k_prev, k, 1, 0);
-      for (std::int64_t i = 0; i < x.numel(); ++i) {
-        const int xkv = x[i] != 0.0F ? 1 : 0;
-        const double a = xkv == 1 ? a1 : a0;
-        const double b = xkv == 1 ? b1 : b0;
-        const double p1 = a * p0[i] + b * (1.0 - p0[i]);
-        x[i] = rng.bernoulli(p1) ? 1.0F : 0.0F;
-      }
-    }
-    if (observer) {
-      observer(k_prev, x);
-    }
-    k = k_prev;
-  }
-  require_binary(x, "sample_strided output");
   return x;
 }
 

@@ -10,7 +10,9 @@
 //     + lambda * CE(x_0, p_theta(x0_tilde|x_k)) for k >= 2, and plain CE at
 //     k = 1 (Eq. 9 with the D3PM k=1 convention).
 //   * Sampling starts from the uniform stationary distribution and walks the
-//     reverse chain (Eq. 13).
+//     reverse chain (Eq. 13). One sampler, sample_streams_strided, does it:
+//     stride 1 is the full K-step chain, larger strides take DDIM-style
+//     jumps, and one fused batch may mix strides and per-slot RNG streams.
 #pragma once
 
 #include <cstdint>
@@ -76,42 +78,20 @@ struct SamplerConfig {
   bool final_argmax = true;
 };
 
-/// Per-step observer for the reverse chain (used by the Fig. 6 bench):
-/// called with (k, current x_k) after every denoising step, including the
-/// initial noise (k = K) and the final sample (k = 0).
+/// Per-round observer for the reverse chain (used by the Fig. 6 bench):
+/// called with (K, prior) before the first round, then after every round
+/// with (largest step any slot still has to run, current x). A uniform
+/// stride s therefore sees K, K - s, ..., 0.
 using SampleObserver =
     std::function<void(std::int64_t k, const tensor::Tensor& x)>;
 
-/// Runs the reverse diffusion chain and returns binary samples [N,C,H,W].
-tensor::Tensor sample(unet::UNet& model, const BinarySchedule& schedule,
-                      std::int64_t batch, std::int64_t height,
-                      std::int64_t width, const SamplerConfig& config,
-                      common::Rng& rng,
-                      const SampleObserver& observer = nullptr);
-
-/// Per-step hook for the fused sampler, called after every completed
-/// reverse step with (k just finished, batch size). Unlike SampleObserver
-/// it deliberately does NOT expose the intermediate tensor: it exists for
+/// Per-round hook for the fused sampler, called after every executed round
+/// with (k just finished, slots in the round). Unlike SampleObserver it
+/// deliberately does NOT expose the intermediate tensor: it exists for
 /// round-structured bookkeeping (the service's denoise-step counters and
 /// progress accounting), so the sampler never has to copy state out of the
 /// hot loop. Must not throw.
 using RoundHook = std::function<void(std::int64_t k, std::int64_t batch)>;
-
-/// Fused reverse-diffusion over streams.size() samples in ONE batch: the
-/// U-Net forward runs once per step for the whole batch, while sample i
-/// draws its stochastic transitions exclusively from *streams[i]. Every
-/// network op treats batch entries independently, so slot i's output is
-/// bit-identical to a batch-1 run fed the same stream — this is what lets
-/// the service fuse queued requests without breaking per-request
-/// reproducibility. Returns [streams.size(), C, height, width].
-/// `round_hook`, when set, fires once per reverse step (schedule.steps()
-/// times) and never affects the sampled values.
-tensor::Tensor sample_streams(unet::UNet& model,
-                              const BinarySchedule& schedule,
-                              std::int64_t height, std::int64_t width,
-                              const SamplerConfig& config,
-                              const std::vector<common::Rng*>& streams,
-                              const RoundHook& round_hook = nullptr);
 
 /// Network evaluations a strided walk performs: the subsequence
 /// K, K - stride, ..., 1 has ceil(K / stride) entries. stride == 1 gives K
@@ -119,38 +99,29 @@ tensor::Tensor sample_streams(unet::UNet& model,
 std::int64_t strided_step_count(std::int64_t schedule_steps,
                                 std::int64_t stride);
 
-/// Fused strided reverse diffusion: like sample_streams, but slot i also
-/// carries its own step subsequence K, K - strides[i], K - 2*strides[i], ...
-/// (DDIM-style jumps via the generalized posterior
-/// q(x_{k_prev} | x_k, x0_tilde)). Each round runs ONE U-Net forward over
-/// exactly the slots whose subsequence visits that step, so the fused batch
-/// narrows as coarse-stride slots finish early — `round_hook` fires once per
-/// executed round with (k, active slots this round), which is what the
-/// service's fill-ratio accounting consumes. Slot i draws exclusively from
-/// *streams[i] in a fixed order, so its bytes are identical to a solo run
-/// with the same (stream, stride) regardless of which other strides share
-/// the batch. With strides[i] == 1 for all i this reproduces sample_streams
-/// bit for bit. strides must pair 1:1 with streams, each in
-/// [1, schedule.steps()].
+/// Fused reverse diffusion over streams.size() samples in ONE batch. Slot i
+/// walks its own step subsequence K, K - strides[i], K - 2*strides[i], ...,
+/// down to 0 (DDIM-style jumps via the generalized posterior
+/// q(x_{k_prev} | x_k, x0_tilde); stride 1 is the full ancestral chain) and
+/// draws its stochastic transitions exclusively from *streams[i] in a fixed
+/// order. Each round runs ONE U-Net forward over exactly the slots whose
+/// subsequence visits that step, so the batch narrows as coarse-stride
+/// slots finish early. Every network op treats batch entries independently,
+/// so slot i's bytes equal a solo run with the same (stream, stride) for any
+/// batch composition, thread count, or kernel backend — this is what lets
+/// the service fuse queued requests without breaking per-request
+/// reproducibility. strides must pair 1:1 with streams, each in
+/// [1, schedule.steps()]. Returns [streams.size(), C, height, width].
+/// `round_hook` fires once per executed round with (k, active slots), which
+/// the service's fill-ratio accounting consumes; `observer` sees the state
+/// after the prior and after every round. Neither affects the samples.
 tensor::Tensor sample_streams_strided(
     unet::UNet& model, const BinarySchedule& schedule, std::int64_t height,
     std::int64_t width, const SamplerConfig& config,
     const std::vector<common::Rng*>& streams,
     const std::vector<std::int64_t>& strides,
-    const RoundHook& round_hook = nullptr);
-
-/// Strided (DDIM-style [12]) fast sampler: walks a subsequence of the K
-/// steps — K, K - stride, K - 2*stride, ..., 1 — using the generalized
-/// jump posterior q(x_{k_prev} | x_k, x0_tilde). stride == 1 reduces to the
-/// full ancestral sampler; larger strides trade sample quality for a
-/// proportional cut in network evaluations (see
-/// bench_ablation_stride).
-tensor::Tensor sample_strided(unet::UNet& model,
-                              const BinarySchedule& schedule,
-                              std::int64_t batch, std::int64_t height,
-                              std::int64_t width, std::int64_t stride,
-                              const SamplerConfig& config, common::Rng& rng,
-                              const SampleObserver& observer = nullptr);
+    const RoundHook& round_hook = nullptr,
+    const SampleObserver& observer = nullptr);
 
 /// Exponential moving average of model parameters — the standard DDPM
 /// evaluation trick: train on the raw weights, sample with the smoothed

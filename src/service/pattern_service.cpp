@@ -125,9 +125,11 @@ common::Result<std::int64_t> resolve_sampling_stride(
     return spec.stride;
   }
   if (spec.steps > 0) {
-    // Coarsest stride whose walk still runs >= spec.steps evaluations:
-    // ceil(K / stride) >= steps  <=>  stride <= K / steps (integer floor).
-    return std::max<std::int64_t>(1, schedule_steps / spec.steps);
+    // Coarsest stride whose walk still runs >= spec.steps evaluations. For
+    // steps >= 2, ceil(K / s) >= steps holds exactly while
+    // s * (steps - 1) < K; one step is a single jump from K.
+    return spec.steps == 1 ? schedule_steps
+                           : (schedule_steps - 1) / (spec.steps - 1);
   }
   return 1;  // Both unset: the full ancestral schedule.
 }

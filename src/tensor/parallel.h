@@ -12,8 +12,9 @@
 //     sequential order inside the body.
 //
 // Under that contract the result is byte-identical for every thread count
-// and every chunking, which is what lets diffusion::sample_streams promise
-// bit-reproducible output regardless of DIFFPATTERN_THREADS / --threads.
+// and every chunking, which is what lets diffusion::sample_streams_strided
+// promise bit-reproducible output regardless of DIFFPATTERN_THREADS /
+// --threads.
 #pragma once
 
 #include <cstdint>

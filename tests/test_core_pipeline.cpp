@@ -1,5 +1,6 @@
 // Integration tests for the full DiffPattern pipeline at miniature scale:
-// dataset -> train -> sample -> pre-filter -> legalize -> evaluate.
+// dataset -> train, then sample -> pre-filter -> legalize through typed
+// requests against the pipeline's service -> evaluate.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,6 +11,7 @@
 namespace dcore = diffpattern::core;
 namespace dd = diffpattern::drc;
 namespace dc = diffpattern::common;
+namespace ds = diffpattern::service;
 
 namespace {
 
@@ -28,6 +30,25 @@ dcore::PipelineConfig mini_config() {
   cfg.batch_size = 4;
   cfg.seed = 5;
   return cfg;
+}
+
+ds::GenerateRequest generate_request(std::int64_t count, std::uint64_t seed) {
+  ds::GenerateRequest request;
+  request.model = dcore::Pipeline::kServiceModel;
+  request.count = count;
+  request.seed = seed;
+  return request;
+}
+
+ds::LegalizeTopologiesRequest legalize_request(
+    std::vector<diffpattern::geometry::BinaryGrid> topologies,
+    std::int64_t geometries_per_topology) {
+  ds::LegalizeTopologiesRequest request;
+  request.model = dcore::Pipeline::kServiceModel;
+  request.topologies = std::move(topologies);
+  request.geometries_per_topology = geometries_per_topology;
+  request.seed = 11;
+  return request;
 }
 
 }  // namespace
@@ -77,9 +98,14 @@ TEST(Pipeline, TrainRunsAndReportsProgress) {
 TEST(Pipeline, SampledTopologiesHaveDatasetShape) {
   dcore::Pipeline pipeline(mini_config());
   pipeline.train();
-  const auto topologies = pipeline.sample_topologies(3);
-  ASSERT_EQ(topologies.size(), 3U);
-  for (const auto& t : topologies) {
+  ds::SampleTopologiesRequest request;
+  request.model = dcore::Pipeline::kServiceModel;
+  request.count = 3;
+  request.seed = 4;
+  const auto result = pipeline.service().sample_topologies(request);
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  ASSERT_EQ(result->topologies.size(), 3U);
+  for (const auto& t : result->topologies) {
     EXPECT_EQ(t.rows(), 16);
     EXPECT_EQ(t.cols(), 16);
   }
@@ -91,16 +117,17 @@ TEST(Pipeline, GenerateProducesOnlyDrcCleanPatterns) {
   auto cfg = mini_config();
   dcore::Pipeline pipeline(cfg);
   pipeline.train();
-  const auto report = pipeline.generate(6);
-  EXPECT_EQ(report.topologies_requested, 6);
-  EXPECT_EQ(report.prefilter_rejected + report.solver_rejected +
-                static_cast<std::int64_t>(report.patterns.size()),
+  const auto result = pipeline.service().generate(generate_request(6, 1));
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  EXPECT_EQ(result->stats.topologies_requested, 6);
+  EXPECT_EQ(result->stats.prefilter_rejected + result->stats.solver_rejected +
+                static_cast<std::int64_t>(result->patterns.size()),
             6);
-  for (const auto& p : report.patterns) {
+  for (const auto& p : result->patterns) {
     EXPECT_TRUE(dd::check_pattern(p, cfg.datagen.rules).clean());
     EXPECT_EQ(p.width(), cfg.datagen.tile);
   }
-  EXPECT_GE(report.solving_seconds, 0.0);
+  EXPECT_GE(result->stats.solving_seconds, 0.0);
 }
 
 TEST(Pipeline, EvaluateCountsLegalityAndDiversity) {
@@ -149,22 +176,23 @@ TEST(Pipeline, ModelCheckpointRoundTrip) {
 }
 
 TEST(Pipeline, GenerationIsSeedDeterministicAcrossInstances) {
-  // Regression: seed must thread through every sampling entry point, so two
-  // pipelines with the same config + seed (and the same call sequence)
-  // produce byte-identical patterns — the service executes their requests
-  // through per-request RNG streams, worker pools, and fused batches.
+  // Regression: two pipelines with the same config + seed train identical
+  // weights, so the same request produces byte-identical patterns — the
+  // service executes it through per-request RNG streams, worker pools, and
+  // fused batches.
   auto cfg = mini_config();
   dcore::Pipeline a(cfg);
   dcore::Pipeline b(cfg);
   a.train();
   b.train();
-  const auto ra = a.generate(4);
-  const auto rb = b.generate(4);
-  ASSERT_EQ(ra.patterns.size(), rb.patterns.size());
-  for (std::size_t i = 0; i < ra.patterns.size(); ++i) {
-    EXPECT_TRUE(ra.patterns[i].topology == rb.patterns[i].topology);
-    EXPECT_EQ(ra.patterns[i].dx, rb.patterns[i].dx);
-    EXPECT_EQ(ra.patterns[i].dy, rb.patterns[i].dy);
+  const auto ra = a.service().generate(generate_request(4, 21));
+  const auto rb = b.service().generate(generate_request(4, 21));
+  ASSERT_TRUE(ra.ok() && rb.ok());
+  ASSERT_EQ(ra->patterns.size(), rb->patterns.size());
+  for (std::size_t i = 0; i < ra->patterns.size(); ++i) {
+    EXPECT_TRUE(ra->patterns[i].topology == rb->patterns[i].topology);
+    EXPECT_EQ(ra->patterns[i].dx, rb->patterns[i].dx);
+    EXPECT_EQ(ra->patterns[i].dy, rb->patterns[i].dy);
   }
 }
 
@@ -179,9 +207,11 @@ TEST(Pipeline, LegalizeExternalTopologies) {
   for (std::size_t i = 0; i < topologies.size(); ++i) {
     topologies[i] = data.patterns[i].topology;
   }
-  const auto report = pipeline.legalize_topologies(topologies);
-  EXPECT_EQ(report.prefilter_rejected, 0);
-  EXPECT_GE(static_cast<std::int64_t>(report.patterns.size()), 3);
+  const auto result =
+      pipeline.service().legalize_topologies(legalize_request(topologies, 1));
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  EXPECT_EQ(result->stats.prefilter_rejected, 0);
+  EXPECT_GE(static_cast<std::int64_t>(result->patterns.size()), 3);
 }
 
 TEST(Pipeline, MultiGeometryGeneratesDistinctPatterns) {
@@ -190,10 +220,13 @@ TEST(Pipeline, MultiGeometryGeneratesDistinctPatterns) {
   const auto& data = pipeline.dataset();
   const std::vector<diffpattern::geometry::BinaryGrid> one = {
       data.patterns.front().topology};
-  const auto report = pipeline.legalize_topologies(one, 5);
-  EXPECT_GE(report.patterns.size(), 2U);
-  for (std::size_t i = 1; i < report.patterns.size(); ++i) {
-    EXPECT_FALSE(report.patterns[i].dx == report.patterns[0].dx &&
-                 report.patterns[i].dy == report.patterns[0].dy);
+  const auto result =
+      pipeline.service().legalize_topologies(legalize_request(one, 5));
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  const auto& patterns = result->patterns;
+  EXPECT_GE(patterns.size(), 2U);
+  for (std::size_t i = 1; i < patterns.size(); ++i) {
+    EXPECT_FALSE(patterns[i].dx == patterns[0].dx &&
+                 patterns[i].dy == patterns[0].dy);
   }
 }

@@ -7,11 +7,14 @@
 
 #include "common/rng.h"
 #include "diffusion/diffusion.h"
+#include "sampling_test_util.h"
 #include "tensor/tensor_ops.h"
 
 namespace dd = diffpattern::diffusion;
 namespace du = diffpattern::unet;
 namespace dc = diffpattern::common;
+using diffpattern::testutil::sample_slots;
+using diffpattern::testutil::uniform_strides;
 using diffpattern::tensor::Tensor;
 
 namespace {
@@ -156,8 +159,7 @@ TEST(Trainer, LossDecreasesOnToyData) {
 TEST(Sampler, ProducesBinaryOutputOfRequestedShape) {
   dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 5});
   du::UNet model(micro_config(), 3);
-  dc::Rng rng(9);
-  Tensor s = dd::sample(model, schedule, 3, 4, 4, dd::SamplerConfig{}, rng);
+  Tensor s = sample_slots(model, schedule, 4, uniform_strides(3), 9, 0);
   EXPECT_EQ(s.shape(), (diffpattern::tensor::Shape{3, 1, 4, 4}));
   for (std::int64_t i = 0; i < s.numel(); ++i) {
     EXPECT_TRUE(s[i] == 0.0F || s[i] == 1.0F);
@@ -167,10 +169,9 @@ TEST(Sampler, ProducesBinaryOutputOfRequestedShape) {
 TEST(Sampler, ObserverSeesFullChain) {
   dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 6});
   du::UNet model(micro_config(), 3);
-  dc::Rng rng(10);
   std::vector<std::int64_t> seen;
-  dd::sample(model, schedule, 1, 4, 4, dd::SamplerConfig{}, rng,
-             [&](std::int64_t k, const Tensor&) { seen.push_back(k); });
+  sample_slots(model, schedule, 4, uniform_strides(1), 10, 0, nullptr,
+               [&](std::int64_t k, const Tensor&) { seen.push_back(k); });
   // K, K-1, ..., 0: K+1 snapshots.
   ASSERT_EQ(seen.size(), 7U);
   EXPECT_EQ(seen.front(), 6);
@@ -195,8 +196,8 @@ TEST(EndToEnd, LearnsTwoModeToyDistribution) {
 
   const std::string left = "1100110011001100";
   const std::string right = "0011001100110011";
-  Tensor samples =
-      dd::sample(model, schedule, 24, 4, 4, dd::SamplerConfig{}, rng);
+  Tensor samples = sample_slots(model, schedule, 4, uniform_strides(24),
+                                /*seed=*/23, /*stream=*/0);
   int on_mode = 0;
   std::map<std::string, int> histogram;
   for (std::int64_t i = 0; i < 24; ++i) {

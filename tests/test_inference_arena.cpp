@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "common/compute_pool.h"
-#include "common/rng.h"
 #include "diffusion/diffusion.h"
+#include "sampling_test_util.h"
 #include "tensor/arena.h"
 #include "unet/unet.h"
 
@@ -51,17 +51,9 @@ du::UNetConfig micro_config() {
 }
 
 Tensor run_sampling(du::UNet& model, const dd::BinarySchedule& schedule) {
-  std::vector<dc::Rng> streams;
-  streams.reserve(2);
-  for (std::uint64_t slot = 0; slot < 2; ++slot) {
-    streams.emplace_back(dc::derive_seed(515151, /*stream=*/3, slot));
-  }
-  std::vector<dc::Rng*> ptrs;
-  for (auto& s : streams) {
-    ptrs.push_back(&s);
-  }
-  return dd::sample_streams(model, schedule, /*height=*/8, /*width=*/8,
-                            dd::SamplerConfig{}, ptrs);
+  return diffpattern::testutil::sample_slots(
+      model, schedule, /*side=*/8, diffpattern::testutil::uniform_strides(2),
+      /*seed=*/515151, /*stream=*/3);
 }
 
 }  // namespace

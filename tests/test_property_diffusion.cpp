@@ -6,12 +6,15 @@
 
 #include "common/rng.h"
 #include "diffusion/diffusion.h"
+#include "sampling_test_util.h"
 #include "tensor/tensor_ops.h"
 
 namespace dd = diffpattern::diffusion;
 namespace du = diffpattern::unet;
 namespace dc = diffpattern::common;
 namespace nn = diffpattern::nn;
+using diffpattern::testutil::sample_slots;
+using diffpattern::testutil::uniform_strides;
 using diffpattern::tensor::Tensor;
 
 // ---- schedule sweep ---------------------------------------------------------
@@ -133,41 +136,49 @@ Tensor toy_batch(dc::Rng& rng, std::int64_t n) {
 
 class StridedSampler : public ::testing::TestWithParam<std::int64_t> {};
 
-TEST_P(StridedSampler, ProducesBinaryOutputAndVisitsExpectedSteps) {
+TEST_P(StridedSampler, ProducesBinaryOutputAndObservesEveryJump) {
   dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 12});
   du::UNet model(micro_config(), 3);
-  dc::Rng rng(9);
   std::vector<std::int64_t> visited;
   const auto stride = GetParam();
-  Tensor s = dd::sample_strided(
-      model, schedule, 2, 4, 4, stride, dd::SamplerConfig{}, rng,
+  Tensor s = sample_slots(
+      model, schedule, 4, uniform_strides(2, stride), 9, 0, nullptr,
       [&](std::int64_t k, const Tensor&) { visited.push_back(k); });
   for (std::int64_t i = 0; i < s.numel(); ++i) {
     EXPECT_TRUE(s[i] == 0.0F || s[i] == 1.0F);
   }
-  // Chain starts at K, strictly decreases by at most `stride`, ends at 0.
-  ASSERT_GE(visited.size(), 2U);
-  EXPECT_EQ(visited.front(), 12);
-  EXPECT_EQ(visited.back(), 0);
-  for (std::size_t i = 1; i < visited.size(); ++i) {
-    EXPECT_LT(visited[i], visited[i - 1]);
-    EXPECT_LE(visited[i - 1] - visited[i], stride);
+  // The prior at K, then one call per round: K - stride, K - 2*stride, ...,
+  // clamped to 0 — ceil(K / stride) + 1 calls in all.
+  std::vector<std::int64_t> expected;
+  for (std::int64_t k = 12; k > 0; k -= stride) {
+    expected.push_back(k);
   }
+  expected.push_back(0);
+  EXPECT_EQ(visited, expected);
+  EXPECT_EQ(static_cast<std::int64_t>(visited.size()),
+            dd::strided_step_count(12, stride) + 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Strides, StridedSampler,
-                         ::testing::Values(1, 2, 3, 5, 12, 50));
+                         ::testing::Values(1, 2, 3, 5, 12));
 
-TEST(StridedSampler, StrideOneVisitsEveryStep) {
-  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 6});
+TEST(StridedSampler, RejectsStrideBeyondSchedule) {
+  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 12});
   du::UNet model(micro_config(), 3);
-  dc::Rng rng(4);
+  EXPECT_THROW(sample_slots(model, schedule, 4, {13}, 9, 0),
+               std::invalid_argument);
+}
+
+TEST(StridedSampler, MixedStridesObserveTheUnionOfWalks) {
+  // K = 12 with strides {3, 5}: slot 0 runs 12, 9, 6, 3 and slot 1 runs
+  // 12, 7, 2. The observer reports the largest step still pending after
+  // each round, so it sees the merged walk down to 0.
+  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 12});
+  du::UNet model(micro_config(), 3);
   std::vector<std::int64_t> visited;
-  dd::sample_strided(model, schedule, 1, 4, 4, 1, dd::SamplerConfig{}, rng,
-                     [&](std::int64_t k, const Tensor&) {
-                       visited.push_back(k);
-                     });
-  EXPECT_EQ(visited.size(), 7U);  // 6, 5, ..., 0.
+  sample_slots(model, schedule, 4, {3, 5}, 9, 0, nullptr,
+               [&](std::int64_t k, const Tensor&) { visited.push_back(k); });
+  EXPECT_EQ(visited, (std::vector<std::int64_t>{12, 9, 7, 6, 3, 2, 0}));
 }
 
 TEST(StridedSampler, TrainedModelStillHitsModesWithStride) {
@@ -184,8 +195,8 @@ TEST(StridedSampler, TrainedModelStillHitsModesWithStride) {
     Tensor x0 = toy_batch(rng, 8);
     trainer.step(x0, rng);
   }
-  Tensor samples = dd::sample_strided(model, schedule, 16, 4, 4, 2,
-                                      dd::SamplerConfig{}, rng);
+  Tensor samples = sample_slots(model, schedule, 4, uniform_strides(16, 2),
+                                /*seed=*/23, /*stream=*/0);
   int mode_like = 0;
   for (std::int64_t i = 0; i < 16; ++i) {
     // A mode-like sample has uniform columns: count column-consistency.

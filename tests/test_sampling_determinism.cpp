@@ -1,7 +1,7 @@
-// Sampling determinism: diffusion::sample_streams must emit byte-identical
-// topologies for the same per-slot RNG streams no matter how many threads
-// the compute pool runs and no matter which SIMD kernel backend dispatch
-// selects — the guarantee that lets the service scale the
+// Sampling determinism: diffusion::sample_streams_strided must emit
+// byte-identical topologies for the same per-slot RNG streams and strides
+// no matter how many threads the compute pool runs and no matter which SIMD
+// kernel backend dispatch selects — the guarantee that lets the service scale the
 // reverse-diffusion hot path without perturbing any request's output. A
 // pinned FNV-1a golden digest of the sampled bytes turns silent cross-PR
 // byte drift into a loud failure.
@@ -14,6 +14,7 @@
 #include "common/compute_pool.h"
 #include "common/rng.h"
 #include "diffusion/diffusion.h"
+#include "sampling_test_util.h"
 #include "tensor/arena.h"
 #include "tensor/simd.h"
 #include "ulp_test_util.h"
@@ -39,22 +40,27 @@ du::UNetConfig micro_config() {
   return cfg;
 }
 
-Tensor run_sample_streams(du::UNet& model, const dd::BinarySchedule& schedule,
-                          std::int64_t threads) {
+// Per-slot seed derivation shared by every run below. Each run builds
+// fresh streams: comparisons are across thread counts, backends and arena
+// modes, so every run must consume identical randomness.
+constexpr std::uint64_t kSeed = 424242;
+constexpr std::uint64_t kStream = 7;
+
+// One slot per entry of `strides`, on a compute pool of `threads`.
+Tensor run_strided(du::UNet& model, const dd::BinarySchedule& schedule,
+                   const std::vector<std::int64_t>& strides,
+                   std::int64_t threads,
+                   const dd::RoundHook& hook = nullptr) {
   EXPECT_TRUE(dc::set_global_compute_threads(threads).ok());
-  // Fresh streams per run: the comparison is across thread counts, so every
-  // run must consume identical randomness.
-  std::vector<dc::Rng> streams;
-  streams.reserve(3);
-  for (std::uint64_t slot = 0; slot < 3; ++slot) {
-    streams.emplace_back(dc::derive_seed(424242, /*stream=*/7, slot));
-  }
-  std::vector<dc::Rng*> ptrs;
-  for (auto& s : streams) {
-    ptrs.push_back(&s);
-  }
-  return dd::sample_streams(model, schedule, /*height=*/8, /*width=*/8,
-                            dd::SamplerConfig{}, ptrs);
+  return diffpattern::testutil::sample_slots(model, schedule, /*side=*/8,
+                                             strides, kSeed, kStream, hook);
+}
+
+// Three slots over the full schedule (stride 1): the bytes the full-schedule
+// golden digest pins.
+Tensor run_full_schedule(du::UNet& model, const dd::BinarySchedule& schedule,
+                         std::int64_t threads) {
+  return run_strided(model, schedule, {1, 1, 1}, threads);
 }
 
 std::uint64_t fnv1a64(const void* data, std::size_t bytes) {
@@ -89,33 +95,11 @@ class ArenaGuard {
   bool previous_;
 };
 
-// Strided counterpart of run_sample_streams: same per-slot seed derivation
-// (so a stride-1 walk must reproduce sample_streams byte for byte), one
-// stride per slot.
-Tensor run_strided(du::UNet& model, const dd::BinarySchedule& schedule,
-                   const std::vector<std::int64_t>& strides,
-                   std::int64_t threads,
-                   const dd::RoundHook& hook = nullptr) {
-  EXPECT_TRUE(dc::set_global_compute_threads(threads).ok());
-  std::vector<dc::Rng> streams;
-  streams.reserve(strides.size());
-  for (std::uint64_t slot = 0; slot < strides.size(); ++slot) {
-    streams.emplace_back(dc::derive_seed(424242, /*stream=*/7, slot));
-  }
-  std::vector<dc::Rng*> ptrs;
-  for (auto& s : streams) {
-    ptrs.push_back(&s);
-  }
-  return dd::sample_streams_strided(model, schedule, /*height=*/8,
-                                    /*width=*/8, dd::SamplerConfig{}, ptrs,
-                                    strides, hook);
-}
-
 // Solo run of ONE slot with the stream that slot `slot` carries in a fused
 // run — the reference for fusion-invariance checks.
 Tensor run_solo_slot(du::UNet& model, const dd::BinarySchedule& schedule,
                      std::uint64_t slot, std::int64_t stride) {
-  dc::Rng stream(dc::derive_seed(424242, /*stream=*/7, slot));
+  dc::Rng stream(dc::derive_seed(kSeed, kStream, slot));
   std::vector<dc::Rng*> ptrs{&stream};
   return dd::sample_streams_strided(model, schedule, /*height=*/8,
                                     /*width=*/8, dd::SamplerConfig{}, ptrs,
@@ -124,12 +108,12 @@ Tensor run_solo_slot(du::UNet& model, const dd::BinarySchedule& schedule,
 
 }  // namespace
 
-TEST(SamplingDeterminism, SampleStreamsByteIdenticalAcrossThreadCounts) {
+TEST(SamplingDeterminism, FullScheduleByteIdenticalAcrossThreadCounts) {
   du::UNet model(micro_config(), /*seed=*/91);
   dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 6});
-  const Tensor at_1 = run_sample_streams(model, schedule, 1);
-  const Tensor at_2 = run_sample_streams(model, schedule, 2);
-  const Tensor at_8 = run_sample_streams(model, schedule, 8);
+  const Tensor at_1 = run_full_schedule(model, schedule, 1);
+  const Tensor at_2 = run_full_schedule(model, schedule, 2);
+  const Tensor at_8 = run_full_schedule(model, schedule, 8);
   ASSERT_TRUE(at_1.same_shape(at_2));
   ASSERT_TRUE(at_1.same_shape(at_8));
   const auto bytes = static_cast<std::size_t>(at_1.numel()) * sizeof(float);
@@ -140,21 +124,21 @@ TEST(SamplingDeterminism, SampleStreamsByteIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
 }
 
-TEST(SamplingDeterminism, SampleStreamsByteIdenticalAcrossKernelBackends) {
+TEST(SamplingDeterminism, FullScheduleByteIdenticalAcrossKernelBackends) {
   BackendGuard guard;
   du::UNet model(micro_config(), /*seed=*/91);
   dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 6});
   ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(
                   diffpattern::tensor::KernelBackend::kScalar)
                   .ok());
-  const Tensor scalar_out = run_sample_streams(model, schedule, 1);
+  const Tensor scalar_out = run_full_schedule(model, schedule, 1);
   for (const auto backend : {diffpattern::tensor::KernelBackend::kAvx2,
                              diffpattern::tensor::KernelBackend::kNeon}) {
     if (!diffpattern::tensor::kernel_backend_supported(backend)) {
       continue;
     }
     ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(backend).ok());
-    const Tensor vector_out = run_sample_streams(model, schedule, 1);
+    const Tensor vector_out = run_full_schedule(model, schedule, 1);
     ASSERT_TRUE(scalar_out.same_shape(vector_out));
     EXPECT_EQ(std::memcmp(scalar_out.data(), vector_out.data(),
                           static_cast<std::size_t>(scalar_out.numel()) *
@@ -182,37 +166,15 @@ TEST(SamplingDeterminism, GoldenDigestPinnedUnderScalarDispatch) {
                   .ok());
   du::UNet model(micro_config(), /*seed=*/91);
   dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 6});
-  const std::uint64_t run1 = digest(run_sample_streams(model, schedule, 1));
-  const std::uint64_t run2 = digest(run_sample_streams(model, schedule, 1));
+  const std::uint64_t run1 = digest(run_full_schedule(model, schedule, 1));
+  const std::uint64_t run2 = digest(run_full_schedule(model, schedule, 1));
   EXPECT_EQ(run1, run2) << "same-process replay diverged";
   const std::uint64_t threaded =
-      digest(run_sample_streams(model, schedule, 8));
+      digest(run_full_schedule(model, schedule, 8));
   EXPECT_EQ(run1, threaded) << "thread count leaked into the bytes";
   constexpr std::uint64_t kGoldenDigest = 0x7373f45c5b440cb3ULL;
   EXPECT_EQ(run1, kGoldenDigest)
       << "sampled bytes drifted from the pinned golden digest";
-  EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
-}
-
-// A stride-1 walk through the strided sampler is the SAME algorithm as
-// sample_streams (posterior_prob1(k) == posterior_prob1_between(k-1, k),
-// identical draw order), so the bytes must match exactly. This is what
-// makes switching the serving hot path onto the strided sampler safe.
-TEST(SamplingDeterminism, StridedWithStrideOneMatchesSampleStreams) {
-  BackendGuard guard;
-  ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(
-                  diffpattern::tensor::KernelBackend::kScalar)
-                  .ok());
-  du::UNet model(micro_config(), /*seed=*/91);
-  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 6});
-  const Tensor reference = run_sample_streams(model, schedule, 1);
-  const Tensor strided = run_strided(model, schedule, {1, 1, 1}, 1);
-  ASSERT_TRUE(reference.same_shape(strided));
-  EXPECT_EQ(std::memcmp(reference.data(), strided.data(),
-                        static_cast<std::size_t>(reference.numel()) *
-                            sizeof(float)),
-            0)
-      << "stride-1 strided sampling diverged from sample_streams";
   EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
 }
 
@@ -244,7 +206,7 @@ TEST(SamplingDeterminism, FusedMixedStridesByteIdenticalToSoloRuns) {
   EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
 }
 
-// Strided sampling carries the full determinism contract of sample_streams:
+// Mixed strides carry the same determinism contract as the full schedule:
 // thread count and kernel backend never reach the bytes.
 TEST(SamplingDeterminism, StridedByteIdenticalAcrossThreadsAndBackends) {
   BackendGuard guard;
@@ -343,10 +305,10 @@ TEST(SamplingDeterminism, ArenaOnAndOffPinnedToSameGoldenDigest) {
   dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 6});
   constexpr std::uint64_t kGoldenDigest = 0x7373f45c5b440cb3ULL;
   diffpattern::tensor::set_activation_arena_enabled(true);
-  EXPECT_EQ(digest(run_sample_streams(model, schedule, 1)), kGoldenDigest)
+  EXPECT_EQ(digest(run_full_schedule(model, schedule, 1)), kGoldenDigest)
       << "arena-on bytes drifted from the pinned golden digest";
   diffpattern::tensor::set_activation_arena_enabled(false);
-  EXPECT_EQ(digest(run_sample_streams(model, schedule, 1)), kGoldenDigest)
+  EXPECT_EQ(digest(run_full_schedule(model, schedule, 1)), kGoldenDigest)
       << "arena-off bytes drifted from the pinned golden digest";
   EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
 }
@@ -364,7 +326,7 @@ TEST(SamplingDeterminism, ArenaByteIdenticalAcrossBackendsAndThreads) {
                   .ok());
   diffpattern::tensor::set_activation_arena_enabled(false);
   const std::uint64_t reference =
-      digest(run_sample_streams(model, schedule, 1));
+      digest(run_full_schedule(model, schedule, 1));
   diffpattern::tensor::set_activation_arena_enabled(true);
   for (const auto backend : {diffpattern::tensor::KernelBackend::kScalar,
                              diffpattern::tensor::KernelBackend::kAvx2,
@@ -374,7 +336,7 @@ TEST(SamplingDeterminism, ArenaByteIdenticalAcrossBackendsAndThreads) {
     }
     ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(backend).ok());
     for (const std::int64_t threads : {1, 8}) {
-      EXPECT_EQ(digest(run_sample_streams(model, schedule, threads)),
+      EXPECT_EQ(digest(run_full_schedule(model, schedule, threads)),
                 reference)
           << "arena-on sampling diverged from arena-off under "
           << diffpattern::tensor::kernel_backend_label(backend) << " with "

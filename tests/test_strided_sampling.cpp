@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "diffusion/diffusion.h"
 #include "service/admission.h"
 #include "service/pattern_service.h"
 #include "service_test_util.h"
@@ -65,9 +66,33 @@ TEST(SamplingSpecResolve, MapsKnobsToStrides) {
   EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 6}, kMiniSteps), 1);
   EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 3}, kMiniSteps), 2);
   EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 1}, kMiniSteps), 6);
-  // steps = 4: stride 1 (6 evals) is the coarsest running >= 4 — floor
-  // division, never an undershoot.
+  // steps = 4: stride 1 (6 evals) is the coarsest running >= 4; stride 2
+  // would run only 3.
   EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 4}, kMiniSteps), 1);
+  // K = 40, steps = 14: stride 3 runs exactly 14 (stride 2 would run 20).
+  EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 14}, 40), 3);
+  // K = 5, steps = 3: stride 2 runs 3.
+  EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 3}, 5), 2);
+}
+
+TEST(SamplingSpecResolve, StepsTargetIsCoarsestStrideMeetingIt) {
+  // The header contract, swept: the resolved stride runs >= steps
+  // evaluations, and the next coarser stride (if any) would run fewer.
+  for (std::int64_t k = 1; k <= 64; ++k) {
+    for (std::int64_t n = 1; n <= k; ++n) {
+      const auto stride = ds::resolve_sampling_stride({.steps = n}, k);
+      ASSERT_TRUE(stride.ok()) << "K=" << k << " steps=" << n;
+      const auto s = *stride;
+      ASSERT_GE(s, 1);
+      ASSERT_LE(s, k);
+      EXPECT_GE(diffpattern::diffusion::strided_step_count(k, s), n)
+          << "K=" << k << " steps=" << n << " stride=" << s;
+      EXPECT_TRUE(s == k ||
+                  diffpattern::diffusion::strided_step_count(k, s + 1) < n)
+          << "K=" << k << " steps=" << n << " stride=" << s
+          << " is not the coarsest";
+    }
+  }
 }
 
 TEST(SamplingSpecResolve, RejectsMalformedSpecs) {

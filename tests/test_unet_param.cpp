@@ -101,8 +101,13 @@ TEST(PipelineEma, TrainsAndSamplesWithEmaWeights) {
   cfg.ema_decay = 0.9;
   diffpattern::core::Pipeline pipeline(cfg);
   pipeline.train();
-  const auto topologies = pipeline.sample_topologies(2);
-  EXPECT_EQ(topologies.size(), 2U);
+  diffpattern::service::SampleTopologiesRequest request;
+  request.model = diffpattern::core::Pipeline::kServiceModel;
+  request.count = 2;
+  request.seed = 3;
+  const auto result = pipeline.service().sample_topologies(request);
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  EXPECT_EQ(result->topologies.size(), 2U);
   // Sampling must leave the raw training weights restored: a second train()
   // call would otherwise throw inside Ema::update.
   EXPECT_NO_THROW(pipeline.train());
