@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -45,8 +46,29 @@ ds::GenerateStats sample_stats() {
   stats.solver_rounds = 3;
   stats.sampling_seconds = 0.125;
   stats.solving_seconds = 2.5;
-  stats.fused_batch_slots = 4;
+  stats.fused_batch_slots = 12;
+  stats.sampling_stride = 5;
+  stats.steps_run = 8;
+  stats.net_evals = 11;
+  stats.degraded_steps = true;
   return stats;
+}
+
+/// Every GenerateStats field survived the wire.
+void expect_same_stats(const ds::GenerateStats& a, const ds::GenerateStats& b) {
+  EXPECT_EQ(a.topologies_requested, b.topologies_requested);
+  EXPECT_EQ(a.topologies_admitted, b.topologies_admitted);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.prefilter_rejected, b.prefilter_rejected);
+  EXPECT_EQ(a.solver_rejected, b.solver_rejected);
+  EXPECT_EQ(a.solver_rounds, b.solver_rounds);
+  EXPECT_DOUBLE_EQ(a.sampling_seconds, b.sampling_seconds);
+  EXPECT_DOUBLE_EQ(a.solving_seconds, b.solving_seconds);
+  EXPECT_EQ(a.fused_batch_slots, b.fused_batch_slots);
+  EXPECT_EQ(a.sampling_stride, b.sampling_stride);
+  EXPECT_EQ(a.steps_run, b.steps_run);
+  EXPECT_EQ(a.net_evals, b.net_evals);
+  EXPECT_EQ(a.degraded_steps, b.degraded_steps);
 }
 
 void expect_same_pattern(const diffpattern::layout::SquishPattern& a,
@@ -68,6 +90,8 @@ TEST(DistWire, GenerateRequestRoundTrip) {
   request.priority = -2;
   request.deadline_ms = 750;
   request.allow_degrade = true;
+  request.sampling.steps = 40;
+  request.sampling.stride = 6;
 
   const auto frame = dd::encode_generate_request(request);
   ASSERT_EQ(dd::peek_type(frame).value(), dd::MessageType::kGenerateRequest);
@@ -82,6 +106,8 @@ TEST(DistWire, GenerateRequestRoundTrip) {
   EXPECT_EQ(decoded->priority, request.priority);
   EXPECT_EQ(decoded->deadline_ms, request.deadline_ms);
   EXPECT_EQ(decoded->allow_degrade, request.allow_degrade);
+  EXPECT_EQ(decoded->sampling.steps, 40);
+  EXPECT_EQ(decoded->sampling.stride, 6);
 
   // The streaming tag carries the identical payload and decodes through the
   // same function (the worker peeks the tag to dispatch).
@@ -119,11 +145,7 @@ TEST(DistWire, GenerateResultRoundTrip) {
   ASSERT_EQ(decoded->patterns.size(), 2U);
   expect_same_pattern(decoded->patterns[0], result.patterns[0]);
   expect_same_pattern(decoded->patterns[1], result.patterns[1]);
-  EXPECT_EQ(decoded->stats.topologies_requested, 9);
-  EXPECT_EQ(decoded->stats.topologies_admitted, 4);
-  EXPECT_TRUE(decoded->stats.degraded);
-  EXPECT_DOUBLE_EQ(decoded->stats.sampling_seconds, 0.125);
-  EXPECT_EQ(decoded->stats.fused_batch_slots, 4);
+  expect_same_stats(decoded->stats, result.stats);
 }
 
 TEST(DistWire, EmptyResultRoundTrip) {
@@ -208,7 +230,8 @@ TEST(DistWire, StreamEndRoundTrip) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
   EXPECT_EQ(decoded->status.code(), dc::StatusCode::kResourceExhausted);
   EXPECT_EQ(decoded->status.retry_after_ms(), 12);
-  EXPECT_EQ(decoded->stats.topologies_requested, 9);
+  EXPECT_EQ(decoded->status.message(), "window full");
+  expect_same_stats(decoded->stats, sample_stats());
 }
 
 TEST(DistWire, HealthProbeRoundTrip) {
@@ -492,28 +515,173 @@ TEST(DistWire, HostileAnnounceModelCountIsBounded) {
       << decoded.status().to_string();
 }
 
-TEST(DistWire, ByteFlipSweepNeverCrashes) {
-  // Deterministic single-byte corruption sweep over a result frame: every
-  // mutant must come back as ok-or-typed-error. This is the cheap, seedless
-  // fuzz tier the asan-ubsan job amplifies.
+/// One fixed instance of every frame type (the streaming-request tag
+/// included, plus a hint-free status), every field set to a distinct
+/// non-default value.
+std::vector<dd::Bytes> golden_frames() {
+  ds::GenerateRequest request;
+  request.model = "golden-model";
+  request.count = 17;
+  request.geometries_per_topology = 3;
+  request.rule_set = "space";
+  request.seed = 0xDEADBEEFCAFEF00DULL;
+  request.priority = -2;
+  request.deadline_ms = 750;
+  request.allow_degrade = true;
+  request.sampling.steps = 40;
+  request.sampling.stride = 6;
+
   ds::GenerateResult result;
-  result.patterns = {sample_pattern(0), sample_pattern(9)};
+  result.patterns = {sample_pattern(0), sample_pattern(100)};
   result.stats = sample_stats();
-  const auto frame = dd::encode_generate_result(result);
+
+  ds::StreamedPattern slot;
+  slot.index = 5;
+  slot.legal = true;
+  slot.prefiltered = true;
+  slot.patterns = {sample_pattern(3)};
+
+  dd::WorkerHealth health;
+  health.worker = "worker-2";
+  health.seq = 77;
+  health.admission_pending = 3;
+  health.queue_depth_peak = 6;
+  health.fused_fill_ratio = 0.875;
+  health.requests_shed = 4;
+  health.requests_accepted = 40;
+  health.requests_completed = 36;
+  health.arena_bytes_reserved = 1 << 20;
+  health.plan_cache_hits = 250;
+  health.plan_cache_misses = 7;
+  health.embedding_cache_hits = 1200;
+
+  dd::WorkerAnnounce announce;
+  announce.worker = "worker-3";
+  announce.address = "tcp:[::1]:7070";
+  announce.models = {"demo", "mini", "prod"};
+
+  return {
+      dd::encode_generate_request(request),
+      dd::encode_generate_request(request,
+                                  dd::MessageType::kGenerateStreamRequest),
+      dd::encode_generate_result(result),
+      dd::encode_streamed_pattern(slot),
+      dd::encode_status(
+          dc::Status::Unavailable("shard overloaded").with_retry_after(35)),
+      dd::encode_status(dc::Status::NotFound("no such model")),
+      dd::encode_worker_health(health),
+      dd::encode_health_probe(),
+      dd::encode_stream_end(
+          dc::Status::ResourceExhausted("window full").with_retry_after(12),
+          sample_stats()),
+      dd::encode_worker_announce(announce),
+  };
+}
+
+std::uint64_t fnv1a(const dd::Bytes& bytes) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    hash = (hash ^ b) * 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+/// Calls `visit(input, what)` with every truncation prefix of `frame` and
+/// every single-byte {0x01, 0x80, 0xFF} flip of it.
+template <typename Visit>
+void for_each_mutant(const dd::Bytes& frame, Visit visit) {
+  for (std::size_t len = 0; len < frame.size(); ++len) {
+    visit(dd::Bytes(frame.begin(),
+                    frame.begin() + static_cast<std::ptrdiff_t>(len)),
+          "prefix " + std::to_string(len));
+  }
   for (std::size_t pos = 0; pos < frame.size(); ++pos) {
     for (const std::uint8_t flip : {0x01, 0x80, 0xFF}) {
       auto mutant = frame;
       mutant[pos] = static_cast<std::uint8_t>(mutant[pos] ^ flip);
-      const auto decoded = dd::decode_generate_result(mutant);
-      if (!decoded.ok()) {
-        const auto code = decoded.status().code();
-        ASSERT_TRUE(code == dc::StatusCode::kDataLoss ||
-                    code == dc::StatusCode::kInvalidArgument)
-            << "pos " << pos << " flip " << int{flip} << ": "
-            << decoded.status().to_string();
-      }
+      visit(mutant, "pos " + std::to_string(pos) + " flip " +
+                        std::to_string(int{flip}));
     }
   }
+}
+
+/// The status code every decoder, peek_type and split_frames answer
+/// `input` with, in a fixed order.
+std::vector<dc::StatusCode> decode_codes(const dd::Bytes& input) {
+  return {
+      dd::peek_type(input).status().code(),
+      dd::split_frames(input).status().code(),
+      dd::decode_generate_request(input).status().code(),
+      dd::decode_generate_result(input).status().code(),
+      dd::decode_streamed_pattern(input).status().code(),
+      dd::decode_status(input).status().code(),
+      dd::decode_worker_health(input).status().code(),
+      dd::decode_stream_end(input).status().code(),
+      dd::decode_worker_announce(input).status().code(),
+  };
+}
+
+TEST(DistWire, ByteFlipSweepNeverCrashes) {
+  // Deterministic truncation + single-byte corruption sweep over every
+  // frame type, fed to every decoder: each mutant must come back as
+  // ok-or-typed-error. This is the cheap, seedless fuzz tier the asan-ubsan
+  // job amplifies.
+  for (const auto& frame : golden_frames()) {
+    for_each_mutant(frame, [](const dd::Bytes& input, const std::string& what) {
+      for (const dc::StatusCode code : decode_codes(input)) {
+        ASSERT_TRUE(code == dc::StatusCode::kOk ||
+                    code == dc::StatusCode::kDataLoss ||
+                    code == dc::StatusCode::kInvalidArgument)
+            << what << ": " << dc::to_string(code);
+      }
+    });
+  }
+}
+
+// --------------------------------------------------- pinned wire bytes
+
+TEST(DistWire, GoldenFrameBytesArePinned) {
+  // The exact encoding of every frame type. A change here is a wire
+  // protocol change: it needs a version bump, not a new constant.
+  struct Pin {
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {90, 0x1b878f03edb9a3f4ULL},  // kGenerateRequest
+      {90, 0xc8bec21d71fdefe2ULL},  // kGenerateStreamRequest
+      {214, 0x9d36826bb1af2bfcULL},  // kGenerateResult
+      {80, 0xd788f54ce99595d0ULL},  // kStreamedPattern
+      {42, 0x92a93abd166c326bULL},  // kStatus, with retry hint
+      {39, 0x96dc69a90a5bae93ULL},  // kStatus, hint-free
+      {112, 0x7b43829fae38bf24ULL},  // kWorkerHealth
+      {12, 0xda2692fc7ae1a602ULL},  // kHealthProbe
+      {127, 0xad42f9470d03bc29ULL},  // kStreamEnd
+      {70, 0x98b322af9d1e89adULL},  // kWorkerAnnounce
+  };
+  const auto frames = golden_frames();
+  ASSERT_EQ(frames.size(), std::size(pins));
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].size(), pins[i].size) << "frame " << i;
+    EXPECT_EQ(fnv1a(frames[i]), pins[i].digest)
+        << "frame " << i << std::hex << " digest 0x" << fnv1a(frames[i]);
+  }
+}
+
+TEST(DistWire, GoldenErrorCodesArePinned) {
+  // The status code each decoder answers every truncation and byte flip of
+  // every golden frame with, folded into one digest: a decoder rewrite
+  // must reject exactly the same inputs with exactly the same codes.
+  dd::Bytes codes;
+  for (const auto& frame : golden_frames()) {
+    for_each_mutant(frame, [&](const dd::Bytes& input, const std::string&) {
+      for (const dc::StatusCode code : decode_codes(input)) {
+        codes.push_back(static_cast<std::uint8_t>(code));
+      }
+    });
+  }
+  EXPECT_EQ(codes.size(), 31536U);
+  EXPECT_EQ(fnv1a(codes), 0xed7c86f24c71d4fdULL) << std::hex << "digest 0x" << fnv1a(codes);
 }
 
 }  // namespace
