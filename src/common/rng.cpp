@@ -8,8 +8,10 @@ namespace diffpattern::common {
 
 namespace {
 
+constexpr std::uint64_t kGoldenGamma = 0x9E3779B97F4A7C15ULL;
+
 std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
+  x += kGoldenGamma;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
@@ -21,6 +23,12 @@ std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t stream,
                           std::uint64_t index) {
   return splitmix64(splitmix64(seed ^ splitmix64(stream)) ^
                     splitmix64(index));
+}
+
+std::uint64_t splitmix64_next(std::uint64_t& state) {
+  const std::uint64_t out = splitmix64(state);
+  state += kGoldenGamma;
+  return out;
 }
 
 double Rng::uniform(double lo, double hi) {

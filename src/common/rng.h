@@ -19,6 +19,11 @@ namespace diffpattern::common {
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t stream,
                           std::uint64_t index = 0);
 
+/// One step of the stateful splitmix64 sequence: advances `state` and
+/// returns the next output. Router placement, reconnect jitter and chaos
+/// fault fates draw from it.
+std::uint64_t splitmix64_next(std::uint64_t& state);
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}

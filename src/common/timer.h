@@ -1,9 +1,18 @@
-// Minimal wall-clock timer for the efficiency experiments (Table II).
+// Steady-clock time: the millisecond clock every deadline is measured on,
+// and a minimal wall-clock timer for the efficiency experiments (Table II).
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 
 namespace diffpattern::common {
+
+/// Milliseconds on the steady clock: the time base of every deadline.
+inline std::int64_t steady_now_ms() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 class Timer {
  public:

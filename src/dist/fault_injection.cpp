@@ -16,29 +16,20 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/timer.h"
+
 namespace diffpattern::dist {
 
 using common::Status;
+using common::steady_now_ms;
 
 namespace {
 
-std::int64_t steady_now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 /// Uniform draw in [0, 1) from the shared fate stream.
 double draw_unit(std::uint64_t& state) {
-  return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
+  return static_cast<double>(common::splitmix64_next(state) >> 11) *
+         0x1.0p-53;
 }
 
 /// Blocking best-effort write of `count` bytes starting at `data`.

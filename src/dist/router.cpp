@@ -1,29 +1,23 @@
 #include "dist/router.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
+#include "common/rng.h"
+#include "common/timer.h"
 #include "dist/discovery.h"
 
 namespace diffpattern::dist {
 
 using common::Result;
 using common::Status;
+using common::steady_now_ms;
 
 namespace {
 
 bool is_shed(const Status& status) {
   return status.code() == common::StatusCode::kUnavailable ||
          status.code() == common::StatusCode::kResourceExhausted;
-}
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
 }
 
 }  // namespace
@@ -89,13 +83,9 @@ ReplicaRouter::ReplicaRouter(RouterConfig config)
       std::max(config_.base_backoff_ms, config_.max_backoff_ms);
 }
 
-std::int64_t ReplicaRouter::now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+std::uint64_t ReplicaRouter::next_random() {
+  return common::splitmix64_next(rng_state_);
 }
-
-std::uint64_t ReplicaRouter::next_random() { return splitmix64(rng_state_); }
 
 void ReplicaRouter::add_replica(const std::string& model,
                                 std::shared_ptr<Channel> channel) {
@@ -115,7 +105,7 @@ std::int64_t ReplicaRouter::healthy_replicas(const std::string& model) const {
   if (it == tables_.end()) {
     return 0;
   }
-  const std::int64_t now = now_ms();
+  const std::int64_t now = steady_now_ms();
   std::int64_t healthy = 0;
   for (const auto& replica : it->second->replicas) {
     if (!replica->retired && !replica->down &&
@@ -238,7 +228,7 @@ common::Result<Bytes> ReplicaRouter::route(const std::string& model,
       ModelTable& table = *tables_.find(model)->second;
       replica_count = table.replicas.size();
       if (attempt < replica_count) {
-        replica = pick_replica(table, now_ms(), tried);
+        replica = pick_replica(table, steady_now_ms(), tried);
       }
       if (replica != nullptr) {
         replica->inflight++;
@@ -318,7 +308,7 @@ common::Result<Bytes> ReplicaRouter::route(const std::string& model,
     const std::int64_t shift =
         std::min<std::int64_t>(replica->consecutive_sheds, 6);
     backoff = std::min(config_.max_backoff_ms, backoff << shift);
-    replica->cooldown_until_ms = now_ms() + backoff;
+    replica->cooldown_until_ms = steady_now_ms() + backoff;
     replica->consecutive_sheds++;
     last_shed = shed;
     counters_.redirects++;

@@ -153,7 +153,6 @@ class ReplicaRouter {
   Replica* pick_replica(ModelTable& table, std::int64_t now_ms,
                         const std::vector<Replica*>& tried);
   std::uint64_t next_random();
-  static std::int64_t now_ms();
 
   RouterConfig config_;
   mutable std::mutex mutex_;

@@ -21,26 +21,16 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/timer.h"
+
 namespace diffpattern::dist {
 
 using common::Result;
 using common::Status;
+using common::steady_now_ms;
 
 namespace {
-
-std::int64_t steady_now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 void close_fd(int& fd) {
   if (fd >= 0) {
@@ -324,27 +314,21 @@ std::uint64_t socket_frame_tag(const std::string& key,
 
 Bytes frame_payload(const Bytes& payload, const std::string& auth_key) {
   const bool authed = !auth_key.empty();
+  const std::size_t header_bytes =
+      authed ? kSocketAuthFrameHeaderBytes : kSocketFrameHeaderBytes;
   Bytes out;
-  out.reserve((authed ? kSocketAuthFrameHeaderBytes
-                      : kSocketFrameHeaderBytes) +
-              payload.size());
+  out.reserve(header_bytes + payload.size());
+  out.resize(header_bytes);
   std::uint32_t word = static_cast<std::uint32_t>(payload.size());
   if (authed) {
     word |= kSocketFrameAuthFlag;
   }
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((word >> shift) & 0xFF));
-  }
-  const std::uint64_t checksum = fnv1a64(payload.data(), payload.size());
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((checksum >> shift) & 0xFF));
-  }
+  store_le(out.data(), word);
+  store_le(out.data() + 4, fnv1a64(payload.data(), payload.size()));
   if (authed) {
-    const std::uint64_t tag = socket_frame_tag(
-        auth_key, out.data(), payload.data(), payload.size());
-    for (int shift = 0; shift < 64; shift += 8) {
-      out.push_back(static_cast<std::uint8_t>((tag >> shift) & 0xFF));
-    }
+    store_le(out.data() + 12,
+             socket_frame_tag(auth_key, out.data(), payload.data(),
+                              payload.size()));
   }
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
@@ -387,10 +371,7 @@ common::Status FrameAssembler::feed(const std::uint8_t* data,
       if (header_filled_ == 4 && stage_end == 4) {
         // Length word complete: auth-mode and length checks BEFORE any
         // body allocation (and before trusting 8 more header bytes).
-        std::uint32_t word = 0;
-        for (int i = 0; i < 4; ++i) {
-          word |= std::uint32_t{header_[i]} << (8 * i);
-        }
+        const auto word = load_le<std::uint32_t>(header_);
         const bool peer_authed = (word & kSocketFrameAuthFlag) != 0;
         if (peer_authed && auth_key_.empty()) {
           return Status::PermissionDenied(
@@ -413,15 +394,9 @@ common::Status FrameAssembler::feed(const std::uint8_t* data,
       if (header_filled_ < header_bytes) {
         continue;
       }
-      checksum_ = 0;
-      for (int i = 0; i < 8; ++i) {
-        checksum_ |= std::uint64_t{header_[4 + i]} << (8 * i);
-      }
+      checksum_ = load_le<std::uint64_t>(header_ + 4);
       if (!auth_key_.empty()) {
-        tag_ = 0;
-        for (int i = 0; i < 8; ++i) {
-          tag_ |= std::uint64_t{header_[12 + i]} << (8 * i);
-        }
+        tag_ = load_le<std::uint64_t>(header_ + 12);
       }
       body_.clear();
       body_.reserve(expected_);
@@ -717,9 +692,9 @@ class SocketChannel : public Channel {
           delay = config_.backoff_max_ms;
         }
         if (delay > 4) {
-          delay += static_cast<std::int64_t>(splitmix64(jitter_state_) %
-                                             static_cast<std::uint64_t>(
-                                                 delay / 4));
+          delay += static_cast<std::int64_t>(
+              common::splitmix64_next(jitter_state_) %
+              static_cast<std::uint64_t>(delay / 4));
         }
         delay = std::min(delay, config_.backoff_max_ms);
         next_attempt_ms_ = steady_now_ms() + delay;
@@ -957,8 +932,10 @@ struct SocketServer::Impl {
           auth_failures.fetch_add(1, std::memory_order_relaxed);
           const Bytes denial =
               encode_status(Status::PermissionDenied(s.message()));
-          write_all(fd, frame_payload(denial, config.auth_key),
-                    steady_now_ms() + config.io_timeout_ms);
+          // Best effort: the connection closes next whether or not the
+          // denial arrives, so a failed write changes nothing.
+          (void)write_all(fd, frame_payload(denial, config.auth_key),
+                          steady_now_ms() + config.io_timeout_ms);
         } else {
           // Hostile length / checksum mismatch: the peer is feeding us
           // garbage; drop the connection (the client decodes the close

@@ -1,12 +1,11 @@
 // Transport abstraction between routers/clients and worker nodes.
 //
 // A Channel is one client's connection to one worker endpoint: call() sends
-// a request buffer and blocks for the response buffer. The only built-in
-// implementation is the in-process LoopbackTransport — a name -> handler
-// registry that lets tests and benches run a multi-worker topology inside
-// one binary — but the Channel seam is exactly where a socket transport
-// slots in later: the wire bytes crossing it are already endian-fixed and
-// versioned.
+// a request buffer and blocks for the response buffer. Two implementations
+// ship: the in-process LoopbackTransport here — a name -> handler registry
+// that lets tests and benches run a multi-worker topology inside one
+// binary — and SocketTransport (socket_transport.h, TCP and Unix sockets).
+// Both carry the same endian-fixed, versioned wire bytes.
 //
 // Failure semantics mirror a real network: calling a channel whose endpoint
 // was unregistered (worker shut down) or marked unreachable (partition

@@ -1,7 +1,11 @@
 #include "dist/wire.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <initializer_list>
+#include <limits>
+#include <type_traits>
 #include <utility>
 
 namespace diffpattern::dist {
@@ -10,384 +14,396 @@ namespace {
 using common::Result;
 using common::Status;
 
-// -- little-endian writer (explicit byte shifts: deterministic on any
-//    host endianness) --
+// -- field visitors --
+//
+// Every payload layout is one `message(Io&, T&)` field list below, run by
+// either visitor: Writer appends each field's bytes, Reader fills it from a
+// bounds-checked buffer. Both spell the same members, so the encode and
+// decode of a message cannot drift apart.
 
-void put_u8(Bytes& out, std::uint8_t v) { out.push_back(v); }
-
-void put_u16(Bytes& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-}
-
-void put_u32(Bytes& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
+/// The unsigned word a numeric field travels as: integers keep their width
+/// (two's complement for signed), bool is one byte, double its IEEE-754 bits.
+template <typename T>
+auto to_wire(T v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return static_cast<std::uint8_t>(v ? 1 : 0);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return std::bit_cast<std::uint64_t>(v);
+  } else {
+    return static_cast<std::make_unsigned_t<T>>(v);
   }
 }
 
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
+class Writer {
+ public:
+  explicit Writer(Bytes& out) : out_(out) {}
+
+  template <typename T>
+  void num(const T& v) {
+    const auto word = to_wire(v);
+    const std::size_t at = out_.size();
+    out_.resize(at + sizeof(word));
+    store_le(out_.data() + at, word);
   }
-}
 
-void put_i64(Bytes& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
+  void str(const std::string& s, std::size_t /*max_bytes*/,
+           const char* /*what*/) {
+    num(static_cast<std::uint32_t>(s.size()));
+    out_.insert(out_.end(), s.begin(), s.end());
+  }
 
-void put_i32(Bytes& out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
+  template <typename T, typename Each>
+  void list(const std::vector<T>& items, std::size_t /*min_item_bytes*/,
+            std::size_t /*max_count*/, const char* /*what*/, Each each) {
+    num(static_cast<std::uint32_t>(items.size()));
+    for (const T& item : items) {
+      each(item);
+    }
+  }
 
-void put_f64(Bytes& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
+  void pattern(const layout::SquishPattern& p) {
+    num(static_cast<std::uint32_t>(p.topology.rows()));
+    num(static_cast<std::uint32_t>(p.topology.cols()));
+    const auto& cells = p.topology.cells();
+    out_.insert(out_.end(), cells.begin(), cells.end());
+    for (const geometry::Coord c : p.dx) {
+      num(c);
+    }
+    for (const geometry::Coord c : p.dy) {
+      num(c);
+    }
+  }
 
-void put_bool(Bytes& out, bool v) { put_u8(out, v ? 1 : 0); }
+  void status(const Status& s) {
+    num(static_cast<std::uint16_t>(s.code()));
+    str(s.message(), kMaxMessageBytes, "status message");
+    num(s.retry_after_ms());
+  }
 
-void put_string(Bytes& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
+ private:
+  Bytes& out_;
+};
 
-// -- bounds-checked reader --
-
+/// Never reads out of bounds, and checks every length prefix against what
+/// is actually left BEFORE allocating, so a hostile prefix cannot drive a
+/// large reserve. The first failure sticks: every later field is a no-op.
 class Reader {
  public:
   Reader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
 
-  std::size_t remaining() const { return size_ - pos_; }
-  bool exhausted() const { return pos_ == size_; }
+  template <typename T>
+  void num(T& v) {
+    using Word = decltype(to_wire(v));
+    if (const std::uint8_t* p = take(sizeof(Word), "frame payload")) {
+      if constexpr (std::is_same_v<T, double>) {
+        v = std::bit_cast<double>(load_le<Word>(p));
+      } else {
+        v = static_cast<T>(load_le<Word>(p));  // bool: any nonzero is true.
+      }
+    }
+  }
 
-  bool read_u8(std::uint8_t& out) {
-    if (remaining() < 1) {
-      return false;
-    }
-    out = data_[pos_++];
-    return true;
-  }
-  bool read_u16(std::uint16_t& out) {
-    if (remaining() < 2) {
-      return false;
-    }
-    out = static_cast<std::uint16_t>(data_[pos_] |
-                                     (std::uint16_t{data_[pos_ + 1]} << 8));
-    pos_ += 2;
-    return true;
-  }
-  bool read_u32(std::uint32_t& out) {
-    if (remaining() < 4) {
-      return false;
-    }
-    out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= std::uint32_t{data_[pos_ + i]} << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-  bool read_u64(std::uint64_t& out) {
-    if (remaining() < 8) {
-      return false;
-    }
-    out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= std::uint64_t{data_[pos_ + i]} << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-  bool read_i64(std::int64_t& out) {
-    std::uint64_t raw = 0;
-    if (!read_u64(raw)) {
-      return false;
-    }
-    out = static_cast<std::int64_t>(raw);
-    return true;
-  }
-  bool read_i32(std::int32_t& out) {
-    std::uint32_t raw = 0;
-    if (!read_u32(raw)) {
-      return false;
-    }
-    out = static_cast<std::int32_t>(raw);
-    return true;
-  }
-  bool read_f64(double& out) {
-    std::uint64_t raw = 0;
-    if (!read_u64(raw)) {
-      return false;
-    }
-    out = std::bit_cast<double>(raw);
-    return true;
-  }
-  bool read_bool(bool& out) {
-    std::uint8_t raw = 0;
-    if (!read_u8(raw)) {
-      return false;
-    }
-    out = raw != 0;
-    return true;
-  }
-  /// Length-prefixed string: the length is checked against the remaining
-  /// bytes BEFORE any allocation, so a hostile prefix cannot drive a
-  /// multi-gigabyte reserve. Returns an error status on failure.
-  Status read_string(std::string& out, std::size_t max_bytes,
-                     const char* what) {
+  void str(std::string& s, std::size_t max_bytes, const char* what) {
     std::uint32_t len = 0;
-    if (!read_u32(len)) {
-      return Status::DataLoss(std::string("truncated ") + what + " length");
+    num(len);
+    if (ok() && len > max_bytes) {
+      fail(Status::InvalidArgument(std::string(what) + " exceeds " +
+                                   std::to_string(max_bytes) + " bytes"));
     }
-    if (len > max_bytes) {
-      return Status::InvalidArgument(std::string(what) + " exceeds " +
-                                     std::to_string(max_bytes) + " bytes");
+    if (const std::uint8_t* p = take(len, what)) {
+      s.assign(reinterpret_cast<const char*>(p), len);
     }
-    if (len > remaining()) {
-      return Status::DataLoss(std::string("truncated ") + what + " body");
+  }
+
+  template <typename T, typename Each>
+  void list(std::vector<T>& items, std::size_t min_item_bytes,
+            std::size_t max_count, const char* what, Each each) {
+    std::uint32_t count = 0;
+    num(count);
+    if (ok() && count > max_count) {
+      fail(Status::InvalidArgument(std::string(what) + " count " +
+                                   std::to_string(count) + " exceeds " +
+                                   std::to_string(max_count)));
     }
-    out.assign(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
-    return Status::Ok();
+    if (ok() && std::uint64_t{count} * min_item_bytes > remaining()) {
+      fail(Status::DataLoss(std::string(what) + " count exceeds buffer"));
+    }
+    if (!ok()) {
+      return;
+    }
+    items.clear();
+    items.reserve(count);
+    for (std::uint32_t i = 0; i < count && ok(); ++i) {
+      each(items.emplace_back());
+    }
+  }
+
+  void pattern(layout::SquishPattern& p) {
+    std::uint32_t rows = 0;
+    std::uint32_t cols = 0;
+    num(rows);
+    num(cols);
+    // Cells (1 byte each) plus deltas (8 bytes each) must fit in what is
+    // actually left.
+    const std::uint64_t cell_count = std::uint64_t{rows} * cols;
+    if (ok() && cell_count + 8ULL * (std::uint64_t{rows} + cols) >
+                    remaining()) {
+      fail(Status::DataLoss("pattern dimensions exceed buffer"));
+    }
+    const std::uint8_t* cells = take(cell_count, "topology cells");
+    if (cells == nullptr) {
+      return;
+    }
+    geometry::BinaryGrid grid(rows, cols);
+    for (std::uint32_t r = 0; r < rows; ++r) {
+      for (std::uint32_t c = 0; c < cols; ++c) {
+        const std::uint8_t cell = *cells++;
+        if (cell > 1) {
+          return fail(Status::DataLoss("topology cell is not 0/1"));
+        }
+        grid.set(r, c, cell);
+      }
+    }
+    p.topology = std::move(grid);
+    p.dx.assign(cols, 0);
+    for (geometry::Coord& c : p.dx) {
+      num(c);
+    }
+    p.dy.assign(rows, 0);
+    for (geometry::Coord& c : p.dy) {
+      num(c);
+    }
+  }
+
+  void status(Status& s) {
+    std::uint16_t code = 0;
+    num(code);
+    if (ok() && code >= common::kStatusCodeCount) {
+      fail(Status::InvalidArgument("unknown status code " +
+                                   std::to_string(code)));
+    }
+    std::string message;
+    str(message, kMaxMessageBytes, "status message");
+    std::int64_t retry_after = 0;
+    num(retry_after);
+    if (ok()) {
+      s = Status(static_cast<common::StatusCode>(code), std::move(message))
+              .with_retry_after(retry_after);
+    }
+  }
+
+  /// The first failure, or DATA_LOSS if payload bytes were left unread.
+  Status finish() {
+    if (ok() && pos_ != size_) {
+      fail(Status::DataLoss("trailing bytes inside frame payload"));
+    }
+    return status_;
   }
 
  private:
+  bool ok() const { return status_.ok(); }
+  std::size_t remaining() const { return size_ - pos_; }
+
+  void fail(Status s) {
+    if (ok()) {
+      status_ = std::move(s);
+    }
+  }
+
+  /// Consumes `n` bytes and returns where they start, or nullptr (and
+  /// fails) if the reader already failed or fewer than `n` are left.
+  const std::uint8_t* take(std::uint64_t n, const char* what) {
+    if (!ok()) {
+      return nullptr;
+    }
+    if (n > remaining()) {
+      fail(Status::DataLoss(std::string("truncated ") + what + " at byte " +
+                            std::to_string(pos_)));
+      return nullptr;
+    }
+    const std::uint8_t* p = data_ + pos_;
+    pos_ += n;
+    return p;
+  }
+
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
+  Status status_;
 };
 
-// -- frame header --
+// -- payload layouts: one field list per message --
 
-void put_header(Bytes& out, MessageType type) {
-  put_u32(out, kWireMagic);
-  put_u16(out, kWireVersion);
-  put_u16(out, static_cast<std::uint16_t>(type));
-  put_u32(out, 0);  // payload length, patched by seal_frame.
+constexpr std::size_t kUncapped = std::numeric_limits<std::uint32_t>::max();
+
+template <typename Io>
+void fields(Io& io, service::GenerateStats& s) {
+  io.num(s.topologies_requested);
+  io.num(s.topologies_admitted);
+  io.num(s.degraded);
+  io.num(s.prefilter_rejected);
+  io.num(s.solver_rejected);
+  io.num(s.solver_rounds);
+  io.num(s.sampling_seconds);
+  io.num(s.solving_seconds);
+  io.num(s.fused_batch_slots);
+  io.num(s.sampling_stride);
+  io.num(s.steps_run);
+  io.num(s.net_evals);
+  io.num(s.degraded_steps);
 }
 
-void seal_frame(Bytes& out) {
-  const auto payload = static_cast<std::uint32_t>(out.size() -
-                                                  kFrameHeaderBytes);
-  for (int i = 0; i < 4; ++i) {
-    out[8 + i] = static_cast<std::uint8_t>((payload >> (8 * i)) & 0xFF);
-  }
+template <typename Io>
+void patterns(Io& io, std::vector<layout::SquishPattern>& items) {
+  // Every pattern needs at least its 8-byte dimension header.
+  io.list(items, 8, kUncapped, "pattern", [&](auto& p) { io.pattern(p); });
 }
 
-bool known_type(std::uint16_t raw) {
-  return raw >= static_cast<std::uint16_t>(MessageType::kGenerateRequest) &&
-         raw <= static_cast<std::uint16_t>(MessageType::kWorkerAnnounce);
+template <typename Io>
+void message(Io& io, service::GenerateRequest& r) {
+  io.str(r.model, kMaxNameBytes, "model name");
+  io.num(r.count);
+  io.num(r.geometries_per_topology);
+  io.str(r.rule_set, kMaxNameBytes, "rule set name");
+  io.num(r.seed);
+  io.num(r.priority);
+  io.num(r.deadline_ms);
+  io.num(r.allow_degrade);
+  io.num(r.sampling.steps);
+  io.num(r.sampling.stride);
 }
 
-/// Validates one frame header at `frame[offset]`. On success fills `type`
-/// and `payload_len`.
-Status check_header(const Bytes& frame, std::size_t offset, MessageType& type,
-                    std::size_t& payload_len) {
+template <typename Io>
+void message(Io& io, service::GenerateResult& r) {
+  patterns(io, r.patterns);
+  fields(io, r.stats);
+}
+
+template <typename Io>
+void message(Io& io, service::StreamedPattern& slot) {
+  io.num(slot.index);
+  io.num(slot.legal);
+  io.num(slot.prefiltered);
+  patterns(io, slot.patterns);
+}
+
+template <typename Io>
+void message(Io& io, StatusFrame& frame) {
+  io.status(frame.status);
+}
+
+template <typename Io>
+void message(Io& io, WorkerHealth& h) {
+  io.str(h.worker, kMaxNameBytes, "worker name");
+  io.num(h.seq);
+  io.num(h.admission_pending);
+  io.num(h.queue_depth_peak);
+  io.num(h.fused_fill_ratio);
+  io.num(h.requests_shed);
+  io.num(h.requests_accepted);
+  io.num(h.requests_completed);
+  io.num(h.arena_bytes_reserved);
+  io.num(h.plan_cache_hits);
+  io.num(h.plan_cache_misses);
+  io.num(h.embedding_cache_hits);
+}
+
+template <typename Io>
+void message(Io& io, StreamEnd& end) {
+  io.status(end.status);
+  fields(io, end.stats);
+}
+
+template <typename Io>
+void message(Io& io, WorkerAnnounce& a) {
+  io.str(a.worker, kMaxNameBytes, "worker name");
+  io.str(a.address, kMaxNameBytes, "worker address");
+  // No byte floor per name: the count cap already bounds the reserve.
+  io.list(a.models, 0, kMaxAnnounceModels, "announce model",
+          [&](auto& model) { io.str(model, kMaxNameBytes, "model name"); });
+}
+
+/// The health probe's payload is empty.
+struct HealthProbe {};
+
+template <typename Io>
+void message(Io& /*io*/, HealthProbe& /*probe*/) {}
+
+// -- frames --
+
+template <typename T>
+Bytes encode(MessageType type, const T& value) {
+  Bytes out;
+  Writer writer(out);
+  writer.num(kWireMagic);
+  writer.num(kWireVersion);
+  writer.num(static_cast<std::uint16_t>(type));
+  writer.num(std::uint32_t{0});  // Payload length, patched below.
+  message(writer, const_cast<T&>(value));  // Writer only reads fields.
+  store_le(out.data() + 8,
+           static_cast<std::uint32_t>(out.size() - kFrameHeaderBytes));
+  return out;
+}
+
+/// Validates the frame header at `frame[offset]` and returns its type. On
+/// success the payload length it declares fits in `frame`.
+Result<MessageType> check_header(const Bytes& frame, std::size_t offset) {
   if (frame.size() - offset < kFrameHeaderBytes) {
     return Status::DataLoss("frame shorter than header");
   }
-  Reader reader(frame.data() + offset, frame.size() - offset);
-  std::uint32_t magic = 0;
-  std::uint16_t version = 0;
-  std::uint16_t raw_type = 0;
-  std::uint32_t len = 0;
-  (void)reader.read_u32(magic);
-  (void)reader.read_u16(version);
-  (void)reader.read_u16(raw_type);
-  (void)reader.read_u32(len);
-  if (magic != kWireMagic) {
+  const std::uint8_t* header = frame.data() + offset;
+  const auto version = load_le<std::uint16_t>(header + 4);
+  const auto raw_type = load_le<std::uint16_t>(header + 6);
+  if (load_le<std::uint32_t>(header) != kWireMagic) {
     return Status::DataLoss("bad frame magic");
   }
   if (version != kWireVersion) {
     return Status::InvalidArgument("unsupported wire version " +
                                    std::to_string(version));
   }
-  if (!known_type(raw_type)) {
+  if (raw_type < static_cast<std::uint16_t>(MessageType::kGenerateRequest) ||
+      raw_type > static_cast<std::uint16_t>(MessageType::kWorkerAnnounce)) {
     return Status::InvalidArgument("unknown message type " +
                                    std::to_string(raw_type));
   }
-  if (len > frame.size() - offset - kFrameHeaderBytes) {
+  if (load_le<std::uint32_t>(header + 8) >
+      frame.size() - offset - kFrameHeaderBytes) {
     return Status::DataLoss("payload length exceeds buffer");
   }
-  type = static_cast<MessageType>(raw_type);
-  payload_len = len;
-  return Status::Ok();
+  return static_cast<MessageType>(raw_type);
 }
 
-/// Validates the single frame `frame` is exactly one message of `want` and
-/// returns a reader positioned at its payload.
-Result<Reader> open_frame(const Bytes& frame, MessageType want) {
-  MessageType type{};
-  std::size_t payload_len = 0;
-  if (Status s = check_header(frame, 0, type, payload_len); !s.ok()) {
-    return s;
+/// Header plus payload bytes of the validated frame at `frame[offset]`.
+std::size_t frame_size(const Bytes& frame, std::size_t offset) {
+  return kFrameHeaderBytes + load_le<std::uint32_t>(frame.data() + offset + 8);
+}
+
+/// Decodes `frame`, which must be exactly one frame of an `accepted` type.
+template <typename T>
+Result<T> decode(const Bytes& frame,
+                 std::initializer_list<MessageType> accepted) {
+  const auto type = check_header(frame, 0);
+  if (!type.ok()) {
+    return type.status();
   }
-  if (type != want) {
+  if (std::find(accepted.begin(), accepted.end(), *type) == accepted.end()) {
     return Status::InvalidArgument(
         "wrong frame type " +
-        std::to_string(static_cast<std::uint16_t>(type)) + ", want " +
-        std::to_string(static_cast<std::uint16_t>(want)));
+        std::to_string(static_cast<std::uint16_t>(*type)) + ", want " +
+        std::to_string(static_cast<std::uint16_t>(*accepted.begin())));
   }
-  if (kFrameHeaderBytes + payload_len != frame.size()) {
+  if (frame_size(frame, 0) != frame.size()) {
     return Status::DataLoss("trailing bytes after frame payload");
   }
-  return Reader(frame.data() + kFrameHeaderBytes, payload_len);
-}
-
-// -- squish pattern --
-
-void put_pattern(Bytes& out, const layout::SquishPattern& p) {
-  put_u32(out, static_cast<std::uint32_t>(p.topology.rows()));
-  put_u32(out, static_cast<std::uint32_t>(p.topology.cols()));
-  out.insert(out.end(), p.topology.cells().begin(), p.topology.cells().end());
-  for (const geometry::Coord c : p.dx) {
-    put_i64(out, c);
-  }
-  for (const geometry::Coord c : p.dy) {
-    put_i64(out, c);
-  }
-}
-
-Status read_pattern(Reader& reader, layout::SquishPattern& out) {
-  std::uint32_t rows = 0;
-  std::uint32_t cols = 0;
-  if (!reader.read_u32(rows) || !reader.read_u32(cols)) {
-    return Status::DataLoss("truncated pattern dimensions");
-  }
-  const std::uint64_t cells = std::uint64_t{rows} * cols;
-  // Cells (1 byte each) plus deltas (8 bytes each) must fit in what is
-  // actually left — checked before any allocation.
-  const std::uint64_t need = cells + 8ULL * (std::uint64_t{rows} + cols);
-  if (need > reader.remaining()) {
-    return Status::DataLoss("pattern dimensions exceed buffer");
-  }
-  geometry::BinaryGrid grid(static_cast<std::int64_t>(rows),
-                            static_cast<std::int64_t>(cols));
-  for (std::uint32_t r = 0; r < rows; ++r) {
-    for (std::uint32_t c = 0; c < cols; ++c) {
-      std::uint8_t cell = 0;
-      (void)reader.read_u8(cell);  // Covered by the `need` check above.
-      if (cell > 1) {
-        return Status::DataLoss("topology cell is not 0/1");
-      }
-      grid.set(static_cast<std::int64_t>(r), static_cast<std::int64_t>(c),
-               cell);
-    }
-  }
-  out.topology = std::move(grid);
-  out.dx.assign(cols, 0);
-  for (std::uint32_t c = 0; c < cols; ++c) {
-    (void)reader.read_i64(out.dx[c]);
-  }
-  out.dy.assign(rows, 0);
-  for (std::uint32_t r = 0; r < rows; ++r) {
-    (void)reader.read_i64(out.dy[r]);
-  }
-  return Status::Ok();
-}
-
-void put_patterns(Bytes& out,
-                  const std::vector<layout::SquishPattern>& patterns) {
-  put_u32(out, static_cast<std::uint32_t>(patterns.size()));
-  for (const auto& p : patterns) {
-    put_pattern(out, p);
-  }
-}
-
-Status read_patterns(Reader& reader,
-                     std::vector<layout::SquishPattern>& out) {
-  std::uint32_t count = 0;
-  if (!reader.read_u32(count)) {
-    return Status::DataLoss("truncated pattern count");
-  }
-  // Every pattern needs at least its 8-byte dimension header.
-  if (std::uint64_t{count} * 8 > reader.remaining()) {
-    return Status::DataLoss("pattern count exceeds buffer");
-  }
-  out.clear();
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    layout::SquishPattern p;
-    if (Status s = read_pattern(reader, p); !s.ok()) {
-      return s;
-    }
-    out.push_back(std::move(p));
-  }
-  return Status::Ok();
-}
-
-// -- status / stats payloads (shared by several frames) --
-
-void put_status(Bytes& out, const Status& status) {
-  put_u16(out, static_cast<std::uint16_t>(status.code()));
-  put_string(out, status.message());
-  put_i64(out, status.retry_after_ms());
-}
-
-Status read_status(Reader& reader, Status& out) {
-  std::uint16_t raw_code = 0;
-  if (!reader.read_u16(raw_code)) {
-    return Status::DataLoss("truncated status code");
-  }
-  if (raw_code >= common::kStatusCodeCount) {
-    return Status::InvalidArgument("unknown status code " +
-                                   std::to_string(raw_code));
-  }
-  std::string message;
-  if (Status s = reader.read_string(message, kMaxMessageBytes,
-                                    "status message");
-      !s.ok()) {
+  Reader reader(frame.data() + kFrameHeaderBytes,
+                frame.size() - kFrameHeaderBytes);
+  T value;
+  message(reader, value);
+  if (Status s = reader.finish(); !s.ok()) {
     return s;
   }
-  std::int64_t retry_after = 0;
-  if (!reader.read_i64(retry_after)) {
-    return Status::DataLoss("truncated status retry hint");
-  }
-  out = Status(static_cast<common::StatusCode>(raw_code), std::move(message))
-            .with_retry_after(retry_after);
-  return Status::Ok();
-}
-
-void put_stats(Bytes& out, const service::GenerateStats& stats) {
-  put_i64(out, stats.topologies_requested);
-  put_i64(out, stats.topologies_admitted);
-  put_bool(out, stats.degraded);
-  put_i64(out, stats.prefilter_rejected);
-  put_i64(out, stats.solver_rejected);
-  put_i64(out, stats.solver_rounds);
-  put_f64(out, stats.sampling_seconds);
-  put_f64(out, stats.solving_seconds);
-  put_i64(out, stats.fused_batch_slots);
-  put_i64(out, stats.sampling_stride);
-  put_i64(out, stats.steps_run);
-  put_i64(out, stats.net_evals);
-  put_bool(out, stats.degraded_steps);
-}
-
-Status read_stats(Reader& reader, service::GenerateStats& out) {
-  if (!reader.read_i64(out.topologies_requested) ||
-      !reader.read_i64(out.topologies_admitted) ||
-      !reader.read_bool(out.degraded) ||
-      !reader.read_i64(out.prefilter_rejected) ||
-      !reader.read_i64(out.solver_rejected) ||
-      !reader.read_i64(out.solver_rounds) ||
-      !reader.read_f64(out.sampling_seconds) ||
-      !reader.read_f64(out.solving_seconds) ||
-      !reader.read_i64(out.fused_batch_slots) ||
-      !reader.read_i64(out.sampling_stride) ||
-      !reader.read_i64(out.steps_run) || !reader.read_i64(out.net_evals) ||
-      !reader.read_bool(out.degraded_steps)) {
-    return Status::DataLoss("truncated generate stats");
-  }
-  return Status::Ok();
-}
-
-Status require_exhausted(const Reader& reader) {
-  if (!reader.exhausted()) {
-    return Status::DataLoss("trailing bytes inside frame payload");
-  }
-  return Status::Ok();
+  return value;
 }
 
 }  // namespace
@@ -413,118 +429,50 @@ WorkerHealth health_from_counters(const std::string& worker,
 
 Bytes encode_generate_request(const service::GenerateRequest& request,
                               MessageType type) {
-  Bytes out;
-  put_header(out, type);
-  put_string(out, request.model);
-  put_i64(out, request.count);
-  put_i64(out, request.geometries_per_topology);
-  put_string(out, request.rule_set);
-  put_u64(out, request.seed);
-  put_i32(out, request.priority);
-  put_i64(out, request.deadline_ms);
-  put_bool(out, request.allow_degrade);
-  put_i64(out, request.sampling.steps);
-  put_i64(out, request.sampling.stride);
-  seal_frame(out);
-  return out;
+  return encode(type, request);
 }
 
 Bytes encode_generate_result(const service::GenerateResult& result) {
-  Bytes out;
-  put_header(out, MessageType::kGenerateResult);
-  put_patterns(out, result.patterns);
-  put_stats(out, result.stats);
-  seal_frame(out);
-  return out;
+  return encode(MessageType::kGenerateResult, result);
 }
 
 Bytes encode_streamed_pattern(const service::StreamedPattern& slot) {
-  Bytes out;
-  put_header(out, MessageType::kStreamedPattern);
-  put_i64(out, slot.index);
-  put_bool(out, slot.legal);
-  put_bool(out, slot.prefiltered);
-  put_patterns(out, slot.patterns);
-  seal_frame(out);
-  return out;
+  return encode(MessageType::kStreamedPattern, slot);
 }
 
 Bytes encode_status(const common::Status& status) {
-  Bytes out;
-  put_header(out, MessageType::kStatus);
-  put_status(out, status);
-  seal_frame(out);
-  return out;
+  return encode(MessageType::kStatus, StatusFrame{status});
 }
 
 Bytes encode_worker_health(const WorkerHealth& health) {
-  Bytes out;
-  put_header(out, MessageType::kWorkerHealth);
-  put_string(out, health.worker);
-  put_u64(out, health.seq);
-  put_i64(out, health.admission_pending);
-  put_i64(out, health.queue_depth_peak);
-  put_f64(out, health.fused_fill_ratio);
-  put_i64(out, health.requests_shed);
-  put_i64(out, health.requests_accepted);
-  put_i64(out, health.requests_completed);
-  put_i64(out, health.arena_bytes_reserved);
-  put_i64(out, health.plan_cache_hits);
-  put_i64(out, health.plan_cache_misses);
-  put_i64(out, health.embedding_cache_hits);
-  seal_frame(out);
-  return out;
+  return encode(MessageType::kWorkerHealth, health);
 }
 
 Bytes encode_health_probe() {
-  Bytes out;
-  put_header(out, MessageType::kHealthProbe);
-  seal_frame(out);
-  return out;
+  return encode(MessageType::kHealthProbe, HealthProbe{});
 }
 
 Bytes encode_stream_end(const common::Status& status,
                         const service::GenerateStats& stats) {
-  Bytes out;
-  put_header(out, MessageType::kStreamEnd);
-  put_status(out, status);
-  put_stats(out, stats);
-  seal_frame(out);
-  return out;
+  return encode(MessageType::kStreamEnd, StreamEnd{status, stats});
 }
 
 Bytes encode_worker_announce(const WorkerAnnounce& announce) {
-  Bytes out;
-  put_header(out, MessageType::kWorkerAnnounce);
-  put_string(out, announce.worker);
-  put_string(out, announce.address);
-  put_u32(out, static_cast<std::uint32_t>(announce.models.size()));
-  for (const std::string& model : announce.models) {
-    put_string(out, model);
-  }
-  seal_frame(out);
-  return out;
+  return encode(MessageType::kWorkerAnnounce, announce);
 }
 
 common::Result<MessageType> peek_type(const Bytes& frame) {
-  MessageType type{};
-  std::size_t payload_len = 0;
-  if (Status s = check_header(frame, 0, type, payload_len); !s.ok()) {
-    return s;
-  }
-  return type;
+  return check_header(frame, 0);
 }
 
 common::Result<std::vector<Bytes>> split_frames(const Bytes& buffer) {
   std::vector<Bytes> frames;
   std::size_t offset = 0;
   while (offset < buffer.size()) {
-    MessageType type{};
-    std::size_t payload_len = 0;
-    if (Status s = check_header(buffer, offset, type, payload_len); !s.ok()) {
-      return s;
+    if (auto type = check_header(buffer, offset); !type.ok()) {
+      return type.status();
     }
-    const std::size_t frame_bytes = kFrameHeaderBytes + payload_len;
+    const std::size_t frame_bytes = frame_size(buffer, offset);
     frames.emplace_back(buffer.begin() + static_cast<std::ptrdiff_t>(offset),
                         buffer.begin() +
                             static_cast<std::ptrdiff_t>(offset + frame_bytes));
@@ -537,190 +485,37 @@ common::Result<service::GenerateRequest> decode_generate_request(
     const Bytes& frame) {
   // Blocking and streaming requests share one payload shape; accept either
   // tag so the worker can peek first and dispatch.
-  auto opened = open_frame(frame, MessageType::kGenerateRequest);
-  if (!opened.ok()) {
-    auto streamed = open_frame(frame, MessageType::kGenerateStreamRequest);
-    if (!streamed.ok()) {
-      return opened.status();
-    }
-    opened = std::move(streamed);
-  }
-  Reader reader = std::move(opened).value();
-  service::GenerateRequest request;
-  if (Status s = reader.read_string(request.model, kMaxNameBytes,
-                                    "model name");
-      !s.ok()) {
-    return s;
-  }
-  if (!reader.read_i64(request.count) ||
-      !reader.read_i64(request.geometries_per_topology)) {
-    return Status::DataLoss("truncated request counts");
-  }
-  if (Status s = reader.read_string(request.rule_set, kMaxNameBytes,
-                                    "rule set name");
-      !s.ok()) {
-    return s;
-  }
-  if (!reader.read_u64(request.seed) || !reader.read_i32(request.priority) ||
-      !reader.read_i64(request.deadline_ms) ||
-      !reader.read_bool(request.allow_degrade) ||
-      !reader.read_i64(request.sampling.steps) ||
-      !reader.read_i64(request.sampling.stride)) {
-    return Status::DataLoss("truncated request tail");
-  }
-  if (Status s = require_exhausted(reader); !s.ok()) {
-    return s;
-  }
-  return request;
+  return decode<service::GenerateRequest>(
+      frame, {MessageType::kGenerateRequest,
+              MessageType::kGenerateStreamRequest});
 }
 
 common::Result<service::GenerateResult> decode_generate_result(
     const Bytes& frame) {
-  auto opened = open_frame(frame, MessageType::kGenerateResult);
-  if (!opened.ok()) {
-    return opened.status();
-  }
-  Reader reader = std::move(opened).value();
-  service::GenerateResult result;
-  if (Status s = read_patterns(reader, result.patterns); !s.ok()) {
-    return s;
-  }
-  if (Status s = read_stats(reader, result.stats); !s.ok()) {
-    return s;
-  }
-  if (Status s = require_exhausted(reader); !s.ok()) {
-    return s;
-  }
-  return result;
+  return decode<service::GenerateResult>(frame,
+                                         {MessageType::kGenerateResult});
 }
 
 common::Result<service::StreamedPattern> decode_streamed_pattern(
     const Bytes& frame) {
-  auto opened = open_frame(frame, MessageType::kStreamedPattern);
-  if (!opened.ok()) {
-    return opened.status();
-  }
-  Reader reader = std::move(opened).value();
-  service::StreamedPattern slot;
-  if (!reader.read_i64(slot.index) || !reader.read_bool(slot.legal) ||
-      !reader.read_bool(slot.prefiltered)) {
-    return Status::DataLoss("truncated stream slot header");
-  }
-  if (Status s = read_patterns(reader, slot.patterns); !s.ok()) {
-    return s;
-  }
-  if (Status s = require_exhausted(reader); !s.ok()) {
-    return s;
-  }
-  return slot;
+  return decode<service::StreamedPattern>(frame,
+                                          {MessageType::kStreamedPattern});
 }
 
 common::Result<StatusFrame> decode_status(const Bytes& frame) {
-  auto opened = open_frame(frame, MessageType::kStatus);
-  if (!opened.ok()) {
-    return opened.status();
-  }
-  Reader reader = std::move(opened).value();
-  StatusFrame decoded;
-  if (Status s = read_status(reader, decoded.status); !s.ok()) {
-    return s;
-  }
-  if (Status s = require_exhausted(reader); !s.ok()) {
-    return s;
-  }
-  return decoded;
+  return decode<StatusFrame>(frame, {MessageType::kStatus});
 }
 
 common::Result<WorkerHealth> decode_worker_health(const Bytes& frame) {
-  auto opened = open_frame(frame, MessageType::kWorkerHealth);
-  if (!opened.ok()) {
-    return opened.status();
-  }
-  Reader reader = std::move(opened).value();
-  WorkerHealth health;
-  if (Status s = reader.read_string(health.worker, kMaxNameBytes,
-                                    "worker name");
-      !s.ok()) {
-    return s;
-  }
-  if (!reader.read_u64(health.seq) ||
-      !reader.read_i64(health.admission_pending) ||
-      !reader.read_i64(health.queue_depth_peak) ||
-      !reader.read_f64(health.fused_fill_ratio) ||
-      !reader.read_i64(health.requests_shed) ||
-      !reader.read_i64(health.requests_accepted) ||
-      !reader.read_i64(health.requests_completed) ||
-      !reader.read_i64(health.arena_bytes_reserved) ||
-      !reader.read_i64(health.plan_cache_hits) ||
-      !reader.read_i64(health.plan_cache_misses) ||
-      !reader.read_i64(health.embedding_cache_hits)) {
-    return Status::DataLoss("truncated worker health");
-  }
-  if (Status s = require_exhausted(reader); !s.ok()) {
-    return s;
-  }
-  return health;
+  return decode<WorkerHealth>(frame, {MessageType::kWorkerHealth});
 }
 
 common::Result<StreamEnd> decode_stream_end(const Bytes& frame) {
-  auto opened = open_frame(frame, MessageType::kStreamEnd);
-  if (!opened.ok()) {
-    return opened.status();
-  }
-  Reader reader = std::move(opened).value();
-  StreamEnd end;
-  if (Status s = read_status(reader, end.status); !s.ok()) {
-    return s;
-  }
-  if (Status s = read_stats(reader, end.stats); !s.ok()) {
-    return s;
-  }
-  if (Status s = require_exhausted(reader); !s.ok()) {
-    return s;
-  }
-  return end;
+  return decode<StreamEnd>(frame, {MessageType::kStreamEnd});
 }
 
 common::Result<WorkerAnnounce> decode_worker_announce(const Bytes& frame) {
-  auto opened = open_frame(frame, MessageType::kWorkerAnnounce);
-  if (!opened.ok()) {
-    return opened.status();
-  }
-  Reader reader = std::move(opened).value();
-  WorkerAnnounce announce;
-  if (Status s = reader.read_string(announce.worker, kMaxNameBytes,
-                                    "worker name");
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = reader.read_string(announce.address, kMaxNameBytes,
-                                    "worker address");
-      !s.ok()) {
-    return s;
-  }
-  std::uint32_t model_count = 0;
-  if (!reader.read_u32(model_count)) {
-    return Status::DataLoss("truncated announce model count");
-  }
-  if (model_count > kMaxAnnounceModels) {
-    return Status::InvalidArgument("announce model count " +
-                                   std::to_string(model_count) +
-                                   " exceeds " +
-                                   std::to_string(kMaxAnnounceModels));
-  }
-  announce.models.reserve(model_count);
-  for (std::uint32_t i = 0; i < model_count; ++i) {
-    std::string model;
-    if (Status s = reader.read_string(model, kMaxNameBytes, "model name");
-        !s.ok()) {
-      return s;
-    }
-    announce.models.push_back(std::move(model));
-  }
-  if (Status s = require_exhausted(reader); !s.ok()) {
-    return s;
-  }
-  return announce;
+  return decode<WorkerAnnounce>(frame, {MessageType::kWorkerAnnounce});
 }
 
 }  // namespace diffpattern::dist

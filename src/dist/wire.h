@@ -4,15 +4,19 @@
 // version, message type, payload length) followed by a little-endian
 // payload. Encoding is deterministic — the same value always produces the
 // same bytes — so byte-compare tests can prove cross-replica identity, and
-// endian-fixed so a future socket transport works across hosts. Decoding
+// endian-fixed so the socket transport works between hosts of either byte
+// order. Each payload layout is declared once, as a field list that both
+// the encoder and the bounds-checked decoder walk (wire.cpp). Decoding
 // never throws and never reads out of bounds: structural corruption
 // (truncation, bad magic, impossible counts) comes back as DATA_LOSS,
 // semantic problems (unsupported version, wrong frame type, over-long
 // names) as INVALID_ARGUMENT.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/counters.h"
@@ -22,6 +26,26 @@
 namespace diffpattern::dist {
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// Little-endian byte order, spelled once: the frame codec and the socket
+/// framing store and load every multi-byte word through these two.
+template <typename U>
+void store_le(std::uint8_t* dst, U value) {
+  static_assert(std::is_unsigned_v<U>);
+  for (std::size_t i = 0; i < sizeof(U); ++i) {
+    dst[i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
+template <typename U>
+U load_le(const std::uint8_t* src) {
+  static_assert(std::is_unsigned_v<U>);
+  U value = 0;
+  for (std::size_t i = 0; i < sizeof(U); ++i) {
+    value = static_cast<U>(value | (U{src[i]} << (8 * i)));
+  }
+  return value;
+}
 
 /// Frame discriminator carried in every header. Values are wire-stable:
 /// never renumber, only append.
@@ -47,11 +71,11 @@ inline constexpr std::size_t kMaxNameBytes = 256;      ///< model / rule set
 inline constexpr std::size_t kMaxMessageBytes = 4096;  ///< status message
 
 /// Load snapshot a worker publishes to the router, derived from its
-/// service's counters. `seq` increases with every snapshot so routers can
-/// detect a worker that stopped reporting (stale health).
+/// service's counters. `ReplicaRouter` reads only `admission_pending` and
+/// `fused_fill_ratio`; the other fields travel, but nothing reads them yet.
 struct WorkerHealth {
   std::string worker;  ///< Worker endpoint name.
-  std::uint64_t seq = 0;
+  std::uint64_t seq = 0;  ///< Snapshot count, from 1; nothing reads it.
   std::int64_t admission_pending = 0;  ///< In-flight admitted requests.
   std::int64_t queue_depth_peak = 0;
   double fused_fill_ratio = 0.0;

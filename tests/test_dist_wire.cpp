@@ -423,6 +423,15 @@ TEST(DistWire, TrailingBytesAreDataLoss) {
   frame.push_back(0x00);
   EXPECT_EQ(dd::decode_status(frame).status().code(),
             dc::StatusCode::kDataLoss);
+  // Either request tag: the streaming one is structural corruption too,
+  // not a wrong frame type.
+  for (const auto type : {dd::MessageType::kGenerateRequest,
+                          dd::MessageType::kGenerateStreamRequest}) {
+    auto request = dd::encode_generate_request({}, type);
+    request.push_back(0x00);
+    EXPECT_EQ(dd::decode_generate_request(request).status().code(),
+              dc::StatusCode::kDataLoss);
+  }
 
   // Payload-internal padding is caught too: grow the payload and patch the
   // header length to match, so only the exhaustion check can notice.
