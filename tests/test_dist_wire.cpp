@@ -36,6 +36,10 @@ diffpattern::layout::SquishPattern sample_pattern(std::int64_t salt) {
   return p;
 }
 
+// The sample_* messages below feed the round trips and the pinned golden
+// frames. Within each message every field holds a distinct non-default
+// value, so a swapped or dropped field changes the bytes.
+
 ds::GenerateStats sample_stats() {
   ds::GenerateStats stats;
   stats.topologies_requested = 9;
@@ -52,6 +56,62 @@ ds::GenerateStats sample_stats() {
   stats.net_evals = 11;
   stats.degraded_steps = true;
   return stats;
+}
+
+ds::GenerateRequest sample_request() {
+  ds::GenerateRequest request;
+  request.model = "golden-model";
+  request.count = 17;
+  request.geometries_per_topology = 3;
+  request.rule_set = "space";
+  request.seed = 0xDEADBEEFCAFEF00DULL;
+  request.priority = -2;
+  request.deadline_ms = 750;
+  request.allow_degrade = true;
+  request.sampling.steps = 40;
+  request.sampling.stride = 6;
+  return request;
+}
+
+ds::GenerateResult sample_result() {
+  ds::GenerateResult result;
+  result.patterns = {sample_pattern(0), sample_pattern(100)};
+  result.stats = sample_stats();
+  return result;
+}
+
+ds::StreamedPattern sample_slot() {
+  ds::StreamedPattern slot;
+  slot.index = 5;
+  slot.legal = true;
+  slot.prefiltered = true;
+  slot.patterns = {sample_pattern(3)};
+  return slot;
+}
+
+dd::WorkerHealth sample_health() {
+  dd::WorkerHealth health;
+  health.worker = "worker-2";
+  health.seq = 77;
+  health.admission_pending = 3;
+  health.queue_depth_peak = 6;
+  health.fused_fill_ratio = 0.875;
+  health.requests_shed = 4;
+  health.requests_accepted = 40;
+  health.requests_completed = 36;
+  health.arena_bytes_reserved = 1 << 20;
+  health.plan_cache_hits = 250;
+  health.plan_cache_misses = 7;
+  health.embedding_cache_hits = 1200;
+  return health;
+}
+
+dd::WorkerAnnounce sample_announce() {
+  dd::WorkerAnnounce announce;
+  announce.worker = "worker-3";
+  announce.address = "tcp:[::1]:7070";
+  announce.models = {"demo", "mini", "prod"};
+  return announce;
 }
 
 /// Every GenerateStats field survived the wire.
@@ -81,18 +141,7 @@ void expect_same_pattern(const diffpattern::layout::SquishPattern& a,
 // --------------------------------------------------------- round trips
 
 TEST(DistWire, GenerateRequestRoundTrip) {
-  ds::GenerateRequest request;
-  request.model = "edge-model";
-  request.count = 17;
-  request.geometries_per_topology = 3;
-  request.rule_set = "space";
-  request.seed = 0xDEADBEEFCAFEF00DULL;
-  request.priority = -2;
-  request.deadline_ms = 750;
-  request.allow_degrade = true;
-  request.sampling.steps = 40;
-  request.sampling.stride = 6;
-
+  const auto request = sample_request();
   const auto frame = dd::encode_generate_request(request);
   ASSERT_EQ(dd::peek_type(frame).value(), dd::MessageType::kGenerateRequest);
   const auto decoded = dd::decode_generate_request(frame);
@@ -106,8 +155,8 @@ TEST(DistWire, GenerateRequestRoundTrip) {
   EXPECT_EQ(decoded->priority, request.priority);
   EXPECT_EQ(decoded->deadline_ms, request.deadline_ms);
   EXPECT_EQ(decoded->allow_degrade, request.allow_degrade);
-  EXPECT_EQ(decoded->sampling.steps, 40);
-  EXPECT_EQ(decoded->sampling.stride, 6);
+  EXPECT_EQ(decoded->sampling.steps, request.sampling.steps);
+  EXPECT_EQ(decoded->sampling.stride, request.sampling.stride);
 
   // The streaming tag carries the identical payload and decodes through the
   // same function (the worker peeks the tag to dispatch).
@@ -135,9 +184,7 @@ TEST(DistWire, EncodingIsDeterministic) {
 }
 
 TEST(DistWire, GenerateResultRoundTrip) {
-  ds::GenerateResult result;
-  result.patterns = {sample_pattern(0), sample_pattern(100)};
-  result.stats = sample_stats();
+  const auto result = sample_result();
 
   const auto decoded =
       dd::decode_generate_result(dd::encode_generate_result(result));
@@ -157,20 +204,18 @@ TEST(DistWire, EmptyResultRoundTrip) {
 }
 
 TEST(DistWire, StreamedPatternRoundTrip) {
-  ds::StreamedPattern slot;
-  slot.index = 5;
-  slot.legal = true;
-  slot.prefiltered = false;
-  slot.patterns = {sample_pattern(3)};
-
-  const auto decoded =
-      dd::decode_streamed_pattern(dd::encode_streamed_pattern(slot));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-  EXPECT_EQ(decoded->index, 5);
-  EXPECT_TRUE(decoded->legal);
-  EXPECT_FALSE(decoded->prefiltered);
-  ASSERT_EQ(decoded->patterns.size(), 1U);
-  expect_same_pattern(decoded->patterns[0], slot.patterns[0]);
+  auto slot = sample_slot();
+  for (const bool prefiltered : {true, false}) {
+    slot.prefiltered = prefiltered;
+    const auto decoded =
+        dd::decode_streamed_pattern(dd::encode_streamed_pattern(slot));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+    EXPECT_EQ(decoded->index, slot.index);
+    EXPECT_EQ(decoded->legal, slot.legal);
+    EXPECT_EQ(decoded->prefiltered, prefiltered);
+    ASSERT_EQ(decoded->patterns.size(), 1U);
+    expect_same_pattern(decoded->patterns[0], slot.patterns[0]);
+  }
 }
 
 TEST(DistWire, StatusRoundTripKeepsRetryHint) {
@@ -191,35 +236,22 @@ TEST(DistWire, StatusRoundTripKeepsRetryHint) {
 }
 
 TEST(DistWire, WorkerHealthRoundTrip) {
-  dd::WorkerHealth health;
-  health.worker = "worker-2";
-  health.seq = 77;
-  health.admission_pending = 3;
-  health.queue_depth_peak = 6;
-  health.fused_fill_ratio = 0.875;
-  health.requests_shed = 4;
-  health.requests_accepted = 40;
-  health.requests_completed = 36;
-  health.arena_bytes_reserved = 1 << 20;
-  health.plan_cache_hits = 250;
-  health.plan_cache_misses = 5;
-  health.embedding_cache_hits = 1200;
-
+  const auto health = sample_health();
   const auto decoded =
       dd::decode_worker_health(dd::encode_worker_health(health));
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-  EXPECT_EQ(decoded->worker, "worker-2");
-  EXPECT_EQ(decoded->seq, 77U);
-  EXPECT_EQ(decoded->admission_pending, 3);
-  EXPECT_EQ(decoded->queue_depth_peak, 6);
-  EXPECT_DOUBLE_EQ(decoded->fused_fill_ratio, 0.875);
-  EXPECT_EQ(decoded->requests_shed, 4);
-  EXPECT_EQ(decoded->requests_accepted, 40);
-  EXPECT_EQ(decoded->requests_completed, 36);
-  EXPECT_EQ(decoded->arena_bytes_reserved, 1 << 20);
-  EXPECT_EQ(decoded->plan_cache_hits, 250);
-  EXPECT_EQ(decoded->plan_cache_misses, 5);
-  EXPECT_EQ(decoded->embedding_cache_hits, 1200);
+  EXPECT_EQ(decoded->worker, health.worker);
+  EXPECT_EQ(decoded->seq, health.seq);
+  EXPECT_EQ(decoded->admission_pending, health.admission_pending);
+  EXPECT_EQ(decoded->queue_depth_peak, health.queue_depth_peak);
+  EXPECT_DOUBLE_EQ(decoded->fused_fill_ratio, health.fused_fill_ratio);
+  EXPECT_EQ(decoded->requests_shed, health.requests_shed);
+  EXPECT_EQ(decoded->requests_accepted, health.requests_accepted);
+  EXPECT_EQ(decoded->requests_completed, health.requests_completed);
+  EXPECT_EQ(decoded->arena_bytes_reserved, health.arena_bytes_reserved);
+  EXPECT_EQ(decoded->plan_cache_hits, health.plan_cache_hits);
+  EXPECT_EQ(decoded->plan_cache_misses, health.plan_cache_misses);
+  EXPECT_EQ(decoded->embedding_cache_hits, health.embedding_cache_hits);
 }
 
 TEST(DistWire, StreamEndRoundTrip) {
@@ -469,10 +501,7 @@ TEST(DistWire, EmptyAndGarbageBuffersAreTypedErrors) {
 }
 
 TEST(DistWire, WorkerAnnounceRoundTrip) {
-  dd::WorkerAnnounce announce;
-  announce.worker = "worker-3";
-  announce.address = "tcp:[::1]:7070";
-  announce.models = {"demo", "mini", "prod"};
+  const auto announce = sample_announce();
   const auto frame = dd::encode_worker_announce(announce);
   EXPECT_EQ(dd::peek_type(frame).value(), dd::MessageType::kWorkerAnnounce);
   auto decoded = dd::decode_worker_announce(frame);
@@ -525,65 +554,23 @@ TEST(DistWire, HostileAnnounceModelCountIsBounded) {
 }
 
 /// One fixed instance of every frame type (the streaming-request tag
-/// included, plus a hint-free status), every field set to a distinct
-/// non-default value.
+/// included, plus a hint-free status).
 std::vector<dd::Bytes> golden_frames() {
-  ds::GenerateRequest request;
-  request.model = "golden-model";
-  request.count = 17;
-  request.geometries_per_topology = 3;
-  request.rule_set = "space";
-  request.seed = 0xDEADBEEFCAFEF00DULL;
-  request.priority = -2;
-  request.deadline_ms = 750;
-  request.allow_degrade = true;
-  request.sampling.steps = 40;
-  request.sampling.stride = 6;
-
-  ds::GenerateResult result;
-  result.patterns = {sample_pattern(0), sample_pattern(100)};
-  result.stats = sample_stats();
-
-  ds::StreamedPattern slot;
-  slot.index = 5;
-  slot.legal = true;
-  slot.prefiltered = true;
-  slot.patterns = {sample_pattern(3)};
-
-  dd::WorkerHealth health;
-  health.worker = "worker-2";
-  health.seq = 77;
-  health.admission_pending = 3;
-  health.queue_depth_peak = 6;
-  health.fused_fill_ratio = 0.875;
-  health.requests_shed = 4;
-  health.requests_accepted = 40;
-  health.requests_completed = 36;
-  health.arena_bytes_reserved = 1 << 20;
-  health.plan_cache_hits = 250;
-  health.plan_cache_misses = 7;
-  health.embedding_cache_hits = 1200;
-
-  dd::WorkerAnnounce announce;
-  announce.worker = "worker-3";
-  announce.address = "tcp:[::1]:7070";
-  announce.models = {"demo", "mini", "prod"};
-
   return {
-      dd::encode_generate_request(request),
-      dd::encode_generate_request(request,
+      dd::encode_generate_request(sample_request()),
+      dd::encode_generate_request(sample_request(),
                                   dd::MessageType::kGenerateStreamRequest),
-      dd::encode_generate_result(result),
-      dd::encode_streamed_pattern(slot),
+      dd::encode_generate_result(sample_result()),
+      dd::encode_streamed_pattern(sample_slot()),
       dd::encode_status(
           dc::Status::Unavailable("shard overloaded").with_retry_after(35)),
       dd::encode_status(dc::Status::NotFound("no such model")),
-      dd::encode_worker_health(health),
+      dd::encode_worker_health(sample_health()),
       dd::encode_health_probe(),
       dd::encode_stream_end(
           dc::Status::ResourceExhausted("window full").with_retry_after(12),
           sample_stats()),
-      dd::encode_worker_announce(announce),
+      dd::encode_worker_announce(sample_announce()),
   };
 }
 
