@@ -1,153 +1,67 @@
 #include "common/counters.h"
 
-#include <sstream>
-
 namespace diffpattern::common {
 
-std::int64_t ServiceCounters::total_rejected() const {
-  std::int64_t total = 0;
-  for (const auto count : rejects_by_code) {
-    total += count;
+std::ostream& CounterWriter::key(const char* name) {
+  if (json_) {
+    out_ << (first_ ? "{\"" : ",\"") << name << "\":";
+  } else {
+    // Values start in one column; longer names get a single space.
+    const std::string label = std::string(name) + ":";
+    out_ << "  " << label
+         << std::string(label.size() < 20 ? 20 - label.size() : 1, ' ');
   }
-  return total;
+  first_ = false;
+  return out_;
 }
 
-std::string ServiceCounters::to_string() const {
-  std::ostringstream out;
-  out << "service counters:\n";
-  if (!kernel_backend.empty()) {
-    out << "  kernel_backend:     " << kernel_backend << "\n";
-  }
-  if (!compute_pool.empty()) {
-    out << "  compute_pool:       " << compute_pool << "\n";
-  }
-  out << "  queue_depth:        " << queue_depth << " (peak "
-      << queue_depth_peak << ")\n"
-      << "  admission_pending:  " << admission_pending << " (peak "
-      << admission_pending_peak << ")\n"
-      << "  shards_active:      " << shards_active << "\n"
-      << "  shards_spawned:     " << shards_spawned << "\n"
-      << "  rounds_executed:    " << rounds_executed << "\n"
-      << "  denoise_steps:      " << denoise_steps << "\n"
-      << "  net_evals:          " << net_evals << "\n"
-      << "  steps_skipped:      " << steps_skipped << "\n"
-      << "  fused_slots_total:  " << fused_slots_total << "\n"
-      << "  max_round_slots:    " << max_round_slots << "\n"
-      << "  fused_fill_ratio:   " << fused_fill_ratio << "\n"
-      << "  requests_accepted:  " << requests_accepted << "\n"
-      << "  requests_completed: " << requests_completed << "\n"
-      << "  stream_deliveries:  " << stream_deliveries << "\n"
-      << "  patterns_delivered: " << patterns_delivered << "\n"
-      << "  requests_shed:      " << requests_shed << "\n"
-      << "  requests_degraded:  " << requests_degraded << "\n"
-      << "  requests_degraded_steps: " << requests_degraded_steps << "\n"
-      << "  deadlines_expired:  " << deadlines_expired << "\n"
-      << "  jobs_cancelled:     " << jobs_cancelled << "\n"
-      << "  streams_abandoned:  " << streams_abandoned << "\n"
-      << "  stream_pauses:      " << stream_pauses << "\n"
-      << "  arena_bytes_reserved: " << arena_bytes_reserved << "\n"
-      << "  plan_cache_hits:    " << plan_cache_hits << "\n"
-      << "  plan_cache_misses:  " << plan_cache_misses << "\n"
-      << "  embedding_cache_hits: " << embedding_cache_hits << "\n"
-      << "  rejects:            " << total_rejected();
-  for (std::size_t i = 0; i < rejects_by_code.size(); ++i) {
-    if (rejects_by_code[i] != 0) {
-      out << "\n    " << common::to_string(static_cast<StatusCode>(i)) << ": "
-          << rejects_by_code[i];
-    }
-  }
-  out << "\n";
-  return out.str();
+void CounterWriter::operator()(const char* name, std::int64_t value) {
+  key(name) << value << (json_ ? "" : "\n");
 }
 
-std::string ServiceCounters::to_json() const {
-  std::ostringstream out;
-  // Strings here are backend/pool identifiers (no quotes or control
-  // characters to escape by construction).
-  out << "{";
-  out << "\"kernel_backend\":\"" << kernel_backend << "\"";
-  out << ",\"compute_pool\":\"" << compute_pool << "\"";
-  out << ",\"queue_depth\":" << queue_depth;
-  out << ",\"queue_depth_peak\":" << queue_depth_peak;
-  out << ",\"admission_pending\":" << admission_pending;
-  out << ",\"admission_pending_peak\":" << admission_pending_peak;
-  out << ",\"shards_active\":" << shards_active;
-  out << ",\"shards_spawned\":" << shards_spawned;
-  out << ",\"rounds_executed\":" << rounds_executed;
-  out << ",\"denoise_steps\":" << denoise_steps;
-  out << ",\"net_evals\":" << net_evals;
-  out << ",\"steps_skipped\":" << steps_skipped;
-  out << ",\"fused_slots_total\":" << fused_slots_total;
-  out << ",\"max_round_slots\":" << max_round_slots;
-  out << ",\"fused_fill_ratio\":" << fused_fill_ratio;
-  out << ",\"requests_accepted\":" << requests_accepted;
-  out << ",\"requests_completed\":" << requests_completed;
-  out << ",\"stream_deliveries\":" << stream_deliveries;
-  out << ",\"patterns_delivered\":" << patterns_delivered;
-  out << ",\"requests_shed\":" << requests_shed;
-  out << ",\"requests_degraded\":" << requests_degraded;
-  out << ",\"requests_degraded_steps\":" << requests_degraded_steps;
-  out << ",\"deadlines_expired\":" << deadlines_expired;
-  out << ",\"jobs_cancelled\":" << jobs_cancelled;
-  out << ",\"streams_abandoned\":" << streams_abandoned;
-  out << ",\"stream_pauses\":" << stream_pauses;
-  out << ",\"arena_bytes_reserved\":" << arena_bytes_reserved;
-  out << ",\"plan_cache_hits\":" << plan_cache_hits;
-  out << ",\"plan_cache_misses\":" << plan_cache_misses;
-  out << ",\"embedding_cache_hits\":" << embedding_cache_hits;
-  out << ",\"rejects_by_code\":{";
+void CounterWriter::operator()(const char* name, double value) {
+  key(name) << value << (json_ ? "" : "\n");
+}
+
+void CounterWriter::operator()(const char* name, const std::string& value) {
+  if (json_) {
+    key(name) << '"' << value << '"';
+  } else {
+    key(name) << value << "\n";
+  }
+}
+
+void CounterWriter::operator()(const char* name,
+                               const CodeCounts<std::int64_t>& counts) {
+  auto& out = key(name);
+  if (json_) {
+    out << "{";
+  } else {
+    out << count_total(counts) << "\n";
+  }
   bool first = true;
-  for (std::size_t i = 0; i < rejects_by_code.size(); ++i) {
-    if (rejects_by_code[i] == 0) {
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] == 0) {
       continue;
     }
-    if (!first) {
-      out << ",";
+    const char* code = common::to_string(static_cast<StatusCode>(i));
+    if (json_) {
+      out << (first ? "\"" : ",\"") << code << "\":" << counts[i];
+    } else {
+      out << "    " << code << ": " << counts[i] << "\n";
     }
     first = false;
-    out << "\"" << common::to_string(static_cast<StatusCode>(i))
-        << "\":" << rejects_by_code[i];
   }
-  out << "}}";
-  return out.str();
+  if (json_) {
+    out << "}";
+  }
 }
 
-ServiceCounters CounterBlock::snapshot(std::int64_t max_fused_batch) const {
-  ServiceCounters s;
-  s.queue_depth = queue_depth_.load(std::memory_order_relaxed);
-  s.queue_depth_peak = queue_depth_peak_.load(std::memory_order_relaxed);
-  s.admission_pending = admission_pending_.load(std::memory_order_relaxed);
-  s.admission_pending_peak =
-      admission_pending_peak_.load(std::memory_order_relaxed);
-  s.shards_active = shards_active_.load(std::memory_order_relaxed);
-  s.shards_spawned = shards_spawned_.load(std::memory_order_relaxed);
-  s.rounds_executed = rounds_executed_.load(std::memory_order_relaxed);
-  s.denoise_steps = denoise_steps_.load(std::memory_order_relaxed);
-  s.net_evals = net_evals_.load(std::memory_order_relaxed);
-  s.steps_skipped = steps_skipped_.load(std::memory_order_relaxed);
-  s.fused_slots_total = fused_slots_total_.load(std::memory_order_relaxed);
-  s.max_round_slots = max_round_slots_.load(std::memory_order_relaxed);
-  s.requests_accepted = requests_accepted_.load(std::memory_order_relaxed);
-  s.requests_completed = requests_completed_.load(std::memory_order_relaxed);
-  s.stream_deliveries = stream_deliveries_.load(std::memory_order_relaxed);
-  s.patterns_delivered = patterns_delivered_.load(std::memory_order_relaxed);
-  s.requests_shed = requests_shed_.load(std::memory_order_relaxed);
-  s.requests_degraded = requests_degraded_.load(std::memory_order_relaxed);
-  s.requests_degraded_steps =
-      requests_degraded_steps_.load(std::memory_order_relaxed);
-  s.deadlines_expired = deadlines_expired_.load(std::memory_order_relaxed);
-  s.jobs_cancelled = jobs_cancelled_.load(std::memory_order_relaxed);
-  s.streams_abandoned = streams_abandoned_.load(std::memory_order_relaxed);
-  s.stream_pauses = stream_pauses_.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < rejects_.size(); ++i) {
-    s.rejects_by_code[i] = rejects_[i].load(std::memory_order_relaxed);
+std::string CounterWriter::finish() {
+  if (json_) {
+    out_ << (first_ ? "{}" : "}");
   }
-  if (s.rounds_executed > 0 && max_fused_batch > 0) {
-    s.fused_fill_ratio =
-        static_cast<double>(s.fused_slots_total) /
-        static_cast<double>(s.rounds_executed * max_fused_batch);
-  }
-  return s;
+  return out_.str();
 }
 
 }  // namespace diffpattern::common

@@ -1,251 +1,255 @@
-// Service-level observability counters.
+// Observability counters. Every counter set in the project follows one
+// pattern: its members are declared once, then listed once, in output
+// order, by
+//   template <class F, class... S> static void fields(F&& f, S&... s)
+// which calls f("name", s.name...) per member. Walking that list is the
+// only other place a field is spelled: snapshot() copies a live set into
+// its plain twin, CounterWriter prints one as JSON or text.
 //
-// A CounterBlock is the live, lock-free (atomic) counter set owned by a
-// PatternService: the scheduler shards, the streaming delivery path, and
-// the request admission code all record into it from their own threads.
-// ServiceCounters is the plain-value snapshot handed to callers
-// (PatternService::counters(), the CLI --stats dump, load-shedding logic).
-//
-// Gauges (queue_depth, shards_active) move both ways; everything else is a
-// monotone total since service construction. All recording uses relaxed
-// atomics — counters order nothing, they only have to be torn-read-free.
+// A set recorded from many threads is a template over its cells:
+// PlainCells gives the snapshot callers read, LiveCells the block threads
+// record into (relaxed atomics: counters order nothing, they only have to
+// be torn-read-free). Snapshot<T> members are filled in by the owner at
+// snapshot time and do not exist in the live block. Sets guarded by their
+// owner's mutex are plain structs.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <numeric>
+#include <sstream>
 #include <string>
 
 #include "common/status.h"
 
 namespace diffpattern::common {
 
-/// Plain-value snapshot of a service's counters at one instant.
-struct ServiceCounters {
-  // -- compute backend (filled by PatternService::counters(); the counter
-  //    block itself never sees the tensor layer) --
+class LiveCounter {
+ public:
+  /// Adds `delta` (negative for a gauge moving down); returns the new
+  /// value.
+  std::int64_t add(std::int64_t delta = 1) {
+    return value_.fetch_add(delta, std::memory_order_relaxed) + delta;
+  }
+  /// Lifts the counter to at least `candidate` (peaks and maxima).
+  void raise_to(std::int64_t candidate) {
+    std::int64_t seen = value_.load(std::memory_order_relaxed);
+    while (candidate > seen &&
+           !value_.compare_exchange_weak(seen, candidate,
+                                         std::memory_order_relaxed)) {
+    }
+  }
+  std::int64_t load() const { return value_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<std::int64_t> value_{0};
+};
+
+/// A snapshot-only member's place in a live block.
+struct Absent {};
+
+struct PlainCells {
+  using Counter = std::int64_t;
+  template <class T>
+  using Snapshot = T;
+};
+
+struct LiveCells {
+  using Counter = LiveCounter;
+  template <class T>
+  using Snapshot = Absent;
+};
+
+/// Counts indexed by StatusCode value.
+template <class Counter>
+using CodeCounts = std::array<Counter, kStatusCodeCount>;
+
+inline std::int64_t count_total(const CodeCounts<std::int64_t>& counts) {
+  return std::accumulate(counts.begin(), counts.end(), std::int64_t{0});
+}
+
+/// Prints a plain set's field list as single-line JSON ({"name":value,...},
+/// the --stats-json format) or as text (one "  name: value" line per
+/// field, the --stats format). One overload per value type a set holds.
+class CounterWriter {
+ public:
+  explicit CounterWriter(bool json) : json_(json) {}
+  void operator()(const char* name, std::int64_t value);
+  void operator()(const char* name, double value);
+  /// Strings are backend/pool identifiers: nothing to escape.
+  void operator()(const char* name, const std::string& value);
+  /// The total in text; in both, each non-zero code by its canonical name.
+  void operator()(const char* name, const CodeCounts<std::int64_t>& counts);
+  std::string finish();
+
+ private:
+  std::ostream& key(const char* name);
+
+  std::ostringstream out_;
+  bool json_;
+  bool first_ = true;
+};
+
+template <class Set>
+std::string counters_json(const Set& set) {
+  CounterWriter writer(/*json=*/true);
+  Set::fields(writer, set);
+  return writer.finish();
+}
+
+/// Copies one live field into its plain twin (the visitor snapshot walks).
+struct CounterLoader {
+  void operator()(const char*, std::int64_t& to,
+                  const LiveCounter& from) const {
+    to = from.load();
+  }
+  void operator()(const char*, CodeCounts<std::int64_t>& to,
+                  const CodeCounts<LiveCounter>& from) const {
+    for (std::size_t i = 0; i < to.size(); ++i) {
+      to[i] = from[i].load();
+    }
+  }
+  void operator()(const char*, const auto&, Absent) const {}
+};
+
+/// Reads a live set one counter at a time (consistent per counter, not
+/// globally — fine for observability). Snapshot-only fields stay default.
+template <template <class> class Set>
+Set<PlainCells> snapshot(const Set<LiveCells>& live) {
+  Set<PlainCells> out;
+  Set<PlainCells>::fields(CounterLoader{}, out, live);
+  return out;
+}
+
+/// A PatternService's counters. Gauges move both ways; everything else is
+/// a monotone total since service construction.
+template <class Cells>
+struct ServiceCountersT {
+  using Counter = typename Cells::Counter;
+  template <class T>
+  using Snapshot = typename Cells::template Snapshot<T>;
+
+  // -- compute backend, process-wide --
   /// Active SIMD kernel backend ("scalar" / "avx2" / "neon").
-  std::string kernel_backend;
-  /// Process-wide compute-pool size plus how it was chosen (see
-  /// common::compute_pool_summary).
-  std::string compute_pool;
+  Snapshot<std::string> kernel_backend;
+  /// Compute-pool size plus how it was chosen (compute_pool_summary()).
+  Snapshot<std::string> compute_pool;
 
-  // -- gauges (instantaneous) --
-  std::int64_t queue_depth = 0;    ///< Sampling jobs queued across shards.
-  std::int64_t shards_active = 0;  ///< Live per-model batcher shards.
-  /// Admitted requests in flight (queued OR sampling) across all shards —
-  /// the quantity the flow-control layer bounds at max_queue_depth per
-  /// shard.
-  std::int64_t admission_pending = 0;
+  // -- gauges and their high-water marks --
+  Counter queue_depth{};  ///< Sampling jobs queued across shards.
+  Counter queue_depth_peak{};
+  /// Admitted requests in flight (queued OR sampling) across all shards,
+  /// which flow control bounds at max_queue_depth per shard.
+  Counter admission_pending{};
+  /// Stays <= shards * max_queue_depth under overload.
+  Counter admission_pending_peak{};
+  Counter shards_active{};  ///< Live per-model batcher shards.
 
-  // -- totals (monotone since service construction) --
-  std::int64_t queue_depth_peak = 0;  ///< High-water mark of queue_depth.
-  /// High-water mark of admission_pending (the "bounded peak queue depth"
-  /// acceptance signal: stays <= shards * max_queue_depth under overload).
-  std::int64_t admission_pending_peak = 0;
-  std::int64_t shards_spawned = 0;   ///< Shards ever created (lazy spawn).
-  std::int64_t rounds_executed = 0;  ///< Fused sampling rounds run.
-  std::int64_t denoise_steps = 0;    ///< Reverse-diffusion steps, all rounds.
-  /// U-Net slot-evaluations actually executed (sum over rounds of the
-  /// round's active batch). With strided sampling this grows slower than
-  /// fused_slots_total * K — the gap is the work the strides saved.
-  std::int64_t net_evals = 0;
+  // -- sampling --
+  Counter shards_spawned{};   ///< Shards ever created (lazy spawn).
+  Counter rounds_executed{};  ///< Fused sampling rounds run.
+  Counter denoise_steps{};    ///< Reverse-diffusion steps, all rounds.
+  /// U-Net slot-evaluations executed (sum of each step's active batch).
+  Counter net_evals{};
   /// Slot-steps strided schedules skipped: sum over slots of
-  /// (K - steps_run). net_evals + steps_skipped == slots * K.
-  std::int64_t steps_skipped = 0;
-  std::int64_t fused_slots_total = 0;  ///< Slots summed over all rounds.
-  std::int64_t max_round_slots = 0;    ///< Largest single fused round.
-  std::int64_t requests_accepted = 0;  ///< Requests admitted for execution.
-  std::int64_t requests_completed = 0;  ///< Requests finished OK.
-  std::int64_t stream_deliveries = 0;   ///< Per-slot stream callbacks fired.
-  std::int64_t patterns_delivered = 0;  ///< Legal patterns across deliveries.
-  // -- flow control (load shedding, deadlines, backpressure) --
-  /// Requests turned away by admission control (soft UNAVAILABLE sheds and
-  /// hard RESOURCE_EXHAUSTED rejections alike; split by code in
-  /// rejects_by_code).
-  std::int64_t requests_shed = 0;
-  /// Requests admitted in degraded mode (count shrunk instead of shed).
-  std::int64_t requests_degraded = 0;
-  /// Requests admitted with a coarsened sampling stride instead of a
-  /// shrunk count (FlowControlConfig::degrade_stride under overload).
-  std::int64_t requests_degraded_steps = 0;
-  /// Jobs cancelled by the scheduler because their deadline expired
-  /// (queued or mid-sampling).
-  std::int64_t deadlines_expired = 0;
+  /// (K - steps_run). With the evaluations it sums to slots * K.
+  Counter steps_skipped{};
+  Counter fused_slots_total{};  ///< Slots summed over all rounds.
+  Counter max_round_slots{};    ///< Largest single fused round.
+  /// Slots over the slot capacity of the executed rounds (rounds *
+  /// max_fused_batch); 0 before any round. Derived at snapshot time.
+  Snapshot<double> fused_fill_ratio{};
+  Counter requests_accepted{};   ///< Requests admitted for execution.
+  Counter requests_completed{};  ///< Requests finished OK.
+  Counter stream_deliveries{};   ///< Per-slot push-stream deliveries.
+  Counter patterns_delivered{};  ///< Legal patterns across deliveries.
+
+  // -- flow control --
+  /// Requests turned away by admission (soft UNAVAILABLE sheds and hard
+  /// RESOURCE_EXHAUSTED rejections alike).
+  Counter requests_shed{};
+  Counter requests_degraded{};  ///< Admitted with a shrunk count.
+  /// Admitted with a coarsened sampling stride instead (degrade_stride).
+  Counter requests_degraded_steps{};
+  /// Jobs dropped because their deadline expired (queued or
+  /// mid-sampling).
+  Counter deadlines_expired{};
   /// Jobs abandoned at round formation (downstream failure or stream
   /// abandonment set the cancel flag).
-  std::int64_t jobs_cancelled = 0;
+  Counter jobs_cancelled{};
   /// Pull-stream handles destroyed with the request still running.
-  std::int64_t streams_abandoned = 0;
-  /// Times a delivery hit the bounded stream buffer's high-water mark and
-  /// paused the legalization fan-out until the consumer drained.
-  std::int64_t stream_pauses = 0;
-  // -- inference memory plan (filled by PatternService::counters() from
-  //    tensor::arena_stats() / unet::time_embedding_cache_hits(); process-
-  //    wide like kernel_backend, not per-CounterBlock) --
-  /// Bytes currently parked in activation-plan freelists (gauge).
-  std::int64_t arena_bytes_reserved = 0;
+  Counter streams_abandoned{};
+  /// Deliveries that paused at the bounded stream buffer's high-water mark.
+  Counter stream_pauses{};
+
+  // -- inference memory plan, process-wide --
+  /// Bytes parked in activation-plan freelists (gauge).
+  Snapshot<std::int64_t> arena_bytes_reserved{};
   /// Rounds that leased an already-recorded activation plan.
-  std::int64_t plan_cache_hits = 0;
-  /// Rounds that had to record a fresh plan (first sight of a batch shape,
-  /// post-eviction re-record, or a lease conflict).
-  std::int64_t plan_cache_misses = 0;
+  Snapshot<std::int64_t> plan_cache_hits{};
+  /// Rounds that recorded a fresh plan (new batch shape, re-record after
+  /// eviction, or a lease conflict).
+  Snapshot<std::int64_t> plan_cache_misses{};
   /// Time-embedding rows served from the per-model post-MLP cache.
-  std::int64_t embedding_cache_hits = 0;
-  /// Requests answered with a non-OK status, indexed by StatusCode value.
-  std::array<std::int64_t, kStatusCodeCount> rejects_by_code{};
+  Snapshot<std::int64_t> embedding_cache_hits{};
 
-  /// Mean fused-batch occupancy: fused_slots_total over the slot capacity of
-  /// the executed rounds (rounds_executed * max_fused_batch). 0 when no
-  /// round has run; 1.0 means every round filled its budget.
-  double fused_fill_ratio = 0.0;
+  /// Requests answered with a non-OK status.
+  CodeCounts<Counter> rejects_by_code{};
 
+  template <class F, class... S>
+  static void fields(F&& f, S&... s) {
+    f("kernel_backend", s.kernel_backend...);
+    f("compute_pool", s.compute_pool...);
+    f("queue_depth", s.queue_depth...);
+    f("queue_depth_peak", s.queue_depth_peak...);
+    f("admission_pending", s.admission_pending...);
+    f("admission_pending_peak", s.admission_pending_peak...);
+    f("shards_active", s.shards_active...);
+    f("shards_spawned", s.shards_spawned...);
+    f("rounds_executed", s.rounds_executed...);
+    f("denoise_steps", s.denoise_steps...);
+    f("net_evals", s.net_evals...);
+    f("steps_skipped", s.steps_skipped...);
+    f("fused_slots_total", s.fused_slots_total...);
+    f("max_round_slots", s.max_round_slots...);
+    f("fused_fill_ratio", s.fused_fill_ratio...);
+    f("requests_accepted", s.requests_accepted...);
+    f("requests_completed", s.requests_completed...);
+    f("stream_deliveries", s.stream_deliveries...);
+    f("patterns_delivered", s.patterns_delivered...);
+    f("requests_shed", s.requests_shed...);
+    f("requests_degraded", s.requests_degraded...);
+    f("requests_degraded_steps", s.requests_degraded_steps...);
+    f("deadlines_expired", s.deadlines_expired...);
+    f("jobs_cancelled", s.jobs_cancelled...);
+    f("streams_abandoned", s.streams_abandoned...);
+    f("stream_pauses", s.stream_pauses...);
+    f("arena_bytes_reserved", s.arena_bytes_reserved...);
+    f("plan_cache_hits", s.plan_cache_hits...);
+    f("plan_cache_misses", s.plan_cache_misses...);
+    f("embedding_cache_hits", s.embedding_cache_hits...);
+    f("rejects_by_code", s.rejects_by_code...);
+  }
+
+  // -- snapshot (ServiceCounters) only --
   std::int64_t rejects(StatusCode code) const {
     return rejects_by_code[static_cast<std::size_t>(code)];
   }
-  std::int64_t total_rejected() const;
-
-  /// Multi-line human-readable dump (the CLI --stats format).
-  std::string to_string() const;
-
-  /// Machine-readable single-line JSON object (the CLI --stats-json
-  /// format): every counter keyed by its field name, rejects keyed by
-  /// canonical code name under "rejects_by_code".
-  std::string to_json() const;
+  std::int64_t total_rejected() const { return count_total(rejects_by_code); }
+  std::string to_string() const {
+    CounterWriter writer(/*json=*/false);
+    fields(writer, *this);
+    return "service counters:\n" + writer.finish();
+  }
+  std::string to_json() const { return counters_json(*this); }
 };
 
-/// The live atomic counter set. Recording is thread-safe and wait-free;
-/// snapshot() reads each counter individually (the snapshot is consistent
-/// per-counter, not globally — fine for observability).
-class CounterBlock {
- public:
-  void add_queue_depth(std::int64_t delta) {
-    const auto now =
-        queue_depth_.fetch_add(delta, std::memory_order_relaxed) + delta;
-    if (delta > 0) {
-      raise_peak(queue_depth_peak_, now);
-    }
-  }
-  void add_admission_pending(std::int64_t delta) {
-    const auto now =
-        admission_pending_.fetch_add(delta, std::memory_order_relaxed) +
-        delta;
-    if (delta > 0) {
-      raise_peak(admission_pending_peak_, now);
-    }
-  }
-  void add_shards_active(std::int64_t delta) {
-    shards_active_.fetch_add(delta, std::memory_order_relaxed);
-    if (delta > 0) {
-      shards_spawned_.fetch_add(delta, std::memory_order_relaxed);
-    }
-  }
-  void record_round(std::int64_t slots) {
-    rounds_executed_.fetch_add(1, std::memory_order_relaxed);
-    fused_slots_total_.fetch_add(slots, std::memory_order_relaxed);
-    std::int64_t seen = max_round_slots_.load(std::memory_order_relaxed);
-    while (slots > seen && !max_round_slots_.compare_exchange_weak(
-                               seen, slots, std::memory_order_relaxed)) {
-    }
-  }
-  /// One fused reverse-diffusion round; `active_slots` is the batch that
-  /// actually ran it (strided schedules narrow the batch mid-job).
-  void record_denoise_step(std::int64_t active_slots) {
-    denoise_steps_.fetch_add(1, std::memory_order_relaxed);
-    net_evals_.fetch_add(active_slots, std::memory_order_relaxed);
-  }
-  void add_steps_skipped(std::int64_t slot_steps) {
-    steps_skipped_.fetch_add(slot_steps, std::memory_order_relaxed);
-  }
-  void record_accepted() {
-    requests_accepted_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_completed() {
-    requests_completed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_delivery(std::int64_t patterns) {
-    stream_deliveries_.fetch_add(1, std::memory_order_relaxed);
-    patterns_delivered_.fetch_add(patterns, std::memory_order_relaxed);
-  }
-  void record_shed() {
-    requests_shed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_degraded() {
-    requests_degraded_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_degraded_steps() {
-    requests_degraded_steps_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_deadline_expired() {
-    deadlines_expired_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_cancelled() {
-    jobs_cancelled_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_stream_abandoned() {
-    streams_abandoned_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_stream_pause() {
-    stream_pauses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Records a rejected request; OK statuses are ignored so callers can
-  /// funnel every outgoing status through one place.
-  void record_status(const Status& status) {
-    if (!status.ok()) {
-      rejects_[static_cast<std::size_t>(status.code())].fetch_add(
-          1, std::memory_order_relaxed);
-    }
-  }
-
-  /// Narrow accessors for hot-path consumers (the admission controller's
-  /// saturation window): two relaxed loads, no snapshot construction.
-  std::int64_t rounds_executed() const {
-    return rounds_executed_.load(std::memory_order_relaxed);
-  }
-  std::int64_t fused_slots_total() const {
-    return fused_slots_total_.load(std::memory_order_relaxed);
-  }
-
-  /// `max_fused_batch` is the admission budget the fill ratio is computed
-  /// against (the service passes its configured value).
-  ServiceCounters snapshot(std::int64_t max_fused_batch) const;
-
- private:
-  /// Lifts a peak counter to at least `candidate` (relaxed CAS loop; peaks
-  /// only have to be torn-free, like every other counter here).
-  static void raise_peak(std::atomic<std::int64_t>& peak,
-                         std::int64_t candidate) {
-    std::int64_t seen = peak.load(std::memory_order_relaxed);
-    while (candidate > seen && !peak.compare_exchange_weak(
-                                   seen, candidate,
-                                   std::memory_order_relaxed)) {
-    }
-  }
-
-  std::atomic<std::int64_t> queue_depth_{0};
-  std::atomic<std::int64_t> queue_depth_peak_{0};
-  std::atomic<std::int64_t> admission_pending_{0};
-  std::atomic<std::int64_t> admission_pending_peak_{0};
-  std::atomic<std::int64_t> shards_active_{0};
-  std::atomic<std::int64_t> shards_spawned_{0};
-  std::atomic<std::int64_t> rounds_executed_{0};
-  std::atomic<std::int64_t> denoise_steps_{0};
-  std::atomic<std::int64_t> net_evals_{0};
-  std::atomic<std::int64_t> steps_skipped_{0};
-  std::atomic<std::int64_t> fused_slots_total_{0};
-  std::atomic<std::int64_t> max_round_slots_{0};
-  std::atomic<std::int64_t> requests_accepted_{0};
-  std::atomic<std::int64_t> requests_completed_{0};
-  std::atomic<std::int64_t> stream_deliveries_{0};
-  std::atomic<std::int64_t> patterns_delivered_{0};
-  std::atomic<std::int64_t> requests_shed_{0};
-  std::atomic<std::int64_t> requests_degraded_{0};
-  std::atomic<std::int64_t> requests_degraded_steps_{0};
-  std::atomic<std::int64_t> deadlines_expired_{0};
-  std::atomic<std::int64_t> jobs_cancelled_{0};
-  std::atomic<std::int64_t> streams_abandoned_{0};
-  std::atomic<std::int64_t> stream_pauses_{0};
-  std::array<std::atomic<std::int64_t>, kStatusCodeCount> rejects_{};
-};
+/// Plain-value snapshot (PatternService::counters(), the CLI --stats dump,
+/// load-shedding logic).
+using ServiceCounters = ServiceCountersT<PlainCells>;
+/// The live block a PatternService's shards, stream delivery and admission
+/// code record into, each from its own thread.
+using CounterBlock = ServiceCountersT<LiveCells>;
 
 }  // namespace diffpattern::common

@@ -98,6 +98,14 @@ struct WorkerRegistryCounters {
   std::int64_t announces = 0;        ///< Accepted announce frames.
   std::int64_t announce_rejects = 0; ///< Malformed/invalid announces.
   std::int64_t removes = 0;          ///< Workers removed.
+
+  template <class F, class... S>
+  static void fields(F&& f, S&... s) {
+    f("announces", s.announces...);
+    f("announce_rejects", s.announce_rejects...);
+    f("removes", s.removes...);
+  }
+  std::string to_json() const { return common::counters_json(*this); }
 };
 
 /// Registry fed by worker self-announce frames (MessageType::kWorkerAnnounce)

@@ -69,20 +69,6 @@ Fate draw_fate(const FaultConfig& config, std::uint64_t& rng) {
 
 }  // namespace
 
-std::string FaultCounters::to_json() const {
-  std::string out = "{";
-  out += "\"connections\":" + std::to_string(connections);
-  out += ",\"relayed\":" + std::to_string(relayed);
-  out += ",\"refused\":" + std::to_string(refused);
-  out += ",\"resets\":" + std::to_string(resets);
-  out += ",\"corrupted\":" + std::to_string(corrupted);
-  out += ",\"truncated\":" + std::to_string(truncated);
-  out += ",\"stalled\":" + std::to_string(stalled);
-  out += ",\"partitioned\":" + std::to_string(partitioned);
-  out += "}";
-  return out;
-}
-
 struct FaultInjector::Impl {
   std::atomic<bool> stopping{false};
   std::atomic<bool> partitioned{false};
@@ -96,7 +82,7 @@ struct FaultInjector::Impl {
   std::vector<int> live_fds;
   std::vector<std::thread> threads;
 
-  FaultCounters tallies;  // Guarded by mutex.
+  FaultCountersT<common::LiveCells> tallies;
 
   void track(int fd) {
     std::lock_guard<std::mutex> lock(mutex);
@@ -107,11 +93,6 @@ struct FaultInjector::Impl {
     std::lock_guard<std::mutex> lock(mutex);
     live_fds.erase(std::remove(live_fds.begin(), live_fds.end(), fd),
                    live_fds.end());
-  }
-
-  void count(std::int64_t FaultCounters::* field) {
-    std::lock_guard<std::mutex> lock(mutex);
-    tallies.*field += 1;
   }
 
   /// Interruptible sleep: wakes early on shutdown or partition.
@@ -178,19 +159,19 @@ struct FaultInjector::Impl {
     FaultConfig snapshot;
     {
       std::lock_guard<std::mutex> lock(mutex);
-      tallies.connections += 1;
+      tallies.connections.add();
       snapshot = config;
       fate = draw_fate(snapshot, rng);
     }
     if (partitioned.load(std::memory_order_relaxed)) {
-      count(&FaultCounters::partitioned);
+      tallies.partitioned.add();
       ::close(fd);
       return;
     }
     if (fate == Fate::kRefuse) {
       // Accept-then-slam: the client observes a reset/closed connection
       // before it can write, the moral equivalent of ECONNREFUSED.
-      count(&FaultCounters::refused);
+      tallies.refused.add();
       ::close(fd);
       return;
     }
@@ -212,18 +193,18 @@ struct FaultInjector::Impl {
         break;
       }
       if (partitioned.load(std::memory_order_relaxed)) {
-        count(&FaultCounters::partitioned);
+        tallies.partitioned.add();
         break;
       }
       if (fate == Fate::kReset) {
         // Request consumed, connection torn before any response byte.
-        count(&FaultCounters::resets);
+        tallies.resets.add();
         break;
       }
       if (fate == Fate::kStall) {
         // Withhold the response until the client's read deadline trips
         // (bounded so a deadline-less client cannot pin the thread).
-        count(&FaultCounters::stalled);
+        tallies.stalled.add();
         sleep_ms(snapshot.stall_max_ms);
         break;
       }
@@ -246,20 +227,20 @@ struct FaultInjector::Impl {
             kSocketFrameHeaderBytes +
             (framed.size() - kSocketFrameHeaderBytes) / 2;
         framed[victim] ^= 0x20;
-        count(&FaultCounters::corrupted);
+        tallies.corrupted.add();
         send_exact(fd, framed.data(), framed.size());
         break;
       }
       if (fate == Fate::kTruncate) {
         // Torn write: half the frame, then the connection vanishes.
-        count(&FaultCounters::truncated);
+        tallies.truncated.add();
         send_exact(fd, framed.data(), framed.size() / 2);
         break;
       }
       if (!send_exact(fd, framed.data(), framed.size())) {
         break;
       }
-      count(&FaultCounters::relayed);
+      tallies.relayed.add();
     }
     untrack(fd);
     ::close(fd);
@@ -343,8 +324,7 @@ void FaultInjector::set_config(const FaultConfig& config) {
 }
 
 FaultCounters FaultInjector::counters() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->tallies;
+  return common::snapshot(impl_->tallies);
 }
 
 void FaultInjector::shutdown() {

@@ -54,19 +54,32 @@ struct FaultConfig {
   std::int64_t upstream_timeout_ms = 10000;
 };
 
-struct FaultCounters {
-  std::int64_t connections = 0;  ///< Accepted (including faulted) conns.
-  std::int64_t relayed = 0;      ///< Requests relayed faithfully.
-  std::int64_t refused = 0;
-  std::int64_t resets = 0;
-  std::int64_t corrupted = 0;
-  std::int64_t truncated = 0;
-  std::int64_t stalled = 0;
-  std::int64_t partitioned = 0;  ///< Connections killed by a partition.
+template <class Cells = common::PlainCells>
+struct FaultCountersT {
+  using Counter = typename Cells::Counter;
+  Counter connections{};  ///< Accepted (including faulted) conns.
+  Counter relayed{};      ///< Requests relayed faithfully.
+  Counter refused{};
+  Counter resets{};
+  Counter corrupted{};
+  Counter truncated{};
+  Counter stalled{};
+  Counter partitioned{};  ///< Connections killed by a partition.
 
-  /// Single-line JSON object.
-  std::string to_json() const;
+  template <class F, class... S>
+  static void fields(F&& f, S&... s) {
+    f("connections", s.connections...);
+    f("relayed", s.relayed...);
+    f("refused", s.refused...);
+    f("resets", s.resets...);
+    f("corrupted", s.corrupted...);
+    f("truncated", s.truncated...);
+    f("stalled", s.stalled...);
+    f("partitioned", s.partitioned...);
+  }
+  std::string to_json() const { return common::counters_json(*this); }
 };
+using FaultCounters = FaultCountersT<>;
 
 /// TCP/Unix-socket proxy injecting the faults above. start() binds the
 /// listen address (TCP port 0 resolves to a real port, readable via

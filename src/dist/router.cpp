@@ -22,26 +22,6 @@ bool is_shed(const Status& status) {
 
 }  // namespace
 
-std::string RouterCounters::to_json() const {
-  std::string out = "{";
-  out += "\"requests\":" + std::to_string(requests);
-  out += ",\"redirects\":" + std::to_string(redirects);
-  out += ",\"failovers\":" + std::to_string(failovers);
-  out += ",\"sheds_returned\":" + std::to_string(sheds_returned);
-  out += ",\"health_probes\":" + std::to_string(health_probes);
-  out += ",\"health_failures\":" + std::to_string(health_failures);
-  out += ",\"transport_timeouts\":" + std::to_string(transport_timeouts);
-  out += ",\"transport_errors\":" + std::to_string(transport_errors);
-  out += ",\"decode_failures\":" + std::to_string(decode_failures);
-  out += ",\"reconnects\":" + std::to_string(reconnects);
-  out += ",\"directory_adds\":" + std::to_string(directory_adds);
-  out += ",\"directory_removes\":" + std::to_string(directory_removes);
-  out += ",\"directory_sync_failures\":" +
-         std::to_string(directory_sync_failures);
-  out += "}";
-  return out;
-}
-
 struct ReplicaRouter::Replica {
   std::shared_ptr<Channel> channel;
   WorkerHealth health;

@@ -82,8 +82,23 @@ struct RouterCounters {
   std::int64_t directory_removes = 0;   ///< Replicas retired.
   std::int64_t directory_sync_failures = 0;  ///< Unreadable snapshots.
 
-  /// Single-line JSON object ({"requests":N,...}).
-  std::string to_json() const;
+  template <class F, class... S>
+  static void fields(F&& f, S&... s) {
+    f("requests", s.requests...);
+    f("redirects", s.redirects...);
+    f("failovers", s.failovers...);
+    f("sheds_returned", s.sheds_returned...);
+    f("health_probes", s.health_probes...);
+    f("health_failures", s.health_failures...);
+    f("transport_timeouts", s.transport_timeouts...);
+    f("transport_errors", s.transport_errors...);
+    f("decode_failures", s.decode_failures...);
+    f("reconnects", s.reconnects...);
+    f("directory_adds", s.directory_adds...);
+    f("directory_removes", s.directory_removes...);
+    f("directory_sync_failures", s.directory_sync_failures...);
+  }
+  std::string to_json() const { return common::counters_json(*this); }
 };
 
 class ReplicaRouter {

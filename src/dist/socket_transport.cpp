@@ -836,17 +836,6 @@ std::shared_ptr<Channel> SocketTransport::connect(const std::string& address) {
 
 // ----------------------------------------------------------------- server
 
-std::string SocketServerCounters::to_json() const {
-  std::string out = "{";
-  out += "\"connections\":" + std::to_string(connections);
-  out += ",\"connections_shed\":" + std::to_string(connections_shed);
-  out += ",\"requests\":" + std::to_string(requests);
-  out += ",\"read_errors\":" + std::to_string(read_errors);
-  out += ",\"auth_failures\":" + std::to_string(auth_failures);
-  out += "}";
-  return out;
-}
-
 struct SocketServer::Impl {
   SocketServerConfig config;
   WireHandler handler;
@@ -859,11 +848,7 @@ struct SocketServer::Impl {
   std::vector<std::uint64_t> finished;  // Ids whose serve loop returned.
   std::uint64_t next_connection_id = 0;
   std::atomic<std::int64_t> active{0};
-  std::atomic<std::int64_t> accepted{0};
-  std::atomic<std::int64_t> shed{0};
-  std::atomic<std::int64_t> requests{0};
-  std::atomic<std::int64_t> read_errors{0};
-  std::atomic<std::int64_t> auth_failures{0};
+  SocketServerCountersT<common::LiveCells> tallies;
 
   /// Joins every connection thread that announced completion. Called with
   /// `mutex` held. A finishing thread pushes its id under the mutex as its
@@ -903,7 +888,7 @@ struct SocketServer::Impl {
       }
       if (rc <= 0) {
         if (mid_frame && steady_now_ms() > frame_deadline) {
-          read_errors.fetch_add(1, std::memory_order_relaxed);
+          tallies.read_errors.add();
           break;  // Stalled mid-frame: disconnect the peer.
         }
         continue;
@@ -916,7 +901,7 @@ struct SocketServer::Impl {
           continue;
         }
         if (n < 0 || mid_frame) {
-          read_errors.fetch_add(1, std::memory_order_relaxed);
+          tallies.read_errors.add();
         }
         break;  // Peer closed (cleanly between frames, or torn).
       }
@@ -929,7 +914,7 @@ struct SocketServer::Impl {
         if (s.code() == common::StatusCode::kPermissionDenied) {
           // Auth failed at the trust boundary: answer a typed status —
           // the peer's payload was never decoded — then disconnect.
-          auth_failures.fetch_add(1, std::memory_order_relaxed);
+          tallies.auth_failures.add();
           const Bytes denial =
               encode_status(Status::PermissionDenied(s.message()));
           // Best effort: the connection closes next whether or not the
@@ -940,7 +925,7 @@ struct SocketServer::Impl {
           // Hostile length / checksum mismatch: the peer is feeding us
           // garbage; drop the connection (the client decodes the close
           // as a typed failure on its side).
-          read_errors.fetch_add(1, std::memory_order_relaxed);
+          tallies.read_errors.add();
         }
         break;
       }
@@ -949,7 +934,7 @@ struct SocketServer::Impl {
       }
       const Bytes request = assembler.take();
       mid_frame = false;
-      requests.fetch_add(1, std::memory_order_relaxed);
+      tallies.requests.add();
       const Bytes response = handler(request);
       const std::int64_t write_deadline =
           steady_now_ms() + config.io_timeout_ms;
@@ -1018,11 +1003,11 @@ void SocketServer::accept_loop() {
       // Accept-side shed: over the cap the connection is closed before a
       // thread or frame buffer exists for it — a flood can never exhaust
       // fds/threads ahead of admission control.
-      impl->shed.fetch_add(1, std::memory_order_relaxed);
+      impl->tallies.connections_shed.add();
       close_fd(conn);
       continue;
     }
-    impl->accepted.fetch_add(1, std::memory_order_relaxed);
+    impl->tallies.connections.add();
     impl->active.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(impl->mutex);
     impl->reap_finished_locked();  // Bound live handles by concurrency.
@@ -1061,13 +1046,7 @@ void SocketServer::shutdown() {
 }
 
 SocketServerCounters SocketServer::counters() const {
-  SocketServerCounters out;
-  out.connections = impl_->accepted.load(std::memory_order_relaxed);
-  out.connections_shed = impl_->shed.load(std::memory_order_relaxed);
-  out.requests = impl_->requests.load(std::memory_order_relaxed);
-  out.read_errors = impl_->read_errors.load(std::memory_order_relaxed);
-  out.auth_failures = impl_->auth_failures.load(std::memory_order_relaxed);
-  return out;
+  return common::snapshot(impl_->tallies);
 }
 
 std::size_t SocketServer::live_connection_threads() const {

@@ -236,16 +236,26 @@ struct SocketServerConfig {
   std::string auth_key;
 };
 
-struct SocketServerCounters {
-  std::int64_t connections = 0;        ///< Accepted + admitted connections.
-  std::int64_t connections_shed = 0;   ///< Closed at accept (cap exceeded).
-  std::int64_t requests = 0;           ///< Handler invocations.
-  std::int64_t read_errors = 0;        ///< Connections dropped on bad input.
-  std::int64_t auth_failures = 0;      ///< Frames failing the keyed tag.
+template <class Cells = common::PlainCells>
+struct SocketServerCountersT {
+  using Counter = typename Cells::Counter;
+  Counter connections{};       ///< Accepted + admitted connections.
+  Counter connections_shed{};  ///< Closed at accept (cap exceeded).
+  Counter requests{};          ///< Handler invocations.
+  Counter read_errors{};       ///< Connections dropped on bad input.
+  Counter auth_failures{};     ///< Frames failing the keyed tag.
 
-  /// Single-line JSON object ({"connections":N,...}).
-  std::string to_json() const;
+  template <class F, class... S>
+  static void fields(F&& f, S&... s) {
+    f("connections", s.connections...);
+    f("connections_shed", s.connections_shed...);
+    f("requests", s.requests...);
+    f("read_errors", s.read_errors...);
+    f("auth_failures", s.auth_failures...);
+  }
+  std::string to_json() const { return common::counters_json(*this); }
 };
+using SocketServerCounters = SocketServerCountersT<>;
 
 /// Listening side of the transport: accepts connections on a TCP or Unix
 /// socket and serves length-delimited request/response exchanges through a

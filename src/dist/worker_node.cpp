@@ -4,17 +4,6 @@
 
 namespace diffpattern::dist {
 
-std::string WorkerWireCounters::to_json() const {
-  std::string out = "{";
-  out += "\"calls\":" + std::to_string(calls);
-  out += ",\"generate_calls\":" + std::to_string(generate_calls);
-  out += ",\"stream_calls\":" + std::to_string(stream_calls);
-  out += ",\"health_probes\":" + std::to_string(health_probes);
-  out += ",\"decode_errors\":" + std::to_string(decode_errors);
-  out += "}";
-  return out;
-}
-
 WorkerNode::WorkerNode(std::string name, LoopbackTransport& transport,
                        service::ServiceConfig config)
     : name_(std::move(name)), transport_(&transport), service_(config) {
@@ -49,21 +38,11 @@ Bytes WorkerNode::announce_frame(const std::string& address) {
   return encode_worker_announce(announce(address));
 }
 
-WorkerWireCounters WorkerNode::wire_counters() const {
-  WorkerWireCounters out;
-  out.calls = calls_.load(std::memory_order_relaxed);
-  out.generate_calls = generate_calls_.load(std::memory_order_relaxed);
-  out.stream_calls = stream_calls_.load(std::memory_order_relaxed);
-  out.health_probes = health_probes_.load(std::memory_order_relaxed);
-  out.decode_errors = decode_errors_.load(std::memory_order_relaxed);
-  return out;
-}
-
 Bytes WorkerNode::handle(const Bytes& request) {
-  calls_.fetch_add(1, std::memory_order_relaxed);
+  wire_.calls.add();
   const auto type = peek_type(request);
   if (!type.ok()) {
-    decode_errors_.fetch_add(1, std::memory_order_relaxed);
+    wire_.decode_errors.add();
     return encode_status(type.status());
   }
   switch (type.value()) {
@@ -72,10 +51,10 @@ Bytes WorkerNode::handle(const Bytes& request) {
     case MessageType::kGenerateStreamRequest:
       return handle_stream(request);
     case MessageType::kHealthProbe:
-      health_probes_.fetch_add(1, std::memory_order_relaxed);
+      wire_.health_probes.add();
       return encode_worker_health(health_snapshot());
     default:
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
+      wire_.decode_errors.add();
       return encode_status(common::Status::InvalidArgument(
           "worker cannot serve message type " +
           std::to_string(static_cast<std::uint16_t>(type.value()))));
@@ -85,10 +64,10 @@ Bytes WorkerNode::handle(const Bytes& request) {
 Bytes WorkerNode::handle_generate(const Bytes& frame) {
   auto request = decode_generate_request(frame);
   if (!request.ok()) {
-    decode_errors_.fetch_add(1, std::memory_order_relaxed);
+    wire_.decode_errors.add();
     return encode_status(request.status());
   }
-  generate_calls_.fetch_add(1, std::memory_order_relaxed);
+  wire_.generate_calls.add();
   auto result = service_.generate(request.value());
   if (!result.ok()) {
     // Rejections (including sheds carrying retry_after hints) travel as a
@@ -101,10 +80,10 @@ Bytes WorkerNode::handle_generate(const Bytes& frame) {
 Bytes WorkerNode::handle_stream(const Bytes& frame) {
   auto request = decode_generate_request(frame);
   if (!request.ok()) {
-    decode_errors_.fetch_add(1, std::memory_order_relaxed);
+    wire_.decode_errors.add();
     return encode_status(request.status());
   }
-  stream_calls_.fetch_add(1, std::memory_order_relaxed);
+  wire_.stream_calls.add();
   // The loopback transport answers with one buffer, so the stream frames
   // are concatenated in delivery order; the terminating StreamEnd carries
   // the final status — including the retry_after hint when admission shed

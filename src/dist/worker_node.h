@@ -22,16 +22,26 @@ namespace diffpattern::dist {
 
 /// Wire-level counters for one worker (distinct from the service's own
 /// ServiceCounters: these count frames, not requests inside the service).
-struct WorkerWireCounters {
-  std::int64_t calls = 0;           ///< Frames dispatched (any type).
-  std::int64_t generate_calls = 0;  ///< Blocking generate frames served.
-  std::int64_t stream_calls = 0;    ///< Streaming generate frames served.
-  std::int64_t health_probes = 0;   ///< Health snapshots answered.
-  std::int64_t decode_errors = 0;   ///< Frames rejected at decode.
+template <class Cells = common::PlainCells>
+struct WorkerWireCountersT {
+  using Counter = typename Cells::Counter;
+  Counter calls{};           ///< Frames dispatched (any type).
+  Counter generate_calls{};  ///< Blocking generate frames served.
+  Counter stream_calls{};    ///< Streaming generate frames served.
+  Counter health_probes{};   ///< Health snapshots answered.
+  Counter decode_errors{};   ///< Frames rejected at decode.
 
-  /// Single-line JSON object ({"calls":N,...}).
-  std::string to_json() const;
+  template <class F, class... S>
+  static void fields(F&& f, S&... s) {
+    f("calls", s.calls...);
+    f("generate_calls", s.generate_calls...);
+    f("stream_calls", s.stream_calls...);
+    f("health_probes", s.health_probes...);
+    f("decode_errors", s.decode_errors...);
+  }
+  std::string to_json() const { return common::counters_json(*this); }
 };
+using WorkerWireCounters = WorkerWireCountersT<>;
 
 class WorkerNode {
  public:
@@ -62,7 +72,7 @@ class WorkerNode {
   WorkerAnnounce announce(const std::string& address);
   Bytes announce_frame(const std::string& address);
 
-  WorkerWireCounters wire_counters() const;
+  WorkerWireCounters wire_counters() const { return common::snapshot(wire_); }
 
   /// Serves one request buffer; exposed publicly so wire-level tests can
   /// bypass the transport. Never throws.
@@ -76,11 +86,7 @@ class WorkerNode {
   LoopbackTransport* transport_;  ///< Null for transport-free nodes.
   service::PatternService service_;
   std::atomic<std::uint64_t> health_seq_{0};
-  std::atomic<std::int64_t> calls_{0};
-  std::atomic<std::int64_t> generate_calls_{0};
-  std::atomic<std::int64_t> stream_calls_{0};
-  std::atomic<std::int64_t> health_probes_{0};
-  std::atomic<std::int64_t> decode_errors_{0};
+  WorkerWireCountersT<common::LiveCells> wire_;
 };
 
 }  // namespace diffpattern::dist

@@ -40,8 +40,13 @@ AdmissionController::Decision AdmissionController::admit(
   stride = std::max<std::int64_t>(1, stride);
   const std::lock_guard<std::mutex> lock(mutex_);
   auto& depth = pending_[model];
+  const auto occupy = [&] {
+    ++depth;
+    counters_.admission_pending_peak.raise_to(
+        counters_.admission_pending.add());
+  };
   if (depth >= config_.max_queue_depth) {
-    counters_.record_shed();
+    counters_.requests_shed.add();
     return Decision{
         common::Status::ResourceExhausted(
             "model '" + model + "' admission window is full (" +
@@ -61,8 +66,8 @@ AdmissionController::Decision AdmissionController::admit(
     // sliding window), NOT the lifetime mean — a busy hour in the past
     // must not shed a currently idle service. Between rounds the cached
     // window value is reused; its staleness is bounded by one round.
-    const auto rounds = counters_.rounds_executed();
-    const auto slots = counters_.fused_slots_total();
+    const auto rounds = counters_.rounds_executed.load();
+    const auto slots = counters_.fused_slots_total.load();
     if (rounds > window_rounds_) {
       recent_fill_ =
           static_cast<double>(slots - window_slots_) /
@@ -80,21 +85,19 @@ AdmissionController::Decision AdmissionController::admit(
       // the capacity the skipped reverse steps free up. Preferred over the
       // count shrink when enabled, because availability is the scarcer
       // resource under overload.
-      ++depth;
-      counters_.add_admission_pending(1);
-      counters_.record_degraded_steps();
+      occupy();
+      counters_.requests_degraded_steps.add();
       return Decision{common::Status::Ok(), count, false,
                       config_.degrade_stride, true};
     }
     if (allow_degrade && count > 1) {
       const auto admitted =
           std::max<std::int64_t>(1, count / config_.degrade_divisor);
-      ++depth;
-      counters_.add_admission_pending(1);
-      counters_.record_degraded();
+      occupy();
+      counters_.requests_degraded.add();
       return Decision{common::Status::Ok(), admitted, true, stride, false};
     }
-    counters_.record_shed();
+    counters_.requests_shed.add();
     return Decision{
         common::Status::Unavailable(
             "model '" + model + "' is overloaded (" + std::to_string(depth) +
@@ -103,8 +106,7 @@ AdmissionController::Decision AdmissionController::admit(
             .with_retry_after(retry_hint_ms(depth)),
         0, false};
   }
-  ++depth;
-  counters_.add_admission_pending(1);
+  occupy();
   return Decision{common::Status::Ok(), count, false, stride, false};
 }
 
@@ -117,7 +119,7 @@ void AdmissionController::release(const std::string& model) {
   if (--it->second <= 0) {
     pending_.erase(it);
   }
-  counters_.add_admission_pending(-1);
+  counters_.admission_pending.add(-1);
 }
 
 std::int64_t AdmissionController::pending(const std::string& model) const {

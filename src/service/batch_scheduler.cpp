@@ -64,7 +64,8 @@ common::Status BatchScheduler::submit(std::shared_ptr<SampleJob> job) {
       return common::Status::Unavailable(
           "could not start a batcher shard for model '" + model + "'");
     }
-    counters_.add_shards_active(1);
+    counters_.shards_active.add();
+    counters_.shards_spawned.add();
   }
   Shard* shard = it->second.get();
   // Enqueue AND notify under shards_mutex_: remove_shard/shutdown extract
@@ -72,7 +73,7 @@ common::Status BatchScheduler::submit(std::shared_ptr<SampleJob> job) {
   // the cv we notify cannot be freed underneath us. The gauge increments
   // BEFORE the push — the shard thread decrements only after popping, so
   // the queue_depth gauge can never be observed negative.
-  counters_.add_queue_depth(1);
+  counters_.queue_depth_peak.raise_to(counters_.queue_depth.add());
   {
     const std::lock_guard<std::mutex> shard_lock(shard->mutex);
     enqueue_ordered(*shard, std::move(job));
@@ -109,8 +110,8 @@ void BatchScheduler::expire_deadlines(Shard& shard) {
                     " of " + std::to_string(job->count) + " slots sampled"
               : "deadline expired while the request was queued");
     }
-    counters_.record_deadline_expired();
-    counters_.add_queue_depth(-1);
+    counters_.deadlines_expired.add();
+    counters_.queue_depth.add(-1);
     job->finish();
     it = shard.queue.erase(it);
   }
@@ -133,7 +134,7 @@ void BatchScheduler::remove_shard(const std::string& model) {
   }
   shard->cv.notify_all();
   shard->thread.join();
-  counters_.add_shards_active(-1);
+  counters_.shards_active.add(-1);
 }
 
 std::int64_t BatchScheduler::shard_count() const {
@@ -163,7 +164,7 @@ void BatchScheduler::shutdown() {
   }
   for (auto& [model, shard] : shards) {
     shard->thread.join();
-    counters_.add_shards_active(-1);
+    counters_.shards_active.add(-1);
   }
 }
 
@@ -189,7 +190,7 @@ void BatchScheduler::shard_loop(Shard& shard) {
       for (auto& job : shard.queue) {
         job->error =
             common::Status::Unavailable("PatternService is shutting down");
-        counters_.add_queue_depth(-1);
+        counters_.queue_depth.add(-1);
         job->finish();
       }
       shard.queue.clear();
@@ -215,7 +216,7 @@ void BatchScheduler::shard_loop(Shard& shard) {
           job->error =
               common::Status::Internal("sampling round failed unexpectedly");
         }
-        counters_.add_queue_depth(-1);
+        counters_.queue_depth.add(-1);
         job->finish();
       }
       shard.queue.clear();
@@ -295,8 +296,8 @@ void BatchScheduler::run_round(Shard& shard,
           job->error = common::Status::Unavailable(
               "request abandoned after a downstream failure");
         }
-        counters_.record_cancelled();
-        counters_.add_queue_depth(-1);
+        counters_.jobs_cancelled.add();
+        counters_.queue_depth.add(-1);
         job->finish();
         it = shard.queue.erase(it);
         continue;
@@ -312,7 +313,7 @@ void BatchScheduler::run_round(Shard& shard,
       if (job->next_slot < job->count) {
         leftover = job;
       } else {
-        counters_.add_queue_depth(-1);
+        counters_.queue_depth.add(-1);
       }
       it = shard.queue.erase(it);
     }
@@ -333,7 +334,7 @@ void BatchScheduler::run_round(Shard& shard,
     // bad_alloc growing `round` or requeueing: fail what was popped (a
     // job still in the queue keeps its turn with the next round).
     if (leftover != nullptr && !leftover_requeued) {
-      counters_.add_queue_depth(-1);  // Popped but not requeued.
+      counters_.queue_depth.add(-1);  // Popped but not requeued.
     }
     fail_round(common::Status::Internal(
         "sampling round setup failed unexpectedly"));
@@ -381,7 +382,8 @@ void BatchScheduler::run_round(Shard& shard,
           *model->model, *model->schedule, *folded, *folded,
           diffusion::SamplerConfig{}, stream_ptrs, strides,
           [this](std::int64_t /*k*/, std::int64_t batch) {
-            counters_.record_denoise_step(batch);
+            counters_.denoise_steps.add();
+            counters_.net_evals.add(batch);
           });
       round_seconds = timer.seconds();
     } catch (const std::exception& e) {
@@ -392,7 +394,9 @@ void BatchScheduler::run_round(Shard& shard,
     }
   }
   release_slots(shard, granted);
-  counters_.record_round(total_slots);
+  counters_.rounds_executed.add();
+  counters_.fused_slots_total.add(total_slots);
+  counters_.max_round_slots.raise_to(total_slots);
 
   try {
     layout::DeepSquishConfig fold;
@@ -427,8 +431,8 @@ void BatchScheduler::run_round(Shard& shard,
       const auto steps_run = diffusion::strided_step_count(
           model->schedule->steps(), job.stride);
       job.net_evals += entry.slots * steps_run;
-      counters_.add_steps_skipped(entry.slots *
-                                  (model->schedule->steps() - steps_run));
+      counters_.steps_skipped.add(entry.slots *
+                                 (model->schedule->steps() - steps_run));
       // Hook BEFORE finish(): the streaming path counts submitted slots in
       // the hook and trusts that no hook fires after the job's future
       // resolves.
@@ -466,7 +470,7 @@ void BatchScheduler::run_round(Shard& shard,
     };
     for (const auto& job : shard.queue) {
       if (failed(job)) {
-        counters_.add_queue_depth(-1);
+        counters_.queue_depth.add(-1);
       }
     }
     shard.queue.erase(

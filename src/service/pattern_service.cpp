@@ -228,7 +228,9 @@ struct PatternService::Impl {
   /// Records every non-OK status answered to a caller (the rejects-by-code
   /// counters), passing it through unchanged.
   common::Status reject(common::Status status) {
-    counters.record_status(status);
+    if (!status.ok()) {
+      counters.rejects_by_code[static_cast<std::size_t>(status.code())].add();
+    }
     return status;
   }
 
@@ -315,7 +317,7 @@ PatternService::Impl::run_sampling(
   if (!submitted.ok()) {
     return submitted;
   }
-  counters.record_accepted();
+  counters.requests_accepted.add();
   done.wait();
   if (!job->error.ok()) {
     return job->error;
@@ -411,7 +413,8 @@ void PatternService::Impl::legalize_slot(
         (*exec->callback)(out);
         // Only true push streams count as stream deliveries; collect-all
         // requests would drown the stream-adoption signal otherwise.
-        counters.record_delivery(
+        counters.stream_deliveries.add();
+        counters.patterns_delivered.add(
             static_cast<std::int64_t>(out.patterns.size()));
       }
     } catch (const StreamAbandoned&) {
@@ -665,7 +668,7 @@ common::Result<GenerateStats> PatternService::Impl::run_generate(
   }
   // Accepted = admitted for execution (a shard holds the job now); a
   // rejected submit above is counted only in rejects_by_code.
-  counters.record_accepted();
+  counters.requests_accepted.add();
   done.wait();
 
   // Drain the legalization fan-out (slots submitted before a sampling
@@ -691,7 +694,7 @@ common::Result<GenerateStats> PatternService::Impl::run_generate(
   stats.sampling_seconds += job->sampling_seconds;
   stats.fused_batch_slots =
       std::max(stats.fused_batch_slots, job->fused_batch_slots);
-  counters.record_completed();
+  counters.requests_completed.add();
   return stats;
 }
 
@@ -707,8 +710,14 @@ ModelRegistry& PatternService::models() { return impl_->registry; }
 const ServiceConfig& PatternService::config() const { return impl_->config; }
 
 common::ServiceCounters PatternService::counters() const {
-  auto snap = impl_->counters.snapshot(
-      std::max<std::int64_t>(1, impl_->config.max_fused_batch));
+  auto snap = common::snapshot(impl_->counters);
+  const auto capacity =
+      snap.rounds_executed *
+      std::max<std::int64_t>(1, impl_->config.max_fused_batch);
+  if (capacity > 0) {
+    snap.fused_fill_ratio = static_cast<double>(snap.fused_slots_total) /
+                            static_cast<double>(capacity);
+  }
   // Compute-backend identity rides along with every snapshot so --stats
   // (and any scraper) can attribute throughput to the dispatch in effect.
   snap.kernel_backend = tensor::kernel_backend_name();
@@ -816,7 +825,7 @@ struct StreamHandle::State {
       if (!done) {
         abandoned.store(true, std::memory_order_relaxed);
         if (counters != nullptr) {
-          counters->record_stream_abandoned();
+          counters->streams_abandoned.add();
         }
       }
     }
@@ -897,7 +906,7 @@ StreamHandle PatternService::generate_stream(const GenerateRequest& request) {
         // legalization fan-out — deliveries are serialized, so every
         // worker queues up behind this one) until the consumer drains
         // below the bound or abandons the handle.
-        impl_->counters.record_stream_pause();
+        impl_->counters.stream_pauses.add();
         state->cv.wait(lock, [&] {
           return state->abandoned.load(std::memory_order_relaxed) ||
                  static_cast<std::int64_t>(state->items.size()) <
@@ -955,7 +964,7 @@ common::Result<SampleTopologiesResult> PatternService::sample_topologies(
   }
   result.topologies = std::move(grids).value();
   result.stats.topologies_requested = request.count;
-  impl_->counters.record_completed();
+  impl_->counters.requests_completed.add();
   return result;
 }
 
@@ -994,7 +1003,7 @@ common::Result<GenerateResult> PatternService::legalize_topologies(
     }
     rules = std::move(named).value();
   }
-  impl_->counters.record_accepted();
+  impl_->counters.requests_accepted.add();
 
   const auto n = static_cast<std::int64_t>(request.topologies.size());
   std::vector<StreamedPattern> slots;
@@ -1014,7 +1023,7 @@ common::Result<GenerateResult> PatternService::legalize_topologies(
   if (!drained.ok()) {
     return impl_->reject(drained.status());
   }
-  impl_->counters.record_completed();
+  impl_->counters.requests_completed.add();
   GenerateStats stats = std::move(drained).value();
   stats.topologies_admitted = n;  // No scheduler leg, nothing to degrade.
   return assemble_result(stats, std::move(slots));

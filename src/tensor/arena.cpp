@@ -20,11 +20,7 @@ std::atomic<bool> g_arena_enabled{[] {
   return true;
 }()};
 
-std::atomic<std::int64_t> g_plan_hits{0};
-std::atomic<std::int64_t> g_plan_misses{0};
-std::atomic<std::int64_t> g_pool_hits{0};
-std::atomic<std::int64_t> g_pool_misses{0};
-std::atomic<std::int64_t> g_bytes_reserved{0};
+constinit ArenaStatsT<common::LiveCells> g_stats;
 
 thread_local ActivationArena* t_current_arena = nullptr;
 
@@ -38,29 +34,7 @@ void set_activation_arena_enabled(bool enabled) {
   g_arena_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-ArenaStats arena_stats() {
-  ArenaStats s;
-  s.plan_cache_hits = g_plan_hits.load(std::memory_order_relaxed);
-  s.plan_cache_misses = g_plan_misses.load(std::memory_order_relaxed);
-  s.pool_hits = g_pool_hits.load(std::memory_order_relaxed);
-  s.pool_misses = g_pool_misses.load(std::memory_order_relaxed);
-  s.bytes_reserved = g_bytes_reserved.load(std::memory_order_relaxed);
-  return s;
-}
-
-namespace detail {
-void record_plan_hit() { g_plan_hits.fetch_add(1, std::memory_order_relaxed); }
-void record_plan_miss() {
-  g_plan_misses.fetch_add(1, std::memory_order_relaxed);
-}
-void record_pool_hit() { g_pool_hits.fetch_add(1, std::memory_order_relaxed); }
-void record_pool_miss() {
-  g_pool_misses.fetch_add(1, std::memory_order_relaxed);
-}
-void record_bytes_reserved(std::int64_t delta) {
-  g_bytes_reserved.fetch_add(delta, std::memory_order_relaxed);
-}
-}  // namespace detail
+ArenaStats arena_stats() { return common::snapshot(g_stats); }
 
 // ---- ActivationArena -------------------------------------------------------
 
@@ -71,7 +45,7 @@ ActivationArena::~ActivationArena() {
 
 void ActivationArena::note_pooled(std::int64_t delta_bytes) {
   pooled_bytes_ += delta_bytes;
-  detail::record_bytes_reserved(delta_bytes);
+  g_stats.bytes_reserved.add(delta_bytes);
 }
 
 bool ActivationArena::acquire(std::vector<float>& out, std::size_t n) {
@@ -81,14 +55,14 @@ bool ActivationArena::acquire(std::vector<float>& out, std::size_t n) {
     it->second.pop_back();
     out.clear();
     note_pooled(-static_cast<std::int64_t>(out.capacity() * sizeof(float)));
-    detail::record_pool_hit();
+    g_stats.pool_hits.add();
     return true;
   }
   // Recording pass (or a size the plan has not seen): take heap storage.
   // The buffer joins the pool when its tensor dies, so the next round hits.
   out.clear();
   out.reserve(n);
-  detail::record_pool_miss();
+  g_stats.pool_misses.add();
   return false;
 }
 
@@ -119,16 +93,16 @@ ActivationArena* InferencePlanCache::lease(const Shape& key) {
       if (entry.leased) {
         // Another thread is forwarding this shape right now; the caller
         // runs arena-less. Bytes are unaffected either way.
-        detail::record_plan_miss();
+        g_stats.plan_cache_misses.add();
         return nullptr;
       }
       entry.leased = true;
       entry.last_used = tick_;
-      detail::record_plan_hit();
+      g_stats.plan_cache_hits.add();
       return entry.arena.get();
     }
   }
-  detail::record_plan_miss();
+  g_stats.plan_cache_misses.add();
   if (entries_.size() >= capacity_) {
     // Evict the least-recently-used idle plan. All-leased (would need more
     // concurrent shapes than capacity) simply lets the cache overflow.

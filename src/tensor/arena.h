@@ -47,6 +47,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/counters.h"
 #include "tensor/tensor.h"
 
 namespace diffpattern::tensor {
@@ -57,23 +58,35 @@ bool activation_arena_enabled();
 /// Explicit override (ServiceConfig / CLI / tests); last call wins.
 void set_activation_arena_enabled(bool enabled);
 
-/// Process-wide arena telemetry (relaxed atomics; totals are monotone,
-/// bytes_reserved is a gauge).
-struct ArenaStats {
+/// Process-wide arena telemetry (a common/counters.h set; totals are
+/// monotone, bytes_reserved is a gauge).
+template <class Cells = common::PlainCells>
+struct ArenaStatsT {
+  using Counter = typename Cells::Counter;
   /// Plan-cache leases served by an existing, idle plan.
-  std::int64_t plan_cache_hits = 0;
+  Counter plan_cache_hits{};
   /// Leases that created a new plan (first round at a batch shape) or found
   /// the plan busy on another thread (no reuse happened either way).
-  std::int64_t plan_cache_misses = 0;
+  Counter plan_cache_misses{};
   /// Storage acquisitions served from an arena pool (recycled buffer).
-  std::int64_t pool_hits = 0;
+  Counter pool_hits{};
   /// Storage acquisitions inside an active scope that had to grow the pool
   /// from the heap (plan recording, or a shape the plan has not seen).
-  std::int64_t pool_misses = 0;
+  Counter pool_misses{};
   /// Bytes currently pooled across live arenas. Sampled between rounds this
   /// is the planned working set; mid-round it dips while buffers are out.
-  std::int64_t bytes_reserved = 0;
+  Counter bytes_reserved{};
+
+  template <class F, class... S>
+  static void fields(F&& f, S&... s) {
+    f("plan_cache_hits", s.plan_cache_hits...);
+    f("plan_cache_misses", s.plan_cache_misses...);
+    f("pool_hits", s.pool_hits...);
+    f("pool_misses", s.pool_misses...);
+    f("bytes_reserved", s.bytes_reserved...);
+  }
 };
+using ArenaStats = ArenaStatsT<>;
 ArenaStats arena_stats();
 
 /// Size-keyed freelist of recycled tensor storages. Not thread-safe: an
@@ -165,13 +178,5 @@ class ArenaScope {
   ActivationArena* leased_ = nullptr;
   InferencePlanCache* cache_ = nullptr;
 };
-
-namespace detail {
-void record_plan_hit();
-void record_plan_miss();
-void record_pool_hit();
-void record_pool_miss();
-void record_bytes_reserved(std::int64_t delta);
-}  // namespace detail
 
 }  // namespace diffpattern::tensor

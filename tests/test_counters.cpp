@@ -9,6 +9,7 @@
 
 #include "common/counters.h"
 #include "common/status.h"
+#include "dist/discovery.h"
 #include "dist/fault_injection.h"
 #include "dist/router.h"
 #include "dist/socket_transport.h"
@@ -101,18 +102,17 @@ TEST(CounterOutput, EmptyServiceCountersJsonIsPinned) {
 
 TEST(CounterOutput, ServiceCountersTextNamesEveryField) {
   const auto text = sample_service_counters().to_string();
-  // queue_depth_peak, admission_pending_peak and rejects_by_code are
-  // printed as "(peak N)" and "rejects:" today, so they are not checked.
   for (const char* name :
-       {"kernel_backend", "compute_pool", "queue_depth", "admission_pending",
-        "shards_active", "shards_spawned", "rounds_executed",
-        "denoise_steps", "net_evals", "steps_skipped", "fused_slots_total",
+       {"kernel_backend", "compute_pool", "queue_depth", "queue_depth_peak",
+        "admission_pending", "admission_pending_peak", "shards_active",
+        "shards_spawned", "rounds_executed", "denoise_steps", "net_evals",
+        "steps_skipped", "fused_slots_total",
         "max_round_slots", "fused_fill_ratio", "requests_accepted",
         "requests_completed", "stream_deliveries", "patterns_delivered",
         "requests_shed", "requests_degraded", "requests_degraded_steps",
         "deadlines_expired", "jobs_cancelled", "streams_abandoned",
         "stream_pauses", "arena_bytes_reserved", "plan_cache_hits",
-        "plan_cache_misses", "embedding_cache_hits"}) {
+        "plan_cache_misses", "embedding_cache_hits", "rejects_by_code"}) {
     EXPECT_NE(text.find(std::string(name) + ":"), std::string::npos)
         << name << " missing from:\n"
         << text;
@@ -122,90 +122,89 @@ TEST(CounterOutput, ServiceCountersTextNamesEveryField) {
 }
 
 TEST(CounterOutput, CounterBlockSnapshotReadsEveryCounter) {
-  // Each counter is recorded a distinct number of times, so a snapshot
-  // entry wired to the wrong member reads the wrong value.
+  // Each counter is recorded a distinct number of times, so a list entry
+  // wired to the wrong member reads the wrong value.
   dc::CounterBlock block;
-  for (int i = 0; i < 20; ++i) {
-    block.add_queue_depth(1);
-  }
-  for (int i = 0; i < 19; ++i) {
-    block.add_queue_depth(-1);
-  }
-  for (int i = 0; i < 22; ++i) {
-    block.add_admission_pending(1);
-  }
-  for (int i = 0; i < 20; ++i) {
-    block.add_admission_pending(-1);
-  }
-  for (int i = 0; i < 24; ++i) {
-    block.add_shards_active(1);
-  }
-  for (int i = 0; i < 21; ++i) {
-    block.add_shards_active(-1);
-  }
-  for (const std::int64_t slots : {5, 8, 6, 7}) {
-    block.record_round(slots);
-  }
-  for (int i = 0; i < 5; ++i) {
-    block.record_denoise_step(6);
-  }
-  block.add_steps_skipped(31);
-  const auto repeat = [](int times, const auto& record) {
+  const auto record = [](dc::LiveCounter& counter, int times) {
     for (int i = 0; i < times; ++i) {
-      record();
+      counter.add();
     }
   };
-  repeat(9, [&] { block.record_accepted(); });
-  repeat(10, [&] { block.record_completed(); });
-  repeat(11, [&] { block.record_delivery(3); });
-  repeat(12, [&] { block.record_shed(); });
-  repeat(13, [&] { block.record_degraded(); });
-  repeat(14, [&] { block.record_degraded_steps(); });
-  repeat(15, [&] { block.record_deadline_expired(); });
-  repeat(16, [&] { block.record_cancelled(); });
-  repeat(17, [&] { block.record_stream_abandoned(); });
-  repeat(18, [&] { block.record_stream_pause(); });
-  repeat(19, [&] {
-    block.record_status(dc::Status::InvalidArgument("bad"));
-  });
-  repeat(21, [&] { block.record_status(dc::Status::Unavailable("busy")); });
-  repeat(7, [&] { block.record_status(dc::Status::Ok()); });
+  record(block.queue_depth, 1);
+  record(block.queue_depth_peak, 2);
+  record(block.admission_pending, 3);
+  record(block.admission_pending_peak, 4);
+  record(block.shards_active, 5);
+  record(block.shards_spawned, 6);
+  record(block.rounds_executed, 7);
+  record(block.denoise_steps, 8);
+  record(block.net_evals, 9);
+  record(block.steps_skipped, 10);
+  record(block.fused_slots_total, 11);
+  record(block.max_round_slots, 12);
+  record(block.requests_accepted, 13);
+  record(block.requests_completed, 14);
+  record(block.stream_deliveries, 15);
+  record(block.patterns_delivered, 16);
+  record(block.requests_shed, 17);
+  record(block.requests_degraded, 18);
+  record(block.requests_degraded_steps, 19);
+  record(block.deadlines_expired, 20);
+  record(block.jobs_cancelled, 21);
+  record(block.streams_abandoned, 22);
+  record(block.stream_pauses, 23);
+  record(block.rejects_by_code[static_cast<std::size_t>(
+             dc::StatusCode::kInvalidArgument)],
+         24);
+  record(block.rejects_by_code[static_cast<std::size_t>(
+             dc::StatusCode::kUnavailable)],
+         25);
 
-  const auto s = block.snapshot(8);
+  const auto s = dc::snapshot(block);
   EXPECT_EQ(s.queue_depth, 1);
-  EXPECT_EQ(s.queue_depth_peak, 20);
-  EXPECT_EQ(s.admission_pending, 2);
-  EXPECT_EQ(s.admission_pending_peak, 22);
-  EXPECT_EQ(s.shards_active, 3);
-  EXPECT_EQ(s.shards_spawned, 24);
-  EXPECT_EQ(s.rounds_executed, 4);
-  EXPECT_EQ(s.fused_slots_total, 26);
-  EXPECT_EQ(s.max_round_slots, 8);
-  EXPECT_EQ(s.denoise_steps, 5);
-  EXPECT_EQ(s.net_evals, 30);
-  EXPECT_EQ(s.steps_skipped, 31);
-  EXPECT_EQ(s.requests_accepted, 9);
-  EXPECT_EQ(s.requests_completed, 10);
-  EXPECT_EQ(s.stream_deliveries, 11);
-  EXPECT_EQ(s.patterns_delivered, 33);
-  EXPECT_EQ(s.requests_shed, 12);
-  EXPECT_EQ(s.requests_degraded, 13);
-  EXPECT_EQ(s.requests_degraded_steps, 14);
-  EXPECT_EQ(s.deadlines_expired, 15);
-  EXPECT_EQ(s.jobs_cancelled, 16);
-  EXPECT_EQ(s.streams_abandoned, 17);
-  EXPECT_EQ(s.stream_pauses, 18);
-  EXPECT_EQ(s.rejects(dc::StatusCode::kInvalidArgument), 19);
-  EXPECT_EQ(s.rejects(dc::StatusCode::kUnavailable), 21);
-  EXPECT_EQ(s.total_rejected(), 40);
-  EXPECT_DOUBLE_EQ(s.fused_fill_ratio, 26.0 / (4.0 * 8.0));
-  // Process-wide fields are the owning service's to fill, not the block's.
+  EXPECT_EQ(s.queue_depth_peak, 2);
+  EXPECT_EQ(s.admission_pending, 3);
+  EXPECT_EQ(s.admission_pending_peak, 4);
+  EXPECT_EQ(s.shards_active, 5);
+  EXPECT_EQ(s.shards_spawned, 6);
+  EXPECT_EQ(s.rounds_executed, 7);
+  EXPECT_EQ(s.denoise_steps, 8);
+  EXPECT_EQ(s.net_evals, 9);
+  EXPECT_EQ(s.steps_skipped, 10);
+  EXPECT_EQ(s.fused_slots_total, 11);
+  EXPECT_EQ(s.max_round_slots, 12);
+  EXPECT_EQ(s.requests_accepted, 13);
+  EXPECT_EQ(s.requests_completed, 14);
+  EXPECT_EQ(s.stream_deliveries, 15);
+  EXPECT_EQ(s.patterns_delivered, 16);
+  EXPECT_EQ(s.requests_shed, 17);
+  EXPECT_EQ(s.requests_degraded, 18);
+  EXPECT_EQ(s.requests_degraded_steps, 19);
+  EXPECT_EQ(s.deadlines_expired, 20);
+  EXPECT_EQ(s.jobs_cancelled, 21);
+  EXPECT_EQ(s.streams_abandoned, 22);
+  EXPECT_EQ(s.stream_pauses, 23);
+  EXPECT_EQ(s.rejects(dc::StatusCode::kInvalidArgument), 24);
+  EXPECT_EQ(s.rejects(dc::StatusCode::kUnavailable), 25);
+  EXPECT_EQ(s.total_rejected(), 49);
+  // Snapshot-time fields are the owning service's to fill, not the
+  // block's.
   EXPECT_TRUE(s.kernel_backend.empty());
   EXPECT_TRUE(s.compute_pool.empty());
+  EXPECT_EQ(s.fused_fill_ratio, 0.0);
   EXPECT_EQ(s.arena_bytes_reserved, 0);
   EXPECT_EQ(s.plan_cache_hits, 0);
   EXPECT_EQ(s.plan_cache_misses, 0);
   EXPECT_EQ(s.embedding_cache_hits, 0);
+}
+
+TEST(CounterOutput, LiveCounterTracksGaugesAndPeaks) {
+  dc::LiveCounter gauge;
+  dc::LiveCounter peak;
+  peak.raise_to(gauge.add(3));
+  peak.raise_to(gauge.add(-2));
+  EXPECT_EQ(gauge.load(), 1);
+  EXPECT_EQ(peak.load(), 3);
 }
 
 TEST(CounterOutput, RouterCountersJsonIsPinned) {
@@ -270,6 +269,15 @@ TEST(CounterOutput, FaultCountersJsonIsPinned) {
             "{\"connections\":1,\"relayed\":2,\"refused\":3,\"resets\":4,"
             "\"corrupted\":5,\"truncated\":6,\"stalled\":7,"
             "\"partitioned\":8}");
+}
+
+TEST(CounterOutput, WorkerRegistryCountersJsonIsPinned) {
+  dd::WorkerRegistryCounters c;
+  c.announces = 1;
+  c.announce_rejects = 2;
+  c.removes = 3;
+  EXPECT_EQ(c.to_json(),
+            "{\"announces\":1,\"announce_rejects\":2,\"removes\":3}");
 }
 
 }  // namespace

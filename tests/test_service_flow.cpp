@@ -78,7 +78,7 @@ TEST(AdmissionControl, AdmitsBelowThresholdsAndShedsAbove) {
   EXPECT_EQ(admission.pending("m"), 1);
   EXPECT_TRUE(admission.admit("m", 8, false).status.ok());
 
-  const auto snapshot = counters.snapshot(8);
+  const auto snapshot = dc::snapshot(counters);
   EXPECT_EQ(snapshot.admission_pending, 3);  // 2 on "m" + 1 on "other".
   EXPECT_EQ(snapshot.admission_pending_peak, 3);
   EXPECT_EQ(snapshot.requests_shed, 1);
@@ -106,7 +106,7 @@ TEST(AdmissionControl, DegradesInsteadOfSheddingWhenAllowed) {
   const auto hard = admission.admit("m", 8, true);
   EXPECT_EQ(hard.status.code(), dc::StatusCode::kResourceExhausted);
   EXPECT_TRUE(hard.status.has_retry_after());
-  EXPECT_EQ(counters.snapshot(8).requests_degraded, 2);
+  EXPECT_EQ(dc::snapshot(counters).requests_degraded, 2);
 }
 
 TEST(AdmissionControl, RetryHintScalesWithBacklog) {
@@ -145,7 +145,8 @@ TEST(AdmissionControl, FillRatioTriggersEarlyShedding) {
 
   // Saturated rounds (fill ratio 1.0 against budget 4): soft shedding now
   // starts at half the threshold (depth >= 2).
-  counters.record_round(4);
+  counters.rounds_executed.add();
+  counters.fused_slots_total.add(4);
   ASSERT_TRUE(admission.admit("m", 1, false).status.ok());
   ASSERT_TRUE(admission.admit("m", 1, false).status.ok());
   const auto early = admission.admit("m", 1, false);
@@ -154,7 +155,8 @@ TEST(AdmissionControl, FillRatioTriggersEarlyShedding) {
   // The signal is windowed, not a lifetime mean: once the NEXT rounds run
   // sparse (1 of 4 slots), the saturated past stops shedding — the same
   // depth is admitted again.
-  counters.record_round(1);
+  counters.rounds_executed.add();
+  counters.fused_slots_total.add(1);
   const auto after_sparse = admission.admit("m", 1, false);
   EXPECT_TRUE(after_sparse.status.ok()) << after_sparse.status.to_string();
 }

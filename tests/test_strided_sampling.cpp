@@ -274,8 +274,8 @@ TEST(AdmissionControl, SoftBandCoarsensStrideBeforeShrinkingCount) {
   EXPECT_FALSE(shrunk.degraded_steps);
   EXPECT_EQ(shrunk.admitted_stride, 4);  // Its own stride, not coarsened.
 
-  EXPECT_EQ(counters.snapshot(8).requests_degraded_steps, 1);
-  EXPECT_EQ(counters.snapshot(8).requests_degraded, 1);
+  EXPECT_EQ(dc::snapshot(counters).requests_degraded_steps, 1);
+  EXPECT_EQ(dc::snapshot(counters).requests_degraded, 1);
 }
 
 TEST_F(StridedSamplingTest, OverloadCoarsensStrideKeepingFullCount) {
