@@ -31,11 +31,6 @@ namespace {
 // BatchScheduler.)
 constexpr std::uint64_t kLegalizeStream = 0x4C45474C;  // "LEGL"
 
-/// Thrown by the pull-stream delivery callback when the consumer abandoned
-/// its StreamHandle: legalize_slot maps it to UNAVAILABLE (a cancellation,
-/// not an INTERNAL fault) so the whole request unwinds as cancelled.
-struct StreamAbandoned {};
-
 /// Scope guard pairing AdmissionController::admit with its release: the
 /// window slot opens again on every exit path once the request's job has
 /// left the system.
@@ -68,6 +63,13 @@ struct StreamExec {
   /// here instead of copied through the callback. Mutually exclusive with
   /// `callback`.
   std::vector<StreamedPattern>* collect = nullptr;
+  /// Pull streams only: set once the consumer destroyed its StreamHandle.
+  /// The delivery callback then drops the pattern, and legalize_slot
+  /// answers UNAVAILABLE (a cancellation, not an INTERNAL fault).
+  const std::atomic<bool>* abandoned = nullptr;
+  bool consumer_gone() const {
+    return abandoned != nullptr && abandoned->load(std::memory_order_relaxed);
+  }
 
   /// Set (sticky) whenever first_error is assigned; the sampling job's
   /// cancel flag points here so the shard stops sampling for a request
@@ -255,7 +257,7 @@ struct PatternService::Impl {
   common::Result<GenerateStats> run_generate(
       PatternService& service, const GenerateRequest& request,
       const StreamCallback* callback, std::vector<StreamedPattern>* collect,
-      std::atomic<bool>* abandoned = nullptr);
+      const std::atomic<bool>* abandoned = nullptr);
 
   ServiceConfig config;
   /// Non-OK when the config was rejected (e.g. a zero-sized pool): every
@@ -411,18 +413,19 @@ void PatternService::Impl::legalize_slot(
         exec->collect->push_back(std::move(out));  // Collect-all: move.
       } else {
         (*exec->callback)(out);
-        // Only true push streams count as stream deliveries; collect-all
-        // requests would drown the stream-adoption signal otherwise.
-        counters.stream_deliveries.add();
-        counters.patterns_delivered.add(
-            static_cast<std::int64_t>(out.patterns.size()));
+        if (exec->consumer_gone()) {
+          // The request unwinds as UNAVAILABLE and the scheduler abandons
+          // its remaining rounds.
+          fail_exec(common::Status::Unavailable(
+              "stream abandoned by the consumer"));
+        } else {
+          // Only true push streams count as stream deliveries; collect-all
+          // requests would drown the stream-adoption signal otherwise.
+          counters.stream_deliveries.add();
+          counters.patterns_delivered.add(
+              static_cast<std::int64_t>(out.patterns.size()));
+        }
       }
-    } catch (const StreamAbandoned&) {
-      // The pull-stream consumer destroyed its handle: a cancellation,
-      // not a service fault — the request unwinds as UNAVAILABLE and the
-      // scheduler abandons its remaining rounds.
-      fail_exec(common::Status::Unavailable(
-          "stream abandoned by the consumer"));
     } catch (...) {
       // A throwing consumer (or a failed collect allocation) fails the
       // request instead of unwinding into the worker pool — no exception
@@ -574,7 +577,7 @@ common::Status validate_common(const PatternService& service,
 common::Result<GenerateStats> PatternService::Impl::run_generate(
     PatternService& service, const GenerateRequest& request,
     const StreamCallback* callback, std::vector<StreamedPattern>* collect,
-    std::atomic<bool>* abandoned) {
+    const std::atomic<bool>* abandoned) {
   if (!config_error.ok()) {
     return reject(config_error);
   }
@@ -630,6 +633,7 @@ common::Result<GenerateStats> PatternService::Impl::run_generate(
   exec->seed = request.seed;
   exec->callback = callback;
   exec->collect = collect;
+  exec->abandoned = abandoned;
 
   auto job = std::make_shared<SampleJob>();
   job->artifacts = *artifacts;
@@ -647,11 +651,10 @@ common::Result<GenerateStats> PatternService::Impl::run_generate(
   // consumer) or the pull-stream consumer abandons its handle, remaining
   // sampling rounds are wasted work: let the shard abandon them. The
   // closure's captured exec shared_ptr (and the submitter-owned
-  // `abandoned` flag) outlive the job's future.
-  job->cancelled = [exec, abandoned] {
+  // `abandoned` flag it points at) outlive the job's future.
+  job->cancelled = [exec] {
     return exec->failed.load(std::memory_order_relaxed) ||
-           (abandoned != nullptr &&
-            abandoned->load(std::memory_order_relaxed));
+           exec->consumer_gone();
   };
   // The hook fires on the shard thread strictly before the job's future
   // resolves, so slots_submitted is final once `done` is ready. The raw
@@ -914,7 +917,7 @@ StreamHandle PatternService::generate_stream(const GenerateRequest& request) {
         });
       }
       if (state->abandoned.load(std::memory_order_relaxed)) {
-        throw StreamAbandoned{};  // legalize_slot maps this to UNAVAILABLE.
+        return;  // legalize_slot reads the same flag via StreamExec.
       }
       state->items.push_back(pattern);
       lock.unlock();
