@@ -25,6 +25,7 @@
 #include <map>
 
 #include "common/status.h"
+#include "counter_test_util.h"
 #include "dist/discovery.h"
 #include "dist/fault_injection.h"
 #include "dist/router.h"
@@ -307,9 +308,7 @@ TEST_F(ChaosFailoverTest, MixedFaultStormStaysTypedAndByteIdentical) {
   // Counter taxonomy: every failover is classified into exactly one
   // fault class, so the breakdown must sum back to the total.
   const auto counters = router_->counters();
-  EXPECT_EQ(counters.failovers, counters.transport_timeouts +
-                                    counters.transport_errors +
-                                    counters.decode_failures);
+  diffpattern::test::expect_failover_taxonomy(counters);
 }
 
 TEST_F(ChaosFailoverTest, WrongKeyReplicaRejectedTypedNeverWrongBytes) {
@@ -369,9 +368,7 @@ TEST_F(ChaosFailoverTest, WrongKeyReplicaRejectedTypedNeverWrongBytes) {
   // handler never saw a single frame.
   EXPECT_EQ(node0->wire_counters().calls, 0);
   const auto counters = router.counters();
-  EXPECT_EQ(counters.failovers, counters.transport_timeouts +
-                                    counters.transport_errors +
-                                    counters.decode_failures);
+  diffpattern::test::expect_failover_taxonomy(counters);
   server0->shutdown();
   server1->shutdown();
 }
@@ -433,9 +430,7 @@ TEST_F(ChaosFailoverTest, PooledStormUnderResetsKeepsCounterTaxonomy) {
   // The taxonomy survives concurrent pooled exchanges: every failover
   // still lands in exactly one fault-class bucket.
   const auto counters = router_->counters();
-  EXPECT_EQ(counters.failovers, counters.transport_timeouts +
-                                    counters.transport_errors +
-                                    counters.decode_failures);
+  diffpattern::test::expect_failover_taxonomy(counters);
 }
 
 TEST_F(ChaosFailoverTest, ReplicaJoinsMidStormWithoutRouterRestart) {
@@ -566,9 +561,7 @@ TEST(ChaosFailoverLoopback, FaultParityWithoutSockets) {
   }
   const auto counters = router.counters();
   EXPECT_GE(counters.transport_timeouts, 1);
-  EXPECT_EQ(counters.failovers, counters.transport_timeouts +
-                                    counters.transport_errors +
-                                    counters.decode_failures);
+  diffpattern::test::expect_failover_taxonomy(counters);
 
   // Injected latency: the call still answers, just later.
   transport.set_endpoint_latency("w0", 30);

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "counter_test_util.h"
 #include "diffusion/diffusion.h"
 #include "service/admission.h"
 #include "service/pattern_service.h"
@@ -164,6 +165,7 @@ TEST_F(StridedSamplingTest, StrideCutsNetEvalsAndIsReportedInStats) {
   const auto counters = service->counters();
   EXPECT_EQ(counters.net_evals, 6);
   EXPECT_EQ(counters.steps_skipped, 6);  // 2 topologies * (6 - 3).
+  diffpattern::test::expect_eval_accounting(counters, kMiniSteps);
   EXPECT_EQ(counters.requests_degraded_steps, 0);
 }
 
@@ -241,6 +243,7 @@ TEST_F(StridedSamplingTest, MixedStrideRequestsMatchTheirSoloRuns) {
         << "stride " << strides[i]
         << " request changed bytes when mixed with other strides";
   }
+  diffpattern::test::expect_eval_accounting(service->counters(), kMiniSteps);
 }
 
 // ------------------------------------------------- stride degradation
@@ -324,6 +327,7 @@ TEST_F(StridedSamplingTest, OverloadCoarsensStrideKeepingFullCount) {
   // never the sampling semantics.
   EXPECT_TRUE(same_patterns(reference->patterns, degraded->patterns));
   EXPECT_GE(service->counters().requests_degraded_steps, 1);
+  diffpattern::test::expect_eval_accounting(service->counters(), kMiniSteps);
 }
 
 }  // namespace
