@@ -82,7 +82,7 @@ struct FaultInjector::Impl {
   std::vector<int> live_fds;
   std::vector<std::thread> threads;
 
-  FaultCountersT<common::LiveCells> tallies;
+  FaultCounters tallies;  // Guarded by mutex.
 
   void track(int fd) {
     std::lock_guard<std::mutex> lock(mutex);
@@ -93,6 +93,11 @@ struct FaultInjector::Impl {
     std::lock_guard<std::mutex> lock(mutex);
     live_fds.erase(std::remove(live_fds.begin(), live_fds.end(), fd),
                    live_fds.end());
+  }
+
+  void count(std::int64_t FaultCounters::* field) {
+    std::lock_guard<std::mutex> lock(mutex);
+    tallies.*field += 1;
   }
 
   /// Interruptible sleep: wakes early on shutdown or partition.
@@ -159,19 +164,19 @@ struct FaultInjector::Impl {
     FaultConfig snapshot;
     {
       std::lock_guard<std::mutex> lock(mutex);
-      tallies.connections.add();
+      tallies.connections += 1;
       snapshot = config;
       fate = draw_fate(snapshot, rng);
     }
     if (partitioned.load(std::memory_order_relaxed)) {
-      tallies.partitioned.add();
+      count(&FaultCounters::partitioned);
       ::close(fd);
       return;
     }
     if (fate == Fate::kRefuse) {
       // Accept-then-slam: the client observes a reset/closed connection
       // before it can write, the moral equivalent of ECONNREFUSED.
-      tallies.refused.add();
+      count(&FaultCounters::refused);
       ::close(fd);
       return;
     }
@@ -193,18 +198,18 @@ struct FaultInjector::Impl {
         break;
       }
       if (partitioned.load(std::memory_order_relaxed)) {
-        tallies.partitioned.add();
+        count(&FaultCounters::partitioned);
         break;
       }
       if (fate == Fate::kReset) {
         // Request consumed, connection torn before any response byte.
-        tallies.resets.add();
+        count(&FaultCounters::resets);
         break;
       }
       if (fate == Fate::kStall) {
         // Withhold the response until the client's read deadline trips
         // (bounded so a deadline-less client cannot pin the thread).
-        tallies.stalled.add();
+        count(&FaultCounters::stalled);
         sleep_ms(snapshot.stall_max_ms);
         break;
       }
@@ -227,20 +232,20 @@ struct FaultInjector::Impl {
             kSocketFrameHeaderBytes +
             (framed.size() - kSocketFrameHeaderBytes) / 2;
         framed[victim] ^= 0x20;
-        tallies.corrupted.add();
+        count(&FaultCounters::corrupted);
         send_exact(fd, framed.data(), framed.size());
         break;
       }
       if (fate == Fate::kTruncate) {
         // Torn write: half the frame, then the connection vanishes.
-        tallies.truncated.add();
+        count(&FaultCounters::truncated);
         send_exact(fd, framed.data(), framed.size() / 2);
         break;
       }
       if (!send_exact(fd, framed.data(), framed.size())) {
         break;
       }
-      tallies.relayed.add();
+      count(&FaultCounters::relayed);
     }
     untrack(fd);
     ::close(fd);
@@ -324,7 +329,8 @@ void FaultInjector::set_config(const FaultConfig& config) {
 }
 
 FaultCounters FaultInjector::counters() const {
-  return common::snapshot(impl_->tallies);
+  std::lock_guard<std::mutex> lock(impl_->mutex);
+  return impl_->tallies;
 }
 
 void FaultInjector::shutdown() {

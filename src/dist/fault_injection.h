@@ -54,17 +54,15 @@ struct FaultConfig {
   std::int64_t upstream_timeout_ms = 10000;
 };
 
-template <class Cells = common::PlainCells>
-struct FaultCountersT {
-  using Counter = typename Cells::Counter;
-  Counter connections{};  ///< Accepted (including faulted) conns.
-  Counter relayed{};      ///< Requests relayed faithfully.
-  Counter refused{};
-  Counter resets{};
-  Counter corrupted{};
-  Counter truncated{};
-  Counter stalled{};
-  Counter partitioned{};  ///< Connections killed by a partition.
+struct FaultCounters {
+  std::int64_t connections = 0;  ///< Accepted (including faulted) conns.
+  std::int64_t relayed = 0;      ///< Requests relayed faithfully.
+  std::int64_t refused = 0;
+  std::int64_t resets = 0;
+  std::int64_t corrupted = 0;
+  std::int64_t truncated = 0;
+  std::int64_t stalled = 0;
+  std::int64_t partitioned = 0;  ///< Connections killed by a partition.
 
   template <class F, class... S>
   static void fields(F&& f, S&... s) {
@@ -79,7 +77,6 @@ struct FaultCountersT {
   }
   std::string to_json() const { return common::counters_json(*this); }
 };
-using FaultCounters = FaultCountersT<>;
 
 /// TCP/Unix-socket proxy injecting the faults above. start() binds the
 /// listen address (TCP port 0 resolves to a real port, readable via
