@@ -8,7 +8,9 @@
 // service resolves to the coarsest stride meeting the target). Each point
 // reports sampling throughput, pre-filter pass rate, and legalization rate,
 // i.e. where the request lands on the quality-vs-latency frontier. The
-// points land in bench_out/BENCH_frontier.json.
+// points land in bench_out/BENCH_frontier.json. The bench also checks each
+// point's eval accounting against the step plan and exits 1 on a mismatch
+// (timings are reported, never gated).
 #include <algorithm>
 #include <iomanip>
 #include <iostream>
@@ -17,6 +19,7 @@
 
 #include "bench_common.h"
 #include "core/pipeline.h"
+#include "diffusion/diffusion.h"
 
 namespace dp = diffpattern;
 
@@ -26,6 +29,7 @@ int main() {
   auto& service = dp::bench::shared_service();
   const auto cfg = dp::bench::bench_pipeline_config();
   const auto k = cfg.schedule.steps;
+  const dp::diffusion::BinarySchedule schedule(cfg.schedule);
   const std::int64_t count = 32;
 
   struct Point {
@@ -58,9 +62,12 @@ int main() {
 
   std::vector<std::pair<std::string, double>> metrics;
   metrics.emplace_back("schedule_steps", static_cast<double>(k));
+  metrics.emplace_back("chain_start",
+                       static_cast<double>(schedule.chain_start()));
   metrics.emplace_back("count_per_point", static_cast<double>(count));
   double stride1_rate = 0.0;
   double stride4_rate = 0.0;
+  bool accounting_ok = true;
   for (const auto& point : points) {
     dp::service::GenerateRequest request;
     request.model = dp::core::Pipeline::kServiceModel;
@@ -98,6 +105,17 @@ int main() {
               << std::setprecision(2) << samples_per_s << std::setw(17)
               << std::setprecision(1) << 100.0 * prefilter_pass << "%"
               << std::setw(12) << legal << "\n";
+    // Every topology runs exactly its step plan, one U-Net evaluation per
+    // visit.
+    const auto plan = dp::diffusion::plan_length(schedule,
+                                                 stats.sampling_stride);
+    if (stats.steps_run != plan || stats.net_evals != count * plan) {
+      std::cerr << "frontier point " << point.label << ": steps_run "
+                << stats.steps_run << " and net_evals " << stats.net_evals
+                << " disagree with the step plan (" << plan
+                << " visits per topology, " << count << " topologies)\n";
+      accounting_ok = false;
+    }
     metrics.emplace_back(point.label + "_samples_per_s", samples_per_s);
     metrics.emplace_back(point.label + "_prefilter_pass", prefilter_pass);
     metrics.emplace_back(point.label + "_legal_rate", legal_rate);
@@ -115,5 +133,5 @@ int main() {
             << "accordingly)\n";
   const auto path = dp::bench::write_bench_json("frontier", metrics);
   std::cout << "frontier written to " << path << "\n";
-  return 0;
+  return accounting_ok ? 0 : 1;
 }

@@ -1,10 +1,11 @@
 // Fig. 6 — visualization of the reverse (denoising) diffusion chain.
 //
-// Samples one batch while recording the chain T_K -> ... -> T_0: PGM frames
-// of the flattened topology at selected steps plus a CSV trace of the
+// Samples one batch while recording the chain T_{K_eps} -> ... -> T_0 (the
+// chain starts at K_eps, where the schedule's signal ends): PGM frames of
+// the flattened topology at selected steps plus a CSV trace of the
 // per-step shape density and marginal entropy. The expected shape matches
-// the paper's figure: near-uniform noise at k = K annealing into a crisp
-// Manhattan topology at k = 0.
+// the paper's figure: near-uniform noise at k = K_eps annealing into a
+// crisp Manhattan topology at k = 0.
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
@@ -22,7 +23,8 @@ int main() {
   dp::bench::print_header("Fig. 6 — reverse diffusion chain");
   auto& pipeline = dp::bench::shared_trained_pipeline();
   const auto& cfg = pipeline.config();
-  const auto steps = cfg.schedule.steps;
+  dp::diffusion::BinarySchedule schedule(cfg.schedule);
+  const auto start = schedule.chain_start();
   const auto out_dir = dp::bench::output_directory();
 
   dp::layout::DeepSquishConfig fold;
@@ -35,11 +37,11 @@ int main() {
     double entropy;
   };
   std::vector<TracePoint> trace;
-  const std::int64_t frame_every = std::max<std::int64_t>(1, steps / 8);
+  const std::int64_t frame_every = std::max<std::int64_t>(1, start / 8);
 
   dp::common::Rng rng(99);
-  dp::diffusion::BinarySchedule schedule(cfg.schedule);
-  // One slot over the full schedule; the observer sees every step K..0.
+  // One slot over the full schedule; the observer sees every step
+  // K_eps..0.
   dp::diffusion::sample_streams_strided(
       pipeline.model(), schedule, side, side, dp::diffusion::SamplerConfig{},
       {&rng}, {1}, nullptr, [&](std::int64_t k, const dp::tensor::Tensor& x) {
@@ -49,7 +51,7 @@ int main() {
         const double entropy = -p * std::log2(p) -
                                (1.0 - p) * std::log2(1.0 - p);
         trace.push_back({k, density, entropy});
-        if (k % frame_every == 0 || k == steps) {
+        if (k % frame_every == 0 || k == start) {
           dp::tensor::Tensor one({fold.channels, side, side});
           std::copy(x.data(), x.data() + one.numel(), one.data());
           const auto grid = dp::layout::unfold_topology(one, fold);
@@ -64,14 +66,15 @@ int main() {
             << "density" << std::setw(18) << "marginal H (bits)" << "\n"
             << std::string(38, '-') << "\n";
   for (const auto& point : trace) {
-    if (point.k % frame_every == 0 || point.k == steps || point.k == 0) {
+    if (point.k % frame_every == 0 || point.k == start || point.k == 0) {
       std::cout << std::left << std::setw(8) << point.k << std::right
                 << std::setw(12) << std::fixed << std::setprecision(4)
                 << point.density << std::setw(18) << std::setprecision(4)
                 << point.entropy << "\n";
     }
   }
-  std::cout << "\nExpected shape: density ~0.5 (entropy ~1 bit) at k = K, "
+  std::cout << "\nExpected shape: density ~0.5 (entropy ~1 bit) at k = "
+            << start << " (K_eps of K = " << cfg.schedule.steps << "), "
             << "annealing toward the dataset's shape density as k -> 0.\n";
   std::cout << "Frames written to " << out_dir << "/fig6_step_*.pgm\n";
 

@@ -174,11 +174,18 @@ LossBreakdown DiffusionTrainer::step(const Tensor& x0_batch,
   return result.breakdown;
 }
 
-std::int64_t strided_step_count(std::int64_t schedule_steps,
-                                std::int64_t stride) {
-  DP_REQUIRE(schedule_steps >= 1, "strided_step_count: bad schedule");
-  DP_REQUIRE(stride >= 1, "strided_step_count: stride must be >= 1");
-  return (schedule_steps + stride - 1) / stride;
+std::vector<std::int64_t> step_plan(const BinarySchedule& schedule,
+                                    std::int64_t stride) {
+  DP_REQUIRE(stride >= 1, "step_plan: stride must be >= 1");
+  std::vector<std::int64_t> plan;
+  for (std::int64_t k = schedule.chain_start(); k >= 1; k -= stride) {
+    plan.push_back(k);
+  }
+  return plan;
+}
+
+std::int64_t plan_length(const BinarySchedule& schedule, std::int64_t stride) {
+  return static_cast<std::int64_t>(step_plan(schedule, stride).size());
 }
 
 tensor::Tensor sample_streams_strided(
@@ -203,9 +210,9 @@ tensor::Tensor sample_streams_strided(
   const auto c = model.config().in_channels;
   Tensor x({batch, c, height, width});
   const auto per_sample = x.numel() / batch;
-  // Uniform stationary prior. Slot n consumes only streams[n] and tasks own
-  // whole slots, so the per-stream draw order (and therefore the bytes) is
-  // fixed for any thread count.
+  // Uniform stationary prior at the plan start. Slot n consumes only
+  // streams[n] and tasks own whole slots, so the per-stream draw order (and
+  // therefore the bytes) is fixed for any thread count.
   tensor::parallel_for(0, batch, [&](std::int64_t n0, std::int64_t n1) {
     for (std::int64_t n = n0; n < n1; ++n) {
       float* slot = x.data() + n * per_sample;
@@ -215,27 +222,42 @@ tensor::Tensor sample_streams_strided(
       }
     }
   });
+
+  // Slot n visits plans[n] in order; next[n] indexes its next visit and
+  // next_k(n) == 0 once the slot is finished.
+  std::vector<std::vector<std::int64_t>> plans;
+  plans.reserve(strides.size());
+  for (const auto stride : strides) {
+    plans.push_back(step_plan(schedule, stride));
+  }
+  std::vector<std::size_t> next(static_cast<std::size_t>(batch), 0);
+  const auto next_k = [&](std::int64_t n) -> std::int64_t {
+    const auto& plan = plans[static_cast<std::size_t>(n)];
+    const auto i = next[static_cast<std::size_t>(n)];
+    return i < plan.size() ? plan[i] : 0;
+  };
+  const auto pending = [&] {
+    std::int64_t k = 0;
+    for (std::int64_t n = 0; n < batch; ++n) {
+      k = std::max(k, next_k(n));
+    }
+    return k;
+  };
   if (observer) {
-    observer(schedule.steps(), x);
+    observer(pending(), x);
   }
 
-  // Slot n's next step: starts at K, jumps by strides[n], 0 == finished.
-  std::vector<std::int64_t> current_k(static_cast<std::size_t>(batch),
-                                      schedule.steps());
   std::vector<std::int64_t> active;
   active.reserve(static_cast<std::size_t>(batch));
   common::Rng forward_rng(0);  // Inference forward draws no randomness.
   while (true) {
-    std::int64_t k = 0;
-    for (const auto ck : current_k) {
-      k = std::max(k, ck);
-    }
+    const std::int64_t k = pending();
     if (k < 1) {
       break;
     }
     active.clear();
     for (std::int64_t n = 0; n < batch; ++n) {
-      if (current_k[static_cast<std::size_t>(n)] == k) {
+      if (next_k(n) == k) {
         active.push_back(n);
       }
     }
@@ -271,8 +293,8 @@ tensor::Tensor sample_streams_strided(
     tensor::parallel_for(0, m, [&](std::int64_t j0, std::int64_t j1) {
       for (std::int64_t j = j0; j < j1; ++j) {
         const auto n = active[static_cast<std::size_t>(j)];
-        const auto stride = strides[static_cast<std::size_t>(n)];
-        const std::int64_t k_prev = std::max<std::int64_t>(0, k - stride);
+        ++next[static_cast<std::size_t>(n)];
+        const std::int64_t k_prev = next_k(n);
         common::Rng& rng = *streams[static_cast<std::size_t>(n)];
         float* slot = x.data() + n * per_sample;
         const float* p0_slot = p0_active.data() + j * per_sample;
@@ -300,14 +322,13 @@ tensor::Tensor sample_streams_strided(
             slot[i] = rng.bernoulli(p1) ? 1.0F : 0.0F;
           }
         }
-        current_k[static_cast<std::size_t>(n)] = k_prev;
       }
     });
     if (round_hook) {
       round_hook(k, m);
     }
     if (observer) {
-      observer(*std::max_element(current_k.begin(), current_k.end()), x);
+      observer(pending(), x);
     }
   }
   require_binary(x, "sample_streams_strided output");

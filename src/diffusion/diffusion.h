@@ -9,10 +9,12 @@
 //   * The training loss is L = KL(q(x_{k-1}|x_k,x_0) || p_theta(x_{k-1}|x_k))
 //     + lambda * CE(x_0, p_theta(x0_tilde|x_k)) for k >= 2, and plain CE at
 //     k = 1 (Eq. 9 with the D3PM k=1 convention).
-//   * Sampling starts from the uniform stationary distribution and walks the
-//     reverse chain (Eq. 13). One sampler, sample_streams_strided, does it:
-//     stride 1 is the full K-step chain, larger strides take DDIM-style
-//     jumps, and one fused batch may mix strides and per-slot RNG streams.
+//   * Sampling draws x_{K_eps} from the uniform stationary distribution
+//     (K_eps = BinarySchedule::chain_start(), where the signal ends) and
+//     walks the reverse chain (Eq. 13) along each slot's step_plan. One
+//     sampler, sample_streams_strided, does it: stride 1 is the full chain,
+//     larger strides take DDIM-style jumps, and one fused batch may mix
+//     strides and per-slot RNG streams.
 #pragma once
 
 #include <cstdint>
@@ -79,9 +81,9 @@ struct SamplerConfig {
 };
 
 /// Per-round observer for the reverse chain (used by the Fig. 6 bench):
-/// called with (K, prior) before the first round, then after every round
-/// with (largest step any slot still has to run, current x). A uniform
-/// stride s therefore sees K, K - s, ..., 0.
+/// called with (K_eps, prior) before the first round, then after every
+/// round with (largest step any slot still has to run, current x). A
+/// uniform stride s therefore sees its step_plan followed by 0.
 using SampleObserver =
     std::function<void(std::int64_t k, const tensor::Tensor& x)>;
 
@@ -93,19 +95,25 @@ using SampleObserver =
 /// hot loop. Must not throw.
 using RoundHook = std::function<void(std::int64_t k, std::int64_t batch)>;
 
-/// Network evaluations a strided walk performs: the subsequence
-/// K, K - stride, ..., 1 has ceil(K / stride) entries. stride == 1 gives K
-/// (the full ancestral chain).
-std::int64_t strided_step_count(std::int64_t schedule_steps,
-                                std::int64_t stride);
+/// The steps one slot's reverse chain visits, in descending order:
+/// K_eps, K_eps - stride, K_eps - 2 * stride, ..., down to >= 1 (the final
+/// jump from the last entry lands on 0). Its length is the number of U-Net
+/// evaluations the slot costs: ceil(K_eps / stride). This is the only
+/// place that decides the visit set; the sampler, the steps -> stride
+/// resolution and the service's eval accounting all read it.
+std::vector<std::int64_t> step_plan(const BinarySchedule& schedule,
+                                    std::int64_t stride);
+
+/// step_plan(schedule, stride).size(): U-Net evaluations per slot.
+std::int64_t plan_length(const BinarySchedule& schedule, std::int64_t stride);
 
 /// Fused reverse diffusion over streams.size() samples in ONE batch. Slot i
-/// walks its own step subsequence K, K - strides[i], K - 2*strides[i], ...,
-/// down to 0 (DDIM-style jumps via the generalized posterior
+/// walks step_plan(schedule, strides[i]) and then 0 (DDIM-style jumps via
+/// the generalized posterior
 /// q(x_{k_prev} | x_k, x0_tilde); stride 1 is the full ancestral chain) and
 /// draws its stochastic transitions exclusively from *streams[i] in a fixed
 /// order. Each round runs ONE U-Net forward over exactly the slots whose
-/// subsequence visits that step, so the batch narrows as coarse-stride
+/// plan visits that step, so the batch narrows as coarse-stride
 /// slots finish early. Every network op treats batch entries independently,
 /// so slot i's bytes equal a solo run with the same (stream, stride) for any
 /// batch composition, thread count, or kernel backend — this is what lets

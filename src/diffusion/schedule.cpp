@@ -30,8 +30,14 @@ BinarySchedule::BinarySchedule(ScheduleConfig config) : config_(config) {
                                        static_cast<double>(config_.steps - 1);
     betas_[static_cast<std::size_t>(k - 1)] = beta;
     const double prev = cumulative_flip_[static_cast<std::size_t>(k - 1)];
-    cumulative_flip_[static_cast<std::size_t>(k)] =
-        prev + beta - 2.0 * prev * beta;
+    const double cbar = prev + beta - 2.0 * prev * beta;
+    cumulative_flip_[static_cast<std::size_t>(k)] = cbar;
+    if (chain_start_ == 0 && 1.0 - 2.0 * cbar < kSignalEpsilon) {
+      chain_start_ = k;
+    }
+  }
+  if (chain_start_ == 0) {
+    chain_start_ = config_.steps;
   }
 }
 

@@ -7,7 +7,11 @@
 // described by one scalar: the cumulative flip probability
 //   cbar_k = cbar_{k-1} + beta_k - 2 * cbar_{k-1} * beta_k.
 // With the paper's linear beta schedule (0.01 -> 0.5 over K steps) cbar_K
-// converges to 0.5 — the uniform stationary distribution of Eq. 6.
+// converges to 0.5 — the uniform stationary distribution of Eq. 6. It gets
+// there early: the signal 1 - 2 * cbar_k falls below kSignalEpsilon at
+// k = 28 of K = 40 and k = 145 of K = 1000, and from that step on x_k is
+// the uniform prior to within kSignalEpsilon / 2 per entry, so the reverse
+// chain starts there (chain_start()).
 #pragma once
 
 #include <cstdint>
@@ -25,6 +29,9 @@ struct ScheduleConfig {
   static ScheduleConfig paper();
 };
 
+/// Signal level below which x_k counts as pure noise (see chain_start()).
+inline constexpr double kSignalEpsilon = 1e-6;
+
 class BinarySchedule {
  public:
   explicit BinarySchedule(ScheduleConfig config);
@@ -37,6 +44,11 @@ class BinarySchedule {
 
   /// Cumulative flip probability of Qbar_k; cumulative_flip(0) == 0.
   double cumulative_flip(std::int64_t k) const;
+
+  /// K_eps: the first k whose signal 1 - 2 * cbar_k is below
+  /// kSignalEpsilon, or K if none is. The reverse chain starts here; every
+  /// step above it would denoise the uniform prior.
+  std::int64_t chain_start() const { return chain_start_; }
 
   /// q(x_{k-1} = 1 | x_k, x_0) — the closed-form posterior of Eq. 12
   /// specialized to binary states.
@@ -57,6 +69,7 @@ class BinarySchedule {
   ScheduleConfig config_;
   std::vector<double> betas_;           // betas_[k-1] = beta_k
   std::vector<double> cumulative_flip_; // [k] = cbar_k, size K+1, [0] = 0
+  std::int64_t chain_start_ = 0;
 };
 
 }  // namespace diffpattern::diffusion

@@ -428,8 +428,8 @@ void BatchScheduler::run_round(Shard& shard,
                               static_cast<double>(entry.slots) /
                               static_cast<double>(total_slots);
       job.fused_batch_slots = std::max(job.fused_batch_slots, total_slots);
-      const auto steps_run = diffusion::strided_step_count(
-          model->schedule->steps(), job.stride);
+      const auto steps_run =
+          diffusion::plan_length(*model->schedule, job.stride);
       job.net_evals += entry.slots * steps_run;
       counters_.steps_skipped.add(entry.slots *
                                  (model->schedule->steps() - steps_run));

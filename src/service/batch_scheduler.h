@@ -91,7 +91,8 @@ struct SampleJob {
   double sampling_seconds = 0.0;
   std::int64_t fused_batch_slots = 0;
   /// U-Net slot-evaluations this job's slots consumed across its rounds
-  /// (slots * ceil(K / stride) when it completes).
+  /// (slots * the step plan's length, ceil(K_eps / stride), when it
+  /// completes).
   std::int64_t net_evals = 0;
   common::Status error;
   std::promise<void> done;

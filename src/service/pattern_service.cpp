@@ -98,7 +98,8 @@ struct StreamExec {
 }  // namespace
 
 common::Result<std::int64_t> resolve_sampling_stride(
-    const SamplingSpec& spec, std::int64_t schedule_steps) {
+    const SamplingSpec& spec, const diffusion::BinarySchedule& schedule) {
+  const auto schedule_steps = schedule.steps();
   if (spec.steps < 0 || spec.stride < 0) {
     return common::Status::InvalidArgument(
         "sampling.steps and sampling.stride must be >= 0 (0 = unset), got "
@@ -127,11 +128,15 @@ common::Result<std::int64_t> resolve_sampling_stride(
     return spec.stride;
   }
   if (spec.steps > 0) {
-    // Coarsest stride whose walk still runs >= spec.steps evaluations. For
-    // steps >= 2, ceil(K / s) >= steps holds exactly while
-    // s * (steps - 1) < K; one step is a single jump from K.
-    return spec.steps == 1 ? schedule_steps
-                           : (schedule_steps - 1) / (spec.steps - 1);
+    // Coarsest stride whose plan still has >= spec.steps visits. For
+    // steps >= 2, ceil(K_eps / s) >= steps holds exactly while
+    // s * (steps - 1) < K_eps; one step is a single jump from K_eps.
+    // Targets above K_eps get the whole plan at stride 1.
+    if (spec.steps == 1) {
+      return schedule_steps;
+    }
+    const auto start = schedule.chain_start();
+    return std::max<std::int64_t>(1, (start - 1) / (spec.steps - 1));
   }
   return 1;  // Both unset: the full ancestral schedule.
 }
@@ -286,9 +291,8 @@ common::Result<std::vector<geometry::BinaryGrid>>
 PatternService::Impl::run_sampling(
     std::shared_ptr<const ModelArtifacts> artifacts,
     const SampleTopologiesRequest& request, GenerateStats& stats) {
-  const auto schedule_steps = artifacts->config.schedule.steps;
-  const auto stride =
-      resolve_sampling_stride(request.sampling, schedule_steps);
+  const auto& schedule = *artifacts->schedule;
+  const auto stride = resolve_sampling_stride(request.sampling, schedule);
   if (!stride.ok()) {
     return stride.status();
   }
@@ -326,7 +330,7 @@ PatternService::Impl::run_sampling(
   }
   stats.topologies_admitted = request.count;
   stats.sampling_stride = *stride;
-  stats.steps_run = diffusion::strided_step_count(schedule_steps, *stride);
+  stats.steps_run = diffusion::plan_length(schedule, *stride);
   stats.net_evals = job->net_evals;
   stats.sampling_seconds += job->sampling_seconds;
   stats.fused_batch_slots =
@@ -552,8 +556,8 @@ common::Status validate_common(const PatternService& service,
     if (!artifacts.ok()) {
       return artifacts.status();  // Raced an unregister.
     }
-    const auto stride = resolve_sampling_stride(
-        *sampling, (*artifacts)->config.schedule.steps);
+    const auto stride =
+        resolve_sampling_stride(*sampling, *(*artifacts)->schedule);
     if (!stride.ok()) {
       return stride.status();
     }
@@ -601,9 +605,9 @@ common::Result<GenerateStats> PatternService::Impl::run_generate(
     rules = std::move(named).value();
   }
 
-  const auto schedule_steps = (*artifacts)->config.schedule.steps;
+  const auto& schedule = *(*artifacts)->schedule;
   const auto requested_stride =
-      resolve_sampling_stride(request.sampling, schedule_steps);
+      resolve_sampling_stride(request.sampling, schedule);
   if (!requested_stride.ok()) {
     return reject(requested_stride.status());  // Raced a model swap.
   }
@@ -624,7 +628,7 @@ common::Result<GenerateStats> PatternService::Impl::run_generate(
   // degrade_stride is a service-wide knob, so clamp it to this model's
   // schedule (a coarser-than-K stride would be rejected by the sampler).
   const std::int64_t effective_stride =
-      std::min(decision.admitted_stride, schedule_steps);
+      std::min(decision.admitted_stride, schedule.steps());
 
   auto exec = std::make_shared<StreamExec>();
   exec->artifacts = *artifacts;
@@ -691,8 +695,7 @@ common::Result<GenerateStats> PatternService::Impl::run_generate(
   stats.degraded = decision.degraded;
   stats.degraded_steps = decision.degraded_steps;
   stats.sampling_stride = effective_stride;
-  stats.steps_run =
-      diffusion::strided_step_count(schedule_steps, effective_stride);
+  stats.steps_run = diffusion::plan_length(schedule, effective_stride);
   stats.net_evals = job->net_evals;
   stats.sampling_seconds += job->sampling_seconds;
   stats.fused_batch_slots =

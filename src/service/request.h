@@ -11,18 +11,21 @@
 #include <vector>
 
 #include "common/status.h"
+#include "diffusion/schedule.h"
 #include "geometry/grid.h"
 #include "layout/squish.h"
 
 namespace diffpattern::service {
 
 /// Reduced-step sampling knob (DiffPattern-Flex): walk a strided
-/// subsequence of the model's K reverse-diffusion steps instead of all K,
-/// trading a controlled amount of sample quality for a proportional cut in
-/// U-Net evaluations. At most one of the two fields may be set:
+/// subsequence of the model's reverse-diffusion steps instead of all of
+/// them, trading a controlled amount of sample quality for a proportional
+/// cut in U-Net evaluations. Every walk starts at K_eps
+/// (BinarySchedule::chain_start(), where the signal ends; K_eps <= K) and
+/// follows diffusion::step_plan. At most one of the two fields may be set:
 ///   * steps  — target network evaluations; the service derives the
-///              coarsest stride whose walk runs at least this many steps.
-///   * stride — walk K, K - stride, K - 2*stride, ..., 1 directly.
+///              coarsest stride whose plan has at least this many visits.
+///   * stride — walk K_eps, K_eps - stride, ..., >= 1 directly.
 /// 0 means "unset"; both unset selects the full schedule (stride 1).
 /// Validation happens at admission: negative values, steps/stride > K, or
 /// setting both answer INVALID_ARGUMENT. Output stays a pure function of
@@ -33,12 +36,13 @@ struct SamplingSpec {
   std::int64_t stride = 0;
 };
 
-/// Resolves a SamplingSpec against a model's schedule length K into the
-/// effective stride (1 = full schedule). INVALID_ARGUMENT on negative
-/// fields, both fields set, or either exceeding K. A `steps` target maps to
-/// the coarsest stride whose walk executes >= steps evaluations.
+/// Resolves a SamplingSpec against a model's schedule into the effective
+/// stride (1 = full schedule). INVALID_ARGUMENT on negative fields, both
+/// fields set, or either exceeding K. A `steps` target maps to the coarsest
+/// stride whose step plan has >= steps visits; a target above K_eps
+/// therefore resolves to stride 1 (K_eps evaluations).
 common::Result<std::int64_t> resolve_sampling_stride(
-    const SamplingSpec& spec, std::int64_t schedule_steps);
+    const SamplingSpec& spec, const diffusion::BinarySchedule& schedule);
 
 /// Full generation: sample `count` topologies from `model`, pre-filter,
 /// and legalize under the named rule set (DiffPattern-L when
@@ -141,7 +145,8 @@ struct GenerateStats {
   /// Effective sampling stride this request ran with (1 = full schedule).
   /// Reflects flow-control step degradation when it applied.
   std::int64_t sampling_stride = 1;
-  /// Reverse-diffusion steps each topology executed: ceil(K / stride).
+  /// Reverse-diffusion steps each topology executed: the length of its
+  /// step plan, ceil(K_eps / stride).
   std::int64_t steps_run = 0;
   /// Total U-Net slot-evaluations this request consumed
   /// (= topologies_admitted * steps_run).

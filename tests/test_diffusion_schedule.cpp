@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "diffusion/schedule.h"
@@ -105,4 +107,24 @@ TEST(Schedule, PaperConfigDefaults) {
   EXPECT_EQ(cfg.steps, 1000);
   EXPECT_DOUBLE_EQ(cfg.beta_start, 0.01);
   EXPECT_DOUBLE_EQ(cfg.beta_end, 0.5);
+}
+
+TEST(Schedule, ChainStartIsWhereTheSignalEnds) {
+  // K_eps per schedule length under the paper's beta range: K itself up to
+  // K = 16, then well short of K (quick scale 28 of 40, paper scale 145 of
+  // 1000).
+  const std::vector<std::pair<std::int64_t, std::int64_t>> expected = {
+      {1, 1},   {6, 6},   {16, 16},   {20, 18},
+      {40, 28}, {100, 47}, {1000, 145}};
+  for (const auto& [steps, start] : expected) {
+    dd::BinarySchedule s(dd::ScheduleConfig{.steps = steps});
+    EXPECT_EQ(s.chain_start(), start) << "K=" << steps;
+    const auto signal = [&](std::int64_t k) {
+      return 1.0 - 2.0 * s.cumulative_flip(k);
+    };
+    if (start < steps) {
+      EXPECT_LT(signal(start), dd::kSignalEpsilon) << "K=" << steps;
+    }
+    EXPECT_GE(signal(start - 1), dd::kSignalEpsilon) << "K=" << steps;
+  }
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "diffusion/diffusion.h"
@@ -147,8 +149,9 @@ TEST_P(StridedSampler, ProducesBinaryOutputAndObservesEveryJump) {
   for (std::int64_t i = 0; i < s.numel(); ++i) {
     EXPECT_TRUE(s[i] == 0.0F || s[i] == 1.0F);
   }
-  // The prior at K, then one call per round: K - stride, K - 2*stride, ...,
-  // clamped to 0 — ceil(K / stride) + 1 calls in all.
+  // The prior at the plan start (K_eps == K == 12 here), then one call per
+  // round: K - stride, K - 2*stride, ..., clamped to 0 — the plan's length
+  // + 1 calls in all.
   std::vector<std::int64_t> expected;
   for (std::int64_t k = 12; k > 0; k -= stride) {
     expected.push_back(k);
@@ -156,7 +159,7 @@ TEST_P(StridedSampler, ProducesBinaryOutputAndObservesEveryJump) {
   expected.push_back(0);
   EXPECT_EQ(visited, expected);
   EXPECT_EQ(static_cast<std::int64_t>(visited.size()),
-            dd::strided_step_count(12, stride) + 1);
+            dd::plan_length(schedule, stride) + 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Strides, StridedSampler,
@@ -179,6 +182,25 @@ TEST(StridedSampler, MixedStridesObserveTheUnionOfWalks) {
   sample_slots(model, schedule, 4, {3, 5}, 9, 0, nullptr,
                [&](std::int64_t k, const Tensor&) { visited.push_back(k); });
   EXPECT_EQ(visited, (std::vector<std::int64_t>{12, 9, 7, 6, 3, 2, 0}));
+}
+
+TEST(StridedSampler, TruncatedWalksStartAtTheChainStart) {
+  // K = 20 ends its signal at K_eps = 18: the prior is observed at 18, and
+  // strides {4, 10} run 18, 14, 10, 6, 2 and 18, 8 — never 20.
+  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 20});
+  du::UNet model(micro_config(), 3);
+  std::vector<std::int64_t> visited;
+  std::vector<std::pair<std::int64_t, std::int64_t>> rounds;
+  sample_slots(
+      model, schedule, 4, {4, 10}, 9, 0,
+      [&](std::int64_t k, std::int64_t batch) {
+        rounds.emplace_back(k, batch);
+      },
+      [&](std::int64_t k, const Tensor&) { visited.push_back(k); });
+  EXPECT_EQ(visited, (std::vector<std::int64_t>{18, 14, 10, 8, 6, 2, 0}));
+  const std::vector<std::pair<std::int64_t, std::int64_t>> expected = {
+      {18, 2}, {14, 1}, {10, 1}, {8, 1}, {6, 1}, {2, 1}};
+  EXPECT_EQ(rounds, expected);
 }
 
 TEST(StridedSampler, TrainedModelStillHitsModesWithStride) {

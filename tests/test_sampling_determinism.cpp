@@ -370,3 +370,63 @@ TEST(SamplingDeterminism, ArenaByteIdenticalOnMixedStrideFusedBatches) {
       << "activation arena changed mixed-stride fused sampling bytes";
   EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
 }
+
+// The checks above all run at K = 6, where the signal lasts to the end of
+// the schedule (K_eps == K for every K <= 16), so the chain is never
+// truncated there. At K = 20 it starts at K_eps = 18; these tests repeat
+// the thread, backend, arena and fusion invariances on that walk.
+constexpr std::int64_t kTruncatedSteps = 20;
+
+TEST(SamplingDeterminism, TruncatedChainInvariantToThreadsBackendsArena) {
+  BackendGuard backend_guard;
+  ArenaGuard arena_guard;
+  du::UNet model(micro_config(), /*seed=*/91);
+  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = kTruncatedSteps});
+  ASSERT_EQ(schedule.chain_start(), 18);
+  ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(
+                  diffpattern::tensor::KernelBackend::kScalar)
+                  .ok());
+  diffpattern::tensor::set_activation_arena_enabled(false);
+  const std::uint64_t reference =
+      digest(run_full_schedule(model, schedule, 1));
+  for (const bool arena : {false, true}) {
+    diffpattern::tensor::set_activation_arena_enabled(arena);
+    for (const auto backend :
+         {diffpattern::tensor::KernelBackend::kScalar,
+          diffpattern::tensor::detected_kernel_backend()}) {
+      ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(backend).ok());
+      for (const std::int64_t threads : {1, 2, 4}) {
+        EXPECT_EQ(digest(run_full_schedule(model, schedule, threads)),
+                  reference)
+            << "truncated chain diverged under "
+            << diffpattern::tensor::kernel_backend_label(backend) << ", "
+            << threads << " thread(s), arena " << (arena ? "on" : "off");
+      }
+    }
+  }
+  EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
+}
+
+TEST(SamplingDeterminism, TruncatedFusedStridesByteIdenticalToSoloRuns) {
+  BackendGuard guard;
+  ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(
+                  diffpattern::tensor::KernelBackend::kScalar)
+                  .ok());
+  du::UNet model(micro_config(), /*seed=*/91);
+  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = kTruncatedSteps});
+  // Plans 18..1, 18, 14, 10, 6, 2 and 18, 8.
+  const std::vector<std::int64_t> strides = {1, 4, 10};
+  const Tensor fused = run_strided(model, schedule, strides, 1);
+  const auto slot_floats =
+      static_cast<std::size_t>(fused.numel() / fused.shape()[0]);
+  for (std::uint64_t slot = 0; slot < strides.size(); ++slot) {
+    const Tensor solo = run_solo_slot(model, schedule, slot, strides[slot]);
+    ASSERT_EQ(static_cast<std::size_t>(solo.numel()), slot_floats);
+    EXPECT_EQ(std::memcmp(fused.data() + slot * slot_floats, solo.data(),
+                          slot_floats * sizeof(float)),
+              0)
+        << "slot " << slot << " (stride " << strides[slot]
+        << ") changed bytes when fused on the truncated chain";
+  }
+  EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
+}

@@ -3,8 +3,9 @@
 // and service counters, stride degradation under overload, and the
 // serving-path fusion guarantee — requests with different strides sharing
 // one service produce the same bytes they produce alone. The mini model's
-// schedule has K = 6 steps, so stride 2 runs 3 evaluations per topology
-// and stride 4 runs 2.
+// schedule has K = 6 steps and its signal lasts to the end (K_eps = K), so
+// stride 2 runs 3 evaluations per topology and stride 4 runs 2. The K = 20
+// suite at the end runs where the chain is truncated (K_eps = 18).
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -19,6 +20,7 @@
 
 namespace ds = diffpattern::service;
 namespace dc = diffpattern::common;
+namespace dd = diffpattern::diffusion;
 
 namespace {
 
@@ -26,6 +28,12 @@ using ds::test::mini_model_config;
 using ds::test::same_patterns;
 
 constexpr std::int64_t kMiniSteps = 6;  // mini_model_config().schedule.steps
+
+dd::BinarySchedule schedule_of(std::int64_t steps) {
+  return dd::BinarySchedule(dd::ScheduleConfig{.steps = steps});
+}
+
+const dd::BinarySchedule kMini = schedule_of(kMiniSteps);
 
 class StridedSamplingTest : public ::testing::Test {
  protected:
@@ -56,40 +64,68 @@ class StridedSamplingTest : public ::testing::Test {
   diffpattern::unet::UNet model_;
 };
 
+// ------------------------------------------------- step plans
+
+TEST(StepPlan, StartsWhereTheSignalEndsAndStridesDown) {
+  // K = 40: the chain starts at K_eps = 28, not 40.
+  const auto k40 = schedule_of(40);
+  std::vector<std::int64_t> full;
+  for (std::int64_t k = 28; k >= 1; --k) {
+    full.push_back(k);
+  }
+  EXPECT_EQ(dd::step_plan(k40, 1), full);
+  EXPECT_EQ(dd::step_plan(k40, 4),
+            (std::vector<std::int64_t>{28, 24, 20, 16, 12, 8, 4}));
+  EXPECT_EQ(dd::step_plan(k40, 10), (std::vector<std::int64_t>{28, 18, 8}));
+  EXPECT_EQ(dd::plan_length(k40, 1), 28);
+  // Any stride at or past K_eps is one jump from K_eps to 0.
+  EXPECT_EQ(dd::step_plan(k40, 40), (std::vector<std::int64_t>{28}));
+  // Untruncated schedules (K_eps == K) keep the K, K - s, ... walk.
+  EXPECT_EQ(dd::step_plan(kMini, 4), (std::vector<std::int64_t>{6, 2}));
+}
+
 // ------------------------------------------------- resolve + validation
 
 TEST(SamplingSpecResolve, MapsKnobsToStrides) {
   // Unset -> full schedule.
-  EXPECT_EQ(*ds::resolve_sampling_stride({}, kMiniSteps), 1);
+  EXPECT_EQ(*ds::resolve_sampling_stride({}, kMini), 1);
   // Direct stride passes through.
-  EXPECT_EQ(*ds::resolve_sampling_stride({.stride = 3}, kMiniSteps), 3);
+  EXPECT_EQ(*ds::resolve_sampling_stride({.stride = 3}, kMini), 3);
   // steps target -> coarsest stride running >= that many evaluations.
-  EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 6}, kMiniSteps), 1);
-  EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 3}, kMiniSteps), 2);
-  EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 1}, kMiniSteps), 6);
+  EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 6}, kMini), 1);
+  EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 3}, kMini), 2);
+  EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 1}, kMini), 6);
   // steps = 4: stride 1 (6 evals) is the coarsest running >= 4; stride 2
   // would run only 3.
-  EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 4}, kMiniSteps), 1);
-  // K = 40, steps = 14: stride 3 runs exactly 14 (stride 2 would run 20).
-  EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 14}, 40), 3);
+  EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 4}, kMini), 1);
+  // K = 40 (K_eps = 28), steps = 14: stride 2 runs exactly 14 (stride 3
+  // would run 10).
+  EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 14}, schedule_of(40)), 2);
+  // Targets in (K_eps, K] get the whole plan: stride 1, K_eps evals.
+  EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 35}, schedule_of(40)), 1);
   // K = 5, steps = 3: stride 2 runs 3.
-  EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 3}, 5), 2);
+  EXPECT_EQ(*ds::resolve_sampling_stride({.steps = 3}, schedule_of(5)), 2);
 }
 
 TEST(SamplingSpecResolve, StepsTargetIsCoarsestStrideMeetingIt) {
-  // The header contract, swept: the resolved stride runs >= steps
-  // evaluations, and the next coarser stride (if any) would run fewer.
+  // The header contract, swept: the resolved stride's plan has >= steps
+  // visits, and the next coarser stride (if any) would have fewer. Targets
+  // beyond the plan's start resolve to stride 1.
   for (std::int64_t k = 1; k <= 64; ++k) {
+    const auto schedule = schedule_of(k);
     for (std::int64_t n = 1; n <= k; ++n) {
-      const auto stride = ds::resolve_sampling_stride({.steps = n}, k);
+      const auto stride = ds::resolve_sampling_stride({.steps = n}, schedule);
       ASSERT_TRUE(stride.ok()) << "K=" << k << " steps=" << n;
       const auto s = *stride;
       ASSERT_GE(s, 1);
       ASSERT_LE(s, k);
-      EXPECT_GE(diffpattern::diffusion::strided_step_count(k, s), n)
+      if (n > schedule.chain_start()) {
+        EXPECT_EQ(s, 1) << "K=" << k << " steps=" << n;
+        continue;
+      }
+      EXPECT_GE(dd::plan_length(schedule, s), n)
           << "K=" << k << " steps=" << n << " stride=" << s;
-      EXPECT_TRUE(s == k ||
-                  diffpattern::diffusion::strided_step_count(k, s + 1) < n)
+      EXPECT_TRUE(s == k || dd::plan_length(schedule, s + 1) < n)
           << "K=" << k << " steps=" << n << " stride=" << s
           << " is not the coarsest";
     }
@@ -97,26 +133,26 @@ TEST(SamplingSpecResolve, StepsTargetIsCoarsestStrideMeetingIt) {
 }
 
 TEST(SamplingSpecResolve, RejectsMalformedSpecs) {
-  EXPECT_EQ(ds::resolve_sampling_stride({.steps = -1}, kMiniSteps)
+  EXPECT_EQ(ds::resolve_sampling_stride({.steps = -1}, kMini)
                 .status()
                 .code(),
             dc::StatusCode::kInvalidArgument);
-  EXPECT_EQ(ds::resolve_sampling_stride({.stride = -2}, kMiniSteps)
+  EXPECT_EQ(ds::resolve_sampling_stride({.stride = -2}, kMini)
                 .status()
                 .code(),
             dc::StatusCode::kInvalidArgument);
   EXPECT_EQ(ds::resolve_sampling_stride({.steps = 2, .stride = 2},
-                                        kMiniSteps)
+                                        kMini)
                 .status()
                 .code(),
             dc::StatusCode::kInvalidArgument);
   EXPECT_EQ(ds::resolve_sampling_stride({.stride = kMiniSteps + 1},
-                                        kMiniSteps)
+                                        kMini)
                 .status()
                 .code(),
             dc::StatusCode::kInvalidArgument);
   EXPECT_EQ(ds::resolve_sampling_stride({.steps = kMiniSteps + 1},
-                                        kMiniSteps)
+                                        kMini)
                 .status()
                 .code(),
             dc::StatusCode::kInvalidArgument);
@@ -328,6 +364,73 @@ TEST_F(StridedSamplingTest, OverloadCoarsensStrideKeepingFullCount) {
   EXPECT_TRUE(same_patterns(reference->patterns, degraded->patterns));
   EXPECT_GE(service->counters().requests_degraded_steps, 1);
   diffpattern::test::expect_eval_accounting(service->counters(), kMiniSteps);
+}
+
+// ------------------------------------------------- truncated schedule
+
+// At K = 20 the signal ends at K_eps = 18, so every plan is shorter than a
+// walk from K: stride 1 visits 18..1, stride 4 visits 18, 14, 10, 6, 2 and
+// stride 10 visits 18, 8. Stats and counters must book exactly those
+// evaluations (and the rest of each slot's K steps as skipped) while the
+// three strides race on one service, and each request keeps its solo bytes.
+TEST_F(StridedSamplingTest, TruncatedPlansBookTheirEvaluationsWhenFused) {
+  constexpr std::int64_t kSteps = 20;
+  constexpr std::int64_t kCount = 3;
+  const auto schedule = schedule_of(kSteps);
+  ASSERT_EQ(schedule.chain_start(), 18);
+  auto config = mini_model_config();
+  config.schedule.steps = kSteps;
+  const auto make = [&] {
+    auto service = make_service();
+    EXPECT_TRUE(service->models()
+                    .register_model("t", config, model_.registry(), {})
+                    .ok());
+    return service;
+  };
+  const std::vector<std::int64_t> strides = {1, 4, 10};
+  const auto request_for = [&](std::size_t i) {
+    ds::GenerateRequest request{.model = "t", .count = kCount,
+                                .seed = 300 + static_cast<std::uint64_t>(i)};
+    request.sampling.stride = strides[i];
+    return request;
+  };
+  std::vector<std::vector<diffpattern::layout::SquishPattern>> references;
+  for (std::size_t i = 0; i < strides.size(); ++i) {
+    const auto solo = make()->generate(request_for(i));
+    ASSERT_TRUE(solo.ok()) << solo.status().to_string();
+    references.push_back(solo->patterns);
+  }
+
+  auto service = make();
+  std::vector<dc::Result<ds::GenerateResult>> results(
+      strides.size(), dc::Result<ds::GenerateResult>(
+                          dc::Status::Unavailable("unrun")));
+  {
+    std::vector<std::thread> clients;
+    for (std::size_t i = 0; i < strides.size(); ++i) {
+      clients.emplace_back(
+          [&, i] { results[i] = service->generate(request_for(i)); });
+    }
+    for (auto& client : clients) {
+      client.join();
+    }
+  }
+  std::int64_t total_evals = 0;
+  for (std::size_t i = 0; i < strides.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().to_string();
+    const auto& stats = results[i]->stats;
+    const auto plan = dd::plan_length(schedule, strides[i]);
+    EXPECT_EQ(stats.steps_run, plan) << "stride " << strides[i];
+    EXPECT_EQ(stats.net_evals, kCount * plan) << "stride " << strides[i];
+    EXPECT_TRUE(same_patterns(references[i], results[i]->patterns))
+        << "stride " << strides[i]
+        << " request changed bytes when mixed with other strides";
+    total_evals += kCount * plan;
+  }
+  EXPECT_EQ(total_evals, kCount * (18 + 5 + 2));
+  const auto counters = service->counters();
+  EXPECT_EQ(counters.net_evals, total_evals);
+  diffpattern::test::expect_eval_accounting(counters, kSteps);
 }
 
 }  // namespace

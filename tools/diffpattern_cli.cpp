@@ -374,9 +374,11 @@ int cmd_generate(const Args& args) {
   }
   if (result.stats.sampling_stride > 1) {
     std::cout << "sampling stride " << result.stats.sampling_stride << ": "
-              << result.stats.steps_run << " of " << cfg.schedule.steps
-              << " reverse steps per topology (" << result.stats.net_evals
-              << " net evals)\n";
+              << result.stats.steps_run << " reverse steps per topology from "
+              << "step "
+              << dp::diffusion::BinarySchedule(cfg.schedule).chain_start()
+              << " of " << cfg.schedule.steps << " ("
+              << result.stats.net_evals << " net evals)\n";
   }
   std::cout << "emitted " << result.patterns.size() << " legal patterns ("
             << result.stats.prefilter_rejected << " pre-filtered, "
