@@ -430,3 +430,20 @@ TEST(SamplingDeterminism, TruncatedFusedStridesByteIdenticalToSoloRuns) {
   }
   EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
 }
+
+// Golden digest of the truncated full-schedule walk (K = 20, stride 1: 18
+// rounds from K_eps = 18), pinned under scalar dispatch and 1 thread like
+// kGoldenDigest. It guards the plan start and the prior drawn there, which
+// the K = 6 digests cannot see.
+TEST(SamplingDeterminism, TruncatedGoldenDigestPinnedUnderScalarDispatch) {
+  BackendGuard guard;
+  ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(
+                  diffpattern::tensor::KernelBackend::kScalar)
+                  .ok());
+  du::UNet model(micro_config(), /*seed=*/91);
+  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = kTruncatedSteps});
+  constexpr std::uint64_t kGoldenTruncated = 0x898788ca310b64b3ULL;
+  EXPECT_EQ(digest(run_full_schedule(model, schedule, 1)), kGoldenTruncated)
+      << "truncated-chain bytes drifted from the pinned golden digest";
+  EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
+}
