@@ -223,18 +223,17 @@ tensor::Tensor sample_streams_strided(
     }
   });
 
-  // Slot n visits plans[n] in order; next[n] indexes its next visit and
-  // next_k(n) == 0 once the slot is finished.
+  // Slot n visits its step plan and then 0 (finished); next[n] indexes
+  // the step it runs next.
   std::vector<std::vector<std::int64_t>> plans;
-  plans.reserve(strides.size());
   for (const auto stride : strides) {
     plans.push_back(step_plan(schedule, stride));
+    plans.back().push_back(0);
   }
   std::vector<std::size_t> next(static_cast<std::size_t>(batch), 0);
-  const auto next_k = [&](std::int64_t n) -> std::int64_t {
-    const auto& plan = plans[static_cast<std::size_t>(n)];
-    const auto i = next[static_cast<std::size_t>(n)];
-    return i < plan.size() ? plan[i] : 0;
+  const auto next_k = [&](std::int64_t n) {
+    const auto i = static_cast<std::size_t>(n);
+    return plans[i][next[i]];
   };
   const auto pending = [&] {
     std::int64_t k = 0;

@@ -20,6 +20,7 @@ BinarySchedule::BinarySchedule(ScheduleConfig config) : config_(config) {
              "BinarySchedule: beta_start must not exceed beta_end");
   betas_.resize(static_cast<std::size_t>(config_.steps));
   cumulative_flip_.assign(static_cast<std::size_t>(config_.steps) + 1, 0.0);
+  chain_start_ = config_.steps;
   for (std::int64_t k = 1; k <= config_.steps; ++k) {
     // Eq. 8: linear interpolation from beta_1 to beta_K.
     const double beta =
@@ -32,12 +33,9 @@ BinarySchedule::BinarySchedule(ScheduleConfig config) : config_(config) {
     const double prev = cumulative_flip_[static_cast<std::size_t>(k - 1)];
     const double cbar = prev + beta - 2.0 * prev * beta;
     cumulative_flip_[static_cast<std::size_t>(k)] = cbar;
-    if (chain_start_ == 0 && 1.0 - 2.0 * cbar < kSignalEpsilon) {
-      chain_start_ = k;
+    if (1.0 - 2.0 * cbar < kSignalEpsilon) {
+      chain_start_ = std::min(chain_start_, k);
     }
-  }
-  if (chain_start_ == 0) {
-    chain_start_ = config_.steps;
   }
 }
 

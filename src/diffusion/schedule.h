@@ -7,11 +7,8 @@
 // described by one scalar: the cumulative flip probability
 //   cbar_k = cbar_{k-1} + beta_k - 2 * cbar_{k-1} * beta_k.
 // With the paper's linear beta schedule (0.01 -> 0.5 over K steps) cbar_K
-// converges to 0.5 — the uniform stationary distribution of Eq. 6. It gets
-// there early: the signal 1 - 2 * cbar_k falls below kSignalEpsilon at
-// k = 28 of K = 40 and k = 145 of K = 1000, and from that step on x_k is
-// the uniform prior to within kSignalEpsilon / 2 per entry, so the reverse
-// chain starts there (chain_start()).
+// converges to 0.5 — the uniform stationary distribution of Eq. 6 — early:
+// at k = 28 of K = 40 and 145 of K = 1000 already (see chain_start()).
 #pragma once
 
 #include <cstdint>
@@ -46,8 +43,9 @@ class BinarySchedule {
   double cumulative_flip(std::int64_t k) const;
 
   /// K_eps: the first k whose signal 1 - 2 * cbar_k is below
-  /// kSignalEpsilon, or K if none is. The reverse chain starts here; every
-  /// step above it would denoise the uniform prior.
+  /// kSignalEpsilon, or K if none is. From K_eps on, x_k is the uniform
+  /// prior to within kSignalEpsilon / 2 per entry, so the reverse chain
+  /// starts here.
   std::int64_t chain_start() const { return chain_start_; }
 
   /// q(x_{k-1} = 1 | x_k, x_0) — the closed-form posterior of Eq. 12

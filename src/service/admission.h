@@ -63,8 +63,8 @@ struct FlowControlConfig {
   /// When >= 2, soft-band degradation prefers coarsening an opted-in
   /// request's sampling stride to this value over shrinking its count:
   /// the request keeps every topology but samples them in
-  /// ceil(K_eps / degrade_stride) reverse steps — fidelity traded instead of
-  /// availability. Only applies when the request's own stride is finer
+  /// ceil(K_eps / degrade_stride) reverse steps — fidelity traded instead
+  /// of availability. Only applies when the request's own stride is finer
   /// (smaller); requests already at or beyond it fall back to the count
   /// shrink. 0 or 1 disables (count-shrink only). Negative values clamp
   /// to 0.

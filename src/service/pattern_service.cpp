@@ -128,15 +128,13 @@ common::Result<std::int64_t> resolve_sampling_stride(
     return spec.stride;
   }
   if (spec.steps > 0) {
-    // Coarsest stride whose plan still has >= spec.steps visits. For
+    // Coarsest stride whose plan still has >= spec.steps visits: for
     // steps >= 2, ceil(K_eps / s) >= steps holds exactly while
-    // s * (steps - 1) < K_eps; one step is a single jump from K_eps.
-    // Targets above K_eps get the whole plan at stride 1.
-    if (spec.steps == 1) {
-      return schedule_steps;
-    }
+    // s * (steps - 1) < K_eps, and targets above K_eps get stride 1.
     const auto start = schedule.chain_start();
-    return std::max<std::int64_t>(1, (start - 1) / (spec.steps - 1));
+    return spec.steps == 1
+               ? schedule_steps
+               : std::max<std::int64_t>(1, (start - 1) / (spec.steps - 1));
   }
   return 1;  // Both unset: the full ancestral schedule.
 }

@@ -18,11 +18,10 @@
 namespace diffpattern::service {
 
 /// Reduced-step sampling knob (DiffPattern-Flex): walk a strided
-/// subsequence of the model's reverse-diffusion steps instead of all of
-/// them, trading a controlled amount of sample quality for a proportional
-/// cut in U-Net evaluations. Every walk starts at K_eps
-/// (BinarySchedule::chain_start(), where the signal ends; K_eps <= K) and
-/// follows diffusion::step_plan. At most one of the two fields may be set:
+/// subsequence of the model's reverse-diffusion steps (diffusion::step_plan,
+/// which starts at K_eps <= K) instead of all of them, trading a controlled
+/// amount of sample quality for a proportional cut in U-Net evaluations.
+/// At most one of the two fields may be set:
 ///   * steps  — target network evaluations; the service derives the
 ///              coarsest stride whose plan has at least this many visits.
 ///   * stride — walk K_eps, K_eps - stride, ..., >= 1 directly.
