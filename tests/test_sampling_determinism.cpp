@@ -40,6 +40,11 @@ du::UNetConfig micro_config() {
   return cfg;
 }
 
+// Schedule lengths the invariance checks run at. At K = 6 the signal lasts
+// to the end of the schedule (K_eps == K for every K <= 16), so the chain
+// is not truncated; at K = 20 it starts at K_eps = 18.
+constexpr std::int64_t kScheduleSteps[] = {6, 20};
+
 // Per-slot seed derivation shared by every run below. Each run builds
 // fresh streams: comparisons are across thread counts, backends and arena
 // modes, so every run must consume identical randomness.
@@ -110,43 +115,47 @@ Tensor run_solo_slot(du::UNet& model, const dd::BinarySchedule& schedule,
 
 TEST(SamplingDeterminism, FullScheduleByteIdenticalAcrossThreadCounts) {
   du::UNet model(micro_config(), /*seed=*/91);
-  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 6});
-  const Tensor at_1 = run_full_schedule(model, schedule, 1);
-  const Tensor at_2 = run_full_schedule(model, schedule, 2);
-  const Tensor at_8 = run_full_schedule(model, schedule, 8);
-  ASSERT_TRUE(at_1.same_shape(at_2));
-  ASSERT_TRUE(at_1.same_shape(at_8));
-  const auto bytes = static_cast<std::size_t>(at_1.numel()) * sizeof(float);
-  EXPECT_EQ(std::memcmp(at_1.data(), at_2.data(), bytes), 0)
-      << "1-thread vs 2-thread sampling diverged";
-  EXPECT_EQ(std::memcmp(at_1.data(), at_8.data(), bytes), 0)
-      << "1-thread vs 8-thread sampling diverged";
+  for (const auto steps : kScheduleSteps) {
+    dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = steps});
+    const Tensor at_1 = run_full_schedule(model, schedule, 1);
+    const auto bytes =
+        static_cast<std::size_t>(at_1.numel()) * sizeof(float);
+    for (const std::int64_t threads : {2, 4, 8}) {
+      const Tensor at_n = run_full_schedule(model, schedule, threads);
+      ASSERT_TRUE(at_1.same_shape(at_n));
+      EXPECT_EQ(std::memcmp(at_1.data(), at_n.data(), bytes), 0)
+          << "K=" << steps << ": 1-thread vs " << threads
+          << "-thread sampling diverged";
+    }
+  }
   EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
 }
 
 TEST(SamplingDeterminism, FullScheduleByteIdenticalAcrossKernelBackends) {
   BackendGuard guard;
   du::UNet model(micro_config(), /*seed=*/91);
-  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 6});
-  ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(
-                  diffpattern::tensor::KernelBackend::kScalar)
-                  .ok());
-  const Tensor scalar_out = run_full_schedule(model, schedule, 1);
-  for (const auto backend : {diffpattern::tensor::KernelBackend::kAvx2,
-                             diffpattern::tensor::KernelBackend::kNeon}) {
-    if (!diffpattern::tensor::kernel_backend_supported(backend)) {
-      continue;
+  for (const auto steps : kScheduleSteps) {
+    dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = steps});
+    ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(
+                    diffpattern::tensor::KernelBackend::kScalar)
+                    .ok());
+    const Tensor scalar_out = run_full_schedule(model, schedule, 1);
+    for (const auto backend : {diffpattern::tensor::KernelBackend::kAvx2,
+                               diffpattern::tensor::KernelBackend::kNeon}) {
+      if (!diffpattern::tensor::kernel_backend_supported(backend)) {
+        continue;
+      }
+      ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(backend).ok());
+      const Tensor vector_out = run_full_schedule(model, schedule, 1);
+      ASSERT_TRUE(scalar_out.same_shape(vector_out));
+      EXPECT_EQ(std::memcmp(scalar_out.data(), vector_out.data(),
+                            static_cast<std::size_t>(scalar_out.numel()) *
+                                sizeof(float)),
+                0)
+          << "K=" << steps << ": scalar vs "
+          << diffpattern::tensor::kernel_backend_label(backend)
+          << " sampling diverged";
     }
-    ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(backend).ok());
-    const Tensor vector_out = run_full_schedule(model, schedule, 1);
-    ASSERT_TRUE(scalar_out.same_shape(vector_out));
-    EXPECT_EQ(std::memcmp(scalar_out.data(), vector_out.data(),
-                          static_cast<std::size_t>(scalar_out.numel()) *
-                              sizeof(float)),
-              0)
-        << "scalar vs "
-        << diffpattern::tensor::kernel_backend_label(backend)
-        << " sampling diverged";
   }
   EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
 }
@@ -189,19 +198,22 @@ TEST(SamplingDeterminism, FusedMixedStridesByteIdenticalToSoloRuns) {
                   diffpattern::tensor::KernelBackend::kScalar)
                   .ok());
   du::UNet model(micro_config(), /*seed=*/91);
-  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 6});
   const std::vector<std::int64_t> strides = {1, 2, 4};
-  const Tensor fused = run_strided(model, schedule, strides, 1);
-  const auto slot_floats =
-      static_cast<std::size_t>(fused.numel() / fused.shape()[0]);
-  for (std::uint64_t slot = 0; slot < strides.size(); ++slot) {
-    const Tensor solo = run_solo_slot(model, schedule, slot, strides[slot]);
-    ASSERT_EQ(static_cast<std::size_t>(solo.numel()), slot_floats);
-    EXPECT_EQ(std::memcmp(fused.data() + slot * slot_floats, solo.data(),
-                          slot_floats * sizeof(float)),
-              0)
-        << "slot " << slot << " (stride " << strides[slot]
-        << ") changed bytes when fused with other strides";
+  for (const auto steps : kScheduleSteps) {
+    dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = steps});
+    const Tensor fused = run_strided(model, schedule, strides, 1);
+    const auto slot_floats =
+        static_cast<std::size_t>(fused.numel() / fused.shape()[0]);
+    for (std::uint64_t slot = 0; slot < strides.size(); ++slot) {
+      const Tensor solo =
+          run_solo_slot(model, schedule, slot, strides[slot]);
+      ASSERT_EQ(static_cast<std::size_t>(solo.numel()), slot_floats);
+      EXPECT_EQ(std::memcmp(fused.data() + slot * slot_floats, solo.data(),
+                            slot_floats * sizeof(float)),
+                0)
+          << "K=" << steps << ": slot " << slot << " (stride "
+          << strides[slot] << ") changed bytes when fused with other strides";
+    }
   }
   EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
 }
@@ -320,27 +332,30 @@ TEST(SamplingDeterminism, ArenaByteIdenticalAcrossBackendsAndThreads) {
   BackendGuard backend_guard;
   ArenaGuard arena_guard;
   du::UNet model(micro_config(), /*seed=*/91);
-  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 6});
-  ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(
-                  diffpattern::tensor::KernelBackend::kScalar)
-                  .ok());
-  diffpattern::tensor::set_activation_arena_enabled(false);
-  const std::uint64_t reference =
-      digest(run_full_schedule(model, schedule, 1));
-  diffpattern::tensor::set_activation_arena_enabled(true);
-  for (const auto backend : {diffpattern::tensor::KernelBackend::kScalar,
-                             diffpattern::tensor::KernelBackend::kAvx2,
-                             diffpattern::tensor::KernelBackend::kNeon}) {
-    if (!diffpattern::tensor::kernel_backend_supported(backend)) {
-      continue;
-    }
-    ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(backend).ok());
-    for (const std::int64_t threads : {1, 8}) {
-      EXPECT_EQ(digest(run_full_schedule(model, schedule, threads)),
-                reference)
-          << "arena-on sampling diverged from arena-off under "
-          << diffpattern::tensor::kernel_backend_label(backend) << " with "
-          << threads << " thread(s)";
+  for (const auto steps : kScheduleSteps) {
+    dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = steps});
+    ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(
+                    diffpattern::tensor::KernelBackend::kScalar)
+                    .ok());
+    diffpattern::tensor::set_activation_arena_enabled(false);
+    const std::uint64_t reference =
+        digest(run_full_schedule(model, schedule, 1));
+    diffpattern::tensor::set_activation_arena_enabled(true);
+    for (const auto backend : {diffpattern::tensor::KernelBackend::kScalar,
+                               diffpattern::tensor::KernelBackend::kAvx2,
+                               diffpattern::tensor::KernelBackend::kNeon}) {
+      if (!diffpattern::tensor::kernel_backend_supported(backend)) {
+        continue;
+      }
+      ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(backend).ok());
+      for (const std::int64_t threads : {1, 4, 8}) {
+        EXPECT_EQ(digest(run_full_schedule(model, schedule, threads)),
+                  reference)
+            << "K=" << steps << ": arena-on sampling diverged from "
+            << "arena-off under "
+            << diffpattern::tensor::kernel_backend_label(backend) << " with "
+            << threads << " thread(s)";
+      }
     }
   }
   EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
@@ -371,66 +386,6 @@ TEST(SamplingDeterminism, ArenaByteIdenticalOnMixedStrideFusedBatches) {
   EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
 }
 
-// The checks above all run at K = 6, where the signal lasts to the end of
-// the schedule (K_eps == K for every K <= 16), so the chain is never
-// truncated there. At K = 20 it starts at K_eps = 18; these tests repeat
-// the thread, backend, arena and fusion invariances on that walk.
-constexpr std::int64_t kTruncatedSteps = 20;
-
-TEST(SamplingDeterminism, TruncatedChainInvariantToThreadsBackendsArena) {
-  BackendGuard backend_guard;
-  ArenaGuard arena_guard;
-  du::UNet model(micro_config(), /*seed=*/91);
-  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = kTruncatedSteps});
-  ASSERT_EQ(schedule.chain_start(), 18);
-  ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(
-                  diffpattern::tensor::KernelBackend::kScalar)
-                  .ok());
-  diffpattern::tensor::set_activation_arena_enabled(false);
-  const std::uint64_t reference =
-      digest(run_full_schedule(model, schedule, 1));
-  for (const bool arena : {false, true}) {
-    diffpattern::tensor::set_activation_arena_enabled(arena);
-    for (const auto backend :
-         {diffpattern::tensor::KernelBackend::kScalar,
-          diffpattern::tensor::detected_kernel_backend()}) {
-      ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(backend).ok());
-      for (const std::int64_t threads : {1, 2, 4}) {
-        EXPECT_EQ(digest(run_full_schedule(model, schedule, threads)),
-                  reference)
-            << "truncated chain diverged under "
-            << diffpattern::tensor::kernel_backend_label(backend) << ", "
-            << threads << " thread(s), arena " << (arena ? "on" : "off");
-      }
-    }
-  }
-  EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
-}
-
-TEST(SamplingDeterminism, TruncatedFusedStridesByteIdenticalToSoloRuns) {
-  BackendGuard guard;
-  ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(
-                  diffpattern::tensor::KernelBackend::kScalar)
-                  .ok());
-  du::UNet model(micro_config(), /*seed=*/91);
-  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = kTruncatedSteps});
-  // Plans 18..1, 18, 14, 10, 6, 2 and 18, 8.
-  const std::vector<std::int64_t> strides = {1, 4, 10};
-  const Tensor fused = run_strided(model, schedule, strides, 1);
-  const auto slot_floats =
-      static_cast<std::size_t>(fused.numel() / fused.shape()[0]);
-  for (std::uint64_t slot = 0; slot < strides.size(); ++slot) {
-    const Tensor solo = run_solo_slot(model, schedule, slot, strides[slot]);
-    ASSERT_EQ(static_cast<std::size_t>(solo.numel()), slot_floats);
-    EXPECT_EQ(std::memcmp(fused.data() + slot * slot_floats, solo.data(),
-                          slot_floats * sizeof(float)),
-              0)
-        << "slot " << slot << " (stride " << strides[slot]
-        << ") changed bytes when fused on the truncated chain";
-  }
-  EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
-}
-
 // Golden digest of the truncated full-schedule walk (K = 20, stride 1: 18
 // rounds from K_eps = 18), pinned under scalar dispatch and 1 thread like
 // kGoldenDigest. It guards the plan start and the prior drawn there, which
@@ -441,7 +396,7 @@ TEST(SamplingDeterminism, TruncatedGoldenDigestPinnedUnderScalarDispatch) {
                   diffpattern::tensor::KernelBackend::kScalar)
                   .ok());
   du::UNet model(micro_config(), /*seed=*/91);
-  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = kTruncatedSteps});
+  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 20});
   constexpr std::uint64_t kGoldenTruncated = 0x898788ca310b64b3ULL;
   EXPECT_EQ(digest(run_full_schedule(model, schedule, 1)), kGoldenTruncated)
       << "truncated-chain bytes drifted from the pinned golden digest";

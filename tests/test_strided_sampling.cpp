@@ -4,8 +4,8 @@
 // serving-path fusion guarantee — requests with different strides sharing
 // one service produce the same bytes they produce alone. The mini model's
 // schedule has K = 6 steps and its signal lasts to the end (K_eps = K), so
-// stride 2 runs 3 evaluations per topology and stride 4 runs 2. The K = 20
-// suite at the end runs where the chain is truncated (K_eps = 18).
+// stride 2 runs 3 evaluations per topology and stride 4 runs 2. The fusion
+// test also runs at K = 20, where the chain is truncated (K_eps = 18).
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -39,16 +39,19 @@ class StridedSamplingTest : public ::testing::Test {
  protected:
   StridedSamplingTest() : model_(mini_model_config().unet_config(), 3) {}
 
+  /// A service with model "a": the mini model on a `steps`-step schedule.
   std::unique_ptr<ds::PatternService> make_service(
-      ds::FlowControlConfig flow = permissive_flow()) {
+      ds::FlowControlConfig flow = permissive_flow(),
+      std::int64_t steps = kMiniSteps) {
     ds::ServiceConfig config;
     config.legalize_workers = 2;
     config.max_fused_batch = 16;
     config.flow = flow;
     auto service = std::make_unique<ds::PatternService>(config);
+    auto model = mini_model_config();
+    model.schedule.steps = steps;
     EXPECT_TRUE(service->models()
-                    .register_model("a", mini_model_config(),
-                                    model_.registry(), {})
+                    .register_model("a", model, model_.registry(), {})
                     .ok());
     return service;
   }
@@ -237,49 +240,68 @@ TEST_F(StridedSamplingTest, SampleTopologiesCarriesTheKnob) {
 // ------------------------------------------------- fusion invariance
 
 TEST_F(StridedSamplingTest, MixedStrideRequestsMatchTheirSoloRuns) {
-  // Solo references, one unloaded service each.
-  const std::vector<std::int64_t> strides = {1, 2, 4};
-  std::vector<std::vector<diffpattern::layout::SquishPattern>> references;
-  for (std::size_t i = 0; i < strides.size(); ++i) {
-    ds::GenerateRequest request{.model = "a", .count = 4,
-                                .seed = 100 + static_cast<std::uint64_t>(i)};
-    request.sampling.stride = strides[i];
-    const auto solo = make_service()->generate(request);
-    ASSERT_TRUE(solo.ok()) << solo.status().to_string();
-    references.push_back(solo->patterns);
-  }
-
-  // The same three requests race on ONE service whose fused budget fits
-  // them all, so sampling rounds mix strides (coarse slots drop out of
-  // rounds their subsequence skips). However the scheduler interleaves
-  // them, each request's bytes must match its solo run.
-  auto service = make_service();
-  std::vector<dc::Result<ds::GenerateResult>> results(
-      strides.size(), dc::Result<ds::GenerateResult>(
-                          dc::Status::Unavailable("unrun")));
-  {
-    std::vector<std::thread> clients;
+  // K = 6 runs every plan from K; K = 20 starts every plan at K_eps = 18,
+  // so stride 1 runs 18 steps, stride 4 runs 18, 14, 10, 6, 2 and stride
+  // 10 runs 18, 8.
+  struct Case {
+    std::int64_t steps;
+    std::vector<std::int64_t> strides;
+  };
+  for (const auto& [steps, strides] :
+       {Case{kMiniSteps, {1, 2, 4}}, Case{20, {1, 4, 10}}}) {
+    const auto schedule = schedule_of(steps);
+    const auto request_for = [&](std::size_t i) {
+      ds::GenerateRequest request{
+          .model = "a", .count = 4,
+          .seed = 100 + static_cast<std::uint64_t>(i)};
+      request.sampling.stride = strides[i];
+      return request;
+    };
+    // Solo references, one unloaded service each.
+    std::vector<std::vector<diffpattern::layout::SquishPattern>> references;
     for (std::size_t i = 0; i < strides.size(); ++i) {
-      clients.emplace_back([&, i] {
-        ds::GenerateRequest request{
-            .model = "a", .count = 4,
-            .seed = 100 + static_cast<std::uint64_t>(i)};
-        request.sampling.stride = strides[i];
-        results[i] = service->generate(request);
-      });
+      const auto solo =
+          make_service(permissive_flow(), steps)->generate(request_for(i));
+      ASSERT_TRUE(solo.ok()) << solo.status().to_string();
+      references.push_back(solo->patterns);
     }
-    for (auto& client : clients) {
-      client.join();
+
+    // The same three requests race on ONE service whose fused budget fits
+    // them all, so sampling rounds mix strides (coarse slots drop out of
+    // rounds their plan skips). However the scheduler interleaves them,
+    // each request's bytes must match its solo run, and stats and
+    // counters must book exactly the evaluations each step plan runs.
+    auto service = make_service(permissive_flow(), steps);
+    std::vector<dc::Result<ds::GenerateResult>> results(
+        strides.size(), dc::Result<ds::GenerateResult>(
+                            dc::Status::Unavailable("unrun")));
+    {
+      std::vector<std::thread> clients;
+      for (std::size_t i = 0; i < strides.size(); ++i) {
+        clients.emplace_back(
+            [&, i] { results[i] = service->generate(request_for(i)); });
+      }
+      for (auto& client : clients) {
+        client.join();
+      }
     }
+    std::int64_t net_evals = 0;
+    for (std::size_t i = 0; i < strides.size(); ++i) {
+      ASSERT_TRUE(results[i].ok()) << results[i].status().to_string();
+      const auto& stats = results[i]->stats;
+      const auto plan = dd::plan_length(schedule, strides[i]);
+      EXPECT_EQ(stats.sampling_stride, strides[i]);
+      EXPECT_EQ(stats.steps_run, plan) << "K=" << steps;
+      EXPECT_EQ(stats.net_evals, 4 * plan) << "K=" << steps;
+      EXPECT_TRUE(same_patterns(references[i], results[i]->patterns))
+          << "K=" << steps << ": stride " << strides[i]
+          << " request changed bytes when mixed with other strides";
+      net_evals += stats.net_evals;
+    }
+    const auto counters = service->counters();
+    EXPECT_EQ(counters.net_evals, net_evals) << "K=" << steps;
+    diffpattern::test::expect_eval_accounting(counters, steps);
   }
-  for (std::size_t i = 0; i < strides.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << results[i].status().to_string();
-    EXPECT_EQ(results[i]->stats.sampling_stride, strides[i]);
-    EXPECT_TRUE(same_patterns(references[i], results[i]->patterns))
-        << "stride " << strides[i]
-        << " request changed bytes when mixed with other strides";
-  }
-  diffpattern::test::expect_eval_accounting(service->counters(), kMiniSteps);
 }
 
 // ------------------------------------------------- stride degradation
@@ -364,73 +386,6 @@ TEST_F(StridedSamplingTest, OverloadCoarsensStrideKeepingFullCount) {
   EXPECT_TRUE(same_patterns(reference->patterns, degraded->patterns));
   EXPECT_GE(service->counters().requests_degraded_steps, 1);
   diffpattern::test::expect_eval_accounting(service->counters(), kMiniSteps);
-}
-
-// ------------------------------------------------- truncated schedule
-
-// At K = 20 the signal ends at K_eps = 18, so every plan is shorter than a
-// walk from K: stride 1 visits 18..1, stride 4 visits 18, 14, 10, 6, 2 and
-// stride 10 visits 18, 8. Stats and counters must book exactly those
-// evaluations (and the rest of each slot's K steps as skipped) while the
-// three strides race on one service, and each request keeps its solo bytes.
-TEST_F(StridedSamplingTest, TruncatedPlansBookTheirEvaluationsWhenFused) {
-  constexpr std::int64_t kSteps = 20;
-  constexpr std::int64_t kCount = 3;
-  const auto schedule = schedule_of(kSteps);
-  ASSERT_EQ(schedule.chain_start(), 18);
-  auto config = mini_model_config();
-  config.schedule.steps = kSteps;
-  const auto make = [&] {
-    auto service = make_service();
-    EXPECT_TRUE(service->models()
-                    .register_model("t", config, model_.registry(), {})
-                    .ok());
-    return service;
-  };
-  const std::vector<std::int64_t> strides = {1, 4, 10};
-  const auto request_for = [&](std::size_t i) {
-    ds::GenerateRequest request{.model = "t", .count = kCount,
-                                .seed = 300 + static_cast<std::uint64_t>(i)};
-    request.sampling.stride = strides[i];
-    return request;
-  };
-  std::vector<std::vector<diffpattern::layout::SquishPattern>> references;
-  for (std::size_t i = 0; i < strides.size(); ++i) {
-    const auto solo = make()->generate(request_for(i));
-    ASSERT_TRUE(solo.ok()) << solo.status().to_string();
-    references.push_back(solo->patterns);
-  }
-
-  auto service = make();
-  std::vector<dc::Result<ds::GenerateResult>> results(
-      strides.size(), dc::Result<ds::GenerateResult>(
-                          dc::Status::Unavailable("unrun")));
-  {
-    std::vector<std::thread> clients;
-    for (std::size_t i = 0; i < strides.size(); ++i) {
-      clients.emplace_back(
-          [&, i] { results[i] = service->generate(request_for(i)); });
-    }
-    for (auto& client : clients) {
-      client.join();
-    }
-  }
-  std::int64_t total_evals = 0;
-  for (std::size_t i = 0; i < strides.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << results[i].status().to_string();
-    const auto& stats = results[i]->stats;
-    const auto plan = dd::plan_length(schedule, strides[i]);
-    EXPECT_EQ(stats.steps_run, plan) << "stride " << strides[i];
-    EXPECT_EQ(stats.net_evals, kCount * plan) << "stride " << strides[i];
-    EXPECT_TRUE(same_patterns(references[i], results[i]->patterns))
-        << "stride " << strides[i]
-        << " request changed bytes when mixed with other strides";
-    total_evals += kCount * plan;
-  }
-  EXPECT_EQ(total_evals, kCount * (18 + 5 + 2));
-  const auto counters = service->counters();
-  EXPECT_EQ(counters.net_evals, total_evals);
-  diffpattern::test::expect_eval_accounting(counters, kSteps);
 }
 
 }  // namespace
