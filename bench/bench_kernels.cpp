@@ -1,7 +1,7 @@
 // Kernel microbench: the runtime-dispatched SIMD backend vs forced-scalar
 // dispatch, and the parallel pool vs single-thread execution, on the three
-// shapes that dominate the reverse-diffusion hot path — GEMM, batch-wide
-// convolution, and row softmax.
+// shapes that dominate the reverse-diffusion hot path — GEMM, convolution
+// (a 32x32 batch and the U-Net's 8x8 decoder shape), and row softmax.
 //
 // For every kernel the bench (a) verifies the backend-parity contract —
 // forced-scalar and vector dispatch produce bitwise-identical results — and
@@ -153,43 +153,49 @@ int main() {
                           /*inner_dim=*/384,
                           [&] { return dp::tensor::matmul(a, b); });
 
-  // ---- conv2d forward: [16,16,32,32] * [32,16,3,3], stride 1, pad 1 -------
-  // Run under NoGradGuard — the sampler's configuration — so the
-  // batch-wide im2col + single-GEMM path with scratch reuse is what is
-  // measured. The reference composes the retained per-sample kernels.
+  // ---- conv2d forward, 3x3 stride 1 pad 1 --------------------------------
+  // Run under NoGradGuard — the sampler's configuration. Two shapes: a
+  // 32x32 image batch, and the U-Net's widest 8x8 conv (the 48->16 decoder
+  // conv at batch 8). The reference composes the retained per-sample
+  // kernels: im2col, the naive GEMM, then the bias.
   dp::nn::NoGradGuard no_grad;
-  const Tensor cx = random_tensor({16, 16, 32, 32}, rng);
-  const Tensor cw = random_tensor({32, 16, 3, 3}, rng);
-  const Tensor cb = random_tensor({32}, rng);
-  dp::tensor::Conv2dGeometry geom;
-  geom.in_channels = 16;
-  geom.in_h = 32;
-  geom.in_w = 32;
-  geom.kernel_h = 3;
-  geom.kernel_w = 3;
-  geom.stride = 1;
-  geom.padding = 1;
-  const auto n_out = geom.out_h() * geom.out_w();
-  Tensor conv_ref({16, 32, geom.out_h(), geom.out_w()});
-  const Tensor w2d = cw.reshaped({32, geom.patch_size()});
-  for (std::int64_t n = 0; n < 16; ++n) {
-    Tensor image({16, 32, 32});
-    std::copy(cx.data() + n * image.numel(),
-              cx.data() + (n + 1) * image.numel(), image.data());
-    const Tensor y =
-        dp::tensor::reference::matmul(w2d, dp::tensor::im2col(image, geom));
-    for (std::int64_t o = 0; o < 32; ++o) {
-      for (std::int64_t p = 0; p < n_out; ++p) {
-        conv_ref[(n * 32 + o) * n_out + p] = y[o * n_out + p] + cb[o];
+  const auto conv_case = [&](std::int64_t batch, std::int64_t in_ch,
+                             std::int64_t out_ch, std::int64_t side) {
+    const Tensor cx = random_tensor({batch, in_ch, side, side}, rng);
+    const Tensor cw = random_tensor({out_ch, in_ch, 3, 3}, rng);
+    const Tensor cb = random_tensor({out_ch}, rng);
+    dp::tensor::Conv2dGeometry geom;
+    geom.in_channels = in_ch;
+    geom.in_h = side;
+    geom.in_w = side;
+    geom.kernel_h = 3;
+    geom.kernel_w = 3;
+    geom.stride = 1;
+    geom.padding = 1;
+    const auto n_out = geom.out_h() * geom.out_w();
+    Tensor conv_ref({batch, out_ch, geom.out_h(), geom.out_w()});
+    const Tensor w2d = cw.reshaped({out_ch, geom.patch_size()});
+    for (std::int64_t n = 0; n < batch; ++n) {
+      Tensor image({in_ch, side, side});
+      std::copy(cx.data() + n * image.numel(),
+                cx.data() + (n + 1) * image.numel(), image.data());
+      const Tensor y =
+          dp::tensor::reference::matmul(w2d, dp::tensor::im2col(image, geom));
+      for (std::int64_t o = 0; o < out_ch; ++o) {
+        for (std::int64_t p = 0; p < n_out; ++p) {
+          conv_ref[(n * out_ch + o) * n_out + p] = y[o * n_out + p] + cb[o];
+        }
       }
     }
-  }
-  const auto conv = measure(best, ambient, kReps, conv_ref,
-                            /*inner_dim=*/geom.patch_size(), [&] {
-    return dp::nn::conv2d(dp::nn::Var(cx), dp::nn::Var(cw), dp::nn::Var(cb),
-                          /*stride=*/1, /*padding=*/1)
-        .value();
-  });
+    return measure(best, ambient, kReps, conv_ref,
+                   /*inner_dim=*/geom.patch_size(), [&] {
+      return dp::nn::conv2d(dp::nn::Var(cx), dp::nn::Var(cw),
+                            dp::nn::Var(cb), /*stride=*/1, /*padding=*/1)
+          .value();
+    });
+  };
+  const auto conv = conv_case(16, 16, 32, 32);
+  const auto unet_conv = conv_case(8, 48, 16, 8);
 
   // ---- softmax over [4096, 256] rows --------------------------------------
   const Tensor logits = random_tensor({4096, 256}, rng);
@@ -202,7 +208,9 @@ int main() {
   set_backend_or_die(best);
 
   const bool all_ok = mm.parity_ok && mm.reference_ok && conv.parity_ok &&
-                      conv.reference_ok && sm.parity_ok && sm.reference_ok;
+                      conv.reference_ok && unet_conv.parity_ok &&
+                      unet_conv.reference_ok && sm.parity_ok &&
+                      sm.reference_ok;
   const auto row = [](const char* name, const KernelReport& r) {
     std::cout << name << "  scalar " << r.scalar_ms_1t << " ms -> simd "
               << r.simd_ms_1t << " ms (x" << r.simd_speedup()
@@ -212,6 +220,7 @@ int main() {
   };
   row("matmul  256x384x512: ", mm);
   row("conv2d  16x16x32x32: ", conv);
+  row("conv2d  8x48x8x8->16:", unet_conv);
   row("softmax 4096x256:    ", sm);
   std::cout << "backend parity (scalar == "
             << dp::tensor::kernel_backend_label(best)
@@ -230,6 +239,10 @@ int main() {
        {"conv2d_ms_simd_1_thread", conv.simd_ms_1t},
        {"conv2d_simd_speedup", conv.simd_speedup()},
        {"conv2d_ms_simd_n_threads", conv.simd_ms_nt},
+       {"unet_conv2d_ms_scalar_1_thread", unet_conv.scalar_ms_1t},
+       {"unet_conv2d_ms_simd_1_thread", unet_conv.simd_ms_1t},
+       {"unet_conv2d_simd_speedup", unet_conv.simd_speedup()},
+       {"unet_conv2d_ms_simd_n_threads", unet_conv.simd_ms_nt},
        {"softmax_ms_scalar_1_thread", sm.scalar_ms_1t},
        {"softmax_ms_simd_1_thread", sm.simd_ms_1t},
        {"softmax_simd_speedup", sm.simd_speedup()},

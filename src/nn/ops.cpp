@@ -35,6 +35,16 @@ Tensor map_unary(const Tensor& x, float (*f)(float)) {
   return out;
 }
 
+/// Logistic sigmoid, stable on both tails, with one exp per element (a
+/// single expression calling exp twice keeps both calls: errno semantics).
+float stable_sigmoid(float v) {
+  if (v >= 0.0F) {
+    return 1.0F / (1.0F + std::exp(-v));
+  }
+  const float e = std::exp(v);
+  return e / (1.0F + e);
+}
+
 }  // namespace
 
 // ---- arithmetic -----------------------------------------------------------
@@ -166,10 +176,7 @@ Var relu(const Var& a) {
 }
 
 Var sigmoid(const Var& a) {
-  Tensor out = map_unary(a.value(), [](float x) {
-    return x >= 0.0F ? 1.0F / (1.0F + std::exp(-x))
-                     : std::exp(x) / (1.0F + std::exp(x));
-  });
+  Tensor out = map_unary(a.value(), stable_sigmoid);
   if (!graph_needed({&a})) {
     return make_value_node(std::move(out));
   }
@@ -195,10 +202,7 @@ Var silu(const Var& a) {
     // copies — bytes are identical to the training path below.
     parallel_elements(x.numel(), [&](std::int64_t i0, std::int64_t i1) {
       for (std::int64_t i = i0; i < i1; ++i) {
-        const float v = px[i];
-        const float sig = v >= 0.0F ? 1.0F / (1.0F + std::exp(-v))
-                                    : std::exp(v) / (1.0F + std::exp(v));
-        po[i] = v * sig;
+        po[i] = px[i] * stable_sigmoid(px[i]);
       }
     });
     return make_value_node(std::move(out));
@@ -207,11 +211,8 @@ Var silu(const Var& a) {
   float* ps = s.data();
   parallel_elements(x.numel(), [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
-      const float v = px[i];
-      const float sig = v >= 0.0F ? 1.0F / (1.0F + std::exp(-v))
-                                  : std::exp(v) / (1.0F + std::exp(v));
-      ps[i] = sig;
-      po[i] = v * sig;
+      ps[i] = stable_sigmoid(px[i]);
+      po[i] = px[i] * ps[i];
     }
   });
   auto pa = a.node();
@@ -295,11 +296,7 @@ Var softplus(const Var& a) {
                       [pa, x = std::move(x)](const Tensor& g) {
                         Tensor d = g;
                         for (std::int64_t i = 0; i < d.numel(); ++i) {
-                          const float v = x[i];
-                          const float sig =
-                              v >= 0.0F ? 1.0F / (1.0F + std::exp(-v))
-                                        : std::exp(v) / (1.0F + std::exp(v));
-                          d[i] *= sig;
+                          d[i] *= stable_sigmoid(x[i]);
                         }
                         accumulate_grad(*pa, d);
                       });
@@ -583,15 +580,17 @@ Var bmm(const Var& a, const Var& b) {
   DP_REQUIRE(va.dim(2) == vb.dim(1), "bmm: inner dimension mismatch");
   const auto batch = va.dim(0);
   const auto m = va.dim(1);
+  const auto kd = va.dim(2);
   const auto n = vb.dim(2);
-  Tensor out({batch, m, n});
-  // One independent GEMM per batch slice; the slice GEMMs run inline inside
-  // the per-slice tasks (nested regions serialize), so parallelism comes
-  // from the batch axis — the natural grain for the attention scores.
+  Tensor out({batch, m, n}, 0.0F);
+  // One independent GEMM per batch slice, straight from pointers into the
+  // operands: parallelism comes from the batch axis (the natural grain for
+  // the attention scores), and a worker allocates nothing.
   tensor::parallel_for(0, batch, [&](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t i = b0; i < b1; ++i) {
-      Tensor ci = tensor::matmul(slice_batch(va, i), slice_batch(vb, i));
-      std::copy(ci.data(), ci.data() + m * n, out.data() + i * m * n);
+      tensor::gemm_accumulate(va.data() + i * m * kd, kd,
+                              vb.data() + i * kd * n, n,
+                              out.data() + i * m * n, n, m, n, kd);
     }
   });
   if (!graph_needed({&a, &b})) {
@@ -693,9 +692,6 @@ Var conv2d(const Var& x, const Var& w, const Var& b, std::int64_t stride,
   const Tensor& vb = b.value();
   DP_REQUIRE(vx.rank() == 4, "conv2d: x must be [N,C,H,W]");
   DP_REQUIRE(vw.rank() == 4, "conv2d: w must be [O,C,kh,kw]");
-  DP_REQUIRE(vx.dim(1) == vw.dim(1), "conv2d: channel mismatch");
-  DP_REQUIRE(vb.rank() == 1 && vb.dim(0) == vw.dim(0),
-             "conv2d: bias shape mismatch");
   DP_REQUIRE(stride >= 1 && padding >= 0, "conv2d: bad stride/padding");
   tensor::Conv2dGeometry geom;
   geom.in_channels = vx.dim(1);
@@ -709,62 +705,19 @@ Var conv2d(const Var& x, const Var& w, const Var& b, std::int64_t stride,
   const auto out_ch = vw.dim(0);
   const auto oh = geom.out_h();
   const auto ow = geom.out_w();
-  DP_REQUIRE(oh > 0 && ow > 0, "conv2d: output would be empty");
-
-  const auto n_out = oh * ow;
-  const auto ncols = batch * n_out;
-  const Tensor w2d = vw.reshaped({out_ch, geom.patch_size()});
-
-  // Batch-wide convolution: ONE im2col over the whole [N,C,H,W] batch into
-  // [C*kh*kw, N*OH*OW] columns and a single GEMM against the flattened
-  // weight — per-sample column blocks are bitwise what per-sample im2col
-  // produces and each output element accumulates in the same k-ascending
-  // order, so fused batches stay bit-equal to batch-1 runs. At inference
-  // (NoGradGuard: the backward closure below is dropped) the unroll and GEMM
-  // buffers are thread-local scratch reused across calls — one allocation
-  // for a whole denoising chain instead of one per conv per round. Under
-  // autograd the columns must outlive the forward (the weight-grad GEMM
-  // consumes them), so they are freshly allocated and moved into the
-  // closure.
-  static thread_local Tensor t_cols_scratch;
-  static thread_local Tensor t_gemm_scratch;
-  const bool inference = NoGradGuard::active();
-  Tensor cols_owned;
-  Tensor& cols = inference ? t_cols_scratch : cols_owned;
-  tensor::im2col_batch_into(vx, geom, cols);
-  Tensor y_owned;
-  Tensor& y = inference ? t_gemm_scratch : y_owned;
-  y.resize({out_ch, ncols});
-  tensor::matmul_into(w2d, cols, y);  // [O, N*OH*OW]
-
-  // Scatter to [N, O, OH, OW] with the bias folded in.
-  Tensor out({batch, out_ch, oh, ow});
-  float* po = out.data();
-  const float* py = y.data();
-  const float* pbias = vb.data();
-  const auto& kern = tensor::simd::active();
-  tensor::parallel_for(
-      0, batch * out_ch,
-      [&](std::int64_t p0, std::int64_t p1) {
-        for (std::int64_t idx = p0; idx < p1; ++idx) {
-          const auto n = idx / out_ch;
-          const auto o = idx % out_ch;
-          kern.shift(po + idx * n_out, py + o * ncols + n * n_out, pbias[o],
-                     n_out);
-        }
-      },
-      std::max<std::int64_t>(1, tensor::kElementwiseGrain / n_out));
-
+  Tensor out = tensor::conv2d(vx, vw, vb, geom);
   if (!graph_needed({&x, &w, &b})) {
     return make_value_node(std::move(out));
   }
   auto px = x.node();
   auto pw = w.node();
   auto pb = b.node();
+  Tensor w2d = vw.reshaped({out_ch, geom.patch_size()});
+  Tensor xc = vx;
   return make_op_node(
       std::move(out), {x, w, b},
-      [px, pw, pb, w2d, geom, batch, out_ch, oh, ow,
-       cols = std::move(cols_owned)](const Tensor& g) {
+      [px, pw, pb, w2d = std::move(w2d), geom, batch, out_ch, oh, ow,
+       xc = std::move(xc)](const Tensor& g) {
         const auto n_out = oh * ow;
         const auto ncols = batch * n_out;
         // Gather g [N,O,OH,OW] into the GEMM layout [O, N*OH*OW] once; the
@@ -795,8 +748,10 @@ Var conv2d(const Var& x, const Var& w, const Var& b, std::int64_t stride,
           accumulate_grad(*pb, gb);
         }
         if (pw->requires_grad) {
-          // gW2d = gy2d * cols^T over the whole batch in one GEMM.
-          Tensor gw2d = tensor::matmul_transpose_b(gy2d, cols);
+          // gW2d = gy2d * cols^T over the whole batch in one GEMM; the
+          // columns are unrolled here, not kept from the forward.
+          Tensor gw2d =
+              tensor::matmul_transpose_b(gy2d, tensor::im2col_batch(xc, geom));
           accumulate_grad(*pw, gw2d.reshaped(pw->value.shape()));
         }
         if (px->requires_grad) {

@@ -28,6 +28,25 @@ void scalar_axpy(float a, const float* x, float* y, std::int64_t n) {
   }
 }
 
+void scalar_gemm_tile(const float* a, std::int64_t lda, const float* b,
+                      std::int64_t ldb, float* c, std::int64_t ldc,
+                      std::int64_t k) {
+  for (std::int64_t i = 0; i < kTileRows; ++i) {
+    const float* arow = a + i * lda;
+    float* crow = c + i * ldc;
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float av = arow[kk];
+      if (av == 0.0F) {
+        continue;
+      }
+      const float* brow = b + kk * ldb;
+      for (std::int64_t j = 0; j < kTileCols; ++j) {
+        crow[j] = std::fma(av, brow[j], crow[j]);
+      }
+    }
+  }
+}
+
 float scalar_dot(const float* x, const float* y, std::int64_t n) {
   float acc[8] = {0.0F, 0.0F, 0.0F, 0.0F, 0.0F, 0.0F, 0.0F, 0.0F};
   std::int64_t i = 0;
@@ -153,6 +172,7 @@ void scalar_normalize_affine_rows(const float* x, float mean, float istd,
 constexpr Kernels kScalarTable = {
     .backend = KernelBackend::kScalar,
     .axpy = scalar_axpy,
+    .gemm_tile = scalar_gemm_tile,
     .dot = scalar_dot,
     .add = scalar_add,
     .mul = scalar_mul,
@@ -373,6 +393,9 @@ void neon_normalize_affine_rows(const float* x, float mean, float istd,
 constexpr Kernels kNeonTable = {
     .backend = KernelBackend::kNeon,
     .axpy = neon_axpy,
+    // No NEON tile: nothing here can test NEON intrinsics, and the scalar
+    // tile is the canonical chain.
+    .gemm_tile = scalar_gemm_tile,
     .dot = neon_dot,
     .add = neon_add,
     .mul = neon_mul,

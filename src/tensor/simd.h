@@ -80,6 +80,11 @@ common::Status set_kernel_backend_name(const std::string& name);
 
 namespace simd {
 
+/// Register-tile shape of Kernels::gemm_tile: rows of A (and C) by columns
+/// of B (and C).
+inline constexpr std::int64_t kTileRows = 4;
+inline constexpr std::int64_t kTileCols = 16;
+
 /// Per-backend kernel table. Every function implements the canonical
 /// semantics documented at the top of this header; `n` is an element count
 /// and all pointers may overlap only where a parameter is documented as
@@ -89,6 +94,16 @@ struct Kernels {
 
   /// y[i] = fma(a, x[i], y[i]) for i in [0,n) — the GEMM axpy micro-kernel.
   void (*axpy)(float a, const float* x, float* y, std::int64_t n);
+
+  /// The GEMM register tile: C(+)= A·B for kTileRows x kTileCols elements
+  /// of C (row strides lda, ldb, ldc; A is kTileRows x k, B is k x
+  /// kTileCols). Every element keeps the axpy chain c = fma(a_ik, b_kj, c),
+  /// k ascending, skipping a_ik == 0 (either sign) per row, so a tiled
+  /// product is bitwise an axpy-row product — including -0 accumulators and
+  /// non-finite B. The accumulators stay in registers across the K loop.
+  void (*gemm_tile)(const float* a, std::int64_t lda, const float* b,
+                    std::int64_t ldb, float* c, std::int64_t ldc,
+                    std::int64_t k);
 
   /// Canonical lane-split fused dot product: 8 partial accumulators
   /// (lane l owns i ≡ l mod 8 over full 8-blocks, the tail folds into

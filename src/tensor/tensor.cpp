@@ -200,23 +200,6 @@ void Tensor::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }
 
-void Tensor::resize(Shape shape) {
-  const auto n = static_cast<std::size_t>(shape_numel(shape));
-  shape_ = std::move(shape);
-  if (n <= data_.capacity()) {
-    data_.resize(n);  // In-place; the vector zero-fills any new tail.
-    return;
-  }
-  // Growth: keep vector::resize semantics (prefix preserved, tail zeroed)
-  // while routing the replacement storage through the arena.
-  std::vector<float> grown;
-  acquire_storage(grown, n);
-  grown.assign(n, 0.0F);
-  std::copy(data_.begin(), data_.end(), grown.begin());
-  release_storage(data_);
-  data_ = std::move(grown);
-}
-
 std::string Tensor::shape_string() const {
   return shape_to_string(shape_);
 }

@@ -67,13 +67,6 @@ class Tensor {
 
   void fill(float value);
 
-  /// Reshapes in place, keeping the underlying allocation when the element
-  /// count shrinks or already fits capacity (scratch-buffer reuse in the
-  /// kernel hot paths). New elements are zero-initialized; existing element
-  /// values are unspecified afterwards — callers must treat the tensor as
-  /// uninitialized output storage.
-  void resize(Shape shape);
-
   /// True iff shapes are equal element-wise.
   bool same_shape(const Tensor& other) const { return shape_ == other.shape_; }
 

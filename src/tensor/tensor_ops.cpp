@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/contracts.h"
 #include "tensor/parallel.h"
@@ -16,13 +17,6 @@ void require_matrix(const Tensor& t, const char* name) {
                                 t.shape_string());
 }
 
-/// Column-tile width for the (i, k, j) GEMM kernels: the output row tile
-/// stays hot in L1 while a K-panel of B streams through. Tiling only
-/// reorders WHICH elements are touched when — each element's k-ascending
-/// accumulation order is unchanged, so results stay bit-equal to the
-/// reference kernels.
-constexpr std::int64_t kColumnTile = 512;
-
 /// Minimum multiply-accumulates per parallel chunk; rows are cheap enough
 /// below this that pool dispatch dominates.
 constexpr std::int64_t kGemmGrainFlops = 32 * 1024;
@@ -33,23 +27,8 @@ std::int64_t row_grain(std::int64_t flops_per_row) {
                                                       1, flops_per_row));
 }
 
-/// One output row of C += A * B: crow[j] = fma(arow[k], b[k][j], crow[j]),
-/// k ascending per element through the dispatched axpy micro-kernel
-/// (canonical fused accumulation — see tensor/simd.h), skipping zero A
-/// entries (binary topologies make A sparse on several hot paths; adding
-/// exact zeros is a no-op for finite values).
-void gemm_row(const simd::Kernels& kern, const float* arow, const float* pb,
-              float* crow, std::int64_t k, std::int64_t n) {
-  for (std::int64_t j0 = 0; j0 < n; j0 += kColumnTile) {
-    const auto j1 = std::min(n, j0 + kColumnTile);
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0F) {
-        continue;
-      }
-      kern.axpy(av, pb + kk * n + j0, crow + j0, j1 - j0);
-    }
-  }
+std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
+  return (a + b - 1) / b;
 }
 
 }  // namespace
@@ -82,6 +61,36 @@ void matmul_into(const Tensor& a, const Tensor& b, Tensor& out) {
   matmul_accumulate(a, b, out);
 }
 
+void gemm_accumulate(const float* a, std::int64_t lda, const float* b,
+                     std::int64_t ldb, float* c, std::int64_t ldc,
+                     std::int64_t m, std::int64_t n, std::int64_t k) {
+  const auto& kern = simd::active();
+  const auto m_tiled = m - m % simd::kTileRows;
+  const auto n_tiled = n - n % simd::kTileCols;
+  // Column strips outer: one K x 16 strip of B serves every row tile.
+  for (std::int64_t j0 = 0; j0 < n_tiled; j0 += simd::kTileCols) {
+    for (std::int64_t i0 = 0; i0 < m_tiled; i0 += simd::kTileRows) {
+      kern.gemm_tile(a + i0 * lda, lda, b + j0, ldb, c + i0 * ldc + j0, ldc,
+                     k);
+    }
+  }
+  // Ragged columns of the tiled rows and every column of the ragged rows:
+  // the same per-element chain, through axpy.
+  for (std::int64_t i = 0; i < m; ++i) {
+    const auto j0 = i < m_tiled ? n_tiled : 0;
+    if (j0 == n) {
+      continue;
+    }
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float av = a[i * lda + kk];
+      if (av == 0.0F) {
+        continue;
+      }
+      kern.axpy(av, b + kk * ldb + j0, c + i * ldc + j0, n - j0);
+    }
+  }
+}
+
 void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& out) {
   const auto m = a.dim(0);
   const auto k = a.dim(1);
@@ -91,15 +100,15 @@ void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& out) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = out.data();
-  const auto& kern = simd::active();
+  // Parallel over row tiles, so only the last chunk has ragged rows.
   parallel_for(
-      0, m,
-      [&](std::int64_t row_begin, std::int64_t row_end) {
-        for (std::int64_t i = row_begin; i < row_end; ++i) {
-          gemm_row(kern, pa + i * k, pb, pc + i * n, k, n);
-        }
+      0, ceil_div(m, simd::kTileRows),
+      [&](std::int64_t g0, std::int64_t g1) {
+        const auto i0 = g0 * simd::kTileRows;
+        const auto i1 = std::min(m, g1 * simd::kTileRows);
+        gemm_accumulate(pa + i0 * k, k, pb, n, pc + i0 * n, n, i1 - i0, n, k);
       },
-      row_grain(k * n));
+      row_grain(simd::kTileRows * k * n));
 }
 
 Tensor matmul_transpose_a(const Tensor& a, const Tensor& b) {
@@ -244,8 +253,7 @@ Tensor im2col(const Tensor& image, const Conv2dGeometry& geom) {
   return cols;
 }
 
-void im2col_batch_into(const Tensor& images, const Conv2dGeometry& geom,
-                       Tensor& cols) {
+Tensor im2col_batch(const Tensor& images, const Conv2dGeometry& geom) {
   DP_REQUIRE(images.rank() == 4, "im2col_batch: expected [N,C,H,W]");
   DP_REQUIRE(images.dim(1) == geom.in_channels &&
                  images.dim(2) == geom.in_h && images.dim(3) == geom.in_w,
@@ -255,7 +263,7 @@ void im2col_batch_into(const Tensor& images, const Conv2dGeometry& geom,
   const auto n_out = geom.out_h() * geom.out_w();
   DP_REQUIRE(n_out > 0, "im2col_batch: empty output window");
   const auto ncols = batch * n_out;
-  cols.resize({geom.patch_size(), ncols});
+  Tensor cols({geom.patch_size(), ncols});
   const auto per_sample = images.numel() / batch;
   const float* src = images.data();
   float* dst = cols.data();
@@ -264,11 +272,6 @@ void im2col_batch_into(const Tensor& images, const Conv2dGeometry& geom,
       im2col_block(src + n * per_sample, geom, dst, n * n_out, ncols);
     }
   });
-}
-
-Tensor im2col_batch(const Tensor& images, const Conv2dGeometry& geom) {
-  Tensor cols;
-  im2col_batch_into(images, geom, cols);
   return cols;
 }
 
@@ -303,6 +306,125 @@ Tensor col2im_batch(const Tensor& columns, const Conv2dGeometry& geom,
     }
   });
   return images;
+}
+
+// ---- direct convolution --------------------------------------------------
+
+Tensor conv2d(const Tensor& images, const Tensor& weight, const Tensor& bias,
+              const Conv2dGeometry& geom) {
+  DP_REQUIRE(images.rank() == 4 && images.dim(1) == geom.in_channels &&
+                 images.dim(2) == geom.in_h && images.dim(3) == geom.in_w,
+             "conv2d: geometry mismatch with batch " + images.shape_string());
+  const auto out_ch = weight.dim(0);
+  const auto kdim = geom.patch_size();
+  DP_REQUIRE(weight.numel() == out_ch * kdim,
+             "conv2d: weight shape mismatch " + weight.shape_string());
+  DP_REQUIRE(bias.rank() == 1 && bias.dim(0) == out_ch,
+             "conv2d: bias shape mismatch");
+  const auto oh = geom.out_h();
+  const auto ow = geom.out_w();
+  DP_REQUIRE(oh > 0 && ow > 0, "conv2d: output would be empty");
+  const auto batch = images.dim(0);
+  const auto n_out = oh * ow;
+  const auto ncols = batch * n_out;
+  const auto pad = geom.padding;
+  const auto hp = geom.in_h + 2 * pad;
+  const auto wp = geom.in_w + 2 * pad;
+  const auto plane = hp * wp;
+
+  // Zero-bordered copy of the input: every panel entry, padding included,
+  // is then a plain load at (column offset + row offset).
+  Tensor padded;
+  const float* src = images.data();
+  if (pad > 0) {
+    padded = Tensor({batch, geom.in_channels, hp, wp}, 0.0F);
+    for (std::int64_t p = 0; p < batch * geom.in_channels; ++p) {
+      for (std::int64_t y = 0; y < geom.in_h; ++y) {
+        std::copy_n(src + (p * geom.in_h + y) * geom.in_w, geom.in_w,
+                    padded.data() + p * plane + (y + pad) * wp + pad);
+      }
+    }
+    src = padded.data();
+  }
+
+  Tensor out({batch, out_ch, oh, ow});
+  float* po = out.data();
+  const float* pw = weight.data();
+  const float* pbias = bias.data();
+  const auto& kern = simd::active();
+  constexpr std::int64_t kStrip = simd::kTileCols;
+  constexpr std::int64_t kRun = 8;  // Gather granularity within a strip.
+  // One task per strip of 16 output columns (im2col column order: sample,
+  // then output row, then output column). Each element is the im2col + GEMM
+  // chain: fma over the patch rows k ascending from +0 (zero weights
+  // skipped), then + bias — so the bytes are those of the composition.
+  parallel_for(
+      0, ceil_div(ncols, kStrip),
+      [&](std::int64_t s0, std::int64_t s1) {
+        // The K x 16 column panel (L1-resident for K <= 576) and the
+        // O x 16 accumulator block.
+        std::vector<float> scratch(static_cast<std::size_t>(
+            (kdim + out_ch) * kStrip));
+        float* panel = scratch.data();
+        float* acc = panel + kdim * kStrip;
+        for (std::int64_t s = s0; s < s1; ++s) {
+          const auto p0 = s * kStrip;
+          const auto width = std::min(kStrip, ncols - p0);
+          // Window origin of each column in the padded input; columns past
+          // the end repeat the last one (computed, never written).
+          std::int64_t off[kStrip];
+          for (std::int64_t j = 0; j < kStrip; ++j) {
+            const auto p = std::min(p0 + j, ncols - 1);
+            const auto q = p % n_out;
+            off[j] = p / n_out * geom.in_channels * plane +
+                     q / ow * geom.stride * wp + q % ow * geom.stride;
+          }
+          bool contiguous[kStrip / kRun];
+          for (std::int64_t g = 0; g < kStrip / kRun; ++g) {
+            const std::int64_t* go = off + g * kRun;
+            contiguous[g] =
+                std::adjacent_find(go, go + kRun, [](auto x, auto y) {
+                  return y != x + 1;
+                }) == go + kRun;
+          }
+          float* dst = panel;
+          for (std::int64_t c = 0; c < geom.in_channels; ++c) {
+            for (std::int64_t ky = 0; ky < geom.kernel_h; ++ky) {
+              for (std::int64_t kx = 0; kx < geom.kernel_w; ++kx) {
+                const float* row = src + c * plane + ky * wp + kx;
+                for (std::int64_t g = 0; g < kStrip / kRun; ++g) {
+                  const std::int64_t* go = off + g * kRun;
+                  if (contiguous[g]) {
+                    std::copy_n(row + go[0], kRun, dst + g * kRun);
+                  } else {
+                    for (std::int64_t t = 0; t < kRun; ++t) {
+                      dst[g * kRun + t] = row[go[t]];
+                    }
+                  }
+                }
+                dst += kStrip;
+              }
+            }
+          }
+          std::fill_n(acc, out_ch * kStrip, 0.0F);
+          gemm_accumulate(pw, kdim, panel, kStrip, acc, kStrip, out_ch,
+                          kStrip, kdim);
+          // acc + bias straight into [N, O, OH, OW], one run per sample.
+          for (std::int64_t j = 0; j < width;) {
+            const auto p = p0 + j;
+            const auto n = p / n_out;
+            const auto q = p % n_out;
+            const auto len = std::min(width - j, n_out - q);
+            for (std::int64_t o = 0; o < out_ch; ++o) {
+              kern.shift(po + (n * out_ch + o) * n_out + q,
+                         acc + o * kStrip + j, pbias[o], len);
+            }
+            j += len;
+          }
+        }
+      },
+      row_grain(kdim * kStrip * out_ch));
+  return out;
 }
 
 // ---- reductions / elementwise ---------------------------------------------

@@ -1,8 +1,10 @@
-// Raw numeric kernels over Tensor: GEMM, im2col/col2im, reductions.
+// Raw numeric kernels over Tensor: GEMM, direct convolution, im2col/col2im,
+// reductions.
 //
 // These are the non-differentiable building blocks; gradient bookkeeping is
-// layered on top in src/nn. The GEMM family and the batch-wide convolution
-// unrolls run blocked and row-parallel on the process-wide compute pool
+// layered on top in src/nn. The GEMM family, the convolution forward and
+// the batch-wide unrolls run blocked and parallel on the process-wide
+// compute pool
 // (src/tensor/parallel.h), with the inner loops routed through the
 // runtime-dispatched SIMD kernel tier (src/tensor/simd.h: scalar, AVX2/FMA,
 // NEON). Every kernel keeps the canonical fused accumulation order defined
@@ -28,6 +30,15 @@ void matmul_into(const Tensor& a, const Tensor& b, Tensor& out);
 
 /// C[M,N] += A[M,K] * B[K,N] accumulated into `out` (shapes must match).
 void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& out);
+
+/// C[m,n] += A[m,k] * B[k,n] over row-major pointers with row strides lda,
+/// ldb, ldc, on the calling thread: 4x16 register tiles (simd gemm_tile),
+/// ragged rows and columns through axpy. Each element is the canonical
+/// chain fma(a_ik, b_kj, c), k ascending, zero A entries skipped — the
+/// kernel under matmul_accumulate, bmm and conv2d.
+void gemm_accumulate(const float* a, std::int64_t lda, const float* b,
+                     std::int64_t ldb, float* c, std::int64_t ldc,
+                     std::int64_t m, std::int64_t n, std::int64_t k);
 
 /// C[K,N] = A[M,K]^T * B[M,N].
 Tensor matmul_transpose_a(const Tensor& a, const Tensor& b);
@@ -64,10 +75,15 @@ Tensor im2col(const Tensor& image, const Conv2dGeometry& geom);
 /// bit-equal to the per-sample path.
 Tensor im2col_batch(const Tensor& images, const Conv2dGeometry& geom);
 
-/// Allocation-free im2col_batch: resizes `cols` (reusing its storage across
-/// denoising rounds) and overwrites every entry.
-void im2col_batch_into(const Tensor& images, const Conv2dGeometry& geom,
-                       Tensor& cols);
+/// Convolution forward: images [N,C,H,W], weight [O, C*kh*kw] (any shape
+/// with that element count, e.g. [O,C,kh,kw]), bias [O] -> [N,O,OH,OW].
+/// Bitwise the composition im2col_batch + matmul + bias, without the
+/// column buffer: the input is copied once with a zero border, and each
+/// strip of 16 output columns gathers its K x 16 column panel into L1 and
+/// runs the register tiles over every output channel. Strips are the
+/// parallel unit.
+Tensor conv2d(const Tensor& images, const Tensor& weight, const Tensor& bias,
+              const Conv2dGeometry& geom);
 
 /// Adjoint of im2col: folds columns [C*kh*kw, OH*OW] back into an image
 /// [C,H,W], accumulating overlapping contributions.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -291,8 +292,8 @@ TEST(ParallelKernels, Conv2dForwardBitwiseEqualAcrossPoolSizesAndModes) {
     const Tensor train_out =
         dn::conv2d(dn::Var(x, true), dn::Var(w, true), dn::Var(b, true), 1, 1)
             .value();
-    // Inference path (scratch-buffer reuse); run twice so a stale scratch
-    // from the previous pool size would be caught.
+    // Inference path; run twice so state leaking between calls (or from
+    // the previous pool size) would be caught.
     Tensor infer_out;
     {
       dn::NoGradGuard no_grad;
@@ -307,6 +308,89 @@ TEST(ParallelKernels, Conv2dForwardBitwiseEqualAcrossPoolSizesAndModes) {
       baseline = train_out;
     } else {
       EXPECT_TRUE(bitwise_equal(train_out, baseline)) << threads;
+    }
+  }
+}
+
+namespace {
+
+/// The convolution forward as it was composed before the direct path: one
+/// im2col_batch, the GEMM as the canonical per-element chain (fma over the
+/// patch rows k ascending from +0, zero weights skipped), then + bias.
+Tensor conv2d_oracle(const Tensor& x, const Tensor& w, const Tensor& b,
+                     const dt::Conv2dGeometry& geom) {
+  const auto batch = x.dim(0);
+  const auto out_ch = w.dim(0);
+  const auto kdim = geom.patch_size();
+  const auto n_out = geom.out_h() * geom.out_w();
+  const auto ncols = batch * n_out;
+  const Tensor cols = dt::im2col_batch(x, geom);
+  Tensor out({batch, out_ch, geom.out_h(), geom.out_w()});
+  for (std::int64_t o = 0; o < out_ch; ++o) {
+    for (std::int64_t p = 0; p < ncols; ++p) {
+      float acc = 0.0F;
+      for (std::int64_t r = 0; r < kdim; ++r) {
+        const float wv = w[o * kdim + r];
+        if (wv != 0.0F) {
+          acc = std::fma(wv, cols[r * ncols + p], acc);
+        }
+      }
+      out[(p / n_out * out_ch + o) * n_out + p % n_out] = acc + b[o];
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+// The direct (panel + register tile) forward against the im2col composition
+// it replaced: 3x3 pad 1, stride 2, 1x1 pad 0, a 2x3 kernel with pad 2, odd
+// 5x7 images, N*OH*OW not a multiple of the 16-column strip, output
+// channels not a multiple of the 4-row tile, batch 1/3/16, zero weights,
+// at 1/2/4 threads and in both autograd modes.
+TEST(ParallelKernels, Conv2dDirectForwardMatchesIm2colComposition) {
+  ThreadsGuard guard;
+  struct Case {
+    std::int64_t batch, in_ch, h, w, out_ch, kh, kw, stride, pad;
+  };
+  const Case cases[] = {
+      {1, 3, 8, 8, 4, 3, 3, 1, 1},   {3, 5, 5, 7, 6, 3, 3, 1, 1},
+      {16, 4, 8, 8, 8, 3, 3, 2, 1},  {3, 6, 5, 7, 3, 1, 1, 1, 0},
+      {3, 2, 5, 7, 5, 3, 3, 2, 1},   {16, 3, 5, 7, 2, 3, 3, 1, 1},
+      {1, 2, 5, 7, 4, 2, 3, 1, 2},   {3, 48, 8, 8, 16, 3, 3, 1, 1},
+  };
+  dc::Rng rng(37);
+  for (const auto& c : cases) {
+    const Tensor x = random_tensor({c.batch, c.in_ch, c.h, c.w}, rng);
+    Tensor w = random_tensor({c.out_ch, c.in_ch, c.kh, c.kw}, rng);
+    for (std::int64_t i = 0; i < w.numel(); i += 7) {
+      w[i] = i % 2 == 0 ? 0.0F : -0.0F;
+    }
+    const Tensor b = random_tensor({c.out_ch}, rng);
+    dt::Conv2dGeometry geom;
+    geom.in_channels = c.in_ch;
+    geom.in_h = c.h;
+    geom.in_w = c.w;
+    geom.kernel_h = c.kh;
+    geom.kernel_w = c.kw;
+    geom.stride = c.stride;
+    geom.padding = c.pad;
+    const Tensor want = conv2d_oracle(x, w, b, geom);
+    for (const std::int64_t threads : {1, 2, 4}) {
+      ASSERT_TRUE(dc::set_global_compute_threads(threads).ok());
+      const Tensor train_out = dn::conv2d(dn::Var(x, true), dn::Var(w, true),
+                                          dn::Var(b, true), c.stride, c.pad)
+                                   .value();
+      EXPECT_TRUE(bitwise_equal(train_out, want))
+          << "batch " << c.batch << " " << c.h << "x" << c.w << " k "
+          << c.kh << "x" << c.kw << " s" << c.stride << " p" << c.pad
+          << " threads " << threads;
+      dn::NoGradGuard no_grad;
+      EXPECT_TRUE(bitwise_equal(
+          dn::conv2d(dn::Var(x), dn::Var(w), dn::Var(b), c.stride, c.pad)
+              .value(),
+          want))
+          << "inference, threads " << threads;
     }
   }
 }
