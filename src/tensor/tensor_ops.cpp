@@ -117,29 +117,17 @@ Tensor matmul_transpose_a(const Tensor& a, const Tensor& b) {
   const auto m = a.dim(0);
   const auto k = a.dim(1);
   DP_REQUIRE(b.dim(0) == m, "matmul_transpose_a: row mismatch");
-  const auto n = b.dim(1);
-  Tensor out({k, n}, 0.0F);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = out.data();
-  const auto& kern = simd::active();
-  // Each task owns whole output rows (a column of A); the per-element
-  // fused accumulation order over i is the same for every backend.
-  parallel_for(
-      0, k,
-      [&](std::int64_t row_begin, std::int64_t row_end) {
-        for (std::int64_t kk = row_begin; kk < row_end; ++kk) {
-          float* crow = pc + kk * n;
-          for (std::int64_t i = 0; i < m; ++i) {
-            const float av = pa[i * k + kk];
-            if (av == 0.0F) {
-              continue;
-            }
-            kern.axpy(av, pb + i * n, crow, n);
-          }
-        }
-      },
-      row_grain(m * n));
+  // A^T packed once (m*k floats, small next to the k*m*n product) so the
+  // product runs through the register tiles; each element keeps its chain
+  // over i ascending with zero A entries skipped.
+  Tensor at({k, m});
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      at[kk * m + i] = a[i * k + kk];
+    }
+  }
+  Tensor out({k, b.dim(1)}, 0.0F);
+  matmul_accumulate(at, b, out);
   return out;
 }
 

@@ -411,6 +411,22 @@ TEST(SimdKernels, MatmulFamilyBackendInvariantAndUlpCloseToReference) {
           << dt::kernel_backend_label(backend);
     }
   }
+  // Tiles plus ragged rows and columns keep the axpy chain of the scalar
+  // table element for element (for A^T: over i ascending).
+  const auto* scalar = dt::simd::table_for(KernelBackend::kScalar);
+  Tensor mm_chain({65, 83}, 0.0F);
+  Tensor mta_chain({47, 83}, 0.0F);
+  for (std::int64_t i = 0; i < 65; ++i) {
+    for (std::int64_t kk = 0; kk < 47; ++kk) {
+      const float av = a[i * 47 + kk];
+      if (av != 0.0F) {
+        scalar->axpy(av, b.data() + kk * 83, mm_chain.data() + i * 83, 83);
+        scalar->axpy(av, ta.data() + i * 83, mta_chain.data() + kk * 83, 83);
+      }
+    }
+  }
+  EXPECT_TRUE(bitwise_equal(mm_base, mm_chain));
+  EXPECT_TRUE(bitwise_equal(mta_base, mta_chain));
   EXPECT_TRUE(du::ulp_close(mm_base, dt::reference::matmul(a, b),
                             kGemmUlpBound, kGemmAtol));
   EXPECT_TRUE(du::ulp_close(mta_base, dt::reference::matmul_transpose_a(a, ta),
