@@ -713,11 +713,10 @@ Var conv2d(const Var& x, const Var& w, const Var& b, std::int64_t stride,
   auto pw = w.node();
   auto pb = b.node();
   Tensor w2d = vw.reshaped({out_ch, geom.patch_size()});
-  Tensor xc = vx;
   return make_op_node(
       std::move(out), {x, w, b},
-      [px, pw, pb, w2d = std::move(w2d), geom, batch, out_ch, oh, ow,
-       xc = std::move(xc)](const Tensor& g) {
+      [px, pw, pb, w2d = std::move(w2d), geom, batch, out_ch, oh,
+       ow](const Tensor& g) {
         const auto n_out = oh * ow;
         const auto ncols = batch * n_out;
         // Gather g [N,O,OH,OW] into the GEMM layout [O, N*OH*OW] once; the
@@ -751,7 +750,8 @@ Var conv2d(const Var& x, const Var& w, const Var& b, std::int64_t stride,
           // gW2d = gy2d * cols^T over the whole batch in one GEMM; the
           // columns are unrolled here, not kept from the forward.
           Tensor gw2d =
-              tensor::matmul_transpose_b(gy2d, tensor::im2col_batch(xc, geom));
+              tensor::matmul_transpose_b(gy2d,
+                                         tensor::im2col_batch(px->value, geom));
           accumulate_grad(*pw, gw2d.reshaped(pw->value.shape()));
         }
         if (px->requires_grad) {

@@ -1,5 +1,6 @@
 #include "tensor/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -28,22 +29,26 @@ void scalar_axpy(float a, const float* x, float* y, std::int64_t n) {
   }
 }
 
+/// The canonical tile chain, one C row at a time: k ascending, a zero a_ik
+/// (either sign) skipped. The row lives in a local array so the compiler
+/// may keep it in vector registers across K.
 void scalar_gemm_tile(const float* a, std::int64_t lda, const float* b,
                       std::int64_t ldb, float* c, std::int64_t ldc,
                       std::int64_t k) {
   for (std::int64_t i = 0; i < kTileRows; ++i) {
-    const float* arow = a + i * lda;
-    float* crow = c + i * ldc;
+    float acc[kTileCols];
+    std::copy(c + i * ldc, c + i * ldc + kTileCols, acc);
     for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
+      const float av = a[i * lda + kk];
       if (av == 0.0F) {
         continue;
       }
       const float* brow = b + kk * ldb;
       for (std::int64_t j = 0; j < kTileCols; ++j) {
-        crow[j] = std::fma(av, brow[j], crow[j]);
+        acc[j] = std::fma(av, brow[j], acc[j]);
       }
     }
+    std::copy(acc, acc + kTileCols, c + i * ldc);
   }
 }
 
@@ -202,6 +207,21 @@ void neon_axpy(float a, const float* x, float* y, std::int64_t n) {
   }
   for (; i < n; ++i) {
     y[i] = std::fma(a, x[i], y[i]);
+  }
+}
+
+// The canonical tile chain, one C row at a time: k ascending, a zero a_ik
+// (either sign) skipped, each step one neon_axpy over the tile's columns.
+void neon_gemm_tile(const float* a, std::int64_t lda, const float* b,
+                    std::int64_t ldb, float* c, std::int64_t ldc,
+                    std::int64_t k) {
+  for (std::int64_t i = 0; i < kTileRows; ++i) {
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float av = a[i * lda + kk];
+      if (av != 0.0F) {
+        neon_axpy(av, b + kk * ldb, c + i * ldc, kTileCols);
+      }
+    }
   }
 }
 
@@ -393,9 +413,7 @@ void neon_normalize_affine_rows(const float* x, float mean, float istd,
 constexpr Kernels kNeonTable = {
     .backend = KernelBackend::kNeon,
     .axpy = neon_axpy,
-    // No NEON tile: nothing here can test NEON intrinsics, and the scalar
-    // tile is the canonical chain.
-    .gemm_tile = scalar_gemm_tile,
+    .gemm_tile = neon_gemm_tile,
     .dot = neon_dot,
     .add = neon_add,
     .mul = neon_mul,

@@ -100,7 +100,9 @@ struct Kernels {
   /// kTileCols). Every element keeps the axpy chain c = fma(a_ik, b_kj, c),
   /// k ascending, skipping a_ik == 0 (either sign) per row, so a tiled
   /// product is bitwise an axpy-row product — including -0 accumulators and
-  /// non-finite B. The accumulators stay in registers across the K loop.
+  /// non-finite B. The AVX2 tile keeps the accumulators in registers
+  /// across the K loop; the scalar and NEON tiles run one axpy per nonzero
+  /// a_ik.
   void (*gemm_tile)(const float* a, std::int64_t lda, const float* b,
                     std::int64_t ldb, float* c, std::int64_t ldc,
                     std::int64_t k);

@@ -34,10 +34,7 @@ void avx2_axpy(float a, const float* x, float* y, std::int64_t n) {
   }
 }
 
-/// The tile's K loop. kSkipZeros = false is only valid when no a_ik is
-/// zero: then it runs branch-free with A broadcast straight from memory.
-template <bool kSkipZeros>
-void gemm_tile_loop(const float* a, std::int64_t lda, const float* b,
+void avx2_gemm_tile(const float* a, std::int64_t lda, const float* b,
                     std::int64_t ldb, float* c, std::int64_t ldc,
                     std::int64_t k) {
   __m256 acc[kTileRows][2];  // Two ymm per C row.
@@ -49,7 +46,9 @@ void gemm_tile_loop(const float* a, std::int64_t lda, const float* b,
     const __m256 b0 = _mm256_loadu_ps(b + kk * ldb);
     const __m256 b1 = _mm256_loadu_ps(b + kk * ldb + 8);
     for (std::int64_t i = 0; i < kTileRows; ++i) {
-      if (kSkipZeros && a[i * lda + kk] == 0.0F) {
+      // A zero a_ik (either sign) skips that row's FMAs, as the scalar
+      // tile does.
+      if (a[i * lda + kk] == 0.0F) {
         continue;
       }
       const __m256 va = _mm256_broadcast_ss(a + i * lda + kk);
@@ -60,33 +59,6 @@ void gemm_tile_loop(const float* a, std::int64_t lda, const float* b,
   for (std::int64_t i = 0; i < kTileRows; ++i) {
     _mm256_storeu_ps(c + i * ldc, acc[i][0]);
     _mm256_storeu_ps(c + i * ldc + 8, acc[i][1]);
-  }
-}
-
-void avx2_gemm_tile(const float* a, std::int64_t lda, const float* b,
-                    std::int64_t ldb, float* c, std::int64_t ldc,
-                    std::int64_t k) {
-  // A zero a_ik (either sign) must skip that row's FMAs, as the scalar tile
-  // does; the common zero-free block takes the branch-free loop.
-  const __m256 zero = _mm256_setzero_ps();
-  __m256 any_zero = zero;
-  bool tail_zero = false;
-  for (std::int64_t i = 0; i < kTileRows; ++i) {
-    const float* row = a + i * lda;
-    std::int64_t kk = 0;
-    for (; kk + 8 <= k; kk += 8) {
-      const __m256 eq = _mm256_cmp_ps(_mm256_loadu_ps(row + kk), zero,
-                                      _CMP_EQ_OQ);  // -0 == 0, NaN != 0.
-      any_zero = _mm256_or_ps(any_zero, eq);
-    }
-    for (; kk < k; ++kk) {
-      tail_zero = tail_zero || row[kk] == 0.0F;
-    }
-  }
-  if (tail_zero || _mm256_movemask_ps(any_zero) != 0) {
-    gemm_tile_loop<true>(a, lda, b, ldb, c, ldc, k);
-  } else {
-    gemm_tile_loop<false>(a, lda, b, ldb, c, ldc, k);
   }
 }
 
