@@ -170,8 +170,6 @@ struct ServiceCountersT {
   /// RESOURCE_EXHAUSTED rejections alike).
   Counter requests_shed{};
   Counter requests_degraded{};  ///< Admitted with a shrunk count.
-  /// Admitted with a coarsened sampling stride instead (degrade_stride).
-  Counter requests_degraded_steps{};
   /// Jobs dropped because their deadline expired (queued or
   /// mid-sampling).
   Counter deadlines_expired{};
@@ -220,7 +218,6 @@ struct ServiceCountersT {
     f("patterns_delivered", s.patterns_delivered...);
     f("requests_shed", s.requests_shed...);
     f("requests_degraded", s.requests_degraded...);
-    f("requests_degraded_steps", s.requests_degraded_steps...);
     f("deadlines_expired", s.deadlines_expired...);
     f("jobs_cancelled", s.jobs_cancelled...);
     f("streams_abandoned", s.streams_abandoned...);

@@ -89,56 +89,4 @@ Result<std::vector<WorkerEndpoint>> FileWorkerDirectory::snapshot() {
   return parsed;
 }
 
-Result<std::vector<WorkerEndpoint>> WorkerRegistry::snapshot() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<WorkerEndpoint> out;
-  for (const auto& [address, announce] : workers_) {
-    for (const std::string& model : announce.models) {
-      out.push_back(WorkerEndpoint{model, address});
-    }
-  }
-  return out;
-}
-
-common::Status WorkerRegistry::apply_announce(
-    const WorkerAnnounce& announce) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (announce.address.empty()) {
-    counters_.announce_rejects++;
-    return Status::InvalidArgument("worker announce carries no address");
-  }
-  if (announce.models.empty()) {
-    counters_.announce_rejects++;
-    return Status::InvalidArgument("worker announce '" + announce.worker +
-                                   "' carries no models");
-  }
-  workers_[announce.address] = announce;
-  counters_.announces++;
-  return Status::Ok();
-}
-
-void WorkerRegistry::remove_address(const std::string& address) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (workers_.erase(address) > 0) {
-    counters_.removes++;
-  }
-}
-
-WireHandler WorkerRegistry::handler() {
-  return [this](const Bytes& request) -> Bytes {
-    auto announce = decode_worker_announce(request);
-    if (!announce.ok()) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      counters_.announce_rejects++;
-      return encode_status(announce.status());
-    }
-    return encode_status(apply_announce(announce.value()));
-  };
-}
-
-WorkerRegistryCounters WorkerRegistry::counters() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counters_;
-}
-
 }  // namespace diffpattern::dist

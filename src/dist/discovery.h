@@ -8,27 +8,18 @@
 //                          a CLI invocation), swappable for tests;
 //   FileWorkerDirectory    a "model address" text file re-read on every
 //                          snapshot — edit the file, re-sync the router,
-//                          no process restart (periodic re-read);
-//   WorkerRegistry         fed by kWorkerAnnounce wire frames — a worker
-//                          dials the registry on startup and announces
-//                          itself (self-announce on connect). handler()
-//                          plugs straight into a SocketServer.
+//                          no process restart (periodic re-read).
 // The router's sync_directory() diffs a snapshot against its replica set:
 // new pairs are added through a caller-supplied channel factory, vanished
 // pairs are retired (kept allocated — the router never frees a Replica —
 // but excluded from routing until the directory lists them again).
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "dist/transport.h"
-#include "dist/wire.h"
 
 namespace diffpattern::dist {
 
@@ -92,48 +83,6 @@ class FileWorkerDirectory : public WorkerDirectory {
 
  private:
   std::string path_;
-};
-
-struct WorkerRegistryCounters {
-  std::int64_t announces = 0;        ///< Accepted announce frames.
-  std::int64_t announce_rejects = 0; ///< Malformed/invalid announces.
-  std::int64_t removes = 0;          ///< Workers removed.
-
-  template <class F, class... S>
-  static void fields(F&& f, S&... s) {
-    f("announces", s.announces...);
-    f("announce_rejects", s.announce_rejects...);
-    f("removes", s.removes...);
-  }
-  std::string to_json() const { return common::counters_json(*this); }
-};
-
-/// Registry fed by worker self-announce frames (MessageType::kWorkerAnnounce)
-/// — the push flavor of refresh. A re-announce from the same address
-/// replaces that worker's model list; remove_address() handles departures
-/// (e.g. an operator draining a host).
-class WorkerRegistry : public WorkerDirectory {
- public:
-  common::Result<std::vector<WorkerEndpoint>> snapshot() override;
-
-  /// Applies one decoded announce. INVALID_ARGUMENT when the announce
-  /// carries no address or no models.
-  common::Status apply_announce(const WorkerAnnounce& announce);
-
-  /// Drops every model registered by `address`.
-  void remove_address(const std::string& address);
-
-  /// WireHandler for a SocketServer: decodes kWorkerAnnounce frames,
-  /// applies them, answers a kStatus frame (OK or the typed rejection).
-  WireHandler handler();
-
-  WorkerRegistryCounters counters() const;
-
- private:
-  mutable std::mutex mutex_;
-  // address -> (worker name, models); map keeps snapshots deterministic.
-  std::map<std::string, WorkerAnnounce> workers_;
-  WorkerRegistryCounters counters_;
 };
 
 }  // namespace diffpattern::dist

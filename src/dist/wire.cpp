@@ -251,7 +251,6 @@ void fields(Io& io, service::GenerateStats& s) {
   io.num(s.sampling_stride);
   io.num(s.steps_run);
   io.num(s.net_evals);
-  io.num(s.degraded_steps);
 }
 
 template <typename Io>
@@ -296,32 +295,14 @@ void message(Io& io, StatusFrame& frame) {
 template <typename Io>
 void message(Io& io, WorkerHealth& h) {
   io.str(h.worker, kMaxNameBytes, "worker name");
-  io.num(h.seq);
   io.num(h.admission_pending);
-  io.num(h.queue_depth_peak);
   io.num(h.fused_fill_ratio);
-  io.num(h.requests_shed);
-  io.num(h.requests_accepted);
-  io.num(h.requests_completed);
-  io.num(h.arena_bytes_reserved);
-  io.num(h.plan_cache_hits);
-  io.num(h.plan_cache_misses);
-  io.num(h.embedding_cache_hits);
 }
 
 template <typename Io>
 void message(Io& io, StreamEnd& end) {
   io.status(end.status);
   fields(io, end.stats);
-}
-
-template <typename Io>
-void message(Io& io, WorkerAnnounce& a) {
-  io.str(a.worker, kMaxNameBytes, "worker name");
-  io.str(a.address, kMaxNameBytes, "worker address");
-  // No byte floor per name: the count cap already bounds the reserve.
-  io.list(a.models, 0, kMaxAnnounceModels, "announce model",
-          [&](auto& model) { io.str(model, kMaxNameBytes, "model name"); });
 }
 
 /// The health probe's payload is empty.
@@ -363,7 +344,7 @@ Result<MessageType> check_header(const Bytes& frame, std::size_t offset) {
                                    std::to_string(version));
   }
   if (raw_type < static_cast<std::uint16_t>(MessageType::kGenerateRequest) ||
-      raw_type > static_cast<std::uint16_t>(MessageType::kWorkerAnnounce)) {
+      raw_type > static_cast<std::uint16_t>(MessageType::kStreamEnd)) {
     return Status::InvalidArgument("unknown message type " +
                                    std::to_string(raw_type));
   }
@@ -409,22 +390,9 @@ Result<T> decode(const Bytes& frame,
 }  // namespace
 
 WorkerHealth health_from_counters(const std::string& worker,
-                                  std::uint64_t seq,
                                   const common::ServiceCounters& counters) {
-  WorkerHealth health;
-  health.worker = worker;
-  health.seq = seq;
-  health.admission_pending = counters.admission_pending;
-  health.queue_depth_peak = counters.queue_depth_peak;
-  health.fused_fill_ratio = counters.fused_fill_ratio;
-  health.requests_shed = counters.requests_shed;
-  health.requests_accepted = counters.requests_accepted;
-  health.requests_completed = counters.requests_completed;
-  health.arena_bytes_reserved = counters.arena_bytes_reserved;
-  health.plan_cache_hits = counters.plan_cache_hits;
-  health.plan_cache_misses = counters.plan_cache_misses;
-  health.embedding_cache_hits = counters.embedding_cache_hits;
-  return health;
+  return WorkerHealth{worker, counters.admission_pending,
+                      counters.fused_fill_ratio};
 }
 
 Bytes encode_generate_request(const service::GenerateRequest& request,
@@ -455,10 +423,6 @@ Bytes encode_health_probe() {
 Bytes encode_stream_end(const common::Status& status,
                         const service::GenerateStats& stats) {
   return encode(MessageType::kStreamEnd, StreamEnd{status, stats});
-}
-
-Bytes encode_worker_announce(const WorkerAnnounce& announce) {
-  return encode(MessageType::kWorkerAnnounce, announce);
 }
 
 common::Result<MessageType> peek_type(const Bytes& frame) {
@@ -512,10 +476,6 @@ common::Result<WorkerHealth> decode_worker_health(const Bytes& frame) {
 
 common::Result<StreamEnd> decode_stream_end(const Bytes& frame) {
   return decode<StreamEnd>(frame, {MessageType::kStreamEnd});
-}
-
-common::Result<WorkerAnnounce> decode_worker_announce(const Bytes& frame) {
-  return decode<WorkerAnnounce>(frame, {MessageType::kWorkerAnnounce});
 }
 
 }  // namespace diffpattern::dist

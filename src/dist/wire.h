@@ -48,7 +48,8 @@ U load_le(const std::uint8_t* src) {
 }
 
 /// Frame discriminator carried in every header. Values are wire-stable:
-/// never renumber, only append.
+/// never renumber, only append. Type 9 (worker self-announce, wire v1) is
+/// retired: decoders answer it as an unknown type, and it is never reused.
 enum class MessageType : std::uint16_t {
   kGenerateRequest = 1,        ///< Client -> worker: blocking generate.
   kGenerateResult = 2,         ///< Worker -> client: patterns + stats.
@@ -58,11 +59,12 @@ enum class MessageType : std::uint16_t {
   kHealthProbe = 6,            ///< Router -> worker: request a snapshot.
   kGenerateStreamRequest = 7,  ///< Client -> worker: streaming generate.
   kStreamEnd = 8,              ///< Worker -> client: stream terminator.
-  kWorkerAnnounce = 9,         ///< Worker -> registry: self-announce.
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x44505731;  // "DPW1"
-inline constexpr std::uint16_t kWireVersion = 1;
+/// Version 2 retired v1's message type 9, nine unread health fields and
+/// the stride-degradation stats flag; a v1 frame is rejected.
+inline constexpr std::uint16_t kWireVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 
 /// Decoder hard limits (fuzz-safety: a hostile length prefix can never
@@ -71,43 +73,16 @@ inline constexpr std::size_t kMaxNameBytes = 256;      ///< model / rule set
 inline constexpr std::size_t kMaxMessageBytes = 4096;  ///< status message
 
 /// Load snapshot a worker publishes to the router, derived from its
-/// service's counters. `ReplicaRouter` reads only `admission_pending` and
-/// `fused_fill_ratio`; the other fields travel, but nothing reads them yet.
+/// service's counters: exactly what `ReplicaRouter` scores replicas by.
 struct WorkerHealth {
   std::string worker;  ///< Worker endpoint name.
-  std::uint64_t seq = 0;  ///< Snapshot count, from 1; nothing reads it.
   std::int64_t admission_pending = 0;  ///< In-flight admitted requests.
-  std::int64_t queue_depth_peak = 0;
   double fused_fill_ratio = 0.0;
-  std::int64_t requests_shed = 0;
-  std::int64_t requests_accepted = 0;
-  std::int64_t requests_completed = 0;
-  // Inference memory-plan health (see tensor/arena.h): lets the router's
-  // operator surface distinguish a replica running warm plans from one
-  // still recording (or running with the arena killed).
-  std::int64_t arena_bytes_reserved = 0;
-  std::int64_t plan_cache_hits = 0;
-  std::int64_t plan_cache_misses = 0;
-  std::int64_t embedding_cache_hits = 0;
 };
 
 /// Builds a health snapshot from a counters snapshot.
 WorkerHealth health_from_counters(const std::string& worker,
-                                  std::uint64_t seq,
                                   const common::ServiceCounters& counters);
-
-/// Decoder hard limit on models per announce frame.
-inline constexpr std::size_t kMaxAnnounceModels = 1024;
-
-/// A worker's self-announce to a registry (runtime discovery): "I am
-/// `worker`, dialable at `address`, serving `models`". The registry acks
-/// with a kStatus frame. `address` must be a spec the announcing worker is
-/// reachable at from the router's vantage point.
-struct WorkerAnnounce {
-  std::string worker;                ///< Display name (diagnostics).
-  std::string address;               ///< Dialable endpoint spec.
-  std::vector<std::string> models;   ///< Model names served.
-};
 
 /// Terminal frame of a streaming response: the request's final status
 /// (including any retry_after hint on a shed) plus its stats.
@@ -133,7 +108,6 @@ Bytes encode_worker_health(const WorkerHealth& health);
 Bytes encode_health_probe();
 Bytes encode_stream_end(const common::Status& status,
                         const service::GenerateStats& stats);
-Bytes encode_worker_announce(const WorkerAnnounce& announce);
 
 // -- decoders --
 /// Validates the header of the frame starting at `frame[0]` and returns its
@@ -155,6 +129,5 @@ common::Result<service::StreamedPattern> decode_streamed_pattern(
 common::Result<StatusFrame> decode_status(const Bytes& frame);
 common::Result<WorkerHealth> decode_worker_health(const Bytes& frame);
 common::Result<StreamEnd> decode_stream_end(const Bytes& frame);
-common::Result<WorkerAnnounce> decode_worker_announce(const Bytes& frame);
 
 }  // namespace diffpattern::dist

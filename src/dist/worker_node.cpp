@@ -21,21 +21,7 @@ WorkerNode::~WorkerNode() {
 }
 
 WorkerHealth WorkerNode::health_snapshot() {
-  const std::uint64_t seq =
-      health_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  return health_from_counters(name_, seq, service_.counters());
-}
-
-WorkerAnnounce WorkerNode::announce(const std::string& address) {
-  WorkerAnnounce out;
-  out.worker = name_;
-  out.address = address;
-  out.models = service_.models().names();
-  return out;
-}
-
-Bytes WorkerNode::announce_frame(const std::string& address) {
-  return encode_worker_announce(announce(address));
+  return health_from_counters(name_, service_.counters());
 }
 
 Bytes WorkerNode::handle(const Bytes& request) {

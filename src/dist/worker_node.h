@@ -10,7 +10,6 @@
 // with the typed decode Status — a corrupt frame can never crash a worker.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -61,16 +60,8 @@ class WorkerNode {
   const std::string& name() const { return name_; }
   service::PatternService& service() { return service_; }
 
-  /// Current health snapshot (also what a kHealthProbe frame answers);
-  /// every call bumps the snapshot sequence number.
+  /// Current health snapshot (also what a kHealthProbe frame answers).
   WorkerHealth health_snapshot();
-
-  /// Self-announce for runtime discovery: this worker's name, the
-  /// `address` it is dialable at, and every model currently registered.
-  /// Sent (as announce_frame) to a WorkerRegistry when the worker comes
-  /// up; the registry acks with a kStatus frame.
-  WorkerAnnounce announce(const std::string& address);
-  Bytes announce_frame(const std::string& address);
 
   WorkerWireCounters wire_counters() const { return common::snapshot(wire_); }
 
@@ -85,7 +76,6 @@ class WorkerNode {
   std::string name_;
   LoopbackTransport* transport_;  ///< Null for transport-free nodes.
   service::PatternService service_;
-  std::atomic<std::uint64_t> health_seq_{0};
   WorkerWireCountersT<common::LiveCells> wire_;
 };
 

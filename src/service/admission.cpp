@@ -12,7 +12,6 @@ FlowControlConfig normalize(FlowControlConfig cfg) {
                                                   cfg.max_queue_depth);
   cfg.retry_after_ms = std::max<std::int64_t>(1, cfg.retry_after_ms);
   cfg.degrade_divisor = std::max<std::int64_t>(2, cfg.degrade_divisor);
-  cfg.degrade_stride = std::max<std::int64_t>(0, cfg.degrade_stride);
   return cfg;
 }
 
@@ -35,9 +34,7 @@ std::int64_t AdmissionController::retry_hint_ms(std::int64_t depth) const {
 }
 
 AdmissionController::Decision AdmissionController::admit(
-    const std::string& model, std::int64_t count, bool allow_degrade,
-    std::int64_t stride) {
-  stride = std::max<std::int64_t>(1, stride);
+    const std::string& model, std::int64_t count, bool allow_degrade) {
   const std::lock_guard<std::mutex> lock(mutex_);
   auto& depth = pending_[model];
   const auto occupy = [&] {
@@ -78,24 +75,12 @@ AdmissionController::Decision AdmissionController::admit(
     overloaded = rounds > 0 && recent_fill_ >= config_.shed_fill_ratio;
   }
   if (overloaded) {
-    if (allow_degrade && config_.degrade_stride >= 2 &&
-        stride < config_.degrade_stride) {
-      // Step degradation: admit the FULL count but coarsen the sampling
-      // stride — the caller keeps every topology and trades fidelity for
-      // the capacity the skipped reverse steps free up. Preferred over the
-      // count shrink when enabled, because availability is the scarcer
-      // resource under overload.
-      occupy();
-      counters_.requests_degraded_steps.add();
-      return Decision{common::Status::Ok(), count, false,
-                      config_.degrade_stride, true};
-    }
     if (allow_degrade && count > 1) {
       const auto admitted =
           std::max<std::int64_t>(1, count / config_.degrade_divisor);
       occupy();
       counters_.requests_degraded.add();
-      return Decision{common::Status::Ok(), admitted, true, stride, false};
+      return Decision{common::Status::Ok(), admitted, true};
     }
     counters_.requests_shed.add();
     return Decision{
@@ -107,7 +92,7 @@ AdmissionController::Decision AdmissionController::admit(
         0, false};
   }
   occupy();
-  return Decision{common::Status::Ok(), count, false, stride, false};
+  return Decision{common::Status::Ok(), count, false};
 }
 
 void AdmissionController::release(const std::string& model) {

@@ -60,15 +60,6 @@ struct FlowControlConfig {
   /// Degraded admission shrinks a request's count by this divisor (floor
   /// 1 topology). Clamped to >= 2.
   std::int64_t degrade_divisor = 2;
-  /// When >= 2, soft-band degradation prefers coarsening an opted-in
-  /// request's sampling stride to this value over shrinking its count:
-  /// the request keeps every topology but samples them in
-  /// ceil(K_eps / degrade_stride) reverse steps — fidelity traded instead
-  /// of availability. Only applies when the request's own stride is finer
-  /// (smaller); requests already at or beyond it fall back to the count
-  /// shrink. 0 or 1 disables (count-shrink only). Negative values clamp
-  /// to 0.
-  std::int64_t degrade_stride = 0;
   /// Bounded pull-stream delivery buffer (StreamHandle): a delivery that
   /// would exceed this many buffered, unpulled slots pauses the
   /// legalization fan-out until the consumer drains (or abandons). <= 0
@@ -94,12 +85,6 @@ class AdmissionController {
     /// degraded mode. 0 when shed.
     std::int64_t admitted_count = 0;
     bool degraded = false;
-    /// Sampling stride the request should run with: its own requested
-    /// stride, coarsened to degrade_stride when step degradation applied.
-    std::int64_t admitted_stride = 1;
-    /// True when the soft band coarsened the stride instead of shrinking
-    /// the count (degrade_stride enabled, request opted in).
-    bool degraded_steps = false;
   };
 
   /// `max_fused_batch` is the budget the live fill ratio is computed
@@ -111,11 +96,10 @@ class AdmissionController {
 
   /// Admission decision for a request of `count` topologies on `model`'s
   /// shard. On OK the shard's window is occupied until the matching
-  /// release(); `allow_degrade` permits degradation in the soft band —
-  /// stride coarsening first when degrade_stride is enabled and the
-  /// request's own `stride` is finer, count-shrinking otherwise.
+  /// release(); `allow_degrade` permits a count-shrinking degradation in
+  /// the soft band.
   Decision admit(const std::string& model, std::int64_t count,
-                 bool allow_degrade, std::int64_t stride = 1);
+                 bool allow_degrade);
 
   /// Returns the window slot taken by an OK admit(). Call exactly once
   /// per admitted request, after its job has left the system (completed,

@@ -197,18 +197,6 @@ struct PatternService::Impl {
       // backend the operator did not ask for.
       config_error = tensor::set_kernel_backend_name(cfg.kernel_backend);
     }
-    if (config_error.ok() && !cfg.activation_arena.empty()) {
-      if (cfg.activation_arena == "on") {
-        tensor::set_activation_arena_enabled(true);
-      } else if (cfg.activation_arena == "off") {
-        tensor::set_activation_arena_enabled(false);
-      } else {
-        config_error = common::Status(
-            common::StatusCode::kInvalidArgument,
-            "activation_arena must be \"on\" or \"off\", got \"" +
-                cfg.activation_arena + "\"");
-      }
-    }
     rule_sets["normal"] = drc::standard_rules();
     rule_sets["space"] = drc::larger_space_rules();
     rule_sets["area"] = drc::smaller_area_rules();
@@ -297,9 +285,8 @@ PatternService::Impl::run_sampling(
   // Flow control: occupy an admission window slot for the whole life of
   // the job (sampling-only requests cannot degrade — there is no partial
   // result shape to shrink into).
-  const auto decision =
-      admission.admit(request.model, request.count, /*allow_degrade=*/false,
-                      *stride);
+  const auto decision = admission.admit(request.model, request.count,
+                                        /*allow_degrade=*/false);
   if (!decision.status.ok()) {
     return decision.status;
   }
@@ -604,29 +591,21 @@ common::Result<GenerateStats> PatternService::Impl::run_generate(
   }
 
   const auto& schedule = *(*artifacts)->schedule;
-  const auto requested_stride =
-      resolve_sampling_stride(request.sampling, schedule);
-  if (!requested_stride.ok()) {
-    return reject(requested_stride.status());  // Raced a model swap.
+  const auto stride = resolve_sampling_stride(request.sampling, schedule);
+  if (!stride.ok()) {
+    return reject(stride.status());  // Raced a model swap.
   }
 
   // Flow control: a valid request may still be shed (typed, with a retry
-  // hint) or admitted with a degraded count — or, when the request opted
-  // in and degrade_stride is enabled, with a coarsened sampling stride
-  // (full count, fewer reverse steps). The window slot is held until this
-  // frame returns — i.e. until the job has fully left the system.
+  // hint) or admitted with a degraded count. The window slot is held until
+  // this frame returns — i.e. until the job has fully left the system.
   const auto decision = admission.admit(request.model, request.count,
-                                        request.allow_degrade,
-                                        *requested_stride);
+                                        request.allow_degrade);
   if (!decision.status.ok()) {
     return reject(decision.status);
   }
   const AdmissionGuard admission_guard{admission, request.model};
   const std::int64_t admitted_count = decision.admitted_count;
-  // degrade_stride is a service-wide knob, so clamp it to this model's
-  // schedule (a coarser-than-K stride would be rejected by the sampler).
-  const std::int64_t effective_stride =
-      std::min(decision.admitted_stride, schedule.steps());
 
   auto exec = std::make_shared<StreamExec>();
   exec->artifacts = *artifacts;
@@ -641,7 +620,7 @@ common::Result<GenerateStats> PatternService::Impl::run_generate(
   job->artifacts = *artifacts;
   job->count = admitted_count;
   job->seed = request.seed;
-  job->stride = effective_stride;
+  job->stride = *stride;
   job->priority = request.priority;
   if (request.deadline_ms > 0) {
     job->has_deadline = true;
@@ -691,9 +670,8 @@ common::Result<GenerateStats> PatternService::Impl::run_generate(
   GenerateStats stats = std::move(drained).value();
   stats.topologies_admitted = admitted_count;
   stats.degraded = decision.degraded;
-  stats.degraded_steps = decision.degraded_steps;
-  stats.sampling_stride = effective_stride;
-  stats.steps_run = diffusion::plan_length(schedule, effective_stride);
+  stats.sampling_stride = *stride;
+  stats.steps_run = diffusion::plan_length(schedule, *stride);
   stats.net_evals = job->net_evals;
   stats.sampling_seconds += job->sampling_seconds;
   stats.fused_batch_slots =

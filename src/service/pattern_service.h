@@ -79,13 +79,6 @@ struct ServiceConfig {
   /// — the last explicit choice wins. Output bytes do not depend on the
   /// backend (see src/tensor/simd.h).
   std::string kernel_backend;
-  /// Activation-arena override: "" keeps the ambient choice (the
-  /// DIFFPATTERN_ARENA env kill switch, default on), "on"/"off" force the
-  /// inference memory plan enabled/disabled. Any other value makes every
-  /// request answer INVALID_ARGUMENT. Like kernel_backend the switch is
-  /// process-wide — the last explicit choice wins — and output bytes do
-  /// not depend on it (see src/tensor/arena.h).
-  std::string activation_arena;
   /// Global admission budget: upper bound on sampling slots fused into
   /// reverse-diffusion batches across ALL model shards at once (bounds
   /// peak activation memory; larger requests run in chunks).

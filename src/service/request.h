@@ -68,10 +68,7 @@ struct GenerateRequest {
   /// Permits degraded admission under overload: instead of shedding, the
   /// service may shrink `count` (FlowControlConfig::degrade_divisor). The
   /// degraded output is the byte-identical prefix of the full request's;
-  /// stats report the shrink (GenerateStats::degraded). When
-  /// FlowControlConfig::degrade_stride is enabled, overload may instead
-  /// coarsen this request's sampling stride while keeping the full count
-  /// (GenerateStats::degraded_steps).
+  /// stats report the shrink (GenerateStats::degraded).
   bool allow_degrade = false;
   /// Reduced-step sampling schedule; default = full schedule.
   SamplingSpec sampling;
@@ -142,7 +139,6 @@ struct GenerateStats {
   /// own count when the request ran alone).
   std::int64_t fused_batch_slots = 0;
   /// Effective sampling stride this request ran with (1 = full schedule).
-  /// Reflects flow-control step degradation when it applied.
   std::int64_t sampling_stride = 1;
   /// Reverse-diffusion steps each topology executed: the length of its
   /// step plan, ceil(K_eps / stride).
@@ -150,9 +146,6 @@ struct GenerateStats {
   /// Total U-Net slot-evaluations this request consumed
   /// (= topologies_admitted * steps_run).
   std::int64_t net_evals = 0;
-  /// True when flow control coarsened this request's stride under overload
-  /// (allow_degrade set, FlowControlConfig::degrade_stride enabled).
-  bool degraded_steps = false;
 };
 
 struct GenerateResult {

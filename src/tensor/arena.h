@@ -33,9 +33,8 @@
 //     caller runs every chunk inline and the arena sees every allocation.
 //
 // Kill switch: DIFFPATTERN_ARENA=off|0|false disables the feature
-// process-wide (ServiceConfig::activation_arena and the CLI --arena flag
-// land on set_activation_arena_enabled; last explicit choice wins, like the
-// kernel-backend override). Disabled means ArenaScope installs nothing and
+// process-wide (the CLI --arena flag lands on set_activation_arena_enabled;
+// last explicit choice wins, like the kernel-backend override). Disabled means ArenaScope installs nothing and
 // every path behaves exactly as before this layer existed. On or off, the
 // bytes are identical: the arena only changes where storage lives, never
 // the math (pinned golden digests in test_sampling_determinism.cpp).

@@ -9,7 +9,6 @@
 
 #include "common/counters.h"
 #include "common/status.h"
-#include "dist/discovery.h"
 #include "dist/fault_injection.h"
 #include "dist/router.h"
 #include "dist/socket_transport.h"
@@ -45,7 +44,6 @@ dc::ServiceCounters sample_service_counters() {
   s.patterns_delivered = 19;
   s.requests_shed = 20;
   s.requests_degraded = 21;
-  s.requests_degraded_steps = 22;
   s.deadlines_expired = 23;
   s.jobs_cancelled = 24;
   s.streams_abandoned = 25;
@@ -73,9 +71,9 @@ TEST(CounterOutput, ServiceCountersJsonIsPinned) {
       "\"fused_fill_ratio\":0.4375,\"requests_accepted\":16,"
       "\"requests_completed\":17,\"stream_deliveries\":18,"
       "\"patterns_delivered\":19,\"requests_shed\":20,"
-      "\"requests_degraded\":21,\"requests_degraded_steps\":22,"
-      "\"deadlines_expired\":23,\"jobs_cancelled\":24,"
-      "\"streams_abandoned\":25,\"stream_pauses\":26,"
+      "\"requests_degraded\":21,\"deadlines_expired\":23,"
+      "\"jobs_cancelled\":24,\"streams_abandoned\":25,"
+      "\"stream_pauses\":26,"
       "\"arena_bytes_reserved\":27,\"plan_cache_hits\":28,"
       "\"plan_cache_misses\":29,\"embedding_cache_hits\":30,"
       "\"rejects_by_code\":{\"INVALID_ARGUMENT\":31,\"UNAVAILABLE\":32}}");
@@ -93,8 +91,8 @@ TEST(CounterOutput, EmptyServiceCountersJsonIsPinned) {
       "\"requests_accepted\":0,\"requests_completed\":0,"
       "\"stream_deliveries\":0,\"patterns_delivered\":0,"
       "\"requests_shed\":0,\"requests_degraded\":0,"
-      "\"requests_degraded_steps\":0,\"deadlines_expired\":0,"
-      "\"jobs_cancelled\":0,\"streams_abandoned\":0,\"stream_pauses\":0,"
+      "\"deadlines_expired\":0,\"jobs_cancelled\":0,"
+      "\"streams_abandoned\":0,\"stream_pauses\":0,"
       "\"arena_bytes_reserved\":0,\"plan_cache_hits\":0,"
       "\"plan_cache_misses\":0,\"embedding_cache_hits\":0,"
       "\"rejects_by_code\":{}}");
@@ -109,7 +107,7 @@ TEST(CounterOutput, ServiceCountersTextNamesEveryField) {
         "steps_skipped", "fused_slots_total",
         "max_round_slots", "fused_fill_ratio", "requests_accepted",
         "requests_completed", "stream_deliveries", "patterns_delivered",
-        "requests_shed", "requests_degraded", "requests_degraded_steps",
+        "requests_shed", "requests_degraded",
         "deadlines_expired", "jobs_cancelled", "streams_abandoned",
         "stream_pauses", "arena_bytes_reserved", "plan_cache_hits",
         "plan_cache_misses", "embedding_cache_hits", "rejects_by_code"}) {
@@ -148,7 +146,6 @@ TEST(CounterOutput, CounterBlockSnapshotReadsEveryCounter) {
   record(block.patterns_delivered, 16);
   record(block.requests_shed, 17);
   record(block.requests_degraded, 18);
-  record(block.requests_degraded_steps, 19);
   record(block.deadlines_expired, 20);
   record(block.jobs_cancelled, 21);
   record(block.streams_abandoned, 22);
@@ -179,7 +176,6 @@ TEST(CounterOutput, CounterBlockSnapshotReadsEveryCounter) {
   EXPECT_EQ(s.patterns_delivered, 16);
   EXPECT_EQ(s.requests_shed, 17);
   EXPECT_EQ(s.requests_degraded, 18);
-  EXPECT_EQ(s.requests_degraded_steps, 19);
   EXPECT_EQ(s.deadlines_expired, 20);
   EXPECT_EQ(s.jobs_cancelled, 21);
   EXPECT_EQ(s.streams_abandoned, 22);
@@ -269,15 +265,6 @@ TEST(CounterOutput, FaultCountersJsonIsPinned) {
             "{\"connections\":1,\"relayed\":2,\"refused\":3,\"resets\":4,"
             "\"corrupted\":5,\"truncated\":6,\"stalled\":7,"
             "\"partitioned\":8}");
-}
-
-TEST(CounterOutput, WorkerRegistryCountersJsonIsPinned) {
-  dd::WorkerRegistryCounters c;
-  c.announces = 1;
-  c.announce_rejects = 2;
-  c.removes = 3;
-  EXPECT_EQ(c.to_json(),
-            "{\"announces\":1,\"announce_rejects\":2,\"removes\":3}");
 }
 
 }  // namespace

@@ -268,7 +268,6 @@ TEST_F(DistRouterTest, LoadAwarePlacementFollowsReportedHealth) {
           if (dd::peek_type(req).value() == dd::MessageType::kHealthProbe) {
             dd::WorkerHealth health;
             health.worker = name;
-            health.seq = 1;
             health.admission_pending = admission_pending;
             return dd::encode_worker_health(health);
           }

@@ -54,7 +54,6 @@ ds::GenerateStats sample_stats() {
   stats.sampling_stride = 5;
   stats.steps_run = 8;
   stats.net_evals = 11;
-  stats.degraded_steps = true;
   return stats;
 }
 
@@ -92,26 +91,9 @@ ds::StreamedPattern sample_slot() {
 dd::WorkerHealth sample_health() {
   dd::WorkerHealth health;
   health.worker = "worker-2";
-  health.seq = 77;
   health.admission_pending = 3;
-  health.queue_depth_peak = 6;
   health.fused_fill_ratio = 0.875;
-  health.requests_shed = 4;
-  health.requests_accepted = 40;
-  health.requests_completed = 36;
-  health.arena_bytes_reserved = 1 << 20;
-  health.plan_cache_hits = 250;
-  health.plan_cache_misses = 7;
-  health.embedding_cache_hits = 1200;
   return health;
-}
-
-dd::WorkerAnnounce sample_announce() {
-  dd::WorkerAnnounce announce;
-  announce.worker = "worker-3";
-  announce.address = "tcp:[::1]:7070";
-  announce.models = {"demo", "mini", "prod"};
-  return announce;
 }
 
 /// Every GenerateStats field survived the wire.
@@ -128,7 +110,6 @@ void expect_same_stats(const ds::GenerateStats& a, const ds::GenerateStats& b) {
   EXPECT_EQ(a.sampling_stride, b.sampling_stride);
   EXPECT_EQ(a.steps_run, b.steps_run);
   EXPECT_EQ(a.net_evals, b.net_evals);
-  EXPECT_EQ(a.degraded_steps, b.degraded_steps);
 }
 
 void expect_same_pattern(const diffpattern::layout::SquishPattern& a,
@@ -241,17 +222,8 @@ TEST(DistWire, WorkerHealthRoundTrip) {
       dd::decode_worker_health(dd::encode_worker_health(health));
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
   EXPECT_EQ(decoded->worker, health.worker);
-  EXPECT_EQ(decoded->seq, health.seq);
   EXPECT_EQ(decoded->admission_pending, health.admission_pending);
-  EXPECT_EQ(decoded->queue_depth_peak, health.queue_depth_peak);
   EXPECT_DOUBLE_EQ(decoded->fused_fill_ratio, health.fused_fill_ratio);
-  EXPECT_EQ(decoded->requests_shed, health.requests_shed);
-  EXPECT_EQ(decoded->requests_accepted, health.requests_accepted);
-  EXPECT_EQ(decoded->requests_completed, health.requests_completed);
-  EXPECT_EQ(decoded->arena_bytes_reserved, health.arena_bytes_reserved);
-  EXPECT_EQ(decoded->plan_cache_hits, health.plan_cache_hits);
-  EXPECT_EQ(decoded->plan_cache_misses, health.plan_cache_misses);
-  EXPECT_EQ(decoded->embedding_cache_hits, health.embedding_cache_hits);
 }
 
 TEST(DistWire, StreamEndRoundTrip) {
@@ -345,6 +317,9 @@ TEST(DistWire, UnsupportedVersionIsInvalidArgument) {
   frame[4] = 0x63;  // version 99.
   const auto peeked = dd::peek_type(frame);
   EXPECT_EQ(peeked.status().code(), dc::StatusCode::kInvalidArgument);
+  frame[4] = 0x01;  // version 1: retired by the v2 bump.
+  EXPECT_EQ(dd::peek_type(frame).status().code(),
+            dc::StatusCode::kInvalidArgument);
 }
 
 TEST(DistWire, UnknownMessageTypeIsInvalidArgument) {
@@ -353,6 +328,9 @@ TEST(DistWire, UnknownMessageTypeIsInvalidArgument) {
   EXPECT_EQ(dd::peek_type(frame).status().code(),
             dc::StatusCode::kInvalidArgument);
   frame[6] = 0x00;  // type 0: below the enum.
+  EXPECT_EQ(dd::peek_type(frame).status().code(),
+            dc::StatusCode::kInvalidArgument);
+  frame[6] = 0x09;  // type 9: the retired v1 self-announce.
   EXPECT_EQ(dd::peek_type(frame).status().code(),
             dc::StatusCode::kInvalidArgument);
 }
@@ -500,59 +478,6 @@ TEST(DistWire, EmptyAndGarbageBuffersAreTypedErrors) {
   EXPECT_TRUE(empty->empty());
 }
 
-TEST(DistWire, WorkerAnnounceRoundTrip) {
-  const auto announce = sample_announce();
-  const auto frame = dd::encode_worker_announce(announce);
-  EXPECT_EQ(dd::peek_type(frame).value(), dd::MessageType::kWorkerAnnounce);
-  auto decoded = dd::decode_worker_announce(frame);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-  EXPECT_EQ(decoded->worker, announce.worker);
-  EXPECT_EQ(decoded->address, announce.address);
-  EXPECT_EQ(decoded->models, announce.models);
-  // No-model announces encode fine (the registry rejects them upstream).
-  dd::WorkerAnnounce empty;
-  auto empty_decoded =
-      dd::decode_worker_announce(dd::encode_worker_announce(empty));
-  ASSERT_TRUE(empty_decoded.ok());
-  EXPECT_TRUE(empty_decoded->models.empty());
-}
-
-TEST(DistWire, EveryAnnounceTruncationPrefixIsATypedError) {
-  dd::WorkerAnnounce announce;
-  announce.worker = "w";
-  announce.address = "unix:/tmp/w.sock";
-  announce.models = {"demo"};
-  const auto frame = dd::encode_worker_announce(announce);
-  for (std::size_t len = 0; len < frame.size(); ++len) {
-    dd::Bytes prefix(frame.begin(), frame.begin() + len);
-    const auto decoded = dd::decode_worker_announce(prefix);
-    ASSERT_FALSE(decoded.ok()) << "prefix length " << len;
-    EXPECT_EQ(decoded.status().code(), dc::StatusCode::kDataLoss)
-        << "prefix length " << len;
-  }
-}
-
-TEST(DistWire, HostileAnnounceModelCountIsBounded) {
-  dd::WorkerAnnounce announce;
-  announce.worker = "w";
-  announce.address = "tcp:h:1";
-  const auto frame = dd::encode_worker_announce(announce);
-  // The model-count word sits right past the two strings; claim 2^32-1
-  // models and the decoder must answer typed without allocating them.
-  auto mutant = frame;
-  const std::size_t count_at = mutant.size() - 4;
-  mutant[count_at] = 0xFF;
-  mutant[count_at + 1] = 0xFF;
-  mutant[count_at + 2] = 0xFF;
-  mutant[count_at + 3] = 0xFF;
-  const auto decoded = dd::decode_worker_announce(mutant);
-  ASSERT_FALSE(decoded.ok());
-  const auto code = decoded.status().code();
-  EXPECT_TRUE(code == dc::StatusCode::kDataLoss ||
-              code == dc::StatusCode::kInvalidArgument)
-      << decoded.status().to_string();
-}
-
 /// One fixed instance of every frame type (the streaming-request tag
 /// included, plus a hint-free status).
 std::vector<dd::Bytes> golden_frames() {
@@ -570,7 +495,6 @@ std::vector<dd::Bytes> golden_frames() {
       dd::encode_stream_end(
           dc::Status::ResourceExhausted("window full").with_retry_after(12),
           sample_stats()),
-      dd::encode_worker_announce(sample_announce()),
   };
 }
 
@@ -613,7 +537,6 @@ std::vector<dc::StatusCode> decode_codes(const dd::Bytes& input) {
       dd::decode_status(input).status().code(),
       dd::decode_worker_health(input).status().code(),
       dd::decode_stream_end(input).status().code(),
-      dd::decode_worker_announce(input).status().code(),
   };
 }
 

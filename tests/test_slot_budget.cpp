@@ -5,6 +5,7 @@
 // shutdown (every waiter wakes with a zero grant).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <thread>
@@ -56,8 +57,9 @@ TEST(SlotBudget, WeightedShareCapsHotShardUnderContention) {
   // Uncontended, hot grabs everything.
   ASSERT_EQ(budget.acquire("hot", 8), 8);
 
-  // Cold arrives and must block (no free slots).
-  std::int64_t cold_granted = -1;
+  // Cold arrives and must block (no free slots). Atomic: the waiter thread
+  // writes the grant while wait_for polls it.
+  std::atomic<std::int64_t> cold_granted{-1};
   std::thread cold([&] { cold_granted = budget.acquire("cold", 2); });
   ASSERT_TRUE(wait_for([&] { return budget.waiting() == 1; }));
 

@@ -1,8 +1,8 @@
 // Reduced-step sampling as a service knob: SamplingSpec validation at
 // admission, the steps -> stride resolution, net-eval accounting in stats
-// and service counters, stride degradation under overload, and the
-// serving-path fusion guarantee — requests with different strides sharing
-// one service produce the same bytes they produce alone. The mini model's
+// and service counters, and the serving-path fusion guarantee — requests
+// with different strides sharing one service produce the same bytes they
+// produce alone. The mini model's
 // schedule has K = 6 steps and its signal lasts to the end (K_eps = K), so
 // stride 2 runs 3 evaluations per topology and stride 4 runs 2. The fusion
 // test also runs at K = 20, where the chain is truncated (K_eps = 18).
@@ -13,7 +13,6 @@
 
 #include "counter_test_util.h"
 #include "diffusion/diffusion.h"
-#include "service/admission.h"
 #include "service/pattern_service.h"
 #include "service_test_util.h"
 #include "unet/unet.h"
@@ -196,7 +195,6 @@ TEST_F(StridedSamplingTest, StrideCutsNetEvalsAndIsReportedInStats) {
   EXPECT_EQ(result->stats.sampling_stride, 2);
   EXPECT_EQ(result->stats.steps_run, 3);  // ceil(6 / 2).
   EXPECT_EQ(result->stats.net_evals, 6);  // 2 topologies * 3 steps.
-  EXPECT_FALSE(result->stats.degraded_steps);
 
   // Service counters carry the fleet view: every executed slot-evaluation
   // lands in net_evals, every skipped one in steps_skipped, and the two
@@ -205,7 +203,6 @@ TEST_F(StridedSamplingTest, StrideCutsNetEvalsAndIsReportedInStats) {
   EXPECT_EQ(counters.net_evals, 6);
   EXPECT_EQ(counters.steps_skipped, 6);  // 2 topologies * (6 - 3).
   diffpattern::test::expect_eval_accounting(counters, kMiniSteps);
-  EXPECT_EQ(counters.requests_degraded_steps, 0);
 }
 
 TEST_F(StridedSamplingTest, StepsTargetResolvesThroughTheServicePath) {
@@ -302,90 +299,6 @@ TEST_F(StridedSamplingTest, MixedStrideRequestsMatchTheirSoloRuns) {
     EXPECT_EQ(counters.net_evals, net_evals) << "K=" << steps;
     diffpattern::test::expect_eval_accounting(counters, steps);
   }
-}
-
-// ------------------------------------------------- stride degradation
-
-TEST(AdmissionControl, SoftBandCoarsensStrideBeforeShrinkingCount) {
-  dc::CounterBlock counters;
-  ds::FlowControlConfig flow;
-  flow.max_queue_depth = 4;
-  flow.shed_queue_depth = 2;
-  flow.shed_fill_ratio = 0.0;
-  flow.degrade_stride = 4;
-  ds::AdmissionController admission(flow, 8, counters);
-  ASSERT_TRUE(admission.admit("m", 8, false).status.ok());
-  ASSERT_TRUE(admission.admit("m", 8, false).status.ok());
-
-  // Soft band, degradable, still sampling finer than degrade_stride:
-  // keep the full count, coarsen the schedule instead.
-  const auto coarsened = admission.admit("m", 8, true, /*stride=*/1);
-  ASSERT_TRUE(coarsened.status.ok());
-  EXPECT_EQ(coarsened.admitted_count, 8);  // Topology count untouched.
-  EXPECT_EQ(coarsened.admitted_stride, 4);
-  EXPECT_TRUE(coarsened.degraded_steps);
-  EXPECT_FALSE(coarsened.degraded);
-
-  // Already as coarse as the policy would make it: fall back to the
-  // count-shrink degrade.
-  const auto shrunk = admission.admit("m", 8, true, /*stride=*/4);
-  ASSERT_TRUE(shrunk.status.ok());
-  EXPECT_EQ(shrunk.admitted_count, 4);
-  EXPECT_TRUE(shrunk.degraded);
-  EXPECT_FALSE(shrunk.degraded_steps);
-  EXPECT_EQ(shrunk.admitted_stride, 4);  // Its own stride, not coarsened.
-
-  EXPECT_EQ(dc::snapshot(counters).requests_degraded_steps, 1);
-  EXPECT_EQ(dc::snapshot(counters).requests_degraded, 1);
-}
-
-TEST_F(StridedSamplingTest, OverloadCoarsensStrideKeepingFullCount) {
-  // Reference: an UNLOADED run of the same request at the degrade stride —
-  // what the degraded request must reproduce byte for byte.
-  ds::GenerateRequest reference_request{.model = "a", .count = 4,
-                                        .seed = 55};
-  reference_request.sampling.stride = 4;
-  const auto reference = make_service()->generate(reference_request);
-  ASSERT_TRUE(reference.ok());
-
-  ds::FlowControlConfig flow;
-  flow.max_queue_depth = 4;
-  flow.shed_queue_depth = 1;
-  flow.shed_fill_ratio = 0.0;
-  flow.retry_after_ms = 10;
-  flow.degrade_stride = 4;
-  ds::ServiceConfig config;
-  config.legalize_workers = 2;
-  config.max_fused_batch = 1;  // ~8 rounds: holds the shard busy.
-  config.flow = flow;
-  auto service = std::make_unique<ds::PatternService>(config);
-  ASSERT_TRUE(service->models()
-                  .register_model("a", mini_model_config(),
-                                  model_.registry(), {})
-                  .ok());
-
-  const ds::GenerateRequest busy{.model = "a", .count = 8, .seed = 56};
-  std::thread holder([&] { ASSERT_TRUE(service->generate(busy).ok()); });
-  while (service->counters().admission_pending < 1) {
-    std::this_thread::yield();
-  }
-
-  ds::GenerateRequest flexible{.model = "a", .count = 4, .seed = 55};
-  flexible.allow_degrade = true;
-  const auto degraded = service->generate(flexible);
-  holder.join();
-  ASSERT_TRUE(degraded.ok()) << degraded.status().to_string();
-  EXPECT_TRUE(degraded->stats.degraded_steps);
-  EXPECT_FALSE(degraded->stats.degraded);
-  EXPECT_EQ(degraded->stats.topologies_admitted, 4);  // Full count kept.
-  EXPECT_EQ(degraded->stats.sampling_stride, 4);
-  EXPECT_EQ(degraded->stats.steps_run, 2);
-  // Coarsened under load == the same request explicitly asking for the
-  // coarse schedule on an idle service: degradation changes the schedule,
-  // never the sampling semantics.
-  EXPECT_TRUE(same_patterns(reference->patterns, degraded->patterns));
-  EXPECT_GE(service->counters().requests_degraded_steps, 1);
-  diffpattern::test::expect_eval_accounting(service->counters(), kMiniSteps);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Runtime discovery tests: the worker-directory text format, file-backed
-// re-reads, the announce-fed registry (including its wire handler behind a
-// real SocketServer), and the router's sync_directory() seam — replicas
-// join, retire, and revive under a live router with byte identity intact.
+// re-reads, and the router's sync_directory() seam — replicas join, retire,
+// and revive under a live router with byte identity intact.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -16,9 +15,7 @@
 #include "common/status.h"
 #include "dist/discovery.h"
 #include "dist/router.h"
-#include "dist/socket_transport.h"
 #include "dist/transport.h"
-#include "dist/wire.h"
 #include "dist/worker_node.h"
 #include "service_test_util.h"
 #include "unet/unet.h"
@@ -135,92 +132,6 @@ TEST(WorkerDirectoryStatic, SwapAddRemove) {
 
   directory.set_endpoints({});
   EXPECT_TRUE(directory.snapshot()->empty());
-}
-
-// --------------------------------------------------------------- registry
-
-TEST(WorkerDirectoryRegistry, AnnounceReplaceRemove) {
-  dd::WorkerRegistry registry;
-  dd::WorkerAnnounce announce;
-  announce.worker = "w0";
-  announce.address = "tcp:host-a:7000";
-  announce.models = {"demo", "other"};
-  ASSERT_TRUE(registry.apply_announce(announce).ok());
-
-  auto snapshot = registry.snapshot();
-  ASSERT_TRUE(snapshot.ok());
-  ASSERT_EQ(snapshot->size(), 2u);
-  EXPECT_EQ((*snapshot)[0].model, "demo");
-  EXPECT_EQ((*snapshot)[0].address, "tcp:host-a:7000");
-
-  // A re-announce from the same address REPLACES its model list.
-  announce.models = {"demo"};
-  ASSERT_TRUE(registry.apply_announce(announce).ok());
-  ASSERT_EQ(registry.snapshot()->size(), 1u);
-
-  registry.remove_address("tcp:host-a:7000");
-  EXPECT_TRUE(registry.snapshot()->empty());
-  EXPECT_EQ(registry.counters().announces, 2);
-  EXPECT_EQ(registry.counters().removes, 1);
-}
-
-TEST(WorkerDirectoryRegistry, RejectsEmptyAnnounces) {
-  dd::WorkerRegistry registry;
-  dd::WorkerAnnounce no_address;
-  no_address.worker = "w0";
-  no_address.models = {"demo"};
-  EXPECT_EQ(registry.apply_announce(no_address).code(),
-            dc::StatusCode::kInvalidArgument);
-
-  dd::WorkerAnnounce no_models;
-  no_models.worker = "w0";
-  no_models.address = "tcp:a:1";
-  EXPECT_EQ(registry.apply_announce(no_models).code(),
-            dc::StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.counters().announce_rejects, 2);
-  EXPECT_TRUE(registry.snapshot()->empty());
-}
-
-TEST(WorkerDirectoryRegistry, HandlerServesAnnouncesOverRealSocket) {
-  dd::WorkerRegistry registry;
-  dd::SocketServer server;
-  ASSERT_TRUE(server
-                  .start("unix:/tmp/dp_registry_" +
-                             std::to_string(::getpid()) + ".sock",
-                         registry.handler())
-                  .ok());
-
-  // A transport-free worker self-announces through the real socket, the
-  // same path `serve --announce` takes.
-  dd::WorkerNode node("w0");
-  diffpattern::unet::UNet weights(mini_model_config().unet_config(), 7);
-  ASSERT_TRUE(node.service()
-                  .models()
-                  .register_model("demo", mini_model_config(),
-                                  weights.registry(), {})
-                  .ok());
-  dd::SocketTransport transport;
-  auto channel = transport.connect(server.bound_address());
-  auto ack = channel->call(node.announce_frame("tcp:host-a:7000"));
-  ASSERT_TRUE(ack.ok()) << ack.status().to_string();
-  auto status_frame = dd::decode_status(ack.value());
-  ASSERT_TRUE(status_frame.ok()) << status_frame.status().to_string();
-  EXPECT_TRUE(status_frame->status.ok()) << status_frame->status.to_string();
-
-  auto snapshot = registry.snapshot();
-  ASSERT_TRUE(snapshot.ok());
-  ASSERT_EQ(snapshot->size(), 1u);
-  EXPECT_EQ((*snapshot)[0].model, "demo");
-  EXPECT_EQ((*snapshot)[0].address, "tcp:host-a:7000");
-  EXPECT_EQ(registry.counters().announces, 1);
-
-  // A non-announce frame is answered with the typed decode error, never a
-  // crash or a hang.
-  auto bad = channel->call(dd::encode_health_probe());
-  ASSERT_TRUE(bad.ok()) << bad.status().to_string();
-  auto bad_status = dd::decode_status(bad.value());
-  ASSERT_TRUE(bad_status.ok());
-  EXPECT_FALSE(bad_status->status.ok());
 }
 
 // -------------------------------------------------------- router syncing

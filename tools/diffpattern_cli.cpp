@@ -12,7 +12,7 @@
 //                              [--pool N] [--auth-key KEY]
 //   diffpattern_cli serve    --listen tcp:HOST:PORT|unix:/path [--name S]
 //                            [--io-timeout-ms N] [--max-connections N]
-//                            [--auth-key KEY] [--announce ADDR] [--stats-json]
+//                            [--auth-key KEY] [--stats-json]
 //
 // All subcommands share one scaled pipeline configuration; `train` writes a
 // checkpoint that `generate` reloads, and `generate` emits a pattern
@@ -21,7 +21,8 @@
 // DIFFPATTERN_THREADS env var, else hardware concurrency). `generate
 // --stream` prints every pattern (index + legality) the moment it clears
 // legalization; `--stats` dumps the service counters after the run and
-// `--stats-json` emits the same snapshot as machine-readable JSON.
+// `--stats-json` emits the same snapshot as machine-readable JSON. A flag
+// the subcommand does not read is a usage error, never silently ignored.
 // `serve-demo` spins up an in-process multi-worker serving plane (wire
 // protocol + replica router) and proves cross-replica byte identity. Exit
 // code 0 on success, 1 on usage errors, 2 on runtime failures.
@@ -97,6 +98,7 @@ int usage() {
       "           [--geometries N] [--rules normal|space|area] [--seed S]\n"
       "           [--stream] [--stats] [--priority N] [--deadline-ms N]\n"
       "           [--max-queue-depth N] [--steps N | --stride N]\n"
+      "           [--stats-json] [--tiles N]\n"
       "  evaluate --library library.bin [--rules normal|space|area]\n"
       "  render   --library library.bin --out-dir DIR [--limit N]\n"
       "  export-gds --library library.bin --out patterns.gds [--layer N]\n"
@@ -106,7 +108,7 @@ int usage() {
       "             [--pool N] [--auth-key KEY]\n"
       "  serve    --listen tcp:HOST:PORT|unix:/path [--name S]\n"
       "           [--io-timeout-ms N] [--max-connections N] [--auth-key KEY]\n"
-      "           [--announce ADDR] [--stats-json]\n\n"
+      "           [--stats-json]\n\n"
       "Every subcommand accepts --threads N to size the compute pool used\n"
       "by the numeric kernels (default: DIFFPATTERN_THREADS env, else all\n"
       "hardware threads) and --kernel-backend scalar|avx2|neon|auto to pin\n"
@@ -115,7 +117,7 @@ int usage() {
       "--arena on|off toggles the inference memory plan (activation arena +\n"
       "time-embedding cache; default: DIFFPATTERN_ARENA env, else on).\n"
       "Results are identical for every thread count, backend, and arena\n"
-      "setting.\n"
+      "setting. Any other flag a subcommand does not list is an error.\n"
       "generate --stream prints each pattern (index + legality) as it is\n"
       "delivered; --stats dumps the service counters after the run and\n"
       "--stats-json emits the same snapshot as one JSON object.\n"
@@ -134,9 +136,8 @@ int usage() {
       "serve runs one worker as a listening process (demo model, fixed\n"
       "weights); SIGINT/SIGTERM stops accepting, drains in-flight requests,\n"
       "then exits 0 (with a final counter dump under --stats-json).\n"
-      "serve --max-connections caps concurrent connections (0 = unlimited),\n"
-      "--auth-key KEY requires authenticated frames from every peer, and\n"
-      "--announce ADDR self-registers the worker with a registry at ADDR.\n"
+      "serve --max-connections caps concurrent connections (0 = unlimited)\n"
+      "and --auth-key KEY requires authenticated frames from every peer.\n"
       "--priority ranks the request against concurrent service traffic,\n"
       "--deadline-ms bounds its latency (DEADLINE_EXCEEDED past it), and\n"
       "--max-queue-depth caps the service's per-model admission window\n"
@@ -366,11 +367,6 @@ int cmd_generate(const Args& args) {
               << result.stats.topologies_admitted << " of "
               << result.stats.topologies_requested
               << " topologies ran (service overloaded)\n";
-  }
-  if (result.stats.degraded_steps) {
-    std::cout << "note: admitted with a coarsened sampling stride "
-              << result.stats.sampling_stride
-              << " (service overloaded; full count kept)\n";
   }
   if (result.stats.sampling_stride > 1) {
     std::cout << "sampling stride " << result.stats.sampling_stride << ": "
@@ -749,34 +745,6 @@ int cmd_serve(const Args& args) {
   std::cout << "serving model '" << kDemoModelName << "' as '" << name
             << "' on " << server.bound_address()
             << " (SIGINT/SIGTERM to drain and exit)" << std::endl;
-  if (args.has("announce")) {
-    // Best-effort self-registration: tell the registry at --announce ADDR
-    // that this worker serves its models at the bound address. A failed
-    // announce is logged but does not stop serving — the registry may come
-    // up later and the worker is still directly dialable.
-    dp::dist::SocketTransportConfig announce_cfg;
-    announce_cfg.call_timeout_ms = 2000;
-    announce_cfg.auth_key = server_cfg.auth_key;
-    dp::dist::SocketTransport announce_transport(announce_cfg);
-    auto registry = announce_transport.connect(args.get("announce", ""));
-    const auto ack =
-        registry->call(node.announce_frame(server.bound_address()));
-    if (ack.ok()) {
-      const auto status = dp::dist::decode_status(ack.value());
-      if (status.ok() && status->status.ok()) {
-        std::cout << "serve: announced to " << args.get("announce", "")
-                  << std::endl;
-      } else {
-        std::cerr << "serve: registry rejected announce: "
-                  << (status.ok() ? status->status.to_string()
-                                  : status.status().to_string())
-                  << std::endl;
-      }
-    } else {
-      std::cerr << "serve: announce failed: " << ack.status().to_string()
-                << std::endl;
-    }
-  }
   while (!g_serve_stop.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
@@ -808,6 +776,52 @@ int cmd_export_gds(const Args& args) {
   return 0;
 }
 
+/// One subcommand: its handler and every flag it reads. The process-wide
+/// compute flags (--threads, --kernel-backend, --arena) are accepted by all.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string> flags;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"train", cmd_train, {"out", "iters", "tiles", "seed"}},
+      {"generate",
+       cmd_generate,
+       {"model", "out", "count", "geometries", "rules", "seed", "tiles",
+        "stream", "stats", "stats-json", "priority", "deadline-ms",
+        "max-queue-depth", "steps", "stride"}},
+      {"evaluate", cmd_evaluate, {"library", "rules"}},
+      {"render", cmd_render, {"library", "out-dir", "limit"}},
+      {"export-gds", cmd_export_gds, {"library", "out", "layer"}},
+      {"serve-demo",
+       cmd_serve_demo,
+       {"workers", "requests", "count", "seed", "stats-json", "connect",
+        "directory", "call-timeout-ms", "connect-timeout-ms", "pool",
+        "auth-key"}},
+      {"serve",
+       cmd_serve,
+       {"listen", "name", "io-timeout-ms", "max-connections", "auth-key",
+        "stats-json"}},
+  };
+  return table;
+}
+
+/// Rejects every flag `command` does not read: a misspelled option must
+/// not be ignored without a word.
+void check_flags(const Command& command, const Args& args) {
+  for (const auto& [key, value] : args.options) {
+    const bool known =
+        key == "threads" || key == "kernel-backend" || key == "arena" ||
+        std::find(command.flags.begin(), command.flags.end(), key) !=
+            command.flags.end();
+    if (!known) {
+      throw UsageError(std::string(command.name) + ": unknown flag --" + key);
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -816,6 +830,12 @@ int main(int argc, char** argv) {
   }
   Args args;
   args.command = argv[1];
+  const auto command =
+      std::find_if(commands().begin(), commands().end(),
+                   [&args](const Command& c) { return args.command == c.name; });
+  if (command == commands().end()) {
+    return usage();
+  }
   // Options are --key value pairs; a --key followed by another option (or
   // the end of the line) is a boolean flag, e.g. --stream / --stats.
   for (int i = 2; i < argc;) {
@@ -834,31 +854,11 @@ int main(int argc, char** argv) {
     }
   }
   try {
+    check_flags(*command, args);
     apply_thread_option(args);
     apply_kernel_backend_option(args);
     apply_arena_option(args);
-    if (args.command == "train") {
-      return cmd_train(args);
-    }
-    if (args.command == "generate") {
-      return cmd_generate(args);
-    }
-    if (args.command == "evaluate") {
-      return cmd_evaluate(args);
-    }
-    if (args.command == "render") {
-      return cmd_render(args);
-    }
-    if (args.command == "export-gds") {
-      return cmd_export_gds(args);
-    }
-    if (args.command == "serve-demo") {
-      return cmd_serve_demo(args);
-    }
-    if (args.command == "serve") {
-      return cmd_serve(args);
-    }
-    return usage();
+    return command->run(args);
   } catch (const UsageError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
