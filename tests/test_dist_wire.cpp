@@ -567,16 +567,15 @@ TEST(DistWire, GoldenFrameBytesArePinned) {
     std::uint64_t digest;
   };
   const Pin pins[] = {
-      {90, 0x1b878f03edb9a3f4ULL},  // kGenerateRequest
-      {90, 0xc8bec21d71fdefe2ULL},  // kGenerateStreamRequest
-      {214, 0x9d36826bb1af2bfcULL},  // kGenerateResult
-      {80, 0xd788f54ce99595d0ULL},  // kStreamedPattern
-      {42, 0x92a93abd166c326bULL},  // kStatus, with retry hint
-      {39, 0x96dc69a90a5bae93ULL},  // kStatus, hint-free
-      {112, 0x7b43829fae38bf24ULL},  // kWorkerHealth
-      {12, 0xda2692fc7ae1a602ULL},  // kHealthProbe
-      {127, 0xad42f9470d03bc29ULL},  // kStreamEnd
-      {70, 0x98b322af9d1e89adULL},  // kWorkerAnnounce
+      {90, 0x61c9a80444b3f297ULL},  // kGenerateRequest
+      {90, 0x74cd0c9e779850d9ULL},  // kGenerateStreamRequest
+      {213, 0xfee64dfd23548005ULL},  // kGenerateResult
+      {80, 0xbcc62ffb5d567e23ULL},  // kStreamedPattern
+      {42, 0xec938ab308e54bc0ULL},  // kStatus, with retry hint
+      {39, 0xcdcfaeb8f2d924deULL},  // kStatus, hint-free
+      {40, 0x90f833762cacaa8dULL},  // kWorkerHealth
+      {12, 0xc4bd574be3e86b81ULL},  // kHealthProbe
+      {126, 0xf661f6cc9ac99a44ULL},  // kStreamEnd
   };
   const auto frames = golden_frames();
   ASSERT_EQ(frames.size(), std::size(pins));
@@ -599,8 +598,8 @@ TEST(DistWire, GoldenErrorCodesArePinned) {
       }
     });
   }
-  EXPECT_EQ(codes.size(), 31536U);
-  EXPECT_EQ(fnv1a(codes), 0xed7c86f24c71d4fdULL) << std::hex << "digest 0x" << fnv1a(codes);
+  EXPECT_EQ(codes.size(), 23424U);
+  EXPECT_EQ(fnv1a(codes), 0xdb3db4d58e090f0aULL) << std::hex << "digest 0x" << fnv1a(codes);
 }
 
 }  // namespace
