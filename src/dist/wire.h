@@ -62,8 +62,6 @@ enum class MessageType : std::uint16_t {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x44505731;  // "DPW1"
-/// Version 2 retired v1's message type 9, nine unread health fields and
-/// the stride-degradation stats flag; a v1 frame is rejected.
 inline constexpr std::uint16_t kWireVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 
@@ -73,7 +71,8 @@ inline constexpr std::size_t kMaxNameBytes = 256;      ///< model / rule set
 inline constexpr std::size_t kMaxMessageBytes = 4096;  ///< status message
 
 /// Load snapshot a worker publishes to the router, derived from its
-/// service's counters: exactly what `ReplicaRouter` scores replicas by.
+/// service's counters: its name plus the two load signals
+/// `ReplicaRouter` scores replicas by.
 struct WorkerHealth {
   std::string worker;  ///< Worker endpoint name.
   std::int64_t admission_pending = 0;  ///< In-flight admitted requests.

@@ -28,16 +28,18 @@
 //     strided sampling narrows the batch as coarse slots finish, and each
 //     narrowed shape gets its own plan.
 //   - Compute-pool worker threads have no scope installed, so temporaries
-//     allocated inside parallel_for bodies fall back to the plain heap
-//     (only bmm's per-slice GEMM buffers today). With a 1-thread pool the
-//     caller runs every chunk inline and the arena sees every allocation.
+//     allocated inside parallel_for bodies would fall back to the plain
+//     heap (no inference kernel allocates a tensor there today). With a
+//     1-thread pool the caller runs every chunk inline and the arena sees
+//     every allocation.
 //
 // Kill switch: DIFFPATTERN_ARENA=off|0|false disables the feature
 // process-wide (the CLI --arena flag lands on set_activation_arena_enabled;
-// last explicit choice wins, like the kernel-backend override). Disabled means ArenaScope installs nothing and
-// every path behaves exactly as before this layer existed. On or off, the
-// bytes are identical: the arena only changes where storage lives, never
-// the math (pinned golden digests in test_sampling_determinism.cpp).
+// last explicit choice wins, like the kernel-backend override). Disabled
+// means ArenaScope installs nothing and every path behaves exactly as
+// before this layer existed. On or off, the bytes are identical: the arena
+// only changes where storage lives, never the math (pinned golden digests
+// in test_sampling_determinism.cpp).
 #pragma once
 
 #include <cstdint>

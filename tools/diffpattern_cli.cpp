@@ -66,7 +66,6 @@ struct UsageError : std::runtime_error {
 };
 
 struct Args {
-  std::string command;
   std::map<std::string, std::string> options;
 
   std::string get(const std::string& key, const std::string& fallback) const {
@@ -784,29 +783,26 @@ struct Command {
   std::vector<std::string> flags;
 };
 
-const std::vector<Command>& commands() {
-  static const std::vector<Command> table = {
-      {"train", cmd_train, {"out", "iters", "tiles", "seed"}},
-      {"generate",
-       cmd_generate,
-       {"model", "out", "count", "geometries", "rules", "seed", "tiles",
-        "stream", "stats", "stats-json", "priority", "deadline-ms",
-        "max-queue-depth", "steps", "stride"}},
-      {"evaluate", cmd_evaluate, {"library", "rules"}},
-      {"render", cmd_render, {"library", "out-dir", "limit"}},
-      {"export-gds", cmd_export_gds, {"library", "out", "layer"}},
-      {"serve-demo",
-       cmd_serve_demo,
-       {"workers", "requests", "count", "seed", "stats-json", "connect",
-        "directory", "call-timeout-ms", "connect-timeout-ms", "pool",
-        "auth-key"}},
-      {"serve",
-       cmd_serve,
-       {"listen", "name", "io-timeout-ms", "max-connections", "auth-key",
-        "stats-json"}},
-  };
-  return table;
-}
+const Command kCommands[] = {
+    {"train", cmd_train, {"out", "iters", "tiles", "seed"}},
+    {"generate",
+     cmd_generate,
+     {"model", "out", "count", "geometries", "rules", "seed", "tiles",
+      "stream", "stats", "stats-json", "priority", "deadline-ms",
+      "max-queue-depth", "steps", "stride"}},
+    {"evaluate", cmd_evaluate, {"library", "rules"}},
+    {"render", cmd_render, {"library", "out-dir", "limit"}},
+    {"export-gds", cmd_export_gds, {"library", "out", "layer"}},
+    {"serve-demo",
+     cmd_serve_demo,
+     {"workers", "requests", "count", "seed", "stats-json", "connect",
+      "directory", "call-timeout-ms", "connect-timeout-ms", "pool",
+      "auth-key"}},
+    {"serve",
+     cmd_serve,
+     {"listen", "name", "io-timeout-ms", "max-connections", "auth-key",
+      "stats-json"}},
+};
 
 /// Rejects every flag `command` does not read: a misspelled option must
 /// not be ignored without a word.
@@ -828,14 +824,14 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     return usage();
   }
-  Args args;
-  args.command = argv[1];
+  const std::string name = argv[1];
   const auto command =
-      std::find_if(commands().begin(), commands().end(),
-                   [&args](const Command& c) { return args.command == c.name; });
-  if (command == commands().end()) {
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [&name](const Command& c) { return name == c.name; });
+  if (command == std::end(kCommands)) {
     return usage();
   }
+  Args args;
   // Options are --key value pairs; a --key followed by another option (or
   // the end of the line) is a boolean flag, e.g. --stream / --stats.
   for (int i = 2; i < argc;) {
