@@ -545,32 +545,15 @@ Var matmul(const Var& a, const Var& b) {
   }
   auto pa = a.node();
   auto pb = b.node();
-  Tensor av = a.value();
-  Tensor bv = b.value();
-  return make_op_node(
-      std::move(out), {a, b},
-      [pa, pb, av = std::move(av), bv = std::move(bv)](const Tensor& g) {
-        if (pa->requires_grad) {
-          accumulate_grad(*pa, tensor::matmul_transpose_b(g, bv));
-        }
-        if (pb->requires_grad) {
-          accumulate_grad(*pb, tensor::matmul_transpose_a(av, g));
-        }
-      });
+  return make_op_node(std::move(out), {a, b}, [pa, pb](const Tensor& g) {
+    if (pa->requires_grad) {
+      accumulate_grad(*pa, tensor::matmul_transpose_b(g, pb->value));
+    }
+    if (pb->requires_grad) {
+      accumulate_grad(*pb, tensor::matmul_transpose_a(pa->value, g));
+    }
+  });
 }
-
-namespace {
-
-Tensor slice_batch(const Tensor& t, std::int64_t b) {
-  const auto rows = t.dim(1);
-  const auto cols = t.dim(2);
-  Tensor out({rows, cols});
-  const float* src = t.data() + b * rows * cols;
-  std::copy(src, src + rows * cols, out.data());
-  return out;
-}
-
-}  // namespace
 
 Var bmm(const Var& a, const Var& b) {
   const Tensor& va = a.value();
@@ -598,37 +581,52 @@ Var bmm(const Var& a, const Var& b) {
   }
   auto pa = a.node();
   auto pb = b.node();
-  Tensor av = va;
-  Tensor bv = vb;
   return make_op_node(
       std::move(out), {a, b},
-      [pa, pb, av = std::move(av), bv = std::move(bv), batch, m,
-       n](const Tensor& g) {
-        const auto k = av.dim(2);
+      [pa, pb, batch, m, kd, n](const Tensor& g) {
+        const float* pg = g.data();
+        const float* pav = pa->value.data();
+        const float* pbv = pb->value.data();
         if (pa->requires_grad) {
-          Tensor ga(av.shape());
+          // ga_i = g_i b_i^T: one canonical dot per element, as
+          // matmul_transpose_b computes it.
+          Tensor ga(pa->value.shape());
+          float* pga = ga.data();
+          const auto& kern = tensor::simd::active();
           tensor::parallel_for(0, batch, [&](std::int64_t b0,
                                              std::int64_t b1) {
             for (std::int64_t i = b0; i < b1; ++i) {
-              Tensor gi({m, n});
-              std::copy(g.data() + i * m * n, g.data() + (i + 1) * m * n,
-                        gi.data());
-              Tensor d = tensor::matmul_transpose_b(gi, slice_batch(bv, i));
-              std::copy(d.data(), d.data() + m * k, ga.data() + i * m * k);
+              for (std::int64_t r = 0; r < m; ++r) {
+                for (std::int64_t kk = 0; kk < kd; ++kk) {
+                  pga[(i * m + r) * kd + kk] =
+                      kern.dot(pg + (i * m + r) * n, pbv + (i * kd + kk) * n,
+                               n);
+                }
+              }
             }
           });
           accumulate_grad(*pa, ga);
         }
         if (pb->requires_grad) {
-          Tensor gb(bv.shape());
+          // gb_i = a_i^T g_i: a_i^T packed into one buffer for the whole
+          // batch, then the register-tile chain, as matmul_transpose_a
+          // computes it.
+          Tensor at({batch, kd, m});
+          Tensor gb(pb->value.shape(), 0.0F);
+          float* pat = at.data();
+          float* pgb = gb.data();
           tensor::parallel_for(0, batch, [&](std::int64_t b0,
                                              std::int64_t b1) {
             for (std::int64_t i = b0; i < b1; ++i) {
-              Tensor gi({m, n});
-              std::copy(g.data() + i * m * n, g.data() + (i + 1) * m * n,
-                        gi.data());
-              Tensor d = tensor::matmul_transpose_a(slice_batch(av, i), gi);
-              std::copy(d.data(), d.data() + k * n, gb.data() + i * k * n);
+              const float* ai = pav + i * m * kd;
+              float* ati = pat + i * kd * m;
+              for (std::int64_t r = 0; r < m; ++r) {
+                for (std::int64_t kk = 0; kk < kd; ++kk) {
+                  ati[kk * m + r] = ai[r * kd + kk];
+                }
+              }
+              tensor::gemm_accumulate(ati, m, pg + i * m * n, n,
+                                      pgb + i * kd * n, n, kd, n, m);
             }
           });
           accumulate_grad(*pb, gb);
@@ -659,16 +657,13 @@ Var linear(const Var& x, const Var& w, const Var& b) {
   auto px = x.node();
   auto pw = w.node();
   auto pb = b.node();
-  Tensor xc = vx;
-  Tensor wc = vw;
   return make_op_node(
-      std::move(out), {x, w, b},
-      [px, pw, pb, xc = std::move(xc), wc = std::move(wc)](const Tensor& g) {
+      std::move(out), {x, w, b}, [px, pw, pb](const Tensor& g) {
         if (px->requires_grad) {
-          accumulate_grad(*px, tensor::matmul(g, wc));
+          accumulate_grad(*px, tensor::matmul(g, pw->value));
         }
         if (pw->requires_grad) {
-          accumulate_grad(*pw, tensor::matmul_transpose_a(g, xc));
+          accumulate_grad(*pw, tensor::matmul_transpose_a(g, px->value));
         }
         if (pb->requires_grad) {
           const auto n = g.dim(0);
@@ -781,8 +776,11 @@ Var group_norm(const Var& x, const Var& gamma, const Var& beta,
   const auto group_elems = cg * h * w;
   const auto plane = h * w;
 
-  Tensor xhat(v.shape());
-  Tensor inv_std({n, groups});
+  // Inference keeps neither the normalized input nor the inverse standard
+  // deviations: only the backward reads them.
+  const bool graph = graph_needed({&x, &gamma, &beta});
+  Tensor xhat = graph ? Tensor(v.shape()) : Tensor();
+  Tensor inv_std = graph ? Tensor({n, groups}) : Tensor();
   Tensor out(v.shape());
   const float* gam = gamma.value().data();
   const float* bet = beta.value().data();
@@ -795,25 +793,28 @@ Var group_norm(const Var& x, const Var& gamma, const Var& beta,
     for (std::int64_t t = t0; t < t1; ++t) {
       const auto i = t / groups;
       const auto g = t % groups;
-      const float* src = v.data() + (i * c + g * cg) * plane;
+      const auto base = (i * c + g * cg) * plane;
+      const float* src = v.data() + base;
       const double mean =
           kern.sum(src, group_elems) / static_cast<double>(group_elems);
       const double var = kern.sumsq_centered(src, mean, group_elems) /
                          static_cast<double>(group_elems);
       const float istd = static_cast<float>(1.0 / std::sqrt(var + eps));
-      inv_std.at({i, g}) = istd;
-      float* xh = xhat.data() + (i * c + g * cg) * plane;
-      float* dst = out.data() + (i * c + g * cg) * plane;
+      if (graph) {
+        inv_std.at({i, g}) = istd;
+      }
       for (std::int64_t cc = 0; cc < cg; ++cc) {
         const auto ch = g * cg + cc;
+        const auto off = base + cc * plane;
         kern.normalize_affine(src + cc * plane, static_cast<float>(mean),
-                              istd, gam[ch], bet[ch], xh + cc * plane,
-                              dst + cc * plane, plane);
+                              istd, gam[ch], bet[ch],
+                              graph ? xhat.data() + off : nullptr,
+                              out.data() + off, plane);
       }
     }
   });
 
-  if (!graph_needed({&x, &gamma, &beta})) {
+  if (!graph) {
     return make_value_node(std::move(out));
   }
   auto px = x.node();

@@ -159,7 +159,9 @@ void scalar_normalize_affine(const float* x, float mean, float istd,
                              std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) {
     const float xn = (x[i] - mean) * istd;
-    xhat[i] = xn;
+    if (xhat != nullptr) {
+      xhat[i] = xn;
+    }
     y[i] = std::fma(xn, gamma, beta);
   }
 }
@@ -380,12 +382,16 @@ void neon_normalize_affine(const float* x, float mean, float istd,
   for (; i + 4 <= n; i += 4) {
     const float32x4_t xn =
         vmulq_f32(vsubq_f32(vld1q_f32(x + i), vmean), vistd);
-    vst1q_f32(xhat + i, xn);
+    if (xhat != nullptr) {
+      vst1q_f32(xhat + i, xn);
+    }
     vst1q_f32(y + i, vfmaq_f32(vbeta, xn, vgamma));
   }
   for (; i < n; ++i) {
     const float xn = (x[i] - mean) * istd;
-    xhat[i] = xn;
+    if (xhat != nullptr) {
+      xhat[i] = xn;
+    }
     y[i] = std::fma(xn, gamma, beta);
   }
 }

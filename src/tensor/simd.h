@@ -139,7 +139,8 @@ struct Kernels {
   double (*sumsq_centered)(const float* x, double mean, std::int64_t n);
 
   /// xn = (x[i] - mean) * istd; xhat[i] = xn; y[i] = fma(xn, gamma, beta).
-  /// Scalar gamma/beta: one group-norm channel plane per call.
+  /// Scalar gamma/beta: one group-norm channel plane per call. xhat may be
+  /// nullptr (inference keeps no normalized input): then only y is written.
   void (*normalize_affine)(const float* x, float mean, float istd,
                            float gamma, float beta, float* xhat, float* y,
                            std::int64_t n);

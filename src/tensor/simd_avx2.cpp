@@ -204,12 +204,16 @@ void avx2_normalize_affine(const float* x, float mean, float istd,
   for (; i + 8 <= n; i += 8) {
     const __m256 xn = _mm256_mul_ps(
         _mm256_sub_ps(_mm256_loadu_ps(x + i), vmean), vistd);
-    _mm256_storeu_ps(xhat + i, xn);
+    if (xhat != nullptr) {
+      _mm256_storeu_ps(xhat + i, xn);
+    }
     _mm256_storeu_ps(y + i, _mm256_fmadd_ps(xn, vgamma, vbeta));
   }
   for (; i < n; ++i) {
     const float xn = (x[i] - mean) * istd;
-    xhat[i] = xn;
+    if (xhat != nullptr) {
+      xhat[i] = xn;
+    }
     y[i] = std::fma(xn, gamma, beta);
   }
 }

@@ -362,6 +362,11 @@ TEST(SimdKernels, NormalizeAffineBackendParity) {
                               got_xhat.data(), got_y.data(), n);
       EXPECT_TRUE(bitwise_equal(got_xhat, want_xhat)) << "n=" << n;
       EXPECT_TRUE(bitwise_equal(got_y, want_y)) << "n=" << n;
+      // No xhat (inference): the same y bytes.
+      Tensor y_only({n});
+      table->normalize_affine(x.data(), mean, istd, gamma[0], beta[0],
+                              nullptr, y_only.data(), n);
+      EXPECT_TRUE(bitwise_equal(y_only, want_y)) << "no xhat n=" << n;
 
       scalar->normalize_affine_rows(x.data(), mean, istd, gamma.data(),
                                     beta.data(), want_xhat.data(),
@@ -595,6 +600,14 @@ TEST(SimdKernels, NormalizationOpsBackendInvariant) {
       EXPECT_TRUE(bitwise_equal(re, relu_base))
           << dt::kernel_backend_label(backend);
     }
+    // The training path (a graph, so xhat and inv_std are kept) writes
+    // the same output bytes as inference.
+    const Tensor gn_graph =
+        dn::group_norm(dn::Var(x4, /*requires_grad=*/true), dn::Var(gamma),
+                       dn::Var(beta), /*groups=*/3, /*eps=*/1e-5F)
+            .value();
+    EXPECT_TRUE(bitwise_equal(gn_graph, gn_base))
+        << dt::kernel_backend_label(backend);
   }
 }
 
