@@ -1,7 +1,8 @@
 // Kernel microbench: the runtime-dispatched SIMD backend vs forced-scalar
 // dispatch, and the parallel pool vs single-thread execution, on the three
 // shapes that dominate the reverse-diffusion hot path — GEMM, convolution
-// (a 32x32 batch and the U-Net's 8x8 decoder shape), and row softmax.
+// (a 32x32 batch and the U-Net's 8x8 decoder shape), row softmax, and SiLU
+// (reported in ns per element).
 //
 // For every kernel the bench (a) verifies the backend-parity contract —
 // forced-scalar and vector dispatch produce bitwise-identical results — and
@@ -204,13 +205,25 @@ int main() {
                           /*inner_dim=*/256,
                           [&] { return dp::tensor::softmax_rows(logits); });
 
+  // ---- SiLU over 1 Mi elements (x * sigmoid(x), no libm) ------------------
+  // Inputs spread over [-16, 16], the range the U-Net's activations use.
+  Tensor act = random_tensor({16, 64, 32, 32}, rng);
+  for (std::int64_t i = 0; i < act.numel(); ++i) {
+    act[i] *= 4.0F;
+  }
+  const auto silu = measure(best, ambient, kReps,
+                            dp::tensor::reference::silu(act),
+                            /*inner_dim=*/1,
+                            [&] { return dp::nn::silu(dp::nn::Var(act)).value(); });
+  const double ns_per_ms_element = 1e6 / static_cast<double>(act.numel());
+
   // Restore ambient dispatch for any code running after us.
   set_backend_or_die(best);
 
   const bool all_ok = mm.parity_ok && mm.reference_ok && conv.parity_ok &&
                       conv.reference_ok && unet_conv.parity_ok &&
                       unet_conv.reference_ok && sm.parity_ok &&
-                      sm.reference_ok;
+                      sm.reference_ok && silu.parity_ok && silu.reference_ok;
   const auto row = [](const char* name, const KernelReport& r) {
     std::cout << name << "  scalar " << r.scalar_ms_1t << " ms -> simd "
               << r.simd_ms_1t << " ms (x" << r.simd_speedup()
@@ -222,6 +235,13 @@ int main() {
   row("conv2d  16x16x32x32: ", conv);
   row("conv2d  8x48x8x8->16:", unet_conv);
   row("softmax 4096x256:    ", sm);
+  std::cout << "silu    1Mi elements:  scalar "
+            << silu.scalar_ms_1t * ns_per_ms_element << " ns/element -> simd "
+            << silu.simd_ms_1t * ns_per_ms_element << " ns/element (x"
+            << silu.simd_speedup() << "), threaded "
+            << silu.simd_ms_nt * ns_per_ms_element << " ns/element"
+            << (silu.parity_ok ? "" : "  [PARITY BROKEN]")
+            << (silu.reference_ok ? "" : "  [REFERENCE DRIFT]") << "\n";
   std::cout << "backend parity (scalar == "
             << dp::tensor::kernel_backend_label(best)
             << ", bitwise) and reference agreement: "
@@ -247,6 +267,13 @@ int main() {
        {"softmax_ms_simd_1_thread", sm.simd_ms_1t},
        {"softmax_simd_speedup", sm.simd_speedup()},
        {"softmax_ms_simd_n_threads", sm.simd_ms_nt},
+       {"silu_ns_per_element_scalar_1_thread",
+        silu.scalar_ms_1t * ns_per_ms_element},
+       {"silu_ns_per_element_simd_1_thread",
+        silu.simd_ms_1t * ns_per_ms_element},
+       {"silu_simd_speedup", silu.simd_speedup()},
+       {"silu_ns_per_element_simd_n_threads",
+        silu.simd_ms_nt * ns_per_ms_element},
        {"bitwise_backend_parity", all_ok ? 1.0 : 0.0}});
   return all_ok ? 0 : 1;
 }

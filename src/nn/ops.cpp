@@ -35,16 +35,6 @@ Tensor map_unary(const Tensor& x, float (*f)(float)) {
   return out;
 }
 
-/// Logistic sigmoid, stable on both tails, with one exp per element (a
-/// single expression calling exp twice keeps both calls: errno semantics).
-float stable_sigmoid(float v) {
-  if (v >= 0.0F) {
-    return 1.0F / (1.0F + std::exp(-v));
-  }
-  const float e = std::exp(v);
-  return e / (1.0F + e);
-}
-
 }  // namespace
 
 // ---- arithmetic -----------------------------------------------------------
@@ -176,7 +166,12 @@ Var relu(const Var& a) {
 }
 
 Var sigmoid(const Var& a) {
-  Tensor out = map_unary(a.value(), stable_sigmoid);
+  Tensor out = a.value();
+  float* po = out.data();
+  const auto& kern = tensor::simd::active();
+  parallel_elements(out.numel(), [&](std::int64_t i0, std::int64_t i1) {
+    kern.sigmoid(po + i0, po + i0, i1 - i0);
+  });
   if (!graph_needed({&a})) {
     return make_value_node(std::move(out));
   }
@@ -193,39 +188,33 @@ Var sigmoid(const Var& a) {
 }
 
 Var silu(const Var& a) {
-  const Tensor& x = a.value();
-  Tensor out = x;
+  Tensor out = a.value();
   float* po = out.data();
-  const float* px = x.data();
+  const auto& kern = tensor::simd::active();
   if (!graph_needed({&a})) {
-    // Inference: same per-element formula, no sigmoid stash and no capture
-    // copies — bytes are identical to the training path below.
-    parallel_elements(x.numel(), [&](std::int64_t i0, std::int64_t i1) {
-      for (std::int64_t i = i0; i < i1; ++i) {
-        po[i] = px[i] * stable_sigmoid(px[i]);
-      }
+    // Inference: no sigmoid stash. The kernel's SiLU is x * sigmoid(x), so
+    // the bytes are those of the training path below.
+    parallel_elements(out.numel(), [&](std::int64_t i0, std::int64_t i1) {
+      kern.silu(po + i0, po + i0, i1 - i0);
     });
     return make_value_node(std::move(out));
   }
-  Tensor s(x.shape());
+  Tensor s = out;
   float* ps = s.data();
-  parallel_elements(x.numel(), [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      ps[i] = stable_sigmoid(px[i]);
-      po[i] = px[i] * ps[i];
-    }
+  parallel_elements(out.numel(), [&](std::int64_t i0, std::int64_t i1) {
+    kern.sigmoid(ps + i0, ps + i0, i1 - i0);
+    kern.mul(po + i0, ps + i0, i1 - i0);
   });
   auto pa = a.node();
-  Tensor xc = x;
   return make_op_node(
-      std::move(out), {a},
-      [pa, xc = std::move(xc), s = std::move(s)](const Tensor& g) {
+      std::move(out), {a}, [pa, s = std::move(s)](const Tensor& g) {
+        const float* px = pa->value.data();
         Tensor d = g;
         float* pd = d.data();
         parallel_elements(d.numel(), [&](std::int64_t i0, std::int64_t i1) {
           for (std::int64_t i = i0; i < i1; ++i) {
             const float sig = s[i];
-            pd[i] *= sig * (1.0F + xc[i] * (1.0F - sig));
+            pd[i] *= sig * (1.0F + px[i] * (1.0F - sig));
           }
         });
         accumulate_grad(*pa, d);
@@ -291,15 +280,14 @@ Var softplus(const Var& a) {
     return make_value_node(std::move(out));
   }
   auto pa = a.node();
-  Tensor x = a.value();
-  return make_op_node(std::move(out), {a},
-                      [pa, x = std::move(x)](const Tensor& g) {
-                        Tensor d = g;
-                        for (std::int64_t i = 0; i < d.numel(); ++i) {
-                          d[i] *= stable_sigmoid(x[i]);
-                        }
-                        accumulate_grad(*pa, d);
-                      });
+  return make_op_node(std::move(out), {a}, [pa](const Tensor& g) {
+    const auto& kern = tensor::simd::active();
+    Tensor s(pa->value.shape());
+    kern.sigmoid(s.data(), pa->value.data(), s.numel());
+    Tensor d = g;
+    kern.mul(d.data(), s.data(), d.numel());
+    accumulate_grad(*pa, d);
+  });
 }
 
 Var log_clamped(const Var& a, float eps) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 
@@ -176,6 +177,42 @@ void scalar_normalize_affine_rows(const float* x, float mean, float istd,
   }
 }
 
+/// The canonical exp of t <= 0 (Kernels::sigmoid documents the steps).
+float canonical_exp_nonpos(float t) {
+  if (!(t >= detail::kExpLo)) {
+    return 0.0F;  // Below the normal range.
+  }
+  const float n = std::rint(t * detail::kLog2e);
+  float r = std::fma(n, -detail::kLn2Hi, t);
+  r = std::fma(n, -detail::kLn2Lo, r);
+  float p = detail::kExpPoly[0];
+  for (int j = 1; j < detail::kExpPolyTerms; ++j) {
+    p = std::fma(p, r, detail::kExpPoly[j]);
+  }
+  const float y = std::fma(p, r * r, r) + 1.0F;
+  return y * std::bit_cast<float>((static_cast<std::int32_t>(n) + 127) << 23);
+}
+
+float canonical_sigmoid(float v) {
+  if (std::isnan(v)) {
+    return v;
+  }
+  const float e = canonical_exp_nonpos(-std::fabs(v));
+  return (v >= 0.0F ? 1.0F : e) / (1.0F + e);
+}
+
+void scalar_sigmoid(float* y, const float* x, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    y[i] = canonical_sigmoid(x[i]);
+  }
+}
+
+void scalar_silu(float* y, const float* x, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    y[i] = x[i] * canonical_sigmoid(x[i]);
+  }
+}
+
 constexpr Kernels kScalarTable = {
     .backend = KernelBackend::kScalar,
     .axpy = scalar_axpy,
@@ -191,6 +228,8 @@ constexpr Kernels kScalarTable = {
     .sumsq_centered = scalar_sumsq_centered,
     .normalize_affine = scalar_normalize_affine,
     .normalize_affine_rows = scalar_normalize_affine_rows,
+    .sigmoid = scalar_sigmoid,
+    .silu = scalar_silu,
 };
 
 // ---- NEON backend (AArch64 baseline) --------------------------------------
@@ -416,6 +455,56 @@ void neon_normalize_affine_rows(const float* x, float mean, float istd,
   }
 }
 
+/// Kernels::sigmoid on 4 lanes: the scalar canonical steps lane by lane.
+float32x4_t neon_sigmoid4(float32x4_t v) {
+  const float32x4_t one = vdupq_n_f32(1.0F);
+  const float32x4_t lo = vdupq_n_f32(detail::kExpLo);
+  const float32x4_t t = vnegq_f32(vabsq_f32(v));
+  // Lanes below the normal range (and NaN lanes) are masked to +0 below;
+  // the clamp only keeps their integer conversion in range.
+  const float32x4_t tc = vmaxq_f32(t, lo);
+  const float32x4_t n = vrndnq_f32(vmulq_f32(tc, vdupq_n_f32(detail::kLog2e)));
+  float32x4_t r = vfmaq_f32(tc, n, vdupq_n_f32(-detail::kLn2Hi));
+  r = vfmaq_f32(r, n, vdupq_n_f32(-detail::kLn2Lo));
+  float32x4_t p = vdupq_n_f32(detail::kExpPoly[0]);
+  for (int j = 1; j < detail::kExpPolyTerms; ++j) {
+    p = vfmaq_f32(vdupq_n_f32(detail::kExpPoly[j]), p, r);
+  }
+  const float32x4_t y = vaddq_f32(vfmaq_f32(r, p, vmulq_f32(r, r)), one);
+  const int32x4_t bits =
+      vshlq_n_s32(vaddq_s32(vcvtq_s32_f32(n), vdupq_n_s32(127)), 23);
+  const float32x4_t e = vbslq_f32(vcgeq_f32(t, lo),
+                                  vmulq_f32(y, vreinterpretq_f32_s32(bits)),
+                                  vdupq_n_f32(0.0F));
+  const float32x4_t num = vbslq_f32(vcgeq_f32(v, vdupq_n_f32(0.0F)), one, e);
+  const float32x4_t s = vdivq_f32(num, vaddq_f32(one, e));
+  return vbslq_f32(vceqq_f32(v, v), s, v);  // NaN lanes keep v.
+}
+
+/// y = op(x) over 4-lane vectors; the tail runs one zero-padded vector.
+template <typename Op>
+void neon_map(float* y, const float* x, std::int64_t n, Op op) {
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    vst1q_f32(y + i, op(vld1q_f32(x + i)));
+  }
+  if (i < n) {
+    float buf[4] = {0.0F, 0.0F, 0.0F, 0.0F};
+    std::copy(x + i, x + n, buf);
+    vst1q_f32(buf, op(vld1q_f32(buf)));
+    std::copy(buf, buf + (n - i), y + i);
+  }
+}
+
+void neon_sigmoid(float* y, const float* x, std::int64_t n) {
+  neon_map(y, x, n, neon_sigmoid4);
+}
+
+void neon_silu(float* y, const float* x, std::int64_t n) {
+  neon_map(y, x, n,
+           [](float32x4_t v) { return vmulq_f32(v, neon_sigmoid4(v)); });
+}
+
 constexpr Kernels kNeonTable = {
     .backend = KernelBackend::kNeon,
     .axpy = neon_axpy,
@@ -431,6 +520,8 @@ constexpr Kernels kNeonTable = {
     .sumsq_centered = neon_sumsq_centered,
     .normalize_affine = neon_normalize_affine,
     .normalize_affine_rows = neon_normalize_affine_rows,
+    .sigmoid = neon_sigmoid,
+    .silu = neon_silu,
 };
 
 #endif  // defined(__aarch64__)

@@ -22,7 +22,9 @@
 // mul-then-add rounding and therefore agree only within a small ULP bound;
 // tests/test_simd_kernels.cpp asserts both relations. The whole library is
 // compiled with -ffp-contract=off so the compiler cannot re-fuse (or
-// un-fuse) any of this behind our back.
+// un-fuse) any of this behind our back. Sigmoid and SiLU call no libm
+// function: their exp is the table's own fma polynomial, so their bits do
+// not depend on the host's libm either.
 //
 // Dispatch: the process-wide backend starts at DIFFPATTERN_KERNEL_BACKEND
 // (scalar|avx2|neon|auto; malformed or host-unsupported values are ignored)
@@ -150,7 +152,34 @@ struct Kernels {
   void (*normalize_affine_rows)(const float* x, float mean, float istd,
                                 const float* gamma, const float* beta,
                                 float* xhat, float* y, std::int64_t n);
+
+  /// y[i] = sigmoid(x[i]), y == x allowed. With e = exp(-|x|) by the
+  /// canonical exp below, y = (x >= 0 ? 1 : e) / (1 + e), one IEEE
+  /// division; a NaN x is returned unchanged. No libm call: the bits are
+  /// the table's, not the host's.
+  ///
+  /// Canonical exp of t <= 0 (Cephes expf): t below kExpLo (where exp
+  /// leaves the normal range) gives +0; otherwise n = t * kLog2e rounded
+  /// to nearest even, r = fma(n, -kLn2Lo, fma(n, -kLn2Hi, t)), p = the
+  /// kExpPoly Horner chain in fma over r, and exp(t) = (fma(p, r*r, r) + 1)
+  /// * 2^n.
+  void (*sigmoid)(float* y, const float* x, std::int64_t n);
+  /// y[i] = x[i] * sigmoid(x[i]) (SiLU) with the sigmoid above, y == x
+  /// allowed.
+  void (*silu)(float* y, const float* x, std::int64_t n);
 };
+
+namespace detail {
+/// Constants of the canonical exp under Kernels::sigmoid and silu.
+inline constexpr float kExpLo = -87.33654F;  // ≈ ln(FLT_MIN).
+inline constexpr float kLog2e = 1.44269504088896341F;
+inline constexpr float kLn2Hi = 0.693359375F;  // Exact in 9 bits.
+inline constexpr float kLn2Lo = -2.12194440e-4F;
+inline constexpr int kExpPolyTerms = 6;
+inline constexpr float kExpPoly[kExpPolyTerms] = {
+    1.9875691500e-4F, 1.3981999507e-3F, 8.3334519073e-3F,
+    4.1665795894e-2F, 1.6666665459e-1F, 5.0000001201e-1F};
+}  // namespace detail
 
 /// Table for the active backend (one relaxed atomic load — grab the
 /// reference once per tensor op, not per element).

@@ -16,6 +16,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace diffpattern::tensor::simd {
@@ -239,6 +240,59 @@ void avx2_normalize_affine_rows(const float* x, float mean, float istd,
   }
 }
 
+/// Kernels::sigmoid on 8 lanes: the scalar canonical steps lane by lane.
+__m256 avx2_sigmoid8(__m256 v) {
+  const __m256 one = _mm256_set1_ps(1.0F);
+  const __m256 lo = _mm256_set1_ps(detail::kExpLo);
+  const __m256 t = _mm256_or_ps(v, _mm256_set1_ps(-0.0F));  // -|v|
+  // Lanes below the normal range (and NaN lanes) are masked to +0 below;
+  // the clamp only keeps their integer conversion in range.
+  const __m256 tc = _mm256_max_ps(t, lo);
+  const __m256 n = _mm256_round_ps(
+      _mm256_mul_ps(tc, _mm256_set1_ps(detail::kLog2e)),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256 r = _mm256_fmadd_ps(n, _mm256_set1_ps(-detail::kLn2Hi), tc);
+  r = _mm256_fmadd_ps(n, _mm256_set1_ps(-detail::kLn2Lo), r);
+  __m256 p = _mm256_set1_ps(detail::kExpPoly[0]);
+  for (int j = 1; j < detail::kExpPolyTerms; ++j) {
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(detail::kExpPoly[j]));
+  }
+  const __m256 y =
+      _mm256_add_ps(_mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r), one);
+  const __m256i bits = _mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)), 23);
+  const __m256 e = _mm256_and_ps(_mm256_mul_ps(y, _mm256_castsi256_ps(bits)),
+                                 _mm256_cmp_ps(t, lo, _CMP_GE_OQ));
+  const __m256 num = _mm256_blendv_ps(
+      e, one, _mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GE_OQ));
+  const __m256 s = _mm256_div_ps(num, _mm256_add_ps(one, e));
+  return _mm256_blendv_ps(s, v, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
+}
+
+/// y = op(x) over 8-lane vectors; the tail runs one zero-padded vector.
+template <typename Op>
+void avx2_map(float* y, const float* x, std::int64_t n, Op op) {
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, op(_mm256_loadu_ps(x + i)));
+  }
+  if (i < n) {
+    alignas(32) float buf[8] = {};
+    std::copy(x + i, x + n, buf);
+    _mm256_store_ps(buf, op(_mm256_load_ps(buf)));
+    std::copy(buf, buf + (n - i), y + i);
+  }
+}
+
+void avx2_sigmoid(float* y, const float* x, std::int64_t n) {
+  avx2_map(y, x, n, avx2_sigmoid8);
+}
+
+void avx2_silu(float* y, const float* x, std::int64_t n) {
+  avx2_map(y, x, n,
+           [](__m256 v) { return _mm256_mul_ps(v, avx2_sigmoid8(v)); });
+}
+
 constexpr Kernels kAvx2Table = {
     .backend = KernelBackend::kAvx2,
     .axpy = avx2_axpy,
@@ -254,6 +308,8 @@ constexpr Kernels kAvx2Table = {
     .sumsq_centered = avx2_sumsq_centered,
     .normalize_affine = avx2_normalize_affine,
     .normalize_affine_rows = avx2_normalize_affine_rows,
+    .sigmoid = avx2_sigmoid,
+    .silu = avx2_silu,
 };
 
 }  // namespace

@@ -618,6 +618,24 @@ Tensor softmax_rows(const Tensor& logits) {
   return out;
 }
 
+Tensor sigmoid(const Tensor& x) {
+  Tensor out = x;
+  for (std::int64_t i = 0; i < out.numel(); ++i) {
+    out[i] = static_cast<float>(
+        1.0 / (1.0 + std::exp(-static_cast<double>(x[i]))));
+  }
+  return out;
+}
+
+Tensor silu(const Tensor& x) {
+  Tensor out = x;
+  for (std::int64_t i = 0; i < out.numel(); ++i) {
+    const double v = x[i];
+    out[i] = static_cast<float>(v / (1.0 + std::exp(-v)));
+  }
+  return out;
+}
+
 }  // namespace reference
 
 }  // namespace diffpattern::tensor

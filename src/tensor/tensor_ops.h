@@ -123,6 +123,10 @@ void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& out);
 Tensor matmul_transpose_a(const Tensor& a, const Tensor& b);
 Tensor matmul_transpose_b(const Tensor& a, const Tensor& b);
 Tensor softmax_rows(const Tensor& logits);
+/// 1 / (1 + exp(-x)) in double, rounded once to float.
+Tensor sigmoid(const Tensor& x);
+/// x * sigmoid(x) in double, rounded once to float.
+Tensor silu(const Tensor& x);
 }  // namespace reference
 
 }  // namespace diffpattern::tensor

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -378,6 +379,103 @@ TEST(SimdKernels, NormalizeAffineBackendParity) {
       EXPECT_TRUE(bitwise_equal(got_y, want_y)) << "rows n=" << n;
     }
   }
+}
+
+namespace {
+
+/// Every 4099th of all 2^32 bit patterns (about 1.05 M floats: both signs,
+/// every exponent, spread mantissas), then the special values: signed
+/// zeros, infinities, NaNs, subnormals, the float extremes and the exp
+/// clamp boundary on both sides of zero.
+std::vector<float> sigmoid_sweep_inputs() {
+  std::vector<float> xs;
+  for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << 32); bits += 4099) {
+    xs.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(bits)));
+  }
+  using lim = std::numeric_limits<float>;
+  const float lo = dt::simd::detail::kExpLo;
+  for (const float v :
+       {0.0F, lim::infinity(), lim::quiet_NaN(), lim::signaling_NaN(),
+        lim::denorm_min(), lim::min() / 2.0F, lim::min(), lim::max(), lo,
+        std::nextafter(lo, 0.0F), std::nextafter(lo, -lim::infinity())}) {
+    xs.push_back(v);
+    xs.push_back(-v);
+  }
+  return xs;
+}
+
+}  // namespace
+
+TEST(SimdKernels, SigmoidSiluBitwiseAcrossBackends) {
+  const std::vector<float> xs = sigmoid_sweep_inputs();
+  const auto n = static_cast<std::int64_t>(xs.size());
+  const auto bytes = static_cast<std::size_t>(n) * sizeof(float);
+  const auto* scalar = dt::simd::table_for(KernelBackend::kScalar);
+  std::vector<float> want_sig(xs.size());
+  std::vector<float> want_silu(xs.size());
+  scalar->sigmoid(want_sig.data(), xs.data(), n);
+  scalar->silu(want_silu.data(), xs.data(), n);
+  for (const auto backend : backends_under_test()) {
+    const auto* table = dt::simd::table_for(backend);
+    const char* label = dt::kernel_backend_label(backend);
+    std::vector<float> got(xs.size());
+    table->sigmoid(got.data(), xs.data(), n);
+    EXPECT_EQ(std::memcmp(got.data(), want_sig.data(), bytes), 0) << label;
+    table->silu(got.data(), xs.data(), n);
+    EXPECT_EQ(std::memcmp(got.data(), want_silu.data(), bytes), 0) << label;
+    // In place, and every tail length from an unaligned start.
+    got = xs;
+    table->silu(got.data(), got.data(), n);
+    EXPECT_EQ(std::memcmp(got.data(), want_silu.data(), bytes), 0) << label;
+    for (const auto len : kTailSizes) {
+      table->sigmoid(got.data(), xs.data() + 1, len);
+      EXPECT_EQ(std::memcmp(got.data(), want_sig.data() + 1,
+                            static_cast<std::size_t>(len) * sizeof(float)),
+                0)
+          << label << " n=" << len;
+    }
+  }
+
+  // Against the double-precision reference: sigmoid within 2 ulp where it
+  // is a normal float, within FLT_MIN of it where it is not (exp below
+  // kExpLo is +0); SiLU = x * sigmoid(x) within 3 ulp where that sigmoid
+  // is normal, within |x| * FLT_MIN elsewhere. NaN in gives NaN out; the
+  // infinities are checked by value after the loop.
+  Tensor x({n});
+  std::copy(xs.begin(), xs.end(), x.data());
+  const Tensor ref_sig = dt::reference::sigmoid(x);
+  const Tensor ref_silu = dt::reference::silu(x);
+  constexpr float kMin = std::numeric_limits<float>::min();
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (std::isinf(xs[i])) {
+      continue;
+    }
+    if (std::abs(ref_sig[i]) >= kMin || std::isnan(ref_sig[i])) {
+      ASSERT_LE(du::ulp_distance(want_sig[i], ref_sig[i]), 2) << "x=" << xs[i];
+      ASSERT_LE(du::ulp_distance(want_silu[i], ref_silu[i]), 3)
+          << "x=" << xs[i];
+    } else {
+      ASSERT_LE(std::abs(want_sig[i] - ref_sig[i]), kMin) << "x=" << xs[i];
+      ASSERT_LE(std::abs(want_silu[i] - ref_silu[i]), std::abs(xs[i]) * kMin)
+          << "x=" << xs[i];
+    }
+  }
+  EXPECT_EQ(want_sig[n - 22], 0.5F);  // sigmoid(+0)
+  EXPECT_EQ(want_sig[n - 20], 1.0F);  // sigmoid(+inf)
+  EXPECT_EQ(want_sig[n - 19], 0.0F);  // sigmoid(-inf)
+  EXPECT_EQ(want_silu[n - 20], std::numeric_limits<float>::infinity());
+  EXPECT_TRUE(std::isnan(want_silu[n - 19]));  // -inf * 0, as the reference.
+
+  // nn::silu and nn::sigmoid write the same bytes with and without a graph.
+  dc::Rng rng(167);
+  Tensor act = random_tensor({4, 16, 8, 8}, rng);
+  for (std::int64_t i = 0; i < act.numel(); ++i) {
+    act[i] *= 8.0F;
+  }
+  EXPECT_TRUE(bitwise_equal(dn::silu(dn::Var(act, true)).value(),
+                            dn::silu(dn::Var(act)).value()));
+  EXPECT_TRUE(bitwise_equal(dn::sigmoid(dn::Var(act, true)).value(),
+                            dn::sigmoid(dn::Var(act)).value()));
 }
 
 // ------------------------------------------- tensor-op level equivalence
