@@ -12,6 +12,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -120,6 +121,21 @@ class ChaosFailoverTest : public ::testing::Test {
     return request;
   }
 
+  /// Read deadline for a test whose stalled replica must trip it: `floor_ms`,
+  /// or four times one clean direct call when that is longer. Sanitizer
+  /// builds run the model about 20x slower (a clean call takes ~200 ms
+  /// under TSan), so a fixed floor alone would also expire on the healthy
+  /// replica; a stall (held for stall_max_ms, 60 s) trips either deadline.
+  std::int64_t stall_deadline_ms(std::int64_t floor_ms) {
+    const auto started = std::chrono::steady_clock::now();
+    EXPECT_TRUE(golden_.service().generate(demo_request(0)).ok());
+    const auto clean_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - started)
+            .count();
+    return std::max<std::int64_t>(floor_ms, 4 * clean_ms);
+  }
+
   /// Direct-service bytes for `seed` — the answer every routed success
   /// must match bit for bit.
   std::vector<diffpattern::layout::SquishPattern> golden_for(
@@ -187,7 +203,7 @@ TEST_F(ChaosFailoverTest, StallTripsDeadlineAndFailsOver) {
   auto stalling = clean_faults(9);
   stalling.stall_probability = 1.0;
   dd::SocketTransportConfig transport_cfg;
-  transport_cfg.call_timeout_ms = 250;  // Small so the stall trips fast.
+  transport_cfg.call_timeout_ms = stall_deadline_ms(250);  // Trips fast.
   start_topology(2, {stalling, clean_faults(10)}, transport_cfg);
   const auto started = std::chrono::steady_clock::now();
   auto routed = router_->generate(demo_request(19));
@@ -279,7 +295,7 @@ TEST_F(ChaosFailoverTest, MixedFaultStormStaysTypedAndByteIdentical) {
   dd::FaultConfig stormy2 = stormy;
   stormy2.seed = 5678;
   dd::SocketTransportConfig transport_cfg;
-  transport_cfg.call_timeout_ms = 300;  // Stalls must trip quickly.
+  transport_cfg.call_timeout_ms = stall_deadline_ms(300);  // Trips quickly.
   transport_cfg.backoff_base_ms = 1;
   transport_cfg.backoff_max_ms = 20;
   start_topology(2, {stormy, stormy2}, transport_cfg);
