@@ -236,8 +236,9 @@ constexpr Kernels kScalarTable = {
 //
 // Mirrors the canonical 8-float / 4-double lane structure with paired
 // 128-bit registers (lanes 0-3 in the A register, 4-7 in B); tails and
-// reductions drop to the scalar canonical code on the stored lanes, so the
-// result is bit-identical to the scalar backend.
+// reductions drop to the scalar canonical code on the stored lanes (sigmoid
+// and SiLU run their tail as one zero-padded vector), so the result is
+// bit-identical to the scalar backend.
 #if defined(__aarch64__)
 
 void neon_axpy(float a, const float* x, float* y, std::int64_t n) {

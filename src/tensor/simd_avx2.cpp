@@ -7,7 +7,8 @@
 // reproduces the scalar canonical semantics bit for bit: fused ops use FMA
 // instructions exactly where the scalar backend calls std::fma, reductions
 // keep the 8-float / 4-double lane split with the fixed reduction tree, and
-// tails run the scalar canonical code on the stored lanes. Do not introduce
+// tails run the scalar canonical code on the stored lanes (sigmoid and SiLU
+// run theirs as one zero-padded vector). Do not introduce
 // re-associations here — bitwise backend parity is load-bearing
 // (tests/test_simd_kernels.cpp, the sampling golden digest).
 #include "tensor/simd.h"

@@ -460,11 +460,19 @@ TEST(SimdKernels, SigmoidSiluBitwiseAcrossBackends) {
           << "x=" << xs[i];
     }
   }
-  EXPECT_EQ(want_sig[n - 22], 0.5F);  // sigmoid(+0)
-  EXPECT_EQ(want_sig[n - 20], 1.0F);  // sigmoid(+inf)
-  EXPECT_EQ(want_sig[n - 19], 0.0F);  // sigmoid(-inf)
-  EXPECT_EQ(want_silu[n - 20], std::numeric_limits<float>::infinity());
-  EXPECT_TRUE(std::isnan(want_silu[n - 19]));  // -inf * 0, as the reference.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0F, -0.0F, kInf, -kInf};
+  float sig[4];
+  float silu[4];
+  scalar->sigmoid(sig, specials, 4);
+  scalar->silu(silu, specials, 4);
+  EXPECT_EQ(sig[0], 0.5F);
+  EXPECT_EQ(sig[1], 0.5F);
+  EXPECT_EQ(sig[2], 1.0F);
+  EXPECT_EQ(sig[3], 0.0F);
+  EXPECT_TRUE(std::signbit(silu[1]));  // silu(-0) = -0.
+  EXPECT_EQ(silu[2], kInf);
+  EXPECT_TRUE(std::isnan(silu[3]));  // -inf * 0, as in the reference.
 
   // nn::silu and nn::sigmoid write the same bytes with and without a graph.
   dc::Rng rng(167);
