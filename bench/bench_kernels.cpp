@@ -205,7 +205,7 @@ int main() {
                           /*inner_dim=*/256,
                           [&] { return dp::tensor::softmax_rows(logits); });
 
-  // ---- SiLU over 1 Mi elements (x * sigmoid(x), no libm) ------------------
+  // ---- SiLU over 1 Mi elements (x * sigmoid(x), the table's own exp) ------
   // Normal inputs with sigma 4: the sigmoid's centre and both of its tails.
   Tensor act = random_tensor({16, 64, 32, 32}, rng);
   for (std::int64_t i = 0; i < act.numel(); ++i) {

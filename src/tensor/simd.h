@@ -22,9 +22,9 @@
 // mul-then-add rounding and therefore agree only within a small ULP bound;
 // tests/test_simd_kernels.cpp asserts both relations. The whole library is
 // compiled with -ffp-contract=off so the compiler cannot re-fuse (or
-// un-fuse) any of this behind our back. Sigmoid and SiLU call no libm
-// function: their exp is the table's own fma polynomial, so their bits do
-// not depend on the host's libm either.
+// un-fuse) any of this behind our back. Sigmoid and SiLU use no libm
+// approximation: their exp is the table's own fma polynomial, so their bits
+// do not depend on the host's libm either.
 //
 // Dispatch: the process-wide backend starts at DIFFPATTERN_KERNEL_BACKEND
 // (scalar|avx2|neon|auto; malformed or host-unsupported values are ignored)
@@ -155,8 +155,9 @@ struct Kernels {
 
   /// y[i] = sigmoid(x[i]), y == x allowed. With e = exp(-|x|) by the
   /// canonical exp below, y = (x >= 0 ? 1 : e) / (1 + e), one IEEE
-  /// division; a NaN x is returned unchanged. No libm call: the bits are
-  /// the table's, not the host's.
+  /// division; a NaN x is returned unchanged. Every step is an exactly
+  /// rounded IEEE operation (no libm approximation), so the bits are the
+  /// table's, not the host's.
   ///
   /// Canonical exp of t <= 0 (Cephes expf): t below kExpLo (where exp
   /// leaves the normal range) gives +0; otherwise n = t * kLog2e rounded
