@@ -1,8 +1,9 @@
 // Kernel microbench: the runtime-dispatched SIMD backend vs forced-scalar
 // dispatch, and the parallel pool vs single-thread execution, on the
-// kernels that dominate the reverse-diffusion hot path — GEMM, convolution
-// (a 32x32 batch and the U-Net's 8x8 decoder shape), row softmax, and SiLU
-// (reported in ns per element).
+// kernels that dominate the reverse-diffusion hot path — GEMM, the GEMM
+// register tile alone (the U-Net's level-1 conv shape, in GFLOP/s),
+// convolution (a 32x32 batch and the U-Net's 8x8 decoder shape), row
+// softmax, and SiLU (reported in ns per element).
 //
 // For every kernel the bench (a) verifies the backend-parity contract —
 // forced-scalar and vector dispatch produce bitwise-identical results — and
@@ -154,6 +155,38 @@ int main() {
                           /*inner_dim=*/384,
                           [&] { return dp::tensor::matmul(a, b); });
 
+  // ---- GEMM register tile: C[32,16] += A[32,288] * B[288,16] -------------
+  // The U-Net's level-1 conv product per 16-column strip (32 output
+  // channels, K = 32 * 3 * 3) through gemm_accumulate: 8 tile calls on a
+  // zero-free A block. One timed run repeats the product kTileProducts
+  // times, each into a fresh zero C.
+  constexpr std::int64_t kTileM = 32;
+  constexpr std::int64_t kTileK = 288;
+  constexpr std::int64_t kTileN = dp::tensor::simd::kTileCols;
+  constexpr int kTileProducts = 2000;
+  Tensor ta = random_tensor({kTileM, kTileK}, rng);
+  for (std::int64_t i = 0; i < ta.numel(); ++i) {
+    if (ta[i] == 0.0F) {
+      ta[i] = 1.0F;
+    }
+  }
+  const Tensor tb = random_tensor({kTileK, kTileN}, rng);
+  const auto tile = measure(
+      best, ambient, kReps, dp::tensor::reference::matmul(ta, tb),
+      /*inner_dim=*/kTileK, [&] {
+        Tensor tc({kTileM, kTileN});
+        for (int r = 0; r < kTileProducts; ++r) {
+          tc.fill(0.0F);
+          dp::tensor::gemm_accumulate(ta.data(), kTileK, tb.data(), kTileN,
+                                      tc.data(), kTileN, kTileM, kTileN,
+                                      kTileK);
+        }
+        return tc;
+      });
+  const auto gflops = [&](double ms) {
+    return 2.0 * kTileM * kTileK * kTileN * kTileProducts / (ms * 1e6);
+  };
+
   // ---- conv2d forward, 3x3 stride 1 pad 1 --------------------------------
   // Run under NoGradGuard — the sampler's configuration. Two shapes: a
   // 32x32 image batch, and the U-Net's widest 8x8 conv (the 48->16 decoder
@@ -221,7 +254,8 @@ int main() {
   // Restore ambient dispatch for any code running after us.
   set_backend_or_die(best);
 
-  const bool all_ok = mm.parity_ok && mm.reference_ok && conv.parity_ok &&
+  const bool all_ok = mm.parity_ok && mm.reference_ok && tile.parity_ok &&
+                      tile.reference_ok && conv.parity_ok &&
                       conv.reference_ok && unet_conv.parity_ok &&
                       unet_conv.reference_ok && sm.parity_ok &&
                       sm.reference_ok && silu.parity_ok && silu.reference_ok;
@@ -233,6 +267,11 @@ int main() {
               << (r.reference_ok ? "" : "  [REFERENCE DRIFT]") << "\n";
   };
   row("matmul  256x384x512: ", mm);
+  std::cout << "gemm_tile 32x288x16:   scalar " << gflops(tile.scalar_ms_1t)
+            << " GFLOP/s -> simd " << gflops(tile.simd_ms_1t) << " GFLOP/s (x"
+            << tile.simd_speedup() << ")"
+            << (tile.parity_ok ? "" : "  [PARITY BROKEN]")
+            << (tile.reference_ok ? "" : "  [REFERENCE DRIFT]") << "\n";
   row("conv2d  16x16x32x32: ", conv);
   row("conv2d  8x48x8x8->16:", unet_conv);
   row("softmax 4096x256:    ", sm);
@@ -257,6 +296,9 @@ int main() {
        {"matmul_ms_simd_1_thread", mm.simd_ms_1t},
        {"matmul_simd_speedup", mm.simd_speedup()},
        {"matmul_ms_simd_n_threads", mm.simd_ms_nt},
+       {"gemm_tile_gflops_scalar_1_thread", gflops(tile.scalar_ms_1t)},
+       {"gemm_tile_gflops_simd_1_thread", gflops(tile.simd_ms_1t)},
+       {"gemm_tile_simd_speedup", tile.simd_speedup()},
        {"conv2d_ms_scalar_1_thread", conv.scalar_ms_1t},
        {"conv2d_ms_simd_1_thread", conv.simd_ms_1t},
        {"conv2d_simd_speedup", conv.simd_speedup()},

@@ -1,5 +1,6 @@
 #include "nn/ops.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -333,33 +334,48 @@ Tensor permute_tensor(const Tensor& x, const std::vector<std::int64_t>& dims) {
   const auto rank = x.rank();
   DP_REQUIRE(static_cast<std::int64_t>(dims.size()) == rank,
              "permute: dims rank mismatch");
-  Shape out_shape(dims.size());
-  for (std::size_t i = 0; i < dims.size(); ++i) {
-    out_shape[i] = x.dim(dims[i]);
-  }
-  // Strides of the input, then gather.
-  std::vector<std::int64_t> in_strides(static_cast<std::size_t>(rank), 1);
-  for (std::int64_t i = rank - 2; i >= 0; --i) {
-    in_strides[static_cast<std::size_t>(i)] =
-        in_strides[static_cast<std::size_t>(i + 1)] * x.dim(i + 1);
+  const auto r = static_cast<std::size_t>(rank);
+  // Shape and source stride of each output axis.
+  Shape out_shape(r);
+  std::vector<std::int64_t> stride(r);
+  for (std::size_t d = 0; d < r; ++d) {
+    out_shape[d] = x.dim(dims[d]);
+    std::int64_t s = 1;
+    for (std::int64_t i = dims[d] + 1; i < rank; ++i) {
+      s *= x.dim(i);
+    }
+    stride[d] = s;
   }
   Tensor out(out_shape);
-  std::vector<std::int64_t> idx(static_cast<std::size_t>(rank), 0);
-  const auto n = x.numel();
-  for (std::int64_t flat = 0; flat < n; ++flat) {
-    std::int64_t src = 0;
-    for (std::int64_t d = 0; d < rank; ++d) {
-      src += idx[static_cast<std::size_t>(d)] *
-             in_strides[static_cast<std::size_t>(dims[static_cast<std::size_t>(d)])];
+  if (out.numel() == 0 || r == 0) {
+    std::copy_n(x.data(), out.numel(), out.data());
+    return out;
+  }
+  // Copy the innermost output axis as one strided run per outer index,
+  // advancing the outer multi-index (and its source offset) in row-major
+  // order.
+  const auto run = out_shape[r - 1];
+  const auto run_stride = stride[r - 1];
+  const float* in = x.data();
+  float* dst = out.data();
+  std::vector<std::int64_t> idx(r, 0);
+  std::int64_t src = 0;
+  for (std::int64_t left = out.numel() / run; left > 0; --left) {
+    if (run_stride == 1) {
+      std::copy_n(in + src, run, dst);
+    } else {
+      for (std::int64_t j = 0; j < run; ++j) {
+        dst[j] = in[src + j * run_stride];
+      }
     }
-    out[flat] = x[src];
-    // Increment the multi-index in output (row-major) order.
-    for (std::int64_t d = rank - 1; d >= 0; --d) {
-      auto& v = idx[static_cast<std::size_t>(d)];
-      if (++v < out_shape[static_cast<std::size_t>(d)]) {
+    dst += run;
+    for (std::size_t d = r - 1; d-- > 0;) {
+      src += stride[d];
+      if (++idx[d] < out_shape[d]) {
         break;
       }
-      v = 0;
+      src -= idx[d] * stride[d];
+      idx[d] = 0;
     }
   }
   return out;

@@ -36,32 +36,101 @@ void avx2_axpy(float a, const float* x, float* y, std::int64_t n) {
   }
 }
 
+/// One C row of the register tile. The accumulators are named values, not
+/// an `__m256 acc[4][2]` array: GCC 12 at -O3 keeps such an array on the
+/// stack and stores both ymm back after every FMA pair.
+struct TileRow {
+  __m256 lo;
+  __m256 hi;
+};
+
+inline TileRow load_row(const float* c) {
+  return {_mm256_loadu_ps(c), _mm256_loadu_ps(c + 8)};
+}
+
+inline void store_row(float* c, TileRow r) {
+  _mm256_storeu_ps(c, r.lo);
+  _mm256_storeu_ps(c + 8, r.hi);
+}
+
+inline void fma_row(const float* a, __m256 b0, __m256 b1, TileRow& r) {
+  const __m256 va = _mm256_broadcast_ss(a);
+  r.lo = _mm256_fmadd_ps(va, b0, r.lo);
+  r.hi = _mm256_fmadd_ps(va, b1, r.hi);
+}
+
+/// True when a kTileRows x k block of A holds a zero of either sign. The
+/// tail of each row is one masked load whose padding lanes are masked out
+/// of the compare.
+bool block_has_zero(const float* a, std::int64_t lda, std::int64_t k) {
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const std::int64_t body = k - k % 8;
+  __m256 hit = zero;
+  for (std::int64_t i = 0; i < kTileRows; ++i) {
+    const float* row = a + i * lda;
+    for (std::int64_t kk = 0; kk < body; kk += 8) {
+      hit = _mm256_or_ps(
+          hit, _mm256_cmp_ps(_mm256_loadu_ps(row + kk), zero, _CMP_EQ_OQ));
+    }
+    if (body < k) {
+      const __m256i mask = _mm256_cmpgt_epi32(
+          _mm256_set1_epi32(static_cast<int>(k - body)), lanes);
+      const __m256 tail = _mm256_maskload_ps(row + body, mask);
+      hit = _mm256_or_ps(hit,
+                         _mm256_and_ps(_mm256_cmp_ps(tail, zero, _CMP_EQ_OQ),
+                                       _mm256_castsi256_ps(mask)));
+    }
+  }
+  return _mm256_movemask_ps(hit) != 0;
+}
+
 void avx2_gemm_tile(const float* a, std::int64_t lda, const float* b,
                     std::int64_t ldb, float* c, std::int64_t ldc,
                     std::int64_t k) {
-  __m256 acc[kTileRows][2];  // Two ymm per C row.
-  for (std::int64_t i = 0; i < kTileRows; ++i) {
-    acc[i][0] = _mm256_loadu_ps(c + i * ldc);
-    acc[i][1] = _mm256_loadu_ps(c + i * ldc + 8);
-  }
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const __m256 b0 = _mm256_loadu_ps(b + kk * ldb);
-    const __m256 b1 = _mm256_loadu_ps(b + kk * ldb + 8);
-    for (std::int64_t i = 0; i < kTileRows; ++i) {
-      // A zero a_ik (either sign) skips that row's FMAs, as the scalar
-      // tile does.
-      if (a[i * lda + kk] == 0.0F) {
-        continue;
+  static_assert(kTileRows == 4 && kTileCols == 16);
+  const float* a0 = a;
+  const float* a1 = a + lda;
+  const float* a2 = a + 2 * lda;
+  const float* a3 = a + 3 * lda;
+  TileRow r0 = load_row(c);
+  TileRow r1 = load_row(c + ldc);
+  TileRow r2 = load_row(c + 2 * ldc);
+  TileRow r3 = load_row(c + 3 * ldc);
+  if (!block_has_zero(a, lda, k)) {
+    // No a_ik to skip: every row takes every FMA, branch-free.
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const __m256 b0 = _mm256_loadu_ps(b + kk * ldb);
+      const __m256 b1 = _mm256_loadu_ps(b + kk * ldb + 8);
+      fma_row(a0 + kk, b0, b1, r0);
+      fma_row(a1 + kk, b0, b1, r1);
+      fma_row(a2 + kk, b0, b1, r2);
+      fma_row(a3 + kk, b0, b1, r3);
+    }
+  } else {
+    // A zero a_ik (either sign) skips that row's FMAs, as the scalar tile
+    // does.
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const __m256 b0 = _mm256_loadu_ps(b + kk * ldb);
+      const __m256 b1 = _mm256_loadu_ps(b + kk * ldb + 8);
+      if (a0[kk] != 0.0F) {
+        fma_row(a0 + kk, b0, b1, r0);
       }
-      const __m256 va = _mm256_broadcast_ss(a + i * lda + kk);
-      acc[i][0] = _mm256_fmadd_ps(va, b0, acc[i][0]);
-      acc[i][1] = _mm256_fmadd_ps(va, b1, acc[i][1]);
+      if (a1[kk] != 0.0F) {
+        fma_row(a1 + kk, b0, b1, r1);
+      }
+      if (a2[kk] != 0.0F) {
+        fma_row(a2 + kk, b0, b1, r2);
+      }
+      if (a3[kk] != 0.0F) {
+        fma_row(a3 + kk, b0, b1, r3);
+      }
     }
   }
-  for (std::int64_t i = 0; i < kTileRows; ++i) {
-    _mm256_storeu_ps(c + i * ldc, acc[i][0]);
-    _mm256_storeu_ps(c + i * ldc + 8, acc[i][1]);
-  }
+  store_row(c, r0);
+  store_row(c + ldc, r1);
+  store_row(c + 2 * ldc, r2);
+  store_row(c + 3 * ldc, r3);
 }
 
 float avx2_dot(const float* x, const float* y, std::int64_t n) {

@@ -350,9 +350,13 @@ Tensor conv2d(const Tensor& images, const Tensor& weight, const Tensor& bias,
       0, ceil_div(ncols, kStrip),
       [&](std::int64_t s0, std::int64_t s1) {
         // The K x 16 column panel (L1-resident for K <= 576) and the
-        // O x 16 accumulator block.
-        std::vector<float> scratch(static_cast<std::size_t>(
-            (kdim + out_ch) * kStrip));
+        // O x 16 accumulator block, in a per-thread buffer that only grows:
+        // every entry is written before it is read.
+        thread_local std::vector<float> scratch;
+        const auto need = static_cast<std::size_t>((kdim + out_ch) * kStrip);
+        if (scratch.size() < need) {
+          scratch.resize(need);
+        }
         float* panel = scratch.data();
         float* acc = panel + kdim * kStrip;
         for (std::int64_t s = s0; s < s1; ++s) {

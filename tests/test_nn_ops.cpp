@@ -2,9 +2,11 @@
 // checkpointing, and op forward values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "common/rng.h"
 #include "nn/autograd.h"
@@ -111,6 +113,46 @@ TEST(Ops, ConcatSliceRoundTrip) {
   Var back = nn::slice_channels(c, 2, 3);
   for (std::int64_t i = 0; i < back.numel(); ++i) {
     EXPECT_FLOAT_EQ(back.value()[i], 2.0F);
+  }
+}
+
+// Every permutation of a rank-4 tensor with distinct odd dims (and a
+// size-1 axis) against the index formula out[o] = x[sum_d o_d *
+// stride(dims[d])], plus the rank-1 identity.
+TEST(Ops, PermuteMatchesIndexFormula) {
+  const std::vector<std::int64_t> shape = {3, 1, 5, 2};
+  Tensor x({3, 1, 5, 2});
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    x[i] = static_cast<float>(i);
+  }
+  const std::vector<std::int64_t> in_stride = {10, 10, 2, 1};
+  std::vector<std::int64_t> dims = {0, 1, 2, 3};
+  do {
+    const Tensor y = nn::permute(Var(x), dims).value();
+    for (std::size_t d = 0; d < 4; ++d) {
+      ASSERT_EQ(y.dim(static_cast<std::int64_t>(d)), shape[dims[d]]);
+    }
+    std::int64_t flat = 0;
+    for (std::int64_t i0 = 0; i0 < y.dim(0); ++i0) {
+      for (std::int64_t i1 = 0; i1 < y.dim(1); ++i1) {
+        for (std::int64_t i2 = 0; i2 < y.dim(2); ++i2) {
+          for (std::int64_t i3 = 0; i3 < y.dim(3); ++i3) {
+            const auto src = i0 * in_stride[dims[0]] +
+                             i1 * in_stride[dims[1]] +
+                             i2 * in_stride[dims[2]] + i3 * in_stride[dims[3]];
+            EXPECT_EQ(y[flat++], x[src]);
+          }
+        }
+      }
+    }
+  } while (std::next_permutation(dims.begin(), dims.end()));
+  Tensor v({4});
+  for (std::int64_t i = 0; i < 4; ++i) {
+    v[i] = static_cast<float>(i) - 1.5F;
+  }
+  const Tensor w = nn::permute(Var(v), {0}).value();
+  for (std::int64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(w[i], v[i]);
   }
 }
 

@@ -174,66 +174,97 @@ TEST(SimdKernels, AxpyBackendParityAndTailCoverage) {
 
 // The register tile against the axpy chain it replaces, for every backend.
 // Operands live in strided buffers (lda/ldb/ldc wider than the tile) so a
-// write outside the 4x16 tile shows as a padding mismatch. A has zeros of
-// both signs, C starts with -0 entries, and each non-finite B value sits in
-// a column of its own: a zero a_ik against +inf must skip (fma would give
-// NaN), and with one special per column no result depends on which NaN
-// payload an FMA form propagates — so the comparison stays memcmp.
+// write outside the 4x16 tile shows as a padding mismatch. C starts with -0
+// entries, and each non-finite B value sits in a column of its own: a zero
+// a_ik against an infinity must skip (fma would give NaN), and with one
+// special per column no result depends on which NaN payload an FMA form
+// propagates — so the comparison stays memcmp. Every k runs four A blocks:
+// random zeros of both signs; none at all (the AVX2 tile's branch-free
+// loop); and a lone zero at k = 0 of row 0 or at the last k of row 3, each
+// meeting an infinity, so the zero scan must find it at the first element
+// and in its masked tail.
 TEST(SimdKernels, GemmTileMatchesAxpyChainBitwise) {
   constexpr std::int64_t kRows = dt::simd::kTileRows;
   constexpr std::int64_t kCols = dt::simd::kTileCols;
   constexpr float kInf = std::numeric_limits<float>::infinity();
+  enum class Zeros { kRandom, kNone, kFirstOfRow0, kLastOfRow3 };
   const auto* scalar = dt::simd::table_for(KernelBackend::kScalar);
   dc::Rng rng(109);
   for (const std::int64_t k : {0, 1, 2, 3, 7, 8, 9, 16, 17, 33, 144}) {
-    const std::int64_t lda = k + 3;
-    const std::int64_t ldb = kCols + 5;
-    const std::int64_t ldc = kCols + 2;
-    std::vector<float> a(static_cast<std::size_t>(kRows * lda));
-    std::vector<float> b(static_cast<std::size_t>(std::max<std::int64_t>(
-        k * ldb, 1)));
-    std::vector<float> c0(static_cast<std::size_t>(kRows * ldc));
-    for (auto& v : a) {
-      const double u = rng.uniform(0.0, 1.0);
-      v = u < 0.15 ? 0.0F
-                   : (u < 0.25 ? -0.0F : static_cast<float>(rng.normal()));
-    }
-    for (auto& v : b) {
-      v = static_cast<float>(rng.normal());
-    }
-    for (auto& v : c0) {
-      v = rng.uniform(0.0, 1.0) < 0.3 ? -0.0F
-                                       : static_cast<float>(rng.normal());
-    }
-    if (k >= 2) {
-      b[static_cast<std::size_t>(1 * ldb + 3)] = kInf;
-      b[static_cast<std::size_t>(0 * ldb + 5)] = -kInf;
-      b[static_cast<std::size_t>(1 * ldb + 7)] =
-          std::numeric_limits<float>::quiet_NaN();
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        b[static_cast<std::size_t>(kk * ldb + 9)] = -0.0F;
-      }
-      a[static_cast<std::size_t>(2 * lda + 1)] = 0.0F;  // Meets +inf: skip.
-      a[static_cast<std::size_t>(3 * lda + 0)] = -0.0F;  // Meets -inf.
-    }
-    // The oracle: per row, the axpy chain over the nonzero a_ik.
-    std::vector<float> want = c0;
-    for (std::int64_t i = 0; i < kRows; ++i) {
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const float av = a[static_cast<std::size_t>(i * lda + kk)];
-        if (av != 0.0F) {
-          scalar->axpy(av, b.data() + kk * ldb, want.data() + i * ldc, kCols);
+    for (const auto zeros : {Zeros::kRandom, Zeros::kNone,
+                             Zeros::kFirstOfRow0, Zeros::kLastOfRow3}) {
+      const std::int64_t lda = k + 3;
+      const std::int64_t ldb = kCols + 5;
+      const std::int64_t ldc = kCols + 2;
+      std::vector<float> a(static_cast<std::size_t>(kRows * lda), 0.0F);
+      std::vector<float> b(static_cast<std::size_t>(std::max<std::int64_t>(
+          k * ldb, 1)));
+      std::vector<float> c0(static_cast<std::size_t>(kRows * ldc));
+      const auto at = [&](std::int64_t i, std::int64_t kk) -> float& {
+        return a[static_cast<std::size_t>(i * lda + kk)];
+      };
+      for (std::int64_t i = 0; i < kRows; ++i) {
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          const double u = rng.uniform(0.0, 1.0);
+          float v = static_cast<float>(rng.normal());
+          if (zeros == Zeros::kRandom && u < 0.25) {
+            v = u < 0.15 ? 0.0F : -0.0F;
+          } else if (v == 0.0F) {
+            v = 1.0F;
+          }
+          at(i, kk) = v;
         }
       }
-    }
-    for (const auto backend : backends_under_test()) {
-      std::vector<float> got = c0;
-      dt::simd::table_for(backend)->gemm_tile(a.data(), lda, b.data(), ldb,
-                                              got.data(), ldc, k);
-      EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                            want.size() * sizeof(float)),
-                0)
-          << dt::kernel_backend_label(backend) << " k=" << k;
+      for (auto& v : b) {
+        v = static_cast<float>(rng.normal());
+      }
+      for (auto& v : c0) {
+        v = rng.uniform(0.0, 1.0) < 0.3 ? -0.0F
+                                         : static_cast<float>(rng.normal());
+      }
+      if (k >= 1) {
+        b[static_cast<std::size_t>(0 * ldb + 5)] = -kInf;
+        b[static_cast<std::size_t>((k - 1) * ldb + 11)] = kInf;
+      }
+      if (k >= 2) {
+        b[static_cast<std::size_t>(1 * ldb + 3)] = kInf;
+        b[static_cast<std::size_t>(1 * ldb + 7)] =
+            std::numeric_limits<float>::quiet_NaN();
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          b[static_cast<std::size_t>(kk * ldb + 9)] = -0.0F;
+        }
+        if (zeros == Zeros::kRandom) {
+          at(2, 1) = 0.0F;   // Meets +inf: skip.
+          at(3, 0) = -0.0F;  // Meets -inf.
+        }
+      }
+      if (k >= 1 && zeros == Zeros::kFirstOfRow0) {
+        at(0, 0) = -0.0F;  // Meets -inf.
+      }
+      if (k >= 1 && zeros == Zeros::kLastOfRow3) {
+        at(3, k - 1) = 0.0F;  // Meets +inf.
+      }
+      // The oracle: per row, the axpy chain over the nonzero a_ik.
+      std::vector<float> want = c0;
+      for (std::int64_t i = 0; i < kRows; ++i) {
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          const float av = at(i, kk);
+          if (av != 0.0F) {
+            scalar->axpy(av, b.data() + kk * ldb, want.data() + i * ldc,
+                         kCols);
+          }
+        }
+      }
+      for (const auto backend : backends_under_test()) {
+        std::vector<float> got = c0;
+        dt::simd::table_for(backend)->gemm_tile(a.data(), lda, b.data(), ldb,
+                                                got.data(), ldc, k);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << dt::kernel_backend_label(backend) << " k=" << k
+            << " zeros=" << static_cast<int>(zeros);
+      }
     }
   }
 }
