@@ -164,12 +164,7 @@ int main() {
   constexpr std::int64_t kTileK = 288;
   constexpr std::int64_t kTileN = dp::tensor::simd::kTileCols;
   constexpr int kTileProducts = 2000;
-  Tensor ta = random_tensor({kTileM, kTileK}, rng);
-  for (std::int64_t i = 0; i < ta.numel(); ++i) {
-    if (ta[i] == 0.0F) {
-      ta[i] = 1.0F;
-    }
-  }
+  const Tensor ta = random_tensor({kTileM, kTileK}, rng);
   const Tensor tb = random_tensor({kTileK, kTileN}, rng);
   const auto tile = measure(
       best, ambient, kReps, dp::tensor::reference::matmul(ta, tb),

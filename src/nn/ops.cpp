@@ -361,12 +361,8 @@ Tensor permute_tensor(const Tensor& x, const std::vector<std::int64_t>& dims) {
   std::vector<std::int64_t> idx(r, 0);
   std::int64_t src = 0;
   for (std::int64_t left = out.numel() / run; left > 0; --left) {
-    if (run_stride == 1) {
-      std::copy_n(in + src, run, dst);
-    } else {
-      for (std::int64_t j = 0; j < run; ++j) {
-        dst[j] = in[src + j * run_stride];
-      }
+    for (std::int64_t j = 0; j < run; ++j) {
+      dst[j] = in[src + j * run_stride];
     }
     dst += run;
     for (std::size_t d = r - 1; d-- > 0;) {

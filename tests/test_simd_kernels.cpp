@@ -209,8 +209,6 @@ TEST(SimdKernels, GemmTileMatchesAxpyChainBitwise) {
           float v = static_cast<float>(rng.normal());
           if (zeros == Zeros::kRandom && u < 0.25) {
             v = u < 0.15 ? 0.0F : -0.0F;
-          } else if (v == 0.0F) {
-            v = 1.0F;
           }
           at(i, kk) = v;
         }
