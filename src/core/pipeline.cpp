@@ -11,32 +11,6 @@ namespace diffpattern::core {
 using geometry::BinaryGrid;
 using layout::SquishPattern;
 
-namespace {
-
-/// Swaps the EMA weights in for the scope when `ema` is non-null and not
-/// already active.
-class ScopedEmaWeights {
- public:
-  explicit ScopedEmaWeights(diffusion::Ema* ema)
-      : ema_(ema != nullptr && !ema->active() ? ema : nullptr) {
-    if (ema_ != nullptr) {
-      ema_->swap_in();
-    }
-  }
-  ~ScopedEmaWeights() {
-    if (ema_ != nullptr) {
-      ema_->swap_out();
-    }
-  }
-  ScopedEmaWeights(const ScopedEmaWeights&) = delete;
-  ScopedEmaWeights& operator=(const ScopedEmaWeights&) = delete;
-
- private:
-  diffusion::Ema* ema_;
-};
-
-}  // namespace
-
 PipelineConfig PipelineConfig::paper() {
   PipelineConfig cfg;
   cfg.dataset_tiles = 13869;
@@ -181,18 +155,11 @@ void Pipeline::train(const ProgressFn& progress) {
   const auto& data = dataset();
   diffusion::DiffusionTrainer trainer(*model_, *schedule_, config_.loss,
                                       config_.adam);
-  if (config_.use_ema && ema_ == nullptr) {
-    ema_ = std::make_unique<diffusion::Ema>(model_->registry(),
-                                            config_.ema_decay);
-  }
   common::Rng train_rng = rng_.split();
   for (std::int64_t it = 0; it < config_.train_iterations; ++it) {
     const auto batch =
         data.sample_training_batch(config_.batch_size, train_rng);
     const auto breakdown = trainer.step(batch, train_rng);
-    if (ema_ != nullptr) {
-      ema_->update();
-    }
     if (progress) {
       progress(it, breakdown);
     }
@@ -205,8 +172,6 @@ void Pipeline::sync_service() {
     return;
   }
   const auto& data = dataset();
-  // Serve the EMA weights when enabled (the standard DDPM evaluation trick).
-  const ScopedEmaWeights ema_scope(ema_.get());
   const auto status = service_->models().register_model(
       kServiceModel, config_.to_model_config(), model_->registry(),
       data.library);

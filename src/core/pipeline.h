@@ -54,12 +54,6 @@ struct PipelineConfig {
   /// exposes via service().
   service::FlowControlConfig flow;
 
-  /// Maintain an exponential moving average of the model weights during
-  /// training and sample with it (standard DDPM practice). Only worthwhile
-  /// for longer runs; off by default at the scaled settings.
-  bool use_ema = false;
-  double ema_decay = 0.995;
-
   /// The paper's configuration for reference (Sec. IV-A): 2048 nm tiles,
   /// 128x128 topology folded to 16x32x32, K = 1000, U-Net [128, 256, 256,
   /// 256] with attention at 16x16, 0.5M iterations at batch 128. Running it
@@ -135,7 +129,6 @@ class Pipeline {
   std::optional<datagen::Dataset> dataset_;
   std::unique_ptr<unet::UNet> model_;
   std::unique_ptr<diffusion::BinarySchedule> schedule_;
-  std::unique_ptr<diffusion::Ema> ema_;
   std::unique_ptr<service::PatternService> service_;
   bool model_synced_ = false;
 };

@@ -334,47 +334,4 @@ tensor::Tensor sample_streams_strided(
   return x;
 }
 
-Ema::Ema(nn::ParamRegistry& registry, double decay)
-    : registry_(registry), decay_(decay) {
-  DP_REQUIRE(decay > 0.0 && decay < 1.0, "Ema: decay outside (0, 1)");
-  shadow_.reserve(registry_.size());
-  for (const auto& p : registry_.params()) {
-    shadow_.push_back(p.value());
-  }
-}
-
-void Ema::update() {
-  DP_REQUIRE(!active_, "Ema::update: EMA weights are swapped in");
-  for (std::size_t i = 0; i < shadow_.size(); ++i) {
-    const Tensor& current = registry_.params()[i].value();
-    Tensor& avg = shadow_[i];
-    for (std::int64_t j = 0; j < avg.numel(); ++j) {
-      avg[j] = static_cast<float>(decay_ * avg[j] +
-                                  (1.0 - decay_) * current[j]);
-    }
-  }
-}
-
-void Ema::swap_in() {
-  DP_REQUIRE(!active_, "Ema::swap_in: already active");
-  backup_.clear();
-  backup_.reserve(registry_.size());
-  for (std::size_t i = 0; i < shadow_.size(); ++i) {
-    Var param = registry_.params()[i];
-    backup_.push_back(param.value());
-    param.mutable_value() = shadow_[i];
-  }
-  active_ = true;
-}
-
-void Ema::swap_out() {
-  DP_REQUIRE(active_, "Ema::swap_out: not active");
-  for (std::size_t i = 0; i < backup_.size(); ++i) {
-    Var param = registry_.params()[i];
-    param.mutable_value() = backup_[i];
-  }
-  backup_.clear();
-  active_ = false;
-}
-
 }  // namespace diffpattern::diffusion

@@ -131,29 +131,4 @@ tensor::Tensor sample_streams_strided(
     const RoundHook& round_hook = nullptr,
     const SampleObserver& observer = nullptr);
 
-/// Exponential moving average of model parameters — the standard DDPM
-/// evaluation trick: train on the raw weights, sample with the smoothed
-/// copy. Usage:
-///   Ema ema(model.registry(), 0.999);
-///   loop { trainer.step(...); ema.update(); }
-///   ema.swap_in();   // Registry now holds EMA weights (sampling).
-///   ema.swap_out();  // Restore raw training weights.
-class Ema {
- public:
-  Ema(nn::ParamRegistry& registry, double decay);
-
-  void update();
-  void swap_in();
-  void swap_out();
-  bool active() const { return active_; }
-  double decay() const { return decay_; }
-
- private:
-  nn::ParamRegistry& registry_;
-  double decay_;
-  std::vector<tensor::Tensor> shadow_;
-  std::vector<tensor::Tensor> backup_;
-  bool active_ = false;
-};
-
 }  // namespace diffpattern::diffusion

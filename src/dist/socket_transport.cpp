@@ -599,6 +599,9 @@ common::Result<ListenSocket> bind_and_listen(const SocketAddress& address,
 
 namespace {
 
+/// Pooled connections idle longer than this are closed at the next lease.
+constexpr std::int64_t kIdleTimeoutMs = 30000;
+
 class SocketChannel : public Channel {
  public:
   SocketChannel(std::string spec, SocketTransportConfig config)
@@ -667,7 +670,6 @@ class SocketChannel : public Channel {
         }
         const std::int64_t remaining = deadline - steady_now_ms();
         if (remaining <= 0) {
-          timeouts_.fetch_add(1, std::memory_order_relaxed);
           return Status::DeadlineExceeded(
               "call deadline expired waiting for a pooled connection to " +
               spec_);
@@ -729,9 +731,6 @@ class SocketChannel : public Channel {
         // is not retried here — the router owns retry policy.
         close_fd(pool_[slot].fd);
         open_count_--;
-        if (io.code() == common::StatusCode::kDeadlineExceeded) {
-          timeouts_.fetch_add(1, std::memory_order_relaxed);
-        }
       }
       release_locked(slot);
     }
@@ -753,7 +752,6 @@ class SocketChannel : public Channel {
     // peak replaced a torn connection.
     out.reconnects =
         out.connects > out.pool_peak ? out.connects - out.pool_peak : 0;
-    out.timeouts = timeouts_.load(std::memory_order_relaxed);
     return out;
   }
 
@@ -779,13 +777,10 @@ class SocketChannel : public Channel {
   }
 
   void reap_idle_locked() {
-    if (config_.idle_timeout_ms <= 0) {
-      return;
-    }
     const std::int64_t now = steady_now_ms();
     for (PooledConn& conn : pool_) {
       if (!conn.leased && conn.fd >= 0 &&
-          now - conn.last_used_ms >= config_.idle_timeout_ms) {
+          now - conn.last_used_ms >= kIdleTimeoutMs) {
         close_fd(conn.fd);
         open_count_--;
       }
@@ -822,7 +817,6 @@ class SocketChannel : public Channel {
   std::uint64_t jitter_state_ = 0;
   std::atomic<std::int64_t> connects_{0};
   std::atomic<std::int64_t> pool_peak_{0};
-  std::atomic<std::int64_t> timeouts_{0};
 };
 
 }  // namespace

@@ -186,9 +186,6 @@ struct SocketTransportConfig {
   /// call deadline) for a lease. 1 reproduces the old strictly-serialized
   /// behavior.
   std::size_t max_connections = 4;
-  /// Pooled connections idle longer than this are closed at the next
-  /// lease (0 disables idle reaping).
-  std::int64_t idle_timeout_ms = 30000;
   /// Reconnect backoff after a failed connect: base << consecutive
   /// failures, capped, plus deterministic jitter in [0, delay/4).
   std::int64_t backoff_base_ms = 10;

@@ -37,7 +37,6 @@ using WireHandler = std::function<Bytes(const Bytes& request)>;
 struct ChannelStats {
   std::int64_t connects = 0;    ///< Successful connection establishments.
   std::int64_t reconnects = 0;  ///< Connects beyond pool growth (recoveries).
-  std::int64_t timeouts = 0;    ///< Calls that tripped a deadline.
   std::int64_t pool_peak = 0;   ///< High-water of concurrently open
                                 ///< connections (pooled transports; 0 or 1
                                 ///< for single-connection channels).

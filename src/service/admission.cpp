@@ -6,12 +6,15 @@ namespace diffpattern::service {
 
 namespace {
 
+/// Degraded admission halves a consenting request's count (floor 1
+/// topology).
+constexpr std::int64_t kDegradeDivisor = 2;
+
 FlowControlConfig normalize(FlowControlConfig cfg) {
   cfg.max_queue_depth = std::max<std::int64_t>(1, cfg.max_queue_depth);
   cfg.shed_queue_depth = std::clamp<std::int64_t>(cfg.shed_queue_depth, 1,
                                                   cfg.max_queue_depth);
   cfg.retry_after_ms = std::max<std::int64_t>(1, cfg.retry_after_ms);
-  cfg.degrade_divisor = std::max<std::int64_t>(2, cfg.degrade_divisor);
   return cfg;
 }
 
@@ -77,7 +80,7 @@ AdmissionController::Decision AdmissionController::admit(
   if (overloaded) {
     if (allow_degrade && count > 1) {
       const auto admitted =
-          std::max<std::int64_t>(1, count / config_.degrade_divisor);
+          std::max<std::int64_t>(1, count / kDegradeDivisor);
       occupy();
       counters_.requests_degraded.add();
       return Decision{common::Status::Ok(), admitted, true};

@@ -14,7 +14,7 @@
 //   * depth >= max_queue_depth       -> RESOURCE_EXHAUSTED (hard budget
 //     exhaustion; the caller must back off).
 //   * depth >= shed_queue_depth      -> degraded admission when the
-//     request allows it (count shrunk by degrade_divisor), otherwise
+//     request allows it (count halved, floor 1 topology), otherwise
 //     UNAVAILABLE — both are explicit load shedding instead of queueing.
 //   * recent fill ratio >= shed_fill_ratio (a sliding window over the
 //     rounds since the last check, not the lifetime mean) with half the
@@ -57,20 +57,11 @@ struct FlowControlConfig {
   /// Base retry-after hint attached to shed statuses, scaled up with the
   /// backlog. Clamped to >= 1.
   std::int64_t retry_after_ms = 25;
-  /// Degraded admission shrinks a request's count by this divisor (floor
-  /// 1 topology). Clamped to >= 2.
-  std::int64_t degrade_divisor = 2;
   /// Bounded pull-stream delivery buffer (StreamHandle): a delivery that
   /// would exceed this many buffered, unpulled slots pauses the
   /// legalization fan-out until the consumer drains (or abandons). <= 0
   /// disables the bound.
   std::int64_t stream_buffer_limit = 64;
-  /// Relative per-model weights of the global fused-slot budget
-  /// (SlotBudget). Under contention a model shard's outstanding fused
-  /// slots are capped at weight / sum(active weights) of max_fused_batch,
-  /// so a hot model cannot crowd others out of sampling capacity.
-  /// Unlisted models weigh 1.0; non-positive weights are treated as 1.0.
-  std::map<std::string, double> fused_slot_weights;
 };
 
 /// Owns the per-shard admission windows and the shedding policy. All

@@ -19,16 +19,11 @@ constexpr std::uint64_t kSampleStream = 0x53414D50;  // "SAMP"
 
 }  // namespace
 
-BatchScheduler::BatchScheduler(
-    std::int64_t max_fused_batch, common::CounterBlock& counters,
-    const std::map<std::string, double>& model_weights)
+BatchScheduler::BatchScheduler(std::int64_t max_fused_batch,
+                               common::CounterBlock& counters)
     : max_fused_batch_(std::max<std::int64_t>(1, max_fused_batch)),
       counters_(counters),
-      budget_(std::max<std::int64_t>(1, max_fused_batch)) {
-  for (const auto& [model, weight] : model_weights) {
-    budget_.set_weight(model, weight);
-  }
-}
+      budget_(std::max<std::int64_t>(1, max_fused_batch)) {}
 
 BatchScheduler::~BatchScheduler() { shutdown(); }
 
@@ -170,8 +165,8 @@ void BatchScheduler::shutdown() {
 
 std::int64_t BatchScheduler::acquire_slots(const Shard& shard,
                                            std::int64_t wanted) {
-  // The weighted budget handles the shutdown wakeup itself (shutdown()
-  // calls budget_.shutdown() before joining shard threads).
+  // The budget handles the shutdown wakeup itself (shutdown() calls
+  // budget_.shutdown() before joining shard threads).
   return budget_.acquire(shard.model, wanted);
 }
 

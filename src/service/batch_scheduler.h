@@ -110,12 +110,10 @@ class BatchScheduler {
  public:
   /// `max_fused_batch` is the global admission budget (fused sampling slots
   /// in flight across all shards); values < 1 are clamped to 1. `counters`
-  /// must outlive the scheduler. `model_weights` sets the per-model shard
-  /// weights of the fused-slot budget (unlisted models weigh 1.0): under
-  /// contention a shard's outstanding slots are capped at its weight's
-  /// share of the budget, so a hot model cannot crowd the others out.
-  BatchScheduler(std::int64_t max_fused_batch, common::CounterBlock& counters,
-                 const std::map<std::string, double>& model_weights = {});
+  /// must outlive the scheduler. Under contention a shard's outstanding
+  /// slots are capped at an equal share of the budget, so a hot model
+  /// cannot crowd the others out (see SlotBudget).
+  BatchScheduler(std::int64_t max_fused_batch, common::CounterBlock& counters);
   ~BatchScheduler();
   BatchScheduler(const BatchScheduler&) = delete;
   BatchScheduler& operator=(const BatchScheduler&) = delete;
@@ -171,8 +169,8 @@ class BatchScheduler {
   /// expired job never occupies fused slots.
   void expire_deadlines(Shard& shard);
 
-  /// Blocks until the weighted budget grants `shard`'s model at least one
-  /// slot (or shutdown). Returns 0 only on shutdown.
+  /// Blocks until the budget grants `shard`'s model at least one slot (or
+  /// shutdown). Returns 0 only on shutdown.
   std::int64_t acquire_slots(const Shard& shard, std::int64_t wanted);
   void release_slots(const Shard& shard, std::int64_t granted);
 
@@ -186,7 +184,7 @@ class BatchScheduler {
   /// Read by shard threads without shards_mutex_ (they must not take it).
   std::atomic<bool> shutdown_{false};
 
-  /// Weighted global fused-slot budget shared by every shard.
+  /// Fair global fused-slot budget shared by every shard.
   SlotBudget budget_;
 };
 

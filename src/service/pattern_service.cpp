@@ -186,16 +186,9 @@ struct PatternService::Impl {
         config_error(check_config(cfg)),
         admission(cfg.flow, cfg.max_fused_batch, counters),
         workers(worker_count(cfg)),
-        scheduler(cfg.max_fused_batch, counters,
-                  cfg.flow.fused_slot_weights) {
+        scheduler(cfg.max_fused_batch, counters) {
     if (config_error.ok() && cfg.compute_threads > 0) {
       config_error = common::set_global_compute_threads(cfg.compute_threads);
-    }
-    if (config_error.ok() && !cfg.kernel_backend.empty()) {
-      // Unknown names and ISAs the host cannot execute gate every request
-      // with INVALID_ARGUMENT — never silently fall back to another
-      // backend the operator did not ask for.
-      config_error = tensor::set_kernel_backend_name(cfg.kernel_backend);
     }
     rule_sets["normal"] = drc::standard_rules();
     rule_sets["space"] = drc::larger_space_rules();

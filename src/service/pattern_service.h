@@ -70,15 +70,6 @@ struct ServiceConfig {
   /// rejected like legalize_workers. Note the pool is shared by every
   /// service in the process — the last explicit sizing wins.
   std::int64_t compute_threads = -1;
-  /// SIMD kernel backend for the tensor inner loops ("scalar" / "avx2" /
-  /// "neon" / "auto"). Empty = leave the process-wide dispatch at its
-  /// ambient choice (DIFFPATTERN_KERNEL_BACKEND env, else the best backend
-  /// the host supports). An unknown name or an ISA this host cannot run
-  /// makes every request answer INVALID_ARGUMENT (same contract as
-  /// compute_threads = 0). Like the compute pool, dispatch is process-wide
-  /// — the last explicit choice wins. Output bytes do not depend on the
-  /// backend (see src/tensor/simd.h).
-  std::string kernel_backend;
   /// Global admission budget: upper bound on sampling slots fused into
   /// reverse-diffusion batches across ALL model shards at once (bounds
   /// peak activation memory; larger requests run in chunks).

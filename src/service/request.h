@@ -66,9 +66,9 @@ struct GenerateRequest {
   /// forms, whether it is still queued or already partially sampled.
   std::int64_t deadline_ms = 0;
   /// Permits degraded admission under overload: instead of shedding, the
-  /// service may shrink `count` (FlowControlConfig::degrade_divisor). The
-  /// degraded output is the byte-identical prefix of the full request's;
-  /// stats report the shrink (GenerateStats::degraded).
+  /// service may halve `count` (floor 1 topology). The degraded output
+  /// is the byte-identical prefix of the full request's; stats report the
+  /// shrink (GenerateStats::degraded).
   bool allow_degrade = false;
   /// Reduced-step sampling schedule; default = full schedule.
   SamplingSpec sampling;

@@ -1,45 +1,23 @@
 #include "service/slot_budget.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace diffpattern::service {
 
 SlotBudget::SlotBudget(std::int64_t capacity)
     : capacity_(std::max<std::int64_t>(1, capacity)) {}
 
-void SlotBudget::set_weight(const std::string& shard, double weight) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  shards_[shard].weight = weight > 0.0 ? weight : 1.0;
-}
-
 std::int64_t SlotBudget::current_limit(const std::string& shard) const {
-  const auto self = shards_.find(shard);
-  const double self_weight =
-      self != shards_.end() ? self->second.weight : 1.0;
-  // Active = holding or waiting. The caller counts itself active (it is
-  // inside acquire), so sum its weight in even when its entry is idle.
-  double active_weight = 0.0;
-  bool contended = false;
+  // Active = holding or waiting. The caller is inside acquire, so it
+  // counts itself active even when its own entry is idle. A sole tenant
+  // gets capacity / 1: the budget is work-conserving.
+  std::int64_t active = 1;
   for (const auto& [name, state] : shards_) {
-    if (state.in_use > 0 || state.waiting > 0) {
-      active_weight += state.weight;
-      if (name != shard) {
-        contended = true;
-      }
+    if (name != shard && (state.in_use > 0 || state.waiting > 0)) {
+      ++active;
     }
   }
-  if (!contended) {
-    return capacity_;  // Work-conserving: sole tenant takes everything.
-  }
-  if (self == shards_.end() ||
-      (self->second.in_use == 0 && self->second.waiting == 0)) {
-    active_weight += self_weight;
-  }
-  const double share =
-      static_cast<double>(capacity_) * self_weight / active_weight;
-  return std::max<std::int64_t>(1,
-                                static_cast<std::int64_t>(std::floor(share)));
+  return std::max<std::int64_t>(1, capacity_ / active);
 }
 
 std::int64_t SlotBudget::acquire(const std::string& shard,
@@ -74,9 +52,15 @@ void SlotBudget::release(const std::string& shard, std::int64_t granted) {
   }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = shards_.find(shard);
+    const auto it = shards_.find(shard);
     if (it != shards_.end()) {
-      it->second.in_use = std::max<std::int64_t>(0, it->second.in_use - granted);
+      ShardState& state = it->second;
+      state.in_use = std::max<std::int64_t>(0, state.in_use - granted);
+      // An idle entry holds no state. A blocked acquirer keeps waiting > 0,
+      // so no reference held across its wait is ever erased.
+      if (state.in_use == 0 && state.waiting == 0) {
+        shards_.erase(it);
+      }
     }
     total_in_use_ = std::max<std::int64_t>(0, total_in_use_ - granted);
   }
@@ -100,6 +84,11 @@ std::int64_t SlotBudget::in_use(const std::string& shard) const {
 std::int64_t SlotBudget::waiting() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return total_waiting_;
+}
+
+std::int64_t SlotBudget::tracked_shards() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return static_cast<std::int64_t>(shards_.size());
 }
 
 }  // namespace diffpattern::service

@@ -77,7 +77,7 @@ common::Result<KernelBackend> parse_kernel_backend(const std::string& name);
 common::Status set_kernel_backend(KernelBackend backend);
 
 /// parse_kernel_backend + set_kernel_backend in one call (the CLI
-/// --kernel-backend and ServiceConfig::kernel_backend entry point).
+/// --kernel-backend entry point).
 common::Status set_kernel_backend_name(const std::string& name);
 
 namespace simd {

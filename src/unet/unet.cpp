@@ -24,8 +24,8 @@ std::atomic<std::int64_t> g_embedding_cache_hits{0};
 /// through `h` (the time-MLP parameter fingerprint guarding the embedding
 /// cache). Processes 8 bytes per multiply — this runs once per denoising
 /// round, so it is on the inference hot path; every byte still reaches the
-/// hash, so any in-place parameter mutation (EMA swap, optimizer step)
-/// changes the fingerprint.
+/// hash, so any in-place parameter mutation (an optimizer step) changes
+/// the fingerprint.
 std::uint64_t fnv1a64_tensor(std::uint64_t h, const Tensor& t) {
   const auto* bytes = reinterpret_cast<const unsigned char*>(t.data());
   const auto n = t.numel() * static_cast<std::int64_t>(sizeof(float));
@@ -125,8 +125,7 @@ struct UNet::LevelBlocks {
 
 // Per-model cache of post-MLP time-embedding rows, keyed by diffusion step.
 // A fingerprint over the time-MLP parameters invalidates the cache whenever
-// they change (optimizer steps, Ema::swap_in/swap_out), so stale rows can
-// never be served.
+// they change (optimizer steps), so stale rows can never be served.
 struct UNet::TimeEmbedCache {
   std::mutex mutex;
   bool fingerprint_valid = false;

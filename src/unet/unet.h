@@ -80,7 +80,7 @@ class UNet {
   /// Inference-only: assembles the post-MLP time embedding [N, time_dim] by
   /// row-copying per-step cached rows (computing and caching any step seen
   /// for the first time). Invalidated by fingerprint when the time-MLP
-  /// parameters change (EMA swaps, optimizer steps).
+  /// parameters change (optimizer steps).
   tensor::Tensor cached_time_embedding(const std::vector<std::int64_t>& k);
 
   nn::Var apply_res_block(const ResBlock& block, nn::Var h,

@@ -211,10 +211,11 @@ TEST(InferenceArena, PlanCacheKeysByShapeAndHonorsKillSwitch) {
 }
 
 // Fingerprint invalidation of the time-embedding cache: after the time-MLP
-// parameters change (here: every parameter, as an EMA swap would), the
-// cached rows from the old weights must NOT be served. The reference is an
-// arena-off run of the mutated model (the embedding cache is bypassed when
-// the plan is off), which the arena-on run must reproduce byte for byte.
+// parameters change (here: every parameter, as an optimizer step would),
+// the cached rows from the old weights must NOT be served. The reference is
+// an arena-off run of the mutated model (the embedding cache is bypassed
+// when the plan is off), which the arena-on run must reproduce byte for
+// byte.
 TEST(InferenceArena, EmbeddingCacheInvalidatesWhenParametersChange) {
   ArenaGuard guard;
   ASSERT_TRUE(dc::set_global_compute_threads(1).ok());
@@ -225,7 +226,7 @@ TEST(InferenceArena, EmbeddingCacheInvalidatesWhenParametersChange) {
   dt::set_activation_arena_enabled(true);
   run_sampling(model, schedule);
 
-  // Mutate every parameter in place, exactly like Ema::swap_in does.
+  // Mutate every parameter in place, as an optimizer step does.
   for (auto param : model.registry().params()) {
     Tensor& value = param.mutable_value();
     for (std::int64_t i = 0; i < value.numel(); ++i) {

@@ -1,5 +1,5 @@
-// Parameterized properties of the diffusion schedule, the strided sampler,
-// and the EMA helper.
+// Parameterized properties of the diffusion schedule and the strided
+// sampler.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -234,58 +234,4 @@ TEST(StridedSampler, TrainedModelStillHitsModesWithStride) {
     mode_like += consistent_cols >= 3;
   }
   EXPECT_GE(mode_like, 9) << "strided samples lost the learned structure";
-}
-
-// ---- EMA ---------------------------------------------------------------------
-
-TEST(Ema, TracksParametersTowardCurrentValues) {
-  nn::ParamRegistry reg;
-  nn::Var p = reg.add("p", Tensor({2}, 0.0F));
-  dd::Ema ema(reg, 0.5);
-  p.mutable_value()[0] = 8.0F;
-  p.mutable_value()[1] = -4.0F;
-  ema.update();  // shadow = 0.5*0 + 0.5*current
-  ema.swap_in();
-  EXPECT_FLOAT_EQ(p.value()[0], 4.0F);
-  EXPECT_FLOAT_EQ(p.value()[1], -2.0F);
-  ema.swap_out();
-  EXPECT_FLOAT_EQ(p.value()[0], 8.0F);
-}
-
-TEST(Ema, SwapInRestoresExactTrainingWeights) {
-  dc::Rng rng(5);
-  nn::ParamRegistry reg;
-  nn::Linear lin(reg, rng, "lin", 3, 2);
-  dd::Ema ema(reg, 0.9);
-  const Tensor before = reg.params()[0].value();
-  // Perturb, update, round-trip.
-  for (auto p : reg.params()) {
-    for (std::int64_t i = 0; i < p.numel(); ++i) {
-      p.mutable_value()[i] += 1.0F;
-    }
-  }
-  ema.update();
-  const Tensor training = reg.params()[0].value();
-  ema.swap_in();
-  EXPECT_TRUE(ema.active());
-  // EMA value = 0.9 * init + 0.1 * (init + 1).
-  for (std::int64_t i = 0; i < before.numel(); ++i) {
-    EXPECT_NEAR(reg.params()[0].value()[i], before[i] + 0.1F, 1e-5F);
-  }
-  ema.swap_out();
-  for (std::int64_t i = 0; i < training.numel(); ++i) {
-    EXPECT_FLOAT_EQ(reg.params()[0].value()[i], training[i]);
-  }
-}
-
-TEST(Ema, GuardsAgainstMisuse) {
-  nn::ParamRegistry reg;
-  reg.add("p", Tensor({1}, 0.0F));
-  EXPECT_THROW(dd::Ema(reg, 0.0), std::invalid_argument);
-  EXPECT_THROW(dd::Ema(reg, 1.0), std::invalid_argument);
-  dd::Ema ema(reg, 0.9);
-  EXPECT_THROW(ema.swap_out(), std::invalid_argument);
-  ema.swap_in();
-  EXPECT_THROW(ema.swap_in(), std::invalid_argument);
-  EXPECT_THROW(ema.update(), std::invalid_argument);
 }

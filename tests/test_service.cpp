@@ -87,56 +87,12 @@ TEST_F(PatternServiceTest, ZeroComputeThreadsIsInvalidArgument) {
   EXPECT_EQ(result.status().code(), dc::StatusCode::kInvalidArgument);
 }
 
-TEST_F(PatternServiceTest, UnknownKernelBackendIsInvalidArgument) {
-  ds::ServiceConfig config;
-  config.kernel_backend = "warp9";
-  ds::PatternService service(config);
-  ds::GenerateRequest request;
-  request.model = "anything";
-  const auto result = service.generate(request);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), dc::StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find("kernel backend"),
-            std::string::npos)
-      << result.status().to_string();
-  // The config error gates every entry point, like compute_threads = 0.
-  EXPECT_EQ(service.validate(request).code(),
-            dc::StatusCode::kInvalidArgument);
-}
-
-TEST_F(PatternServiceTest, UnsupportedKernelIsaIsInvalidArgument) {
-  // Find an ISA this host cannot run (neon on x86, avx2 on arm, ...).
-  std::string unsupported;
-  for (const auto backend :
-       {diffpattern::tensor::KernelBackend::kAvx2,
-        diffpattern::tensor::KernelBackend::kNeon}) {
-    if (!diffpattern::tensor::kernel_backend_supported(backend)) {
-      unsupported = diffpattern::tensor::kernel_backend_label(backend);
-      break;
-    }
-  }
-  if (unsupported.empty()) {
-    GTEST_SKIP() << "host supports every compiled backend";
-  }
-  ds::ServiceConfig config;
-  config.kernel_backend = unsupported;
-  ds::PatternService service(config);
-  ds::SampleTopologiesRequest request;
-  request.model = "anything";
-  const auto result = service.sample_topologies(request);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), dc::StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find("not supported on this host"),
-            std::string::npos)
-      << result.status().to_string();
-}
-
 TEST_F(PatternServiceTest, ExplicitScalarBackendServesAndIsReported) {
   // Restores the ambient dispatch even when an assertion bails out early.
   diffpattern::testutil::BackendGuard backend_guard;
+  ASSERT_TRUE(diffpattern::tensor::set_kernel_backend_name("scalar").ok());
   ds::ServiceConfig config;
   config.legalize_workers = 2;
-  config.kernel_backend = "scalar";
   ds::PatternService service(config);
   const auto status = service.models().register_model(
       "mini", mini_model_config(), model_.registry(), {});

@@ -94,7 +94,7 @@ TEST(AdmissionControl, DegradesInsteadOfSheddingWhenAllowed) {
   const auto degraded = admission.admit("m", 9, true);
   ASSERT_TRUE(degraded.status.ok());
   EXPECT_TRUE(degraded.degraded);
-  EXPECT_EQ(degraded.admitted_count, 4);  // 9 / degrade_divisor(2).
+  EXPECT_EQ(degraded.admitted_count, 4);  // floor(9 / 2).
   EXPECT_EQ(admission.pending("m"), 3);
 
   // A single-topology request cannot shrink: shed even with allow_degrade.
@@ -167,12 +167,10 @@ TEST(AdmissionControl, NormalizesDegenerateConfig) {
   flow.max_queue_depth = 0;    // -> 1.
   flow.shed_queue_depth = 99;  // -> clamped to max_queue_depth.
   flow.retry_after_ms = -5;    // -> 1.
-  flow.degrade_divisor = 0;    // -> 2.
   ds::AdmissionController admission(flow, 4, counters);
   EXPECT_EQ(admission.config().max_queue_depth, 1);
   EXPECT_EQ(admission.config().shed_queue_depth, 1);
   EXPECT_EQ(admission.config().retry_after_ms, 1);
-  EXPECT_EQ(admission.config().degrade_divisor, 2);
   ASSERT_TRUE(admission.admit("m", 1, false).status.ok());
   EXPECT_EQ(admission.admit("m", 1, false).status.code(),
             dc::StatusCode::kResourceExhausted);

@@ -1,8 +1,9 @@
-// SlotBudget tests: weighted fair division of the fused sampling budget.
-// The properties under test — work conservation (a sole tenant takes the
-// whole capacity), weighted caps under contention (a hot model cannot crowd
-// a cold one below its share), the at-least-one-slot floor, and clean
-// shutdown (every waiter wakes with a zero grant).
+// SlotBudget tests: fair division of the fused sampling budget. The
+// properties under test — work conservation (a sole tenant takes the whole
+// capacity), equal-share caps under contention (a hot model cannot crowd a
+// cold one below its share), the at-least-one-slot floor, bounded
+// per-shard bookkeeping (idle shards are forgotten), and clean shutdown
+// (every waiter wakes with a zero grant).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,9 +31,8 @@ bool wait_for(const std::function<bool()>& pred, int timeout_ms = 10000) {
 
 TEST(SlotBudget, SoleTenantTakesFullCapacity) {
   ds::SlotBudget budget(8);
-  budget.set_weight("hot", 3.0);
   // Work conservation: no other shard holds or waits, so the share cap
-  // stays disengaged regardless of weights.
+  // stays disengaged.
   EXPECT_EQ(budget.acquire("hot", 16), 8);
   EXPECT_EQ(budget.in_use("hot"), 8);
   budget.release("hot", 8);
@@ -48,12 +48,25 @@ TEST(SlotBudget, WantedIsClampedAndPartialGrantsAdd) {
   budget.release("m", 4);
 }
 
-TEST(SlotBudget, WeightedShareCapsHotShardUnderContention) {
-  // Capacity 8, weights hot:cold = 3:1 -> shares 6:2 under contention.
-  ds::SlotBudget budget(8);
-  budget.set_weight("hot", 3.0);
-  budget.set_weight("cold", 1.0);
+TEST(SlotBudget, EqualShareCapsEachShardUnderContention) {
+  // Capacity 6 over three contending shards: each is capped at 2.
+  ds::SlotBudget budget(6);
+  ASSERT_EQ(budget.acquire("a", 1), 1);
+  ASSERT_EQ(budget.acquire("b", 1), 1);
+  EXPECT_EQ(budget.acquire("c", 6), 2);
+  // a and b are still under their share of 2: one more slot each.
+  EXPECT_EQ(budget.acquire("a", 6), 1);
+  EXPECT_EQ(budget.acquire("b", 6), 1);
+  EXPECT_EQ(budget.in_use("a"), 2);
+  EXPECT_EQ(budget.in_use("b"), 2);
+  EXPECT_EQ(budget.in_use("c"), 2);
+  budget.release("a", 2);
+  budget.release("b", 2);
+  budget.release("c", 2);
+}
 
+TEST(SlotBudget, ContendedHotShardWakesToItsShare) {
+  ds::SlotBudget budget(8);
   // Uncontended, hot grabs everything.
   ASSERT_EQ(budget.acquire("hot", 8), 8);
 
@@ -65,60 +78,64 @@ TEST(SlotBudget, WeightedShareCapsHotShardUnderContention) {
 
   // Hot returns its slots. However the wakeup interleaves, the outcome is
   // fixed: cold's share admits its full ask of 2, and hot — now contended —
-  // is capped at floor(8 * 3/4) = 6.
+  // is capped at 8 / 2 = 4.
   budget.release("hot", 8);
   ASSERT_TRUE(wait_for([&] { return cold_granted >= 0; }));
   cold.join();
   EXPECT_EQ(cold_granted, 2);
-
-  const std::int64_t hot_again = budget.acquire("hot", 8);
-  EXPECT_EQ(hot_again, 6);
-  EXPECT_EQ(budget.in_use("hot"), 6);
+  EXPECT_EQ(budget.acquire("hot", 8), 4);
+  EXPECT_EQ(budget.in_use("hot"), 4);
   EXPECT_EQ(budget.in_use("cold"), 2);
-
-  // And a further hot ask cannot exceed the share while cold holds slots:
-  // it would block, so verify via the observable invariant instead — the
-  // budget is exactly full at the weighted split.
-  budget.release("hot", 6);
+  budget.release("hot", 4);
   budget.release("cold", 2);
 }
 
-TEST(SlotBudget, ShareFloorKeepsTinyWeightsLive) {
-  // A 0.01 weight against a 100 weight computes a fractional share that
-  // floors to 0 — the >= 1 floor must still admit one slot, so no weight
-  // assignment can starve a shard out of progress entirely.
-  ds::SlotBudget budget(4);
-  budget.set_weight("giant", 100.0);
-  budget.set_weight("tiny", 0.01);
-  ASSERT_EQ(budget.acquire("giant", 3), 3);
-  EXPECT_EQ(budget.acquire("tiny", 4), 1);
-  budget.release("giant", 3);
-  budget.release("tiny", 1);
-}
+TEST(SlotBudget, ShareFloorKeepsEveryShardLive) {
+  // Capacity 2 over three active shards: 2 / 3 floors to 0, and the >= 1
+  // floor must still admit one slot, so no number of shards can starve a
+  // shard out of progress entirely.
+  ds::SlotBudget budget(2);
+  ASSERT_EQ(budget.acquire("a", 2), 2);  // Sole tenant: everything.
+  std::atomic<std::int64_t> b_granted{-1};
+  std::atomic<std::int64_t> c_granted{-1};
+  std::thread b([&] { b_granted = budget.acquire("b", 2); });
+  std::thread c([&] { c_granted = budget.acquire("c", 2); });
+  ASSERT_TRUE(wait_for([&] { return budget.waiting() == 2; }));
 
-TEST(SlotBudget, NonPositiveWeightFallsBackToOne) {
-  ds::SlotBudget budget(8);
-  budget.set_weight("a", -2.0);  // Treated as 1.0.
-  budget.set_weight("b", 1.0);
-  ASSERT_EQ(budget.acquire("b", 4), 4);
-  // Equal effective weights -> a's contended share is 4, not the single
-  // floor slot a literally-negative weight would compute.
-  EXPECT_EQ(budget.acquire("a", 8), 4);
-  budget.release("a", 4);
-  budget.release("b", 4);
+  // a still holds a slot, so three shards are active when the freed one
+  // goes out. With a zero share both waiters would block again.
+  budget.release("a", 1);
+  ASSERT_TRUE(wait_for([&] { return budget.waiting() == 1; }));
+  EXPECT_EQ(budget.in_use("b") + budget.in_use("c"), 1);
+
+  budget.release("a", 1);
+  ASSERT_TRUE(wait_for([&] { return b_granted >= 0 && c_granted >= 0; }));
+  b.join();
+  c.join();
+  EXPECT_EQ(b_granted, 1);
+  EXPECT_EQ(c_granted, 1);
+  budget.release("b", 1);
+  budget.release("c", 1);
 }
 
 TEST(SlotBudget, ContentionEndsWhenPeerLeaves) {
-  // Once the cold shard fully releases and stops waiting, the hot shard is
-  // a sole tenant again and may take the whole capacity.
+  // Once a shard fully releases and stops waiting its entry is erased, so
+  // the budget tracks only shards in flight, and the other shard is a sole
+  // tenant again. Re-acquiring alone recreates the entry with the whole
+  // capacity.
   ds::SlotBudget budget(8);
-  budget.set_weight("hot", 3.0);
   ASSERT_EQ(budget.acquire("cold", 2), 2);
-  ASSERT_EQ(budget.acquire("hot", 8), 6);  // Contended share.
-  budget.release("hot", 6);
+  ASSERT_EQ(budget.acquire("hot", 8), 4);  // Contended share.
+  EXPECT_EQ(budget.tracked_shards(), 2);
+  budget.release("hot", 2);
+  EXPECT_EQ(budget.tracked_shards(), 2);  // hot still holds 2.
+  budget.release("hot", 2);
   budget.release("cold", 2);
+  EXPECT_EQ(budget.tracked_shards(), 0);
   EXPECT_EQ(budget.acquire("hot", 8), 8);  // Uncontended again.
+  EXPECT_EQ(budget.tracked_shards(), 1);
   budget.release("hot", 8);
+  EXPECT_EQ(budget.tracked_shards(), 0);
 }
 
 TEST(SlotBudget, ShutdownWakesWaitersWithZeroGrant) {

@@ -351,7 +351,6 @@ TEST_F(SocketTransportTest, StalledHandlerTripsCallDeadline) {
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), dc::StatusCode::kDeadlineExceeded);
   EXPECT_LT(elapsed, 1200);  // Deadline, not the handler, bounded the wait.
-  EXPECT_EQ(channel->stats().timeouts, 1);
 }
 
 TEST_F(SocketTransportTest, OversizedResponseIsDataLoss) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/pipeline.h"
 #include "nn/ops.h"
 #include "unet/unet.h"
 
@@ -82,33 +81,3 @@ INSTANTIATE_TEST_SUITE_P(
         UNetCase{{1, 2, 2}, 1, {1}, 4, 8},     // Three levels.
         UNetCase{{1, 2, 2}, 1, {0, 1, 2}, 1, 8},  // Attention everywhere.
         UNetCase{{2, 4}, 2, {}, 2, 4}));       // Wide multipliers, tiny map.
-
-TEST(PipelineEma, TrainsAndSamplesWithEmaWeights) {
-  diffpattern::core::PipelineConfig cfg;
-  cfg.dataset_tiles = 12;
-  cfg.grid_side = 16;
-  cfg.channels = 4;
-  cfg.schedule.steps = 6;
-  cfg.model_channels = 8;
-  cfg.channel_mult = {1, 2};
-  cfg.num_res_blocks = 1;
-  cfg.attention_levels = {};
-  cfg.dropout = 0.0F;
-  cfg.train_iterations = 8;
-  cfg.batch_size = 4;
-  cfg.seed = 3;
-  cfg.use_ema = true;
-  cfg.ema_decay = 0.9;
-  diffpattern::core::Pipeline pipeline(cfg);
-  pipeline.train();
-  diffpattern::service::SampleTopologiesRequest request;
-  request.model = diffpattern::core::Pipeline::kServiceModel;
-  request.count = 2;
-  request.seed = 3;
-  const auto result = pipeline.service().sample_topologies(request);
-  ASSERT_TRUE(result.ok()) << result.status().to_string();
-  EXPECT_EQ(result->topologies.size(), 2U);
-  // Sampling must leave the raw training weights restored: a second train()
-  // call would otherwise throw inside Ema::update.
-  EXPECT_NO_THROW(pipeline.train());
-}
