@@ -7,19 +7,6 @@ namespace diffpattern::service {
 SlotBudget::SlotBudget(std::int64_t capacity)
     : capacity_(std::max<std::int64_t>(1, capacity)) {}
 
-std::int64_t SlotBudget::current_limit(const std::string& shard) const {
-  // Active = holding or waiting. The caller is inside acquire, so it
-  // counts itself active even when its own entry is idle. A sole tenant
-  // gets capacity / 1: the budget is work-conserving.
-  std::int64_t active = 1;
-  for (const auto& [name, state] : shards_) {
-    if (name != shard && (state.in_use > 0 || state.waiting > 0)) {
-      ++active;
-    }
-  }
-  return std::max<std::int64_t>(1, capacity_ / active);
-}
-
 std::int64_t SlotBudget::acquire(const std::string& shard,
                                  std::int64_t wanted) {
   wanted = std::max<std::int64_t>(1, wanted);
@@ -29,8 +16,14 @@ std::int64_t SlotBudget::acquire(const std::string& shard,
     if (shutdown_) {
       return 0;
     }
+    // Every entry is active (holding or waiting): release() erases idle
+    // ones, and this shard's own entry exists from above. So the equal
+    // share is capacity over the entries, floored at 1, and a sole tenant
+    // takes the whole capacity (work-conserving).
+    const auto share = std::max<std::int64_t>(
+        1, capacity_ / static_cast<std::int64_t>(shards_.size()));
     const std::int64_t available = capacity_ - total_in_use_;
-    const std::int64_t headroom = current_limit(shard) - state.in_use;
+    const std::int64_t headroom = share - state.in_use;
     const std::int64_t granted =
         std::min({wanted, available, headroom});
     if (granted >= 1) {

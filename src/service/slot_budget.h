@@ -60,11 +60,6 @@ class SlotBudget {
     std::int64_t waiting = 0;  ///< Threads of this shard blocked in acquire.
   };
 
-  /// `shard`'s outstanding-slot cap right now (mutex_ held): the whole
-  /// capacity when uncontended, otherwise an equal share of capacity over
-  /// the active (holding or waiting) shards, floored at 1.
-  std::int64_t current_limit(const std::string& shard) const;
-
   const std::int64_t capacity_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
