@@ -2,8 +2,10 @@
 // dispatch, and the parallel pool vs single-thread execution, on the
 // kernels that dominate the reverse-diffusion hot path — GEMM, the GEMM
 // register tile alone (the U-Net's level-1 conv shape, in GFLOP/s),
-// convolution (a 32x32 batch and the U-Net's 8x8 decoder shape), row
-// softmax, and SiLU (reported in ns per element).
+// convolution (a 32x32 batch and the U-Net's 8x8 decoder shape), four conv
+// shapes of the benchmark U-Net at batch 8 next to the same product on a
+// resident panel (GFLOP/s and the conv's non-GEMM share), row softmax, and
+// SiLU (reported in ns per element).
 //
 // For every kernel the bench (a) verifies the backend-parity contract —
 // forced-scalar and vector dispatch produce bitwise-identical results — and
@@ -226,6 +228,117 @@ int main() {
   const auto conv = conv_case(16, 16, 32, 32);
   const auto unet_conv = conv_case(8, 48, 16, 8);
 
+  // ---- conv2d at the benchmark U-Net's batch-8 shapes ----------------------
+  // Each conv (tensor::conv2d) next to the same product on a resident
+  // panel: the register tiles over its [O, K] weight times one K x 16
+  // panel, once per 16-column strip of the conv, each into a fresh zero C,
+  // with the offset table and zero flags built once per run as the conv
+  // builds them. So 1 - panel time / conv time is the conv's data-movement
+  // share (border copy, panel gather, offsets, output fill, epilogue). One
+  // timed run repeats the conv kShapeRepeats times; the two are timed
+  // alternately at one thread and each keeps its best run, so host load
+  // drifts hit both alike.
+  struct ConvShape {
+    const char* label;
+    const char* key;
+    std::int64_t in_ch, out_ch, side, kernel, stride, pad;
+  };
+  const ConvShape shapes[] = {
+      {"8x8 16->16 3x3:   ", "conv_8x8_16_16_3x3", 16, 16, 8, 3, 1, 1},
+      {"4x4 32->32 3x3:   ", "conv_4x4_32_32_3x3", 32, 32, 4, 3, 1, 1},
+      {"4x4 32->96 1x1:   ", "conv_4x4_32_96_1x1", 32, 96, 4, 1, 1, 0},
+      {"8x8 16->16 3x3 s2:", "conv_8x8_16_16_3x3_s2", 16, 16, 8, 3, 2, 1},
+  };
+  constexpr std::int64_t kShapeBatch = 8;
+  constexpr int kShapeRepeats = 100;
+  constexpr int kShapeReps = 15;
+  constexpr std::int64_t kStrip = dp::tensor::simd::kTileCols;
+  struct ShapeReport {
+    KernelReport conv;
+    KernelReport panel;
+    double conv_ms = 0.0;   // Best interleaved run, best backend, 1 thread.
+    double panel_ms = 0.0;
+    double flops = 0.0;     // Per timed run.
+
+    double gflops(double ms) const { return flops / (ms * 1e6); }
+    double non_gemm_share() const { return 1.0 - panel_ms / conv_ms; }
+  };
+  std::vector<ShapeReport> shape_reports;
+  for (const auto& sh : shapes) {
+    dp::tensor::Conv2dGeometry geom;
+    geom.in_channels = sh.in_ch;
+    geom.in_h = sh.side;
+    geom.in_w = sh.side;
+    geom.kernel_h = sh.kernel;
+    geom.kernel_w = sh.kernel;
+    geom.stride = sh.stride;
+    geom.padding = sh.pad;
+    const auto kdim = geom.patch_size();
+    const auto n_out = geom.out_h() * geom.out_w();
+    const auto strips = kShapeBatch * n_out / kStrip;
+    const Tensor sx =
+        random_tensor({kShapeBatch, sh.in_ch, sh.side, sh.side}, rng);
+    const Tensor sw = random_tensor({sh.out_ch, kdim}, rng);
+    const Tensor sb = random_tensor({sh.out_ch}, rng);
+    const Tensor prod = dp::tensor::reference::matmul(
+        sw, dp::tensor::im2col_batch(sx, geom));
+    Tensor sref({kShapeBatch, sh.out_ch, geom.out_h(), geom.out_w()});
+    for (std::int64_t o = 0; o < sh.out_ch; ++o) {
+      for (std::int64_t p = 0; p < kShapeBatch * n_out; ++p) {
+        sref[(p / n_out * sh.out_ch + o) * n_out + p % n_out] =
+            prod[o * kShapeBatch * n_out + p] + sb[o];
+      }
+    }
+    const Tensor panel = random_tensor({kdim, kStrip}, rng);
+    const auto run_conv = [&] {
+      Tensor y;
+      for (int rep = 0; rep < kShapeRepeats; ++rep) {
+        y = dp::tensor::conv2d(sx, sw, sb, geom);
+      }
+      return y;
+    };
+    const auto run_panel = [&] {
+      const auto& kern = dp::tensor::simd::active();
+      const auto rows = dp::tensor::simd::kTileRows;
+      std::vector<std::int64_t> koff(static_cast<std::size_t>(kdim));
+      for (std::int64_t kk = 0; kk < kdim; ++kk) {
+        koff[static_cast<std::size_t>(kk)] = kk * kStrip;
+      }
+      std::vector<bool> has_zero;
+      for (std::int64_t i0 = 0; i0 < sh.out_ch; i0 += rows) {
+        has_zero.push_back(
+            kern.block_has_zero(sw.data() + i0 * kdim, kdim, kdim));
+      }
+      Tensor c({sh.out_ch, kStrip});
+      for (std::int64_t rep = 0; rep < kShapeRepeats * strips; ++rep) {
+        c.fill(0.0F);
+        for (std::int64_t i0 = 0; i0 < sh.out_ch; i0 += rows) {
+          kern.gemm_tile(sw.data() + i0 * kdim, kdim,
+                         has_zero[static_cast<std::size_t>(i0 / rows)],
+                         panel.data(), panel.data() + dp::tensor::simd::kTileHalf,
+                         koff.data(), c.data() + i0 * kStrip, kStrip, kdim);
+        }
+      }
+      return c;
+    };
+    ShapeReport r;
+    r.flops = 2.0 * static_cast<double>(sh.out_ch * kdim * strips * kStrip) *
+              kShapeRepeats;
+    r.conv = measure(best, ambient, kReps, sref, kdim, run_conv);
+    r.panel = measure(best, ambient, kReps,
+                      dp::tensor::reference::matmul(sw, panel), kdim,
+                      run_panel);
+    set_threads_or_die(1);
+    for (int rep = 0; rep < kShapeReps; ++rep) {
+      const double conv_ms = best_of_seconds(1, run_conv) * 1000.0;
+      const double panel_ms = best_of_seconds(1, run_panel) * 1000.0;
+      r.conv_ms = rep == 0 ? conv_ms : std::min(r.conv_ms, conv_ms);
+      r.panel_ms = rep == 0 ? panel_ms : std::min(r.panel_ms, panel_ms);
+    }
+    set_threads_or_die(ambient);
+    shape_reports.push_back(r);
+  }
+
   // ---- softmax over [4096, 256] rows --------------------------------------
   const Tensor logits = random_tensor({4096, 256}, rng);
   const auto sm = measure(best, ambient, kReps,
@@ -249,11 +362,15 @@ int main() {
   // Restore ambient dispatch for any code running after us.
   set_backend_or_die(best);
 
-  const bool all_ok = mm.parity_ok && mm.reference_ok && tile.parity_ok &&
+  bool all_ok = mm.parity_ok && mm.reference_ok && tile.parity_ok &&
                       tile.reference_ok && conv.parity_ok &&
                       conv.reference_ok && unet_conv.parity_ok &&
                       unet_conv.reference_ok && sm.parity_ok &&
                       sm.reference_ok && silu.parity_ok && silu.reference_ok;
+  for (const auto& r : shape_reports) {
+    all_ok = all_ok && r.conv.parity_ok && r.conv.reference_ok &&
+             r.panel.parity_ok && r.panel.reference_ok;
+  }
   const auto row = [](const char* name, const KernelReport& r) {
     std::cout << name << "  scalar " << r.scalar_ms_1t << " ms -> simd "
               << r.simd_ms_1t << " ms (x" << r.simd_speedup()
@@ -269,6 +386,16 @@ int main() {
             << (tile.reference_ok ? "" : "  [REFERENCE DRIFT]") << "\n";
   row("conv2d  16x16x32x32: ", conv);
   row("conv2d  8x48x8x8->16:", unet_conv);
+  for (std::size_t i = 0; i < shape_reports.size(); ++i) {
+    const auto& r = shape_reports[i];
+    const bool ok = r.conv.parity_ok && r.conv.reference_ok &&
+                    r.panel.parity_ok && r.panel.reference_ok;
+    std::cout << "conv b8 " << shapes[i].label << " conv "
+              << r.gflops(r.conv_ms) << " GFLOP/s, resident panel "
+              << r.gflops(r.panel_ms) << " GFLOP/s, non-GEMM share "
+              << 100.0 * r.non_gemm_share() << " %"
+              << (ok ? "" : "  [PARITY BROKEN OR REFERENCE DRIFT]") << "\n";
+  }
   row("softmax 4096x256:    ", sm);
   std::cout << "silu    1Mi elements:  scalar "
             << silu.scalar_ms_1t * ms_to_ns_per_element
@@ -283,9 +410,8 @@ int main() {
             << ", bitwise) and reference agreement: "
             << (all_ok ? "yes" : "NO") << "\n";
 
-  dp::bench::write_bench_json(
-      "kernels",
-      {{"backend_is_vector",
+  std::vector<std::pair<std::string, double>> metrics = {
+      {"backend_is_vector",
         best == KernelBackend::kScalar ? 0.0 : 1.0},
        {"matmul_ms_scalar_1_thread", mm.scalar_ms_1t},
        {"matmul_ms_simd_1_thread", mm.simd_ms_1t},
@@ -313,6 +439,15 @@ int main() {
        {"silu_simd_speedup", silu.simd_speedup()},
        {"silu_ns_per_element_simd_n_threads",
         silu.simd_ms_nt * ms_to_ns_per_element},
-       {"bitwise_backend_parity", all_ok ? 1.0 : 0.0}});
+       {"bitwise_backend_parity", all_ok ? 1.0 : 0.0}};
+  for (std::size_t i = 0; i < shape_reports.size(); ++i) {
+    const auto& r = shape_reports[i];
+    const std::string key = shapes[i].key;
+    metrics.emplace_back(key + "_gflops_simd_1_thread", r.gflops(r.conv_ms));
+    metrics.emplace_back(key + "_panel_gflops_simd_1_thread",
+                         r.gflops(r.panel_ms));
+    metrics.emplace_back(key + "_non_gemm_share", r.non_gemm_share());
+  }
+  dp::bench::write_bench_json("kernels", metrics);
   return all_ok ? 0 : 1;
 }

@@ -31,10 +31,11 @@ void scalar_axpy(float a, const float* x, float* y, std::int64_t n) {
 }
 
 /// The canonical tile chain, one C row at a time: k ascending, a zero a_ik
-/// (either sign) skipped. The row lives in a local array so the compiler
-/// may keep it in vector registers across K.
-void scalar_gemm_tile(const float* a, std::int64_t lda, const float* b,
-                      std::int64_t ldb, float* c, std::int64_t ldc,
+/// (either sign) skipped, so the zero flag is not needed. The row lives in
+/// a local array so the compiler may keep it in vector registers across K.
+void scalar_gemm_tile(const float* a, std::int64_t lda, bool /*a_has_zero*/,
+                      const float* b_lo, const float* b_hi,
+                      const std::int64_t* koff, float* c, std::int64_t ldc,
                       std::int64_t k) {
   for (std::int64_t i = 0; i < kTileRows; ++i) {
     float acc[kTileCols];
@@ -44,13 +45,25 @@ void scalar_gemm_tile(const float* a, std::int64_t lda, const float* b,
       if (av == 0.0F) {
         continue;
       }
-      const float* brow = b + kk * ldb;
-      for (std::int64_t j = 0; j < kTileCols; ++j) {
-        acc[j] = std::fma(av, brow[j], acc[j]);
+      const float* lo = b_lo + koff[kk];
+      const float* hi = b_hi + koff[kk];
+      for (std::int64_t j = 0; j < kTileHalf; ++j) {
+        acc[j] = std::fma(av, lo[j], acc[j]);
+        acc[kTileHalf + j] = std::fma(av, hi[j], acc[kTileHalf + j]);
       }
     }
     std::copy(acc, acc + kTileCols, c + i * ldc);
   }
+}
+
+bool scalar_block_has_zero(const float* a, std::int64_t lda, std::int64_t k) {
+  bool hit = false;
+  for (std::int64_t i = 0; i < kTileRows; ++i) {
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      hit |= a[i * lda + kk] == 0.0F;
+    }
+  }
+  return hit;
 }
 
 float scalar_dot(const float* x, const float* y, std::int64_t n) {
@@ -217,6 +230,7 @@ constexpr Kernels kScalarTable = {
     .backend = KernelBackend::kScalar,
     .axpy = scalar_axpy,
     .gemm_tile = scalar_gemm_tile,
+    .block_has_zero = scalar_block_has_zero,
     .dot = scalar_dot,
     .add = scalar_add,
     .mul = scalar_mul,
@@ -253,18 +267,37 @@ void neon_axpy(float a, const float* x, float* y, std::int64_t n) {
 }
 
 // The canonical tile chain, one C row at a time: k ascending, a zero a_ik
-// (either sign) skipped, each step one neon_axpy over the tile's columns.
-void neon_gemm_tile(const float* a, std::int64_t lda, const float* b,
-                    std::int64_t ldb, float* c, std::int64_t ldc,
+// (either sign) skipped, each step one neon_axpy per half of the row of B.
+void neon_gemm_tile(const float* a, std::int64_t lda, bool /*a_has_zero*/,
+                    const float* b_lo, const float* b_hi,
+                    const std::int64_t* koff, float* c, std::int64_t ldc,
                     std::int64_t k) {
   for (std::int64_t i = 0; i < kTileRows; ++i) {
     for (std::int64_t kk = 0; kk < k; ++kk) {
       const float av = a[i * lda + kk];
       if (av != 0.0F) {
-        neon_axpy(av, b + kk * ldb, c + i * ldc, kTileCols);
+        neon_axpy(av, b_lo + koff[kk], c + i * ldc, kTileHalf);
+        neon_axpy(av, b_hi + koff[kk], c + i * ldc + kTileHalf, kTileHalf);
       }
     }
   }
+}
+
+bool neon_block_has_zero(const float* a, std::int64_t lda, std::int64_t k) {
+  const float32x4_t zero = vdupq_n_f32(0.0F);
+  uint32x4_t hit = vdupq_n_u32(0);
+  bool tail_hit = false;
+  for (std::int64_t i = 0; i < kTileRows; ++i) {
+    const float* row = a + i * lda;
+    std::int64_t kk = 0;
+    for (; kk + 4 <= k; kk += 4) {
+      hit = vorrq_u32(hit, vceqq_f32(vld1q_f32(row + kk), zero));
+    }
+    for (; kk < k; ++kk) {
+      tail_hit |= row[kk] == 0.0F;
+    }
+  }
+  return tail_hit || vmaxvq_u32(hit) != 0;
 }
 
 float neon_dot(const float* x, const float* y, std::int64_t n) {
@@ -510,6 +543,7 @@ constexpr Kernels kNeonTable = {
     .backend = KernelBackend::kNeon,
     .axpy = neon_axpy,
     .gemm_tile = neon_gemm_tile,
+    .block_has_zero = neon_block_has_zero,
     .dot = neon_dot,
     .add = neon_add,
     .mul = neon_mul,

@@ -83,9 +83,11 @@ common::Status set_kernel_backend_name(const std::string& name);
 namespace simd {
 
 /// Register-tile shape of Kernels::gemm_tile: rows of A (and C) by columns
-/// of B (and C).
+/// of B (and C). The tile reads each row of B as two halves of kTileHalf
+/// columns.
 inline constexpr std::int64_t kTileRows = 4;
 inline constexpr std::int64_t kTileCols = 16;
+inline constexpr std::int64_t kTileHalf = kTileCols / 2;
 
 /// Per-backend kernel table. Every function implements the canonical
 /// semantics documented at the top of this header; `n` is an element count
@@ -98,17 +100,27 @@ struct Kernels {
   void (*axpy)(float a, const float* x, float* y, std::int64_t n);
 
   /// The GEMM register tile: C(+)= A·B for kTileRows x kTileCols elements
-  /// of C (row strides lda, ldb, ldc; A is kTileRows x k, B is k x
-  /// kTileCols). Every element keeps the axpy chain c = fma(a_ik, b_kj, c),
-  /// k ascending, skipping a_ik == 0 (either sign) per row, so a tiled
-  /// product is bitwise an axpy-row product — including -0 accumulators and
-  /// non-finite B. The AVX2 tile holds its accumulators as named __m256
-  /// values (an __m256 array got spilled to the stack after every FMA
-  /// pair) and runs a zero-free A block through a branch-free K loop; the
-  /// scalar and NEON tiles run one axpy per nonzero a_ik.
-  void (*gemm_tile)(const float* a, std::int64_t lda, const float* b,
-                    std::int64_t ldb, float* c, std::int64_t ldc,
+  /// of C (row strides lda, ldc; A is kTileRows x k). Row kk of B is two
+  /// halves read through the offset table: columns 0..7 at b_lo + koff[kk],
+  /// columns 8..15 at b_hi + koff[kk]. A packed panel passes b_hi = b_lo +
+  /// 8 and koff[kk] = kk * ldb; the convolution passes two runs of its
+  /// zero-bordered input. Every element keeps the axpy chain
+  /// c = fma(a_ik, b_kj, c), k ascending, skipping a_ik == 0 (either sign)
+  /// per row, so a tiled product is bitwise an axpy-row product — including
+  /// -0 accumulators and non-finite B. `a_has_zero` is block_has_zero of
+  /// this A block, computed once per product by the caller: false promises
+  /// a zero-free block, and the AVX2 tile then runs a branch-free K loop;
+  /// true is always correct. The AVX2 tile holds its accumulators as named
+  /// __m256 values (an __m256 array got spilled to the stack after every
+  /// FMA pair); the scalar and NEON tiles test every a_ik.
+  void (*gemm_tile)(const float* a, std::int64_t lda, bool a_has_zero,
+                    const float* b_lo, const float* b_hi,
+                    const std::int64_t* koff, float* c, std::int64_t ldc,
                     std::int64_t k);
+
+  /// True when the kTileRows x k block of A (row stride lda) holds a zero
+  /// of either sign: the `a_has_zero` flag of gemm_tile.
+  bool (*block_has_zero)(const float* a, std::int64_t lda, std::int64_t k);
 
   /// Canonical lane-split fused dot product: 8 partial accumulators
   /// (lane l owns i ≡ l mod 8 over full 8-blocks, the tail folds into

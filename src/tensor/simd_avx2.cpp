@@ -59,10 +59,9 @@ inline void fma_row(const float* a, __m256 b0, __m256 b1, TileRow& r) {
   r.hi = _mm256_fmadd_ps(va, b1, r.hi);
 }
 
-/// True when a kTileRows x k block of A holds a zero of either sign. The
-/// tail of each row is one masked load whose padding lanes are masked out
-/// of the compare.
-bool block_has_zero(const float* a, std::int64_t lda, std::int64_t k) {
+/// Kernels::block_has_zero: the tail of each row is one masked load whose
+/// padding lanes are masked out of the compare.
+bool avx2_block_has_zero(const float* a, std::int64_t lda, std::int64_t k) {
   const __m256 zero = _mm256_setzero_ps();
   const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   const std::int64_t body = k - k % 8;
@@ -85,8 +84,9 @@ bool block_has_zero(const float* a, std::int64_t lda, std::int64_t k) {
   return _mm256_movemask_ps(hit) != 0;
 }
 
-void avx2_gemm_tile(const float* a, std::int64_t lda, const float* b,
-                    std::int64_t ldb, float* c, std::int64_t ldc,
+void avx2_gemm_tile(const float* a, std::int64_t lda, bool a_has_zero,
+                    const float* b_lo, const float* b_hi,
+                    const std::int64_t* koff, float* c, std::int64_t ldc,
                     std::int64_t k) {
   static_assert(kTileRows == 4 && kTileCols == 16);
   const float* a0 = a;
@@ -97,11 +97,11 @@ void avx2_gemm_tile(const float* a, std::int64_t lda, const float* b,
   TileRow r1 = load_row(c + ldc);
   TileRow r2 = load_row(c + 2 * ldc);
   TileRow r3 = load_row(c + 3 * ldc);
-  if (!block_has_zero(a, lda, k)) {
+  if (!a_has_zero) {
     // No a_ik to skip: every row takes every FMA, branch-free.
     for (std::int64_t kk = 0; kk < k; ++kk) {
-      const __m256 b0 = _mm256_loadu_ps(b + kk * ldb);
-      const __m256 b1 = _mm256_loadu_ps(b + kk * ldb + 8);
+      const __m256 b0 = _mm256_loadu_ps(b_lo + koff[kk]);
+      const __m256 b1 = _mm256_loadu_ps(b_hi + koff[kk]);
       fma_row(a0 + kk, b0, b1, r0);
       fma_row(a1 + kk, b0, b1, r1);
       fma_row(a2 + kk, b0, b1, r2);
@@ -111,8 +111,8 @@ void avx2_gemm_tile(const float* a, std::int64_t lda, const float* b,
     // A zero a_ik (either sign) skips that row's FMAs, as the scalar tile
     // does.
     for (std::int64_t kk = 0; kk < k; ++kk) {
-      const __m256 b0 = _mm256_loadu_ps(b + kk * ldb);
-      const __m256 b1 = _mm256_loadu_ps(b + kk * ldb + 8);
+      const __m256 b0 = _mm256_loadu_ps(b_lo + koff[kk]);
+      const __m256 b1 = _mm256_loadu_ps(b_hi + koff[kk]);
       if (a0[kk] != 0.0F) {
         fma_row(a0 + kk, b0, b1, r0);
       }
@@ -367,6 +367,7 @@ constexpr Kernels kAvx2Table = {
     .backend = KernelBackend::kAvx2,
     .axpy = avx2_axpy,
     .gemm_tile = avx2_gemm_tile,
+    .block_has_zero = avx2_block_has_zero,
     .dot = avx2_dot,
     .add = avx2_add,
     .mul = avx2_mul,

@@ -61,32 +61,79 @@ void matmul_into(const Tensor& a, const Tensor& b, Tensor& out) {
   matmul_accumulate(a, b, out);
 }
 
+namespace {
+
+/// block_has_zero of every full kTileRows-row block of A[m x k], once per
+/// product: the tile then never rescans its block.
+const std::uint8_t* zero_flags(const simd::Kernels& kern, const float* a,
+                               std::int64_t lda, std::int64_t m,
+                               std::int64_t k) {
+  thread_local std::vector<std::uint8_t> flags;
+  flags.resize(static_cast<std::size_t>(m / simd::kTileRows));
+  for (std::size_t b = 0; b < flags.size(); ++b) {
+    flags[b] = kern.block_has_zero(
+        a + static_cast<std::int64_t>(b) * simd::kTileRows * lda, lda, k);
+  }
+  return flags.data();
+}
+
+/// C[m, 16] += A[m, k] · B for one strip of 16 columns whose row kk is
+/// b_lo + koff[kk] (columns 0..7) and b_hi + koff[kk] (columns 8..15): a
+/// register tile per full row block, the same per-element chain through
+/// axpy on each half for the ragged rows.
+void strip_accumulate(const simd::Kernels& kern, const float* a,
+                      std::int64_t lda, const std::uint8_t* has_zero,
+                      const float* b_lo, const float* b_hi,
+                      const std::int64_t* koff, float* c, std::int64_t ldc,
+                      std::int64_t m, std::int64_t k) {
+  const auto m_tiled = m - m % simd::kTileRows;
+  for (std::int64_t i0 = 0; i0 < m_tiled; i0 += simd::kTileRows) {
+    kern.gemm_tile(a + i0 * lda, lda, has_zero[i0 / simd::kTileRows] != 0,
+                   b_lo, b_hi, koff, c + i0 * ldc, ldc, k);
+  }
+  for (std::int64_t i = m_tiled; i < m; ++i) {
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float av = a[i * lda + kk];
+      if (av != 0.0F) {
+        kern.axpy(av, b_lo + koff[kk], c + i * ldc, simd::kTileHalf);
+        kern.axpy(av, b_hi + koff[kk], c + i * ldc + simd::kTileHalf,
+                  simd::kTileHalf);
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void gemm_accumulate(const float* a, std::int64_t lda, const float* b,
                      std::int64_t ldb, float* c, std::int64_t ldc,
                      std::int64_t m, std::int64_t n, std::int64_t k) {
   const auto& kern = simd::active();
-  const auto m_tiled = m - m % simd::kTileRows;
   const auto n_tiled = n - n % simd::kTileCols;
-  // Column strips outer: one K x 16 strip of B serves every row tile.
-  for (std::int64_t j0 = 0; j0 < n_tiled; j0 += simd::kTileCols) {
-    for (std::int64_t i0 = 0; i0 < m_tiled; i0 += simd::kTileRows) {
-      kern.gemm_tile(a + i0 * lda, lda, b + j0, ldb, c + i0 * ldc + j0, ldc,
-                     k);
+  if (n_tiled > 0) {
+    thread_local std::vector<std::int64_t> koff;
+    koff.resize(static_cast<std::size_t>(k));
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      koff[static_cast<std::size_t>(kk)] = kk * ldb;
+    }
+    const auto* has_zero = zero_flags(kern, a, lda, m, k);
+    // Column strips outer: one K x 16 strip of B serves every row tile.
+    for (std::int64_t j0 = 0; j0 < n_tiled; j0 += simd::kTileCols) {
+      strip_accumulate(kern, a, lda, has_zero, b + j0,
+                       b + j0 + simd::kTileHalf, koff.data(), c + j0, ldc, m,
+                       k);
     }
   }
-  // Ragged columns of the tiled rows and every column of the ragged rows:
-  // the same per-element chain, through axpy.
-  for (std::int64_t i = 0; i < m; ++i) {
-    const auto j0 = i < m_tiled ? n_tiled : 0;
-    if (j0 == n) {
-      continue;
-    }
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = a[i * lda + kk];
-      if (av == 0.0F) {
-        continue;
+  // Ragged columns: the same per-element chain, through axpy.
+  if (n_tiled < n) {
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        const float av = a[i * lda + kk];
+        if (av != 0.0F) {
+          kern.axpy(av, b + kk * ldb + n_tiled, c + i * ldc + n_tiled,
+                    n - n_tiled);
+        }
       }
-      kern.axpy(av, b + kk * ldb + j0, c + i * ldc + j0, n - j0);
     }
   }
 }
@@ -298,124 +345,236 @@ Tensor col2im_batch(const Tensor& columns, const Conv2dGeometry& geom,
 
 // ---- direct convolution --------------------------------------------------
 
+namespace {
+
+/// The input planes with a zero border of `geom.padding`, in a buffer of the
+/// calling thread that only grows: each row is copied in runs of 8 and 4
+/// floats, and only the border is zeroed.
+const float* zero_bordered(const float* src, std::int64_t planes,
+                           const Conv2dGeometry& geom) {
+  const auto pad = geom.padding;
+  const auto w = geom.in_w;
+  const auto wp = w + 2 * pad;
+  const auto plane = (geom.in_h + 2 * pad) * wp;
+  thread_local std::vector<float> buf;
+  if (buf.size() < static_cast<std::size_t>(planes * plane)) {
+    buf.resize(static_cast<std::size_t>(planes * plane));
+  }
+  float* dst = buf.data();
+  const auto edge = pad * wp + pad;  // Top rows and the first left border.
+  for (std::int64_t p = 0; p < planes; ++p) {
+    for (std::int64_t i = 0; i < edge; ++i) {
+      dst[i] = 0.0F;
+    }
+    dst += edge;
+    for (std::int64_t y = 0; y < geom.in_h; ++y, src += w, dst += wp) {
+      std::int64_t x = 0;
+      for (; x + 8 <= w; x += 8) {
+        std::copy_n(src + x, 8, dst + x);
+      }
+      for (; x + 4 <= w; x += 4) {
+        std::copy_n(src + x, 4, dst + x);
+      }
+      for (; x < w; ++x) {
+        dst[x] = src[x];
+      }
+      for (std::int64_t i = 0; i < 2 * pad; ++i) {
+        dst[w + i] = 0.0F;  // Right border, then the next row's left one.
+      }
+    }
+    // The last row's border ran into the bottom rows; zero the rest of them.
+    for (std::int64_t i = 0; i < edge - 2 * pad; ++i) {
+      dst[i] = 0.0F;
+    }
+    dst += edge - 2 * pad;
+  }
+  return buf.data();
+}
+
+/// Packs the K x 16 panel of one strip from the zero-bordered input: row kk
+/// reads src + koff[kk] at each column's window origin `off`, in runs of
+/// `Run` floats.
+template <std::int64_t Run>
+void gather_panel(const float* src, const std::int64_t* koff,
+                  std::int64_t kdim, const std::int64_t* off, float* panel) {
+  for (std::int64_t kk = 0; kk < kdim; ++kk, panel += simd::kTileCols) {
+    const float* row = src + koff[kk];
+    for (std::int64_t j = 0; j < simd::kTileCols; j += Run) {
+      std::copy_n(row + off[j], Run, panel + j);
+    }
+  }
+}
+
+}  // namespace
+
 Tensor conv2d(const Tensor& images, const Tensor& weight, const Tensor& bias,
-              const Conv2dGeometry& geom) {
-  DP_REQUIRE(images.rank() == 4 && images.dim(1) == geom.in_channels &&
-                 images.dim(2) == geom.in_h && images.dim(3) == geom.in_w,
+              const Conv2dGeometry& geometry) {
+  DP_REQUIRE(images.rank() == 4 && images.dim(1) == geometry.in_channels &&
+                 images.dim(2) == geometry.in_h &&
+                 images.dim(3) == geometry.in_w,
              "conv2d: geometry mismatch with batch " + images.shape_string());
   const auto out_ch = weight.dim(0);
-  const auto kdim = geom.patch_size();
+  const auto kdim = geometry.patch_size();
   DP_REQUIRE(weight.numel() == out_ch * kdim,
              "conv2d: weight shape mismatch " + weight.shape_string());
   DP_REQUIRE(bias.rank() == 1 && bias.dim(0) == out_ch,
              "conv2d: bias shape mismatch");
+  DP_REQUIRE(geometry.out_h() > 0 && geometry.out_w() > 0,
+             "conv2d: output would be empty");
+  // A 1x1 stride-1 unpadded conv sees each input plane as one row, with the
+  // same im2col column order, so its strips are runs of the input itself.
+  Conv2dGeometry geom = geometry;
+  if (geom.kernel_h == 1 && geom.kernel_w == 1 && geom.stride == 1 &&
+      geom.padding == 0) {
+    geom.in_w *= geom.in_h;
+    geom.in_h = 1;
+  }
   const auto oh = geom.out_h();
   const auto ow = geom.out_w();
-  DP_REQUIRE(oh > 0 && ow > 0, "conv2d: output would be empty");
   const auto batch = images.dim(0);
   const auto n_out = oh * ow;
   const auto ncols = batch * n_out;
-  const auto pad = geom.padding;
-  const auto hp = geom.in_h + 2 * pad;
-  const auto wp = geom.in_w + 2 * pad;
-  const auto plane = hp * wp;
+  const auto wp = geom.in_w + 2 * geom.padding;
+  const auto plane = (geom.in_h + 2 * geom.padding) * wp;
+  const auto sample = geom.in_channels * plane;
+  const auto stride = geom.stride;
+  const auto& kern = simd::active();
+  const float* src =
+      geom.padding > 0
+          ? zero_bordered(images.data(), batch * geom.in_channels, geom)
+          : images.data();
 
-  // Zero-bordered copy of the input: every panel entry, padding included,
-  // is then a plain load at (column offset + row offset).
-  Tensor padded;
-  const float* src = images.data();
-  if (pad > 0) {
-    padded = Tensor({batch, geom.in_channels, hp, wp}, 0.0F);
-    for (std::int64_t p = 0; p < batch * geom.in_channels; ++p) {
-      for (std::int64_t y = 0; y < geom.in_h; ++y) {
-        std::copy_n(src + (p * geom.in_h + y) * geom.in_w, geom.in_w,
-                    padded.data() + p * plane + (y + pad) * wp + pad);
+  // Patch row kk = (c, ky, kx) starts koff[kk] past a column's window origin
+  // in the bordered input, and at kk * 16 in a packed panel.
+  thread_local std::vector<std::int64_t> koff_buf;
+  koff_buf.resize(static_cast<std::size_t>(2 * kdim));
+  std::int64_t* koff = koff_buf.data();
+  std::int64_t* koff_panel = koff + kdim;
+  for (std::int64_t c = 0, kk = 0; c < geom.in_channels; ++c) {
+    for (std::int64_t ky = 0; ky < geom.kernel_h; ++ky) {
+      for (std::int64_t kx = 0; kx < geom.kernel_w; ++kx, ++kk) {
+        koff[kk] = c * plane + ky * wp + kx;
+        koff_panel[kk] = kk * simd::kTileCols;
       }
     }
-    src = padded.data();
   }
-
-  Tensor out({batch, out_ch, oh, ow});
-  float* po = out.data();
   const float* pw = weight.data();
+  const auto* has_zero = zero_flags(kern, pw, kdim, out_ch, kdim);
   const float* pbias = bias.data();
-  const auto& kern = simd::active();
-  constexpr std::int64_t kStrip = simd::kTileCols;
-  constexpr std::int64_t kRun = 8;  // Gather granularity within a strip.
+
+  // Stride 1 and whole 8-column runs per output row: each half strip is one
+  // run of the bordered input, read in place. Otherwise the strip gathers
+  // a panel, in runs of 4 where output rows are whole runs of 4.
+  const bool direct_b = stride == 1 && ow % simd::kTileHalf == 0;
+  const std::int64_t run = stride == 1 && ow % 4 == 0 ? 4 : 1;
+  // Strips inside one sample accumulate straight into the output, which
+  // starts at +0; others go through an accumulator block.
+  const bool direct_c = n_out % simd::kTileCols == 0;
+  Tensor out({batch, out_ch, geometry.out_h(), geometry.out_w()}, 0.0F);
+  float* po = out.data();
   // One task per strip of 16 output columns (im2col column order: sample,
   // then output row, then output column). Each element is the im2col + GEMM
   // chain: fma over the patch rows k ascending from +0 (zero weights
   // skipped), then + bias — so the bytes are those of the composition.
   parallel_for(
-      0, ceil_div(ncols, kStrip),
+      0, ceil_div(ncols, simd::kTileCols),
       [&](std::int64_t s0, std::int64_t s1) {
-        // The K x 16 column panel (L1-resident for K <= 576) and the
-        // O x 16 accumulator block, in a per-thread buffer that only grows:
-        // every entry is written before it is read.
+        // The K x 16 panel (L1-resident for K <= 576) and the O x 16
+        // accumulator block when needed, in a per-thread buffer that only
+        // grows: every entry is written before it is read.
         thread_local std::vector<float> scratch;
-        const auto need = static_cast<std::size_t>((kdim + out_ch) * kStrip);
+        const auto need = static_cast<std::size_t>(
+            ((direct_b ? 0 : kdim) + (direct_c ? 0 : out_ch)) *
+            simd::kTileCols);
         if (scratch.size() < need) {
           scratch.resize(need);
         }
         float* panel = scratch.data();
-        float* acc = panel + kdim * kStrip;
-        for (std::int64_t s = s0; s < s1; ++s) {
-          const auto p0 = s * kStrip;
-          const auto width = std::min(kStrip, ncols - p0);
-          // Window origin of each column in the padded input; columns past
-          // the end repeat the last one (computed, never written).
-          std::int64_t off[kStrip];
-          for (std::int64_t j = 0; j < kStrip; ++j) {
-            const auto p = std::min(p0 + j, ncols - 1);
-            const auto q = p % n_out;
-            off[j] = p / n_out * geom.in_channels * plane +
-                     q / ow * geom.stride * wp + q % ow * geom.stride;
-          }
-          bool contiguous[kStrip / kRun];
-          for (std::int64_t g = 0; g < kStrip / kRun; ++g) {
-            const std::int64_t* go = off + g * kRun;
-            contiguous[g] =
-                std::adjacent_find(go, go + kRun, [](auto x, auto y) {
-                  return y != x + 1;
-                }) == go + kRun;
-          }
-          float* dst = panel;
-          for (std::int64_t c = 0; c < geom.in_channels; ++c) {
-            for (std::int64_t ky = 0; ky < geom.kernel_h; ++ky) {
-              for (std::int64_t kx = 0; kx < geom.kernel_w; ++kx) {
-                const float* row = src + c * plane + ky * wp + kx;
-                for (std::int64_t g = 0; g < kStrip / kRun; ++g) {
-                  const std::int64_t* go = off + g * kRun;
-                  if (contiguous[g]) {
-                    std::copy_n(row + go[0], kRun, dst + g * kRun);
-                  } else {
-                    for (std::int64_t t = 0; t < kRun; ++t) {
-                      dst[g * kRun + t] = row[go[t]];
-                    }
-                  }
-                }
-                dst += kStrip;
-              }
+        float* acc = panel + (direct_b ? 0 : kdim * simd::kTileCols);
+        // Sample, output row and output column of the next column, stepped
+        // instead of divided.
+        const auto p_begin = s0 * simd::kTileCols;
+        std::int64_t n = p_begin / n_out;
+        std::int64_t oy = p_begin % n_out / ow;
+        std::int64_t ox = p_begin % ow;
+        const auto step = [&](std::int64_t by) {
+          ox += by;
+          if (ox >= ow) {
+            ox -= ow;
+            if (++oy == oh) {
+              oy = 0;
+              ++n;
             }
           }
-          std::fill_n(acc, out_ch * kStrip, 0.0F);
-          gemm_accumulate(pw, kdim, panel, kStrip, acc, kStrip, out_ch,
-                          kStrip, kdim);
-          // acc + bias straight into [N, O, OH, OW], one run per sample.
+        };
+        const auto origin = [&] {
+          return n * sample + (oy * wp + ox) * stride;
+        };
+        for (std::int64_t s = s0; s < s1; ++s) {
+          const auto p0 = s * simd::kTileCols;
+          const auto width = std::min(simd::kTileCols, ncols - p0);
+          // Output offset of the strip's first column, for direct_c.
+          const auto c0 = (n * out_ch) * n_out + oy * ow + ox;
+          const float* b_lo = nullptr;
+          const float* b_hi = nullptr;
+          const std::int64_t* rows = koff;
+          if (direct_b) {
+            // A last strip of 8 columns reads its first run twice.
+            b_lo = src + origin();
+            step(simd::kTileHalf);
+            b_hi = width > simd::kTileHalf ? src + origin() : b_lo;
+            step(simd::kTileHalf);
+          } else {
+            // Columns past the end repeat the run before them (computed,
+            // never written).
+            std::int64_t off[simd::kTileCols] = {};
+            for (std::int64_t j = 0; j < simd::kTileCols; ++j) {
+              if (j < width) {
+                off[j] = origin();
+                step(1);
+              } else {
+                off[j] = off[j - run];
+              }
+            }
+            if (run == 4) {
+              gather_panel<4>(src, koff, kdim, off, panel);
+            } else {
+              gather_panel<1>(src, koff, kdim, off, panel);
+            }
+            b_lo = panel;
+            b_hi = panel + simd::kTileHalf;
+            rows = koff_panel;
+          }
+          if (direct_c) {
+            float* c = po + c0;
+            strip_accumulate(kern, pw, kdim, has_zero, b_lo, b_hi, rows, c,
+                             n_out, out_ch, kdim);
+            for (std::int64_t o = 0; o < out_ch; ++o, c += n_out) {
+              const float bo = pbias[o];
+              for (std::int64_t j = 0; j < simd::kTileCols; ++j) {
+                c[j] += bo;
+              }
+            }
+            continue;
+          }
+          std::fill_n(acc, out_ch * simd::kTileCols, 0.0F);
+          strip_accumulate(kern, pw, kdim, has_zero, b_lo, b_hi, rows, acc,
+                           simd::kTileCols, out_ch, kdim);
+          // acc + bias into [N, O, OH, OW], one run per sample.
           for (std::int64_t j = 0; j < width;) {
             const auto p = p0 + j;
-            const auto n = p / n_out;
+            const auto pn = p / n_out;
             const auto q = p % n_out;
             const auto len = std::min(width - j, n_out - q);
             for (std::int64_t o = 0; o < out_ch; ++o) {
-              kern.shift(po + (n * out_ch + o) * n_out + q,
-                         acc + o * kStrip + j, pbias[o], len);
+              kern.shift(po + (pn * out_ch + o) * n_out + q,
+                         acc + o * simd::kTileCols + j, pbias[o], len);
             }
             j += len;
           }
         }
       },
-      row_grain(kdim * kStrip * out_ch));
+      row_grain(kdim * simd::kTileCols * out_ch));
   return out;
 }
 

@@ -32,10 +32,11 @@ void matmul_into(const Tensor& a, const Tensor& b, Tensor& out);
 void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& out);
 
 /// C[m,n] += A[m,k] * B[k,n] over row-major pointers with row strides lda,
-/// ldb, ldc, on the calling thread: 4x16 register tiles (simd gemm_tile),
-/// ragged rows and columns through axpy. Each element is the canonical
-/// chain fma(a_ik, b_kj, c), k ascending, zero A entries skipped — the
-/// kernel under matmul_accumulate, bmm and conv2d.
+/// ldb, ldc, on the calling thread: 4x16 register tiles (simd gemm_tile,
+/// with each 4-row block of A scanned for zeros once per call), ragged rows
+/// and columns through axpy. Each element is the canonical chain
+/// fma(a_ik, b_kj, c), k ascending, zero A entries skipped — the kernel
+/// under matmul_accumulate and bmm; conv2d drives the same tiles itself.
 void gemm_accumulate(const float* a, std::int64_t lda, const float* b,
                      std::int64_t ldb, float* c, std::int64_t ldc,
                      std::int64_t m, std::int64_t n, std::int64_t k);
@@ -78,10 +79,15 @@ Tensor im2col_batch(const Tensor& images, const Conv2dGeometry& geom);
 /// Convolution forward: images [N,C,H,W], weight [O, C*kh*kw] (any shape
 /// with that element count, e.g. [O,C,kh,kw]), bias [O] -> [N,O,OH,OW].
 /// Bitwise the composition im2col_batch + matmul + bias, without the
-/// column buffer: the input is copied once with a zero border, and each
-/// strip of 16 output columns gathers its K x 16 column panel into L1 and
-/// runs the register tiles over every output channel. Strips are the
-/// parallel unit.
+/// column buffer. Once per call: the input is copied into a per-thread
+/// buffer with a zero border, a k-offset table is built and each 4-row
+/// weight block is scanned for zeros. Each strip of 16 output columns then
+/// runs the register tiles over every output channel. A stride-1 conv
+/// whose output rows are whole runs of 8 (the U-Net's 8x8 level, and every
+/// 1x1 stride-1 conv, whose planes count as one row) feeds the tiles
+/// straight from the bordered input; other convs gather a K x 16 panel per
+/// strip (in runs of 4 where the rows allow). Strips inside one sample
+/// accumulate into the output in place. Strips are the parallel unit.
 Tensor conv2d(const Tensor& images, const Tensor& weight, const Tensor& bias,
               const Conv2dGeometry& geom);
 

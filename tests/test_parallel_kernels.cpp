@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/compute_pool.h"
@@ -343,11 +344,38 @@ Tensor conv2d_oracle(const Tensor& x, const Tensor& w, const Tensor& b,
 
 }  // namespace
 
-// The direct (panel + register tile) forward against the im2col composition
-// it replaced: 3x3 pad 1, stride 2, 1x1 pad 0, a 2x3 kernel with pad 2, odd
-// 5x7 images, N*OH*OW not a multiple of the 16-column strip, output
-// channels not a multiple of the 4-row tile, batch 1/3/16, zero weights,
-// at 1/2/4 threads and in both autograd modes.
+// Bitwise equality where NaN matches NaN: when inf - inf and an input NaN
+// meet in one chain, which NaN an FMA returns depends on its operand order.
+::testing::AssertionResult same_bits_or_nan(const Tensor& a, const Tensor& b) {
+  if (!a.same_shape(b)) {
+    return ::testing::AssertionFailure()
+           << "shape mismatch " << a.shape_string() << " vs "
+           << b.shape_string();
+  }
+  for (std::int64_t i = 0; i < a.numel(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) {
+      continue;
+    }
+    if (std::memcmp(a.data() + i, b.data() + i, sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << a[i] << " vs " << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The direct forward (input read in place or through a panel, register
+// tiles) against the im2col composition it replaced. Shapes: 3x3 pad 1,
+// stride 2, 1x1 pad 0, a 2x3 kernel with pad 2, odd 5x7 images, N*OH*OW not
+// a multiple of the 16-column strip, output channels not a multiple of the
+// 4-row tile, batch 1/3/16, and every conv shape of the benchmark's U-Net
+// at batch 8 (3x3 p1 s1 at 8x8 and 4x4, the 3x3 s2 downsample, 1x1 on 64-
+// and 16-pixel planes; O = 8/16/32/96). Weights: ±0 at every 7th entry
+// (every 4-row block has a zero), none (the zero-free K loop the benchmark
+// runs), or ±0 only in the last full 4-row block (each block's own zero
+// flag). Inputs: normal, or with -0, ±inf and NaN mixed in, so a zero
+// weight that is not skipped turns an infinity into NaN. At 1/2/4 threads
+// and in both autograd modes.
 TEST(ParallelKernels, Conv2dDirectForwardMatchesIm2colComposition) {
   ThreadsGuard guard;
   struct Case {
@@ -358,15 +386,22 @@ TEST(ParallelKernels, Conv2dDirectForwardMatchesIm2colComposition) {
       {16, 4, 8, 8, 8, 3, 3, 2, 1},  {3, 6, 5, 7, 3, 1, 1, 1, 0},
       {3, 2, 5, 7, 5, 3, 3, 2, 1},   {16, 3, 5, 7, 2, 3, 3, 1, 1},
       {1, 2, 5, 7, 4, 2, 3, 1, 2},   {3, 48, 8, 8, 16, 3, 3, 1, 1},
+      {3, 2, 3, 8, 5, 3, 3, 1, 1},   {1, 4, 4, 6, 4, 1, 1, 1, 0},
+      // The benchmark's U-Net at batch 8.
+      {8, 4, 8, 8, 16, 3, 3, 1, 1},  {8, 16, 8, 8, 16, 3, 3, 1, 1},
+      {8, 48, 8, 8, 16, 3, 3, 1, 1}, {8, 32, 8, 8, 16, 3, 3, 1, 1},
+      {8, 32, 8, 8, 32, 3, 3, 1, 1}, {8, 16, 8, 8, 8, 3, 3, 1, 1},
+      {8, 16, 8, 8, 16, 3, 3, 2, 1}, {8, 16, 4, 4, 32, 3, 3, 1, 1},
+      {8, 32, 4, 4, 32, 3, 3, 1, 1}, {8, 64, 4, 4, 32, 3, 3, 1, 1},
+      {8, 48, 4, 4, 32, 3, 3, 1, 1}, {8, 48, 8, 8, 16, 1, 1, 1, 0},
+      {8, 32, 8, 8, 16, 1, 1, 1, 0}, {8, 16, 4, 4, 32, 1, 1, 1, 0},
+      {8, 32, 4, 4, 96, 1, 1, 1, 0}, {8, 32, 4, 4, 32, 1, 1, 1, 0},
+      {8, 64, 4, 4, 32, 1, 1, 1, 0},
   };
+  enum class Zeros { kEvery7th, kNone, kLastBlock };
+  constexpr float kInf = std::numeric_limits<float>::infinity();
   dc::Rng rng(37);
   for (const auto& c : cases) {
-    const Tensor x = random_tensor({c.batch, c.in_ch, c.h, c.w}, rng);
-    Tensor w = random_tensor({c.out_ch, c.in_ch, c.kh, c.kw}, rng);
-    for (std::int64_t i = 0; i < w.numel(); i += 7) {
-      w[i] = i % 2 == 0 ? 0.0F : -0.0F;
-    }
-    const Tensor b = random_tensor({c.out_ch}, rng);
     dt::Conv2dGeometry geom;
     geom.in_channels = c.in_ch;
     geom.in_h = c.h;
@@ -375,22 +410,56 @@ TEST(ParallelKernels, Conv2dDirectForwardMatchesIm2colComposition) {
     geom.kernel_w = c.kw;
     geom.stride = c.stride;
     geom.padding = c.pad;
-    const Tensor want = conv2d_oracle(x, w, b, geom);
-    for (const std::int64_t threads : {1, 2, 4}) {
-      ASSERT_TRUE(dc::set_global_compute_threads(threads).ok());
-      const Tensor train_out = dn::conv2d(dn::Var(x, true), dn::Var(w, true),
-                                          dn::Var(b, true), c.stride, c.pad)
-                                   .value();
-      EXPECT_TRUE(bitwise_equal(train_out, want))
-          << "batch " << c.batch << " " << c.h << "x" << c.w << " k "
-          << c.kh << "x" << c.kw << " s" << c.stride << " p" << c.pad
-          << " threads " << threads;
-      dn::NoGradGuard no_grad;
-      EXPECT_TRUE(bitwise_equal(
-          dn::conv2d(dn::Var(x), dn::Var(w), dn::Var(b), c.stride, c.pad)
-              .value(),
-          want))
-          << "inference, threads " << threads;
+    const Tensor b = random_tensor({c.out_ch}, rng);
+    for (const bool specials : {false, true}) {
+      Tensor x = random_tensor({c.batch, c.in_ch, c.h, c.w}, rng);
+      if (specials) {
+        for (std::int64_t i = 0; i < x.numel(); i += 5) {
+          x[i] = -0.0F;
+        }
+        x[x.numel() / 3] = kInf;
+        x[x.numel() / 2 + 1] = -kInf;
+        x[x.numel() - 2] = kInf;
+        x[2 * x.numel() / 3] = std::numeric_limits<float>::quiet_NaN();
+      }
+      for (const auto zeros : {Zeros::kEvery7th, Zeros::kNone,
+                               Zeros::kLastBlock}) {
+        Tensor w = random_tensor({c.out_ch, c.in_ch, c.kh, c.kw}, rng);
+        const auto kdim = geom.patch_size();
+        const auto last_block = (c.out_ch / 4 - 1) * 4;
+        for (std::int64_t i = 0; i < w.numel(); ++i) {
+          const auto row = i / kdim;
+          const bool zero =
+              zeros == Zeros::kEvery7th
+                  ? i % 7 == 0
+                  : zeros == Zeros::kLastBlock && last_block >= 0 &&
+                        row >= last_block && row < last_block + 4 &&
+                        i % 3 == 0;
+          if (zero) {
+            w[i] = i % 2 == 0 ? 0.0F : -0.0F;
+          }
+        }
+        const Tensor want = conv2d_oracle(x, w, b, geom);
+        for (const std::int64_t threads : {1, 2, 4}) {
+          ASSERT_TRUE(dc::set_global_compute_threads(threads).ok());
+          const Tensor train_out =
+              dn::conv2d(dn::Var(x, true), dn::Var(w, true), dn::Var(b, true),
+                         c.stride, c.pad)
+                  .value();
+          EXPECT_TRUE(same_bits_or_nan(train_out, want))
+              << "batch " << c.batch << " " << c.in_ch << "->" << c.out_ch
+              << " " << c.h << "x" << c.w << " k " << c.kh << "x" << c.kw
+              << " s" << c.stride << " p" << c.pad << " specials "
+              << specials << " zeros " << static_cast<int>(zeros)
+              << " threads " << threads;
+          dn::NoGradGuard no_grad;
+          EXPECT_TRUE(same_bits_or_nan(
+              dn::conv2d(dn::Var(x), dn::Var(w), dn::Var(b), c.stride, c.pad)
+                  .value(),
+              want))
+              << "inference, threads " << threads;
+        }
+      }
     }
   }
 }

@@ -173,19 +173,25 @@ TEST(SimdKernels, AxpyBackendParityAndTailCoverage) {
 }
 
 // The register tile against the axpy chain it replaces, for every backend.
-// Operands live in strided buffers (lda/ldb/ldc wider than the tile) so a
-// write outside the 4x16 tile shows as a padding mismatch. C starts with -0
-// entries, and each non-finite B value sits in a column of its own: a zero
-// a_ik against an infinity must skip (fma would give NaN), and with one
-// special per column no result depends on which NaN payload an FMA form
-// propagates — so the comparison stays memcmp. Every k runs four A blocks:
-// random zeros of both signs; none at all (the AVX2 tile's branch-free
-// loop); and a lone zero at k = 0 of row 0 or at the last k of row 3, each
-// meeting an infinity, so the zero scan must find it at the first element
-// and in its masked tail.
+// Operands live in strided buffers (lda/ldc wider than the tile) so a write
+// outside the 4x16 tile shows as a padding mismatch. The two halves of each
+// row of B live in separate buffers at unrelated addresses, reached through
+// a shuffled offset table with gaps between the rows, as the convolution
+// reads them. C starts with -0 entries, and each non-finite B value sits in
+// a column of its own: a zero a_ik against an infinity must skip (fma would
+// give NaN), and with one special per column no result depends on which NaN
+// payload an FMA form propagates — so the comparison stays memcmp. Every k
+// runs four A blocks: random zeros of both signs; none at all (the AVX2
+// tile's branch-free loop); and a lone zero at k = 0 of row 0 or at the last
+// k of row 3, each meeting an infinity, so the zero scan must find it at
+// the first element and in its masked tail. Every backend's block_has_zero
+// must agree with the block, and each tile runs with that flag and with
+// the always-correct flag true.
 TEST(SimdKernels, GemmTileMatchesAxpyChainBitwise) {
   constexpr std::int64_t kRows = dt::simd::kTileRows;
   constexpr std::int64_t kCols = dt::simd::kTileCols;
+  constexpr std::int64_t kHalf = dt::simd::kTileHalf;
+  constexpr std::int64_t kRowGap = kHalf + 3;  // B rows do not touch.
   constexpr float kInf = std::numeric_limits<float>::infinity();
   enum class Zeros { kRandom, kNone, kFirstOfRow0, kLastOfRow3 };
   const auto* scalar = dt::simd::table_for(KernelBackend::kScalar);
@@ -194,11 +200,24 @@ TEST(SimdKernels, GemmTileMatchesAxpyChainBitwise) {
     for (const auto zeros : {Zeros::kRandom, Zeros::kNone,
                              Zeros::kFirstOfRow0, Zeros::kLastOfRow3}) {
       const std::int64_t lda = k + 3;
-      const std::int64_t ldb = kCols + 5;
       const std::int64_t ldc = kCols + 2;
       std::vector<float> a(static_cast<std::size_t>(kRows * lda), 0.0F);
-      std::vector<float> b(static_cast<std::size_t>(std::max<std::int64_t>(
-          k * ldb, 1)));
+      // Row kk of B: columns 0..7 at lo + koff[kk], 8..15 at hi + koff[kk],
+      // with the rows in a shuffled order.
+      const auto slots = std::max<std::int64_t>(k, 1) * kRowGap;
+      std::vector<float> lo(static_cast<std::size_t>(slots));
+      std::vector<float> hi(static_cast<std::size_t>(slots + 5));
+      std::vector<std::int64_t> koff(static_cast<std::size_t>(k));
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        koff[static_cast<std::size_t>(kk)] = (kk * 5 + 3) % k * kRowGap;
+      }
+      const float* b_lo = lo.data();
+      const float* b_hi = hi.data() + 5;
+      const auto bk = [&](std::int64_t kk, std::int64_t j) -> float& {
+        const auto off = koff[static_cast<std::size_t>(kk)];
+        return j < kHalf ? lo[static_cast<std::size_t>(off + j)]
+                         : hi[static_cast<std::size_t>(5 + off + j - kHalf)];
+      };
       std::vector<float> c0(static_cast<std::size_t>(kRows * ldc));
       const auto at = [&](std::int64_t i, std::int64_t kk) -> float& {
         return a[static_cast<std::size_t>(i * lda + kk)];
@@ -213,23 +232,24 @@ TEST(SimdKernels, GemmTileMatchesAxpyChainBitwise) {
           at(i, kk) = v;
         }
       }
-      for (auto& v : b) {
-        v = static_cast<float>(rng.normal());
+      for (auto* buf : {&lo, &hi}) {
+        for (auto& v : *buf) {
+          v = static_cast<float>(rng.normal());
+        }
       }
       for (auto& v : c0) {
         v = rng.uniform(0.0, 1.0) < 0.3 ? -0.0F
                                          : static_cast<float>(rng.normal());
       }
       if (k >= 1) {
-        b[static_cast<std::size_t>(0 * ldb + 5)] = -kInf;
-        b[static_cast<std::size_t>((k - 1) * ldb + 11)] = kInf;
+        bk(0, 5) = -kInf;
+        bk(k - 1, 11) = kInf;
       }
       if (k >= 2) {
-        b[static_cast<std::size_t>(1 * ldb + 3)] = kInf;
-        b[static_cast<std::size_t>(1 * ldb + 7)] =
-            std::numeric_limits<float>::quiet_NaN();
+        bk(1, 3) = kInf;
+        bk(1, 7) = std::numeric_limits<float>::quiet_NaN();
         for (std::int64_t kk = 0; kk < k; ++kk) {
-          b[static_cast<std::size_t>(kk * ldb + 9)] = -0.0F;
+          bk(kk, 9) = -0.0F;
         }
         if (zeros == Zeros::kRandom) {
           at(2, 1) = 0.0F;   // Meets +inf: skip.
@@ -244,24 +264,38 @@ TEST(SimdKernels, GemmTileMatchesAxpyChainBitwise) {
       }
       // The oracle: per row, the axpy chain over the nonzero a_ik.
       std::vector<float> want = c0;
+      bool block_zero = false;
       for (std::int64_t i = 0; i < kRows; ++i) {
         for (std::int64_t kk = 0; kk < k; ++kk) {
           const float av = at(i, kk);
-          if (av != 0.0F) {
-            scalar->axpy(av, b.data() + kk * ldb, want.data() + i * ldc,
-                         kCols);
+          if (av == 0.0F) {
+            block_zero = true;
+            continue;
           }
+          float brow[kCols];
+          for (std::int64_t j = 0; j < kCols; ++j) {
+            brow[j] = bk(kk, j);
+          }
+          scalar->axpy(av, brow, want.data() + i * ldc, kCols);
         }
       }
       for (const auto backend : backends_under_test()) {
-        std::vector<float> got = c0;
-        dt::simd::table_for(backend)->gemm_tile(a.data(), lda, b.data(), ldb,
-                                                got.data(), ldc, k);
-        EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                              want.size() * sizeof(float)),
-                  0)
+        const auto* table = dt::simd::table_for(backend);
+        const bool flag = table->block_has_zero(a.data(), lda, k);
+        EXPECT_EQ(flag, block_zero)
             << dt::kernel_backend_label(backend) << " k=" << k
             << " zeros=" << static_cast<int>(zeros);
+        for (const bool a_has_zero : {flag, true}) {
+          std::vector<float> got = c0;
+          table->gemm_tile(a.data(), lda, a_has_zero, b_lo, b_hi,
+                           koff.data(), got.data(), ldc, k);
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                want.size() * sizeof(float)),
+                    0)
+              << dt::kernel_backend_label(backend) << " k=" << k
+              << " zeros=" << static_cast<int>(zeros)
+              << " a_has_zero=" << a_has_zero;
+        }
       }
     }
   }

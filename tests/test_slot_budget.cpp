@@ -10,6 +10,8 @@
 #include <chrono>
 #include <functional>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "service/slot_budget.h"
 
@@ -28,6 +30,40 @@ bool wait_for(const std::function<bool()>& pred, int timeout_ms = 10000) {
   }
   return true;
 }
+
+/// Owns a test's helper threads. On scope exit it shuts the budget down,
+/// which wakes any thread still blocked in acquire with a zero grant, and
+/// joins them all. A failed ASSERT_* then returns through the guard instead
+/// of leaving a joinable std::thread, whose destructor would end the whole
+/// test binary in std::terminate. Declare it after everything the threads
+/// capture, so it is destroyed first.
+class HelperThreads {
+ public:
+  explicit HelperThreads(ds::SlotBudget& budget) : budget_(budget) {}
+  HelperThreads(const HelperThreads&) = delete;
+  HelperThreads& operator=(const HelperThreads&) = delete;
+  ~HelperThreads() {
+    budget_.shutdown();
+    join();
+  }
+
+  template <typename F>
+  void spawn(F&& f) {
+    threads_.emplace_back(std::forward<F>(f));
+  }
+
+  void join() {
+    for (auto& t : threads_) {
+      if (t.joinable()) {
+        t.join();
+      }
+    }
+  }
+
+ private:
+  ds::SlotBudget& budget_;
+  std::vector<std::thread> threads_;
+};
 
 TEST(SlotBudget, SoleTenantTakesFullCapacity) {
   ds::SlotBudget budget(8);
@@ -73,7 +109,8 @@ TEST(SlotBudget, ContendedHotShardWakesToItsShare) {
   // Cold arrives and must block (no free slots). Atomic: the waiter thread
   // writes the grant while wait_for polls it.
   std::atomic<std::int64_t> cold_granted{-1};
-  std::thread cold([&] { cold_granted = budget.acquire("cold", 2); });
+  HelperThreads helpers(budget);
+  helpers.spawn([&] { cold_granted = budget.acquire("cold", 2); });
   ASSERT_TRUE(wait_for([&] { return budget.waiting() == 1; }));
 
   // Hot returns its slots. However the wakeup interleaves, the outcome is
@@ -81,7 +118,7 @@ TEST(SlotBudget, ContendedHotShardWakesToItsShare) {
   // is capped at 8 / 2 = 4.
   budget.release("hot", 8);
   ASSERT_TRUE(wait_for([&] { return cold_granted >= 0; }));
-  cold.join();
+  helpers.join();
   EXPECT_EQ(cold_granted, 2);
   EXPECT_EQ(budget.acquire("hot", 8), 4);
   EXPECT_EQ(budget.in_use("hot"), 4);
@@ -98,8 +135,9 @@ TEST(SlotBudget, ShareFloorKeepsEveryShardLive) {
   ASSERT_EQ(budget.acquire("a", 2), 2);  // Sole tenant: everything.
   std::atomic<std::int64_t> b_granted{-1};
   std::atomic<std::int64_t> c_granted{-1};
-  std::thread b([&] { b_granted = budget.acquire("b", 2); });
-  std::thread c([&] { c_granted = budget.acquire("c", 2); });
+  HelperThreads helpers(budget);
+  helpers.spawn([&] { b_granted = budget.acquire("b", 2); });
+  helpers.spawn([&] { c_granted = budget.acquire("c", 2); });
   ASSERT_TRUE(wait_for([&] { return budget.waiting() == 2; }));
 
   // a still holds a slot, so three shards are active when the freed one
@@ -110,8 +148,7 @@ TEST(SlotBudget, ShareFloorKeepsEveryShardLive) {
 
   budget.release("a", 1);
   ASSERT_TRUE(wait_for([&] { return b_granted >= 0 && c_granted >= 0; }));
-  b.join();
-  c.join();
+  helpers.join();
   EXPECT_EQ(b_granted, 1);
   EXPECT_EQ(c_granted, 1);
   budget.release("b", 1);
@@ -142,10 +179,11 @@ TEST(SlotBudget, ShutdownWakesWaitersWithZeroGrant) {
   ds::SlotBudget budget(2);
   ASSERT_EQ(budget.acquire("m", 2), 2);
   std::int64_t blocked_grant = -1;
-  std::thread waiter([&] { blocked_grant = budget.acquire("m", 1); });
+  HelperThreads helpers(budget);
+  helpers.spawn([&] { blocked_grant = budget.acquire("m", 1); });
   ASSERT_TRUE(wait_for([&] { return budget.waiting() == 1; }));
   budget.shutdown();
-  waiter.join();
+  helpers.join();
   EXPECT_EQ(blocked_grant, 0);
   // Subsequent acquires return 0 immediately.
   EXPECT_EQ(budget.acquire("other", 4), 0);
