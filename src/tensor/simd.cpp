@@ -31,15 +31,20 @@ void scalar_axpy(float a, const float* x, float* y, std::int64_t n) {
 }
 
 /// The canonical tile chain, one C row at a time: k ascending, a zero a_ik
-/// (either sign) skipped, so the zero flag is not needed. The row lives in
-/// a local array so the compiler may keep it in vector registers across K.
+/// (either sign) skipped, so the zero flag is not needed. Each half of the
+/// row lives in its own local array, matching the two halves of B, so the
+/// compiler may keep each in one vector register across K (with one array
+/// for both, GCC built each B row element by element).
 void scalar_gemm_tile(const float* a, std::int64_t lda, bool /*a_has_zero*/,
                       const float* b_lo, const float* b_hi,
                       const std::int64_t* koff, float* c, std::int64_t ldc,
                       std::int64_t k) {
   for (std::int64_t i = 0; i < kTileRows; ++i) {
-    float acc[kTileCols];
-    std::copy(c + i * ldc, c + i * ldc + kTileCols, acc);
+    float* crow = c + i * ldc;
+    float acc_lo[kTileHalf];
+    float acc_hi[kTileHalf];
+    std::copy(crow, crow + kTileHalf, acc_lo);
+    std::copy(crow + kTileHalf, crow + kTileCols, acc_hi);
     for (std::int64_t kk = 0; kk < k; ++kk) {
       const float av = a[i * lda + kk];
       if (av == 0.0F) {
@@ -48,11 +53,14 @@ void scalar_gemm_tile(const float* a, std::int64_t lda, bool /*a_has_zero*/,
       const float* lo = b_lo + koff[kk];
       const float* hi = b_hi + koff[kk];
       for (std::int64_t j = 0; j < kTileHalf; ++j) {
-        acc[j] = std::fma(av, lo[j], acc[j]);
-        acc[kTileHalf + j] = std::fma(av, hi[j], acc[kTileHalf + j]);
+        acc_lo[j] = std::fma(av, lo[j], acc_lo[j]);
+      }
+      for (std::int64_t j = 0; j < kTileHalf; ++j) {
+        acc_hi[j] = std::fma(av, hi[j], acc_hi[j]);
       }
     }
-    std::copy(acc, acc + kTileCols, c + i * ldc);
+    std::copy(acc_lo, acc_lo + kTileHalf, crow);
+    std::copy(acc_hi, acc_hi + kTileHalf, crow + kTileHalf);
   }
 }
 
