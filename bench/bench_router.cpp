@@ -2,10 +2,10 @@
 // a 3-worker x 2-model loopback topology with one deliberately saturated
 // worker.
 //
-// worker-0 holds a parked pull-stream on model "alpha" (stream buffer 1,
-// never drained), pinning its admission window open for the whole bench —
-// a deterministic stand-in for a hot replica. The same request storm is
-// then routed twice through identical replica tables:
+// worker-0 holds a parked push stream on model "alpha" (its callback
+// blocks on its only delivery), pinning its admission window open for the
+// whole bench — a deterministic stand-in for a hot replica. The same
+// request storm is then routed twice through identical replica tables:
 //   * round-robin (load-blind control): every third pick lands on the
 //     saturated worker, whose alpha requests shed and must redirect;
 //   * power-of-two-choices over reported health, refreshed every request:
@@ -25,9 +25,9 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <future>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -164,13 +164,11 @@ int main() {
     config.max_fused_batch = 8;
     if (w == 0) {
       // The to-be-saturated worker: shed as soon as one request is in
-      // flight on a shard, and buffer at most one stream delivery so a
-      // parked consumer pins the admission window open.
+      // flight on a shard, so a parked stream pins the admission window.
       config.flow.max_queue_depth = 4;
       config.flow.shed_queue_depth = 1;
       config.flow.shed_fill_ratio = 0.0;
       config.flow.retry_after_ms = 10;
-      config.flow.stream_buffer_limit = 1;
     } else {
       config.flow.max_queue_depth = 64;
       config.flow.shed_queue_depth = 64;
@@ -193,23 +191,40 @@ int main() {
     workers.push_back(std::move(node));
   }
 
-  // Saturate worker-0: a pull-stream whose handle is never drained parks
-  // at the 1-delivery buffer bound, holding its admission slot until the
-  // handle is destroyed — overload that lasts exactly as long as the
-  // bench wants it to. count=2 on purpose: exactly one undelivered slot
-  // can block on the full buffer, so one of the two legalize workers
-  // stays free and requests admitted to worker-0 still make progress.
+  // Saturate worker-0: a push stream whose callback blocks on its first
+  // delivery holds the request, and with it the admission slot, until the
+  // bench fulfils `release` — overload that lasts exactly as long as the
+  // bench wants it to. count=1 on purpose: deliveries are serialized, so
+  // a second slot would block the other legalize worker behind the parked
+  // callback too, and requests admitted to worker-0 could not progress.
   ds::GenerateRequest parked_request;
   parked_request.model = "alpha";
-  parked_request.count = 2;
+  parked_request.count = 1;
   parked_request.seed = 1;
-  std::optional<ds::StreamHandle> parked(
-      workers[0]->service().generate_stream(parked_request));
+  std::atomic<bool> parked{false};
+  std::promise<void> release;
+  std::future<void> released = release.get_future();
+  std::thread parker([&] {
+    const auto stats = workers[0]->service().generate_stream(
+        parked_request, [&](const ds::StreamedPattern&) {
+          parked.store(true);
+          released.wait();
+        });
+    if (!stats.ok()) {
+      std::cerr << "[bench] parked stream failed: "
+                << stats.status().to_string() << "\n";
+    }
+  });
+  const auto unpark = [&] {
+    release.set_value();
+    parker.join();
+  };
   if (!wait_for([&] {
-        const auto counters = workers[0]->service().counters();
-        return counters.admission_pending >= 1 && counters.stream_pauses >= 1;
+        return parked.load() &&
+               workers[0]->service().counters().admission_pending >= 1;
       })) {
     std::cerr << "[bench] worker-0 never saturated\n";
+    unpark();
     return 1;
   }
   std::cout << "[bench] worker-0 saturated (admission window held by a "
@@ -241,7 +256,7 @@ int main() {
   // Release the saturated worker, then verify bit-identity: every request,
   // under either policy, must match a direct unloaded run on worker-1's
   // service (identical weights, no wire).
-  parked.reset();  // Destroying the handle cancels the parked stream.
+  unpark();  // The parked stream completes and frees its admission slot.
   bool identical = true;
   for (int i = 0; i < kRequestsPerPolicy && identical; ++i) {
     const auto golden = workers[1]->service().generate(request_for(i));

@@ -173,13 +173,9 @@ struct ServiceCountersT {
   /// Jobs dropped because their deadline expired (queued or
   /// mid-sampling).
   Counter deadlines_expired{};
-  /// Jobs abandoned at round formation (downstream failure or stream
-  /// abandonment set the cancel flag).
+  /// Jobs abandoned at round formation because their request already
+  /// failed downstream (a legalization fault or a throwing callback).
   Counter jobs_cancelled{};
-  /// Pull-stream handles destroyed with the request still running.
-  Counter streams_abandoned{};
-  /// Deliveries that paused at the bounded stream buffer's high-water mark.
-  Counter stream_pauses{};
 
   // -- inference memory plan, process-wide --
   /// Bytes parked in activation-plan freelists (gauge).
@@ -220,8 +216,6 @@ struct ServiceCountersT {
     f("requests_degraded", s.requests_degraded...);
     f("deadlines_expired", s.deadlines_expired...);
     f("jobs_cancelled", s.jobs_cancelled...);
-    f("streams_abandoned", s.streams_abandoned...);
-    f("stream_pauses", s.stream_pauses...);
     f("arena_bytes_reserved", s.arena_bytes_reserved...);
     f("plan_cache_hits", s.plan_cache_hits...);
     f("plan_cache_misses", s.plan_cache_misses...);

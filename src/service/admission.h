@@ -57,11 +57,6 @@ struct FlowControlConfig {
   /// Base retry-after hint attached to shed statuses, scaled up with the
   /// backlog. Clamped to >= 1.
   std::int64_t retry_after_ms = 25;
-  /// Bounded pull-stream delivery buffer (StreamHandle): a delivery that
-  /// would exceed this many buffered, unpulled slots pauses the
-  /// legalization fan-out until the consumer drains (or abandons). <= 0
-  /// disables the bound.
-  std::int64_t stream_buffer_limit = 64;
 };
 
 /// Owns the per-shard admission windows and the shedding policy. All

@@ -285,8 +285,7 @@ void BatchScheduler::run_round(Shard& shard,
          it != shard.queue.end() && budget > 0;) {
       auto& job = *it;
       if (job->cancelled && job->cancelled()) {
-        // The submitter already failed downstream (or the stream consumer
-        // abandoned its handle); stop sampling for it.
+        // The submitter already failed downstream; stop sampling for it.
         if (job->error.ok()) {
           job->error = common::Status::Unavailable(
               "request abandoned after a downstream failure");

@@ -80,9 +80,8 @@ struct SampleJob {
   /// it captures outlives `done`). When it returns true at round
   /// formation, the job's remaining slots are abandoned and the job
   /// finishes with UNAVAILABLE — the service points it at the request's
-  /// downstream-failure flag and (for pull streams) the handle's
-  /// abandonment flag, so a doomed request stops burning sampling rounds
-  /// and admission budget. Called only from the shard thread.
+  /// downstream-failure flag, so a doomed request stops burning sampling
+  /// rounds and admission budget. Called only from the shard thread.
   std::function<bool()> cancelled;
 
   std::int64_t next_slot = 0;  // Slots already handed to a round.

@@ -1,13 +1,12 @@
 #include "service/pattern_service.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <future>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "common/compute_pool.h"
@@ -63,13 +62,6 @@ struct StreamExec {
   /// here instead of copied through the callback. Mutually exclusive with
   /// `callback`.
   std::vector<StreamedPattern>* collect = nullptr;
-  /// Pull streams only: set once the consumer destroyed its StreamHandle.
-  /// The delivery callback then drops the pattern, and legalize_slot
-  /// answers UNAVAILABLE (a cancellation, not an INTERNAL fault).
-  const std::atomic<bool>* abandoned = nullptr;
-  bool consumer_gone() const {
-    return abandoned != nullptr && abandoned->load(std::memory_order_relaxed);
-  }
 
   /// Set (sticky) whenever first_error is assigned; the sampling job's
   /// cancel flag points here so the shard stops sampling for a request
@@ -93,7 +85,59 @@ struct StreamExec {
   common::Timer timer;
   double first_submit_s = -1.0;
   double last_done_s = 0.0;
+
+  /// Records the request's first error (later ones are dropped) and raises
+  /// `failed`. Takes `mutex`.
+  void fail(const common::Status& status) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (first_error.ok()) {
+      first_error = status;
+    }
+    failed.store(true, std::memory_order_relaxed);
+  }
 };
+
+/// A request's model artifacts, rule deck and sampling stride, looked up
+/// once by PatternService::Impl::resolve.
+struct Resolved {
+  std::shared_ptr<const ModelArtifacts> artifacts;
+  drc::DesignRules rules;
+  std::int64_t stride = 1;  // 1 for requests without a sampling leg.
+};
+
+/// SampleJob fill-in shared by both sampling entry points
+/// (GenerateRequest and SampleTopologiesRequest carry the same scheduling
+/// fields): `count` slots of the resolved model at the resolved stride.
+template <class Request>
+std::shared_ptr<SampleJob> make_job(const Request& request,
+                                    const Resolved& resolved,
+                                    std::int64_t count) {
+  auto job = std::make_shared<SampleJob>();
+  job->artifacts = resolved.artifacts;
+  job->count = count;
+  job->seed = request.seed;
+  job->stride = resolved.stride;
+  job->priority = request.priority;
+  if (request.deadline_ms > 0) {
+    job->has_deadline = true;
+    job->deadline = std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(request.deadline_ms);
+  }
+  job->grids.resize(static_cast<std::size_t>(count));
+  return job;
+}
+
+/// Folds a finished job's sampling stats into the request's stats.
+void fold_sampling(const SampleJob& job, GenerateStats& stats) {
+  stats.topologies_admitted = job.count;
+  stats.sampling_stride = job.stride;
+  stats.steps_run =
+      diffusion::plan_length(*job.artifacts->schedule, job.stride);
+  stats.net_evals = job.net_evals;
+  stats.sampling_seconds += job.sampling_seconds;
+  stats.fused_batch_slots =
+      std::max(stats.fused_batch_slots, job.fused_batch_slots);
+}
 
 }  // namespace
 
@@ -220,9 +264,22 @@ struct PatternService::Impl {
     return status;
   }
 
-  common::Result<std::vector<geometry::BinaryGrid>> run_sampling(
-      std::shared_ptr<const ModelArtifacts> artifacts,
-      const SampleTopologiesRequest& request, GenerateStats& stats);
+  common::Result<drc::DesignRules> find_rule_set(const std::string& name) const;
+  /// The one resolve step behind validate() and every entry point: the
+  /// config check, the request-field checks, then the model, the sampling
+  /// stride (only when `sampling` is set) and the rule deck (empty name =
+  /// the model's default), in that order; the first failure is the answer.
+  common::Result<Resolved> resolve(const std::string& model,
+                                   std::int64_t count, std::int64_t geometries,
+                                   const std::string& rule_set,
+                                   std::int64_t deadline_ms,
+                                   const SamplingSpec* sampling) const;
+  /// Submits `job` to its model's shard and blocks until the job finishes
+  /// (job->error then holds the sampling outcome). Non-OK only when no
+  /// shard accepted the job.
+  common::Status run_job(const std::shared_ptr<SampleJob>& job);
+  common::Result<SampleTopologiesResult> run_sampling(
+      const SampleTopologiesRequest& request);
   void legalize_slot(const std::shared_ptr<StreamExec>& exec,
                      const geometry::BinaryGrid& topology, std::int64_t index);
   void submit_slots(const std::shared_ptr<StreamExec>& exec,
@@ -236,12 +293,10 @@ struct PatternService::Impl {
                                            std::int64_t requested);
   /// Exactly one of `callback` (push streaming) / `collect` (collect-all,
   /// slots moved in) may be non-null; both null runs legalization with no
-  /// deliveries. `abandoned` (pull streams) cancels the sampling job when
-  /// it reads true — the submitter keeps it alive past return.
+  /// deliveries.
   common::Result<GenerateStats> run_generate(
-      PatternService& service, const GenerateRequest& request,
-      const StreamCallback* callback, std::vector<StreamedPattern>* collect,
-      const std::atomic<bool>* abandoned = nullptr);
+      const GenerateRequest& request, const StreamCallback* callback,
+      std::vector<StreamedPattern>* collect);
 
   ServiceConfig config;
   /// Non-OK when the config was rejected (e.g. a zero-sized pool): every
@@ -264,16 +319,102 @@ struct PatternService::Impl {
   BatchScheduler scheduler;
 };
 
+// ------------------------------------------------------------ resolve
+
+common::Result<drc::DesignRules> PatternService::Impl::find_rule_set(
+    const std::string& name) const {
+  const std::lock_guard<std::mutex> lock(rules_mutex);
+  const auto it = rule_sets.find(name);
+  if (it == rule_sets.end()) {
+    return common::Status::NotFound("rule set '" + name +
+                                    "' is not registered");
+  }
+  return it->second;
+}
+
+common::Result<Resolved> PatternService::Impl::resolve(
+    const std::string& model, std::int64_t count, std::int64_t geometries,
+    const std::string& rule_set, std::int64_t deadline_ms,
+    const SamplingSpec* sampling) const {
+  if (!config_error.ok()) {
+    return config_error;
+  }
+  if (model.empty()) {
+    return common::Status::InvalidArgument("request names no model");
+  }
+  if (count < 1) {
+    return common::Status::InvalidArgument("count must be >= 1, got " +
+                                           std::to_string(count));
+  }
+  if (deadline_ms < 0) {
+    return common::Status::InvalidArgument(
+        "deadline_ms must be >= 0 (0 = no deadline), got " +
+        std::to_string(deadline_ms));
+  }
+  if (count > config.max_count) {
+    return common::Status::InvalidArgument(
+        "count " + std::to_string(count) + " exceeds max_count " +
+        std::to_string(config.max_count));
+  }
+  if (geometries < 1) {
+    return common::Status::InvalidArgument(
+        "geometries_per_topology must be >= 1, got " +
+        std::to_string(geometries));
+  }
+  if (geometries > config.max_geometries) {
+    return common::Status::InvalidArgument(
+        "geometries_per_topology " + std::to_string(geometries) +
+        " exceeds max_geometries " + std::to_string(config.max_geometries));
+  }
+  auto artifacts = registry.lookup(model);
+  if (!artifacts.ok()) {
+    return artifacts.status();
+  }
+  Resolved out;
+  out.artifacts = std::move(artifacts).value();
+  if (sampling != nullptr) {
+    const auto stride =
+        resolve_sampling_stride(*sampling, *out.artifacts->schedule);
+    if (!stride.ok()) {
+      return stride.status();
+    }
+    out.stride = *stride;
+  }
+  if (rule_set.empty()) {
+    out.rules = out.artifacts->config.rules;
+  } else {
+    auto rules = find_rule_set(rule_set);
+    if (!rules.ok()) {
+      return rules.status();
+    }
+    out.rules = std::move(rules).value();
+  }
+  return out;
+}
+
 // ------------------------------------------------------------- sampling
 
-common::Result<std::vector<geometry::BinaryGrid>>
-PatternService::Impl::run_sampling(
-    std::shared_ptr<const ModelArtifacts> artifacts,
-    const SampleTopologiesRequest& request, GenerateStats& stats) {
-  const auto& schedule = *artifacts->schedule;
-  const auto stride = resolve_sampling_stride(request.sampling, schedule);
-  if (!stride.ok()) {
-    return stride.status();
+common::Status PatternService::Impl::run_job(
+    const std::shared_ptr<SampleJob>& job) {
+  auto done = job->done.get_future();
+  const auto submitted = scheduler.submit(job);
+  if (!submitted.ok()) {
+    return submitted;
+  }
+  // Accepted = admitted for execution (a shard holds the job now); a
+  // rejected submit is counted only in rejects_by_code.
+  counters.requests_accepted.add();
+  done.wait();
+  return common::Status::Ok();
+}
+
+common::Result<SampleTopologiesResult> PatternService::Impl::run_sampling(
+    const SampleTopologiesRequest& request) {
+  const auto resolved =
+      resolve(request.model, request.count, /*geometries=*/1,
+              /*rule_set=*/"", request.deadline_ms, &request.sampling);
+  if (!resolved.ok()) {
+    return reject(resolved.status());
   }
   // Flow control: occupy an admission window slot for the whole life of
   // the job (sampling-only requests cannot degrade — there is no partial
@@ -281,39 +422,23 @@ PatternService::Impl::run_sampling(
   const auto decision = admission.admit(request.model, request.count,
                                         /*allow_degrade=*/false);
   if (!decision.status.ok()) {
-    return decision.status;
+    return reject(decision.status);
   }
   const AdmissionGuard admission_guard{admission, request.model};
-  auto job = std::make_shared<SampleJob>();
-  job->artifacts = std::move(artifacts);
-  job->count = request.count;
-  job->seed = request.seed;
-  job->stride = *stride;
-  job->priority = request.priority;
-  if (request.deadline_ms > 0) {
-    job->has_deadline = true;
-    job->deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(request.deadline_ms);
+  const auto job = make_job(request, *resolved, request.count);
+  const auto ran = run_job(job);
+  if (!ran.ok()) {
+    return reject(ran);
   }
-  job->grids.resize(static_cast<std::size_t>(request.count));
-  auto done = job->done.get_future();
-  const auto submitted = scheduler.submit(job);
-  if (!submitted.ok()) {
-    return submitted;
-  }
-  counters.requests_accepted.add();
-  done.wait();
   if (!job->error.ok()) {
-    return job->error;
+    return reject(job->error);
   }
-  stats.topologies_admitted = request.count;
-  stats.sampling_stride = *stride;
-  stats.steps_run = diffusion::plan_length(schedule, *stride);
-  stats.net_evals = job->net_evals;
-  stats.sampling_seconds += job->sampling_seconds;
-  stats.fused_batch_slots =
-      std::max(stats.fused_batch_slots, job->fused_batch_slots);
-  return std::move(job->grids);
+  SampleTopologiesResult result;
+  result.topologies = std::move(job->grids);
+  result.stats.topologies_requested = request.count;
+  fold_sampling(*job, result.stats);
+  counters.requests_completed.add();
+  return result;
 }
 
 // --------------------------------------------- legalization + streaming
@@ -361,33 +486,21 @@ void PatternService::Impl::legalize_slot(
   // only held for the bookkeeping so a slow consumer cannot stall the
   // shard thread (which needs `mutex` to fan out the next round).
   const std::lock_guard<std::mutex> delivery_lock(exec->delivery_mutex);
-  const auto fail_exec = [&exec](const common::Status& status) {
-    const std::lock_guard<std::mutex> lock(exec->mutex);
-    if (exec->first_error.ok()) {
-      exec->first_error = status;
-    }
-    exec->failed.store(true, std::memory_order_relaxed);
-  };
   bool deliver = false;
-  {
+  if (!error.ok()) {
+    exec->fail(error);
+  } else {
     const std::lock_guard<std::mutex> lock(exec->mutex);
-    if (!error.ok()) {
-      if (exec->first_error.ok()) {
-        exec->first_error = error;
-      }
-      exec->failed.store(true, std::memory_order_relaxed);
-    } else {
-      if (out.prefiltered) {
-        ++exec->stats.prefilter_rejected;
-      } else if (!out.legal) {
-        ++exec->stats.solver_rejected;
-      }
-      exec->stats.solver_rounds += rounds;
-      // No deliveries once the request is failing (the final status is an
-      // error; a partial stream must not keep growing past it).
-      deliver = (exec->callback != nullptr || exec->collect != nullptr) &&
-                exec->first_error.ok();
+    if (out.prefiltered) {
+      ++exec->stats.prefilter_rejected;
+    } else if (!out.legal) {
+      ++exec->stats.solver_rejected;
     }
+    exec->stats.solver_rounds += rounds;
+    // No deliveries once the request is failing (the final status is an
+    // error; a partial stream must not keep growing past it).
+    deliver = (exec->callback != nullptr || exec->collect != nullptr) &&
+              exec->first_error.ok();
   }
   if (deliver) {
     try {
@@ -395,24 +508,17 @@ void PatternService::Impl::legalize_slot(
         exec->collect->push_back(std::move(out));  // Collect-all: move.
       } else {
         (*exec->callback)(out);
-        if (exec->consumer_gone()) {
-          // The request unwinds as UNAVAILABLE and the scheduler abandons
-          // its remaining rounds.
-          fail_exec(common::Status::Unavailable(
-              "stream abandoned by the consumer"));
-        } else {
-          // Only true push streams count as stream deliveries; collect-all
-          // requests would drown the stream-adoption signal otherwise.
-          counters.stream_deliveries.add();
-          counters.patterns_delivered.add(
-              static_cast<std::int64_t>(out.patterns.size()));
-        }
+        // Only true push streams count as stream deliveries; collect-all
+        // requests would drown the stream-adoption signal otherwise.
+        counters.stream_deliveries.add();
+        counters.patterns_delivered.add(
+            static_cast<std::int64_t>(out.patterns.size()));
       }
     } catch (...) {
       // A throwing consumer (or a failed collect allocation) fails the
       // request instead of unwinding into the worker pool — no exception
       // crosses the service boundary.
-      fail_exec(
+      exec->fail(
           common::Status::Internal("stream delivery threw an exception"));
     }
   }
@@ -469,13 +575,10 @@ void PatternService::Impl::submit_slots(
     // as done-with-error so the drain wait (slots_done == slots_submitted)
     // still converges and the caller gets a typed INTERNAL instead of a
     // hang or an escaping exception.
+    exec->fail(common::Status::Internal(
+        "could not enqueue legalization for every sampled topology"));
     {
       const std::lock_guard<std::mutex> lock(exec->mutex);
-      if (exec->first_error.ok()) {
-        exec->first_error = common::Status::Internal(
-            "could not enqueue legalization for every sampled topology");
-      }
-      exec->failed.store(true, std::memory_order_relaxed);
       exec->slots_done += (end - begin) - submitted;
       exec->last_done_s = exec->timer.seconds();
     }
@@ -485,108 +588,19 @@ void PatternService::Impl::submit_slots(
 
 // ------------------------------------------------------ request pipeline
 
-namespace {
-
-/// `sampling` may be null (paths without a sampling leg, e.g.
-/// legalize_topologies); when set, the spec is validated against the
-/// model's schedule length after the registry check.
-common::Status validate_common(const PatternService& service,
-                               const ServiceConfig& config,
-                               const ModelRegistry& registry,
-                               const std::string& model, std::int64_t count,
-                               std::int64_t geometries,
-                               const std::string& rule_set,
-                               std::int64_t deadline_ms,
-                               const SamplingSpec* sampling) {
-  if (model.empty()) {
-    return common::Status::InvalidArgument("request names no model");
-  }
-  if (count < 1) {
-    return common::Status::InvalidArgument("count must be >= 1, got " +
-                                           std::to_string(count));
-  }
-  if (deadline_ms < 0) {
-    return common::Status::InvalidArgument(
-        "deadline_ms must be >= 0 (0 = no deadline), got " +
-        std::to_string(deadline_ms));
-  }
-  if (count > config.max_count) {
-    return common::Status::InvalidArgument(
-        "count " + std::to_string(count) + " exceeds max_count " +
-        std::to_string(config.max_count));
-  }
-  if (geometries < 1) {
-    return common::Status::InvalidArgument(
-        "geometries_per_topology must be >= 1, got " +
-        std::to_string(geometries));
-  }
-  if (geometries > config.max_geometries) {
-    return common::Status::InvalidArgument(
-        "geometries_per_topology " + std::to_string(geometries) +
-        " exceeds max_geometries " + std::to_string(config.max_geometries));
-  }
-  if (!registry.contains(model)) {
-    return common::Status::NotFound("model '" + model +
-                                    "' is not registered");
-  }
-  if (sampling != nullptr) {
-    const auto artifacts = registry.lookup(model);
-    if (!artifacts.ok()) {
-      return artifacts.status();  // Raced an unregister.
-    }
-    const auto stride =
-        resolve_sampling_stride(*sampling, *(*artifacts)->schedule);
-    if (!stride.ok()) {
-      return stride.status();
-    }
-  }
-  if (!rule_set.empty()) {
-    const auto rules = service.rule_set(rule_set);
-    if (!rules.ok()) {
-      return rules.status();
-    }
-  }
-  return common::Status::Ok();
-}
-
-}  // namespace
-
-/// The unified generation path: validate -> enqueue a sampling job on the
-/// model's shard -> as each fused round completes, fan the finished slots
-/// out to legalization -> deliver each slot through `callback` the moment
-/// it clears. generate() layers collect-all on top; generate_stream
-/// passes the caller's callback straight through.
+/// The unified generation path: resolve -> admit -> enqueue a sampling
+/// job on the model's shard -> as each fused round completes, fan the
+/// finished slots out to legalization -> deliver each slot through
+/// `callback` the moment it clears. generate() layers collect-all on top;
+/// generate_stream passes the caller's callback straight through.
 common::Result<GenerateStats> PatternService::Impl::run_generate(
-    PatternService& service, const GenerateRequest& request,
-    const StreamCallback* callback, std::vector<StreamedPattern>* collect,
-    const std::atomic<bool>* abandoned) {
-  if (!config_error.ok()) {
-    return reject(config_error);
-  }
-  const auto valid = validate_common(
-      service, config, registry, request.model, request.count,
-      request.geometries_per_topology, request.rule_set, request.deadline_ms,
-      &request.sampling);
-  if (!valid.ok()) {
-    return reject(valid);
-  }
-  auto artifacts = registry.lookup(request.model);
-  if (!artifacts.ok()) {
-    return reject(artifacts.status());  // Raced an unregister.
-  }
-  drc::DesignRules rules = (*artifacts)->config.rules;
-  if (!request.rule_set.empty()) {
-    auto named = service.rule_set(request.rule_set);
-    if (!named.ok()) {
-      return reject(named.status());
-    }
-    rules = std::move(named).value();
-  }
-
-  const auto& schedule = *(*artifacts)->schedule;
-  const auto stride = resolve_sampling_stride(request.sampling, schedule);
-  if (!stride.ok()) {
-    return reject(stride.status());  // Raced a model swap.
+    const GenerateRequest& request, const StreamCallback* callback,
+    std::vector<StreamedPattern>* collect) {
+  auto resolved = resolve(request.model, request.count,
+                          request.geometries_per_topology, request.rule_set,
+                          request.deadline_ms, &request.sampling);
+  if (!resolved.ok()) {
+    return reject(resolved.status());
   }
 
   // Flow control: a valid request may still be shed (typed, with a retry
@@ -598,55 +612,34 @@ common::Result<GenerateStats> PatternService::Impl::run_generate(
     return reject(decision.status);
   }
   const AdmissionGuard admission_guard{admission, request.model};
-  const std::int64_t admitted_count = decision.admitted_count;
 
   auto exec = std::make_shared<StreamExec>();
-  exec->artifacts = *artifacts;
-  exec->rules = std::move(rules);
+  exec->artifacts = resolved->artifacts;
+  exec->rules = std::move(resolved->rules);
   exec->geometries = request.geometries_per_topology;
   exec->seed = request.seed;
   exec->callback = callback;
   exec->collect = collect;
-  exec->abandoned = abandoned;
 
-  auto job = std::make_shared<SampleJob>();
-  job->artifacts = *artifacts;
-  job->count = admitted_count;
-  job->seed = request.seed;
-  job->stride = *stride;
-  job->priority = request.priority;
-  if (request.deadline_ms > 0) {
-    job->has_deadline = true;
-    job->deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(request.deadline_ms);
-  }
-  job->grids.resize(static_cast<std::size_t>(admitted_count));
+  const auto job = make_job(request, *resolved, decision.admitted_count);
   // Once the request fails downstream (legalization error, throwing
-  // consumer) or the pull-stream consumer abandons its handle, remaining
-  // sampling rounds are wasted work: let the shard abandon them. The
-  // closure's captured exec shared_ptr (and the submitter-owned
-  // `abandoned` flag it points at) outlive the job's future.
+  // consumer), remaining sampling rounds are wasted work: let the shard
+  // abandon them. The closure's captured exec shared_ptr outlives the
+  // job's future.
   job->cancelled = [exec] {
-    return exec->failed.load(std::memory_order_relaxed) ||
-           exec->consumer_gone();
+    return exec->failed.load(std::memory_order_relaxed);
   };
   // The hook fires on the shard thread strictly before the job's future
-  // resolves, so slots_submitted is final once `done` is ready. The raw
+  // resolves, so slots_submitted is final once the job is done. The raw
   // job pointer stays valid: this frame owns the shared_ptr until return.
   job->on_slots_sampled = [this, exec, raw = job.get()](std::int64_t begin,
                                                         std::int64_t end) {
     submit_slots(exec, *raw, begin, end);
   };
-
-  auto done = job->done.get_future();
-  const auto submitted = scheduler.submit(job);
-  if (!submitted.ok()) {
-    return reject(submitted);
+  const auto ran = run_job(job);
+  if (!ran.ok()) {
+    return reject(ran);
   }
-  // Accepted = admitted for execution (a shard holds the job now); a
-  // rejected submit above is counted only in rejects_by_code.
-  counters.requests_accepted.add();
-  done.wait();
 
   // Drain the legalization fan-out (slots submitted before a sampling
   // error still run) before touching the final stats. first_error (from
@@ -661,14 +654,8 @@ common::Result<GenerateStats> PatternService::Impl::run_generate(
     return reject(job->error);
   }
   GenerateStats stats = std::move(drained).value();
-  stats.topologies_admitted = admitted_count;
   stats.degraded = decision.degraded;
-  stats.sampling_stride = *stride;
-  stats.steps_run = diffusion::plan_length(schedule, *stride);
-  stats.net_evals = job->net_evals;
-  stats.sampling_seconds += job->sampling_seconds;
-  stats.fused_batch_slots =
-      std::max(stats.fused_batch_slots, job->fused_batch_slots);
+  fold_sampling(*job, stats);
   counters.requests_completed.add();
   return stats;
 }
@@ -721,13 +708,7 @@ common::Status PatternService::register_rule_set(
 
 common::Result<drc::DesignRules> PatternService::rule_set(
     const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(impl_->rules_mutex);
-  const auto it = impl_->rule_sets.find(name);
-  if (it == impl_->rule_sets.end()) {
-    return common::Status::NotFound("rule set '" + name +
-                                    "' is not registered");
-  }
-  return it->second;
+  return impl_->find_rule_set(name);
 }
 
 std::vector<std::string> PatternService::rule_set_names() const {
@@ -742,13 +723,10 @@ std::vector<std::string> PatternService::rule_set_names() const {
 
 common::Status PatternService::validate(
     const GenerateRequest& request) const {
-  if (!impl_->config_error.ok()) {
-    return impl_->config_error;
-  }
-  return validate_common(*this, impl_->config, impl_->registry, request.model,
-                         request.count, request.geometries_per_topology,
-                         request.rule_set, request.deadline_ms,
-                         &request.sampling);
+  return impl_
+      ->resolve(request.model, request.count, request.geometries_per_topology,
+                request.rule_set, request.deadline_ms, &request.sampling)
+      .status();
 }
 
 common::Result<GenerateResult> PatternService::generate(
@@ -757,8 +735,7 @@ common::Result<GenerateResult> PatternService::generate(
   // buffer as they clear, then ordered by topology index so a given seed
   // reproduces an identical vector regardless of delivery order.
   std::vector<StreamedPattern> slots;
-  auto stats =
-      impl_->run_generate(*this, request, /*callback=*/nullptr, &slots);
+  auto stats = impl_->run_generate(request, /*callback=*/nullptr, &slots);
   if (!stats.ok()) {
     return stats.status();
   }
@@ -767,187 +744,16 @@ common::Result<GenerateResult> PatternService::generate(
 
 common::Result<GenerateStats> PatternService::generate_stream(
     const GenerateRequest& request, const StreamCallback& callback) {
-  return impl_->run_generate(*this, request, &callback,
-                             /*collect=*/nullptr);
+  return impl_->run_generate(request, &callback, /*collect=*/nullptr);
 }
-
-// ------------------------------------------------------- pull streaming
-
-struct StreamHandle::State {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<StreamedPattern> items;
-  /// Bounded delivery buffer (FlowControlConfig::stream_buffer_limit):
-  /// a delivery that would grow `items` past this pauses the producing
-  /// worker until next() drains. <= 0 = unbounded.
-  std::int64_t buffer_limit = 0;
-  /// Set (under `mutex`) when the handle is destroyed mid-stream; read
-  /// lock-free by the scheduler's cancel predicate and by paused
-  /// producers, so the abandoned request unwinds instead of completing.
-  std::atomic<bool> abandoned{false};
-  bool done = false;
-  common::Status status;
-  GenerateStats stats;
-  common::CounterBlock* counters = nullptr;
-  std::thread driver;
-
-  /// Shared tail of the destructor and move-assignment: flags an
-  /// in-flight stream as abandoned (cancelling its sampling job and
-  /// unblocking any paused producer), then joins the driver.
-  void abandon_and_join() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      if (!done) {
-        abandoned.store(true, std::memory_order_relaxed);
-        if (counters != nullptr) {
-          counters->streams_abandoned.add();
-        }
-      }
-    }
-    cv.notify_all();
-    if (driver.joinable()) {
-      driver.join();
-    }
-  }
-};
-
-StreamHandle::StreamHandle(std::shared_ptr<State> state)
-    : state_(std::move(state)) {}
-
-StreamHandle::StreamHandle(StreamHandle&&) noexcept = default;
-
-StreamHandle& StreamHandle::operator=(StreamHandle&& other) noexcept {
-  if (this != &other) {
-    // Like the destructor: a still-running stream is cancelled and its
-    // driver joined before its State is released, or ~State would destroy
-    // a joinable thread.
-    if (state_ != nullptr) {
-      state_->abandon_and_join();
-    }
-    state_ = std::move(other.state_);
-  }
-  return *this;
-}
-
-StreamHandle::~StreamHandle() {
-  if (state_ != nullptr) {
-    state_->abandon_and_join();
-  }
-}
-
-std::optional<StreamedPattern> StreamHandle::next() {
-  std::unique_lock<std::mutex> lock(state_->mutex);
-  state_->cv.wait(lock,
-                  [&] { return state_->done || !state_->items.empty(); });
-  if (state_->items.empty()) {
-    return std::nullopt;
-  }
-  StreamedPattern out = std::move(state_->items.front());
-  state_->items.pop_front();
-  lock.unlock();
-  // Wake a producer paused at the buffer's high-water mark: the consumer
-  // just opened a slot.
-  state_->cv.notify_all();
-  return out;
-}
-
-common::Result<GenerateStats> StreamHandle::finish() {
-  {
-    std::unique_lock<std::mutex> lock(state_->mutex);
-    state_->cv.wait(lock, [&] { return state_->done; });
-    if (!state_->status.ok()) {
-      return state_->status;
-    }
-  }
-  if (state_->driver.joinable()) {
-    state_->driver.join();
-  }
-  return state_->stats;
-}
-
-StreamHandle PatternService::generate_stream(const GenerateRequest& request) {
-  auto state = std::make_shared<StreamHandle::State>();
-  state->buffer_limit = impl_->config.flow.stream_buffer_limit;
-  state->counters = &impl_->counters;
-  state->driver = std::thread([this, request, state] {
-    const StreamCallback deliver = [this,
-                                    &state](const StreamedPattern& pattern) {
-      std::unique_lock<std::mutex> lock(state->mutex);
-      if (state->buffer_limit > 0 &&
-          static_cast<std::int64_t>(state->items.size()) >=
-              state->buffer_limit &&
-          !state->abandoned.load(std::memory_order_relaxed)) {
-        // High-water mark: pause this delivery (and with it the
-        // legalization fan-out — deliveries are serialized, so every
-        // worker queues up behind this one) until the consumer drains
-        // below the bound or abandons the handle.
-        impl_->counters.stream_pauses.add();
-        state->cv.wait(lock, [&] {
-          return state->abandoned.load(std::memory_order_relaxed) ||
-                 static_cast<std::int64_t>(state->items.size()) <
-                     state->buffer_limit;
-        });
-      }
-      if (state->abandoned.load(std::memory_order_relaxed)) {
-        return;  // legalize_slot reads the same flag via StreamExec.
-      }
-      state->items.push_back(pattern);
-      lock.unlock();
-      state->cv.notify_all();
-    };
-    auto result = impl_->run_generate(*this, request, &deliver,
-                                      /*collect=*/nullptr,
-                                      &state->abandoned);
-    {
-      const std::lock_guard<std::mutex> lock(state->mutex);
-      if (result.ok()) {
-        state->stats = std::move(result).value();
-      } else {
-        state->status = result.status();
-      }
-      state->done = true;
-    }
-    state->cv.notify_all();
-  });
-  return StreamHandle(std::move(state));
-}
-
-// ----------------------------------------------------- other entry points
 
 common::Result<SampleTopologiesResult> PatternService::sample_topologies(
     const SampleTopologiesRequest& request) {
-  if (!impl_->config_error.ok()) {
-    return impl_->reject(impl_->config_error);
-  }
-  const auto valid = validate_common(
-      *this, impl_->config, impl_->registry, request.model, request.count,
-      /*geometries=*/1, /*rule_set=*/"", request.deadline_ms,
-      &request.sampling);
-  if (!valid.ok()) {
-    return impl_->reject(valid);
-  }
-  auto artifacts = impl_->registry.lookup(request.model);
-  if (!artifacts.ok()) {
-    return impl_->reject(artifacts.status());
-  }
-  SampleTopologiesResult result;
-  // run_sampling runs admission and records acceptance once its job is
-  // admitted to a shard.
-  auto grids = impl_->run_sampling(*artifacts, request, result.stats);
-  if (!grids.ok()) {
-    return impl_->reject(grids.status());
-  }
-  result.topologies = std::move(grids).value();
-  result.stats.topologies_requested = request.count;
-  impl_->counters.requests_completed.add();
-  return result;
+  return impl_->run_sampling(request);
 }
 
 common::Result<GenerateResult> PatternService::legalize_topologies(
     const LegalizeTopologiesRequest& request) {
-  if (!impl_->config_error.ok()) {
-    return impl_->reject(impl_->config_error);
-  }
   if (request.topologies.empty()) {
     return impl_->reject(common::Status::InvalidArgument(
         "legalize_topologies: no topologies supplied"));
@@ -958,33 +764,20 @@ common::Result<GenerateResult> PatternService::legalize_topologies(
           "legalize_topologies: empty topology grid"));
     }
   }
-  const auto valid = validate_common(
-      *this, impl_->config, impl_->registry, request.model,
-      static_cast<std::int64_t>(request.topologies.size()),
-      request.geometries_per_topology, request.rule_set, /*deadline_ms=*/0,
-      /*sampling=*/nullptr);
-  if (!valid.ok()) {
-    return impl_->reject(valid);
-  }
-  auto artifacts = impl_->registry.lookup(request.model);
-  if (!artifacts.ok()) {
-    return impl_->reject(artifacts.status());
-  }
-  drc::DesignRules rules = (*artifacts)->config.rules;
-  if (!request.rule_set.empty()) {
-    auto named = rule_set(request.rule_set);
-    if (!named.ok()) {
-      return impl_->reject(named.status());
-    }
-    rules = std::move(named).value();
+  const auto n = static_cast<std::int64_t>(request.topologies.size());
+  auto resolved = impl_->resolve(request.model, n,
+                                 request.geometries_per_topology,
+                                 request.rule_set, /*deadline_ms=*/0,
+                                 /*sampling=*/nullptr);
+  if (!resolved.ok()) {
+    return impl_->reject(resolved.status());
   }
   impl_->counters.requests_accepted.add();
 
-  const auto n = static_cast<std::int64_t>(request.topologies.size());
   std::vector<StreamedPattern> slots;
   auto exec = std::make_shared<StreamExec>();
-  exec->artifacts = *artifacts;
-  exec->rules = std::move(rules);
+  exec->artifacts = resolved->artifacts;
+  exec->rules = std::move(resolved->rules);
   exec->geometries = request.geometries_per_topology;
   exec->seed = request.seed;
   exec->collect = &slots;

@@ -19,10 +19,12 @@
 //     budget caps the fused slots in flight across ALL shards at
 //     max_fused_batch (bounding peak activation memory).
 //   * Pre-filter + white-box legalization fan out per-topology onto the
-//     worker pool as soon as each slot's sampling round completes; the
-//     streaming API (generate_stream) delivers every pattern the moment
-//     its topology clears legalization, and generate() is a thin
-//     collect-all wrapper over the same path.
+//     worker pool as soon as each slot's sampling round completes. One
+//     path serves both delivery shapes: generate_stream(request, callback)
+//     pushes every pattern the moment its topology clears legalization,
+//     and generate() is a thin collect-all wrapper over it. A request that
+//     fails downstream (a throwing callback, a legalization fault) cancels
+//     its remaining sampling rounds and releases its admission slot.
 //   * Every request stage draws from RNG streams derived from the request
 //     seed (common::derive_seed), so a given (model, seed) reproduces
 //     byte-identical patterns regardless of concurrency, shard count,
@@ -43,7 +45,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,54 +80,8 @@ struct ServiceConfig {
   /// Per-request geometries-per-topology cap.
   std::int64_t max_geometries = 256;
   /// Flow-control policy: per-shard admission windows, load-shedding
-  /// thresholds, retry hints, degraded mode, and the bounded pull-stream
-  /// delivery buffer (see FlowControlConfig).
+  /// thresholds, retry hints and degraded mode (see FlowControlConfig).
   FlowControlConfig flow;
-};
-
-/// Pull-side handle for a streamed generation request (see
-/// PatternService::generate_stream). The request runs in the background;
-/// next() hands out deliveries as they arrive and finish() reports the
-/// final status + stats. The handle must not outlive its PatternService.
-///
-/// Backpressure: at most FlowControlConfig::stream_buffer_limit
-/// deliveries are buffered. A delivery that would exceed the bound pauses
-/// the legalization fan-out (the producing worker blocks) until next()
-/// drains below the high-water mark — a stalled consumer can no longer
-/// grow memory without bound, and resuming drains the identical byte
-/// sequence.
-///
-/// Abandonment: destroying (or move-assigning over) the handle while the
-/// request is still running cancels the job — remaining sampling rounds
-/// are abandoned, buffered deliveries are discarded, and the admission
-/// window slot is released — then blocks briefly until the cancelled
-/// request unwinds.
-class StreamHandle {
- public:
-  StreamHandle(StreamHandle&&) noexcept;
-  StreamHandle& operator=(StreamHandle&&) noexcept;
-  StreamHandle(const StreamHandle&) = delete;
-  StreamHandle& operator=(const StreamHandle&) = delete;
-  ~StreamHandle();
-
-  /// Blocks until the next delivery (or the end of the stream). Returns
-  /// nullopt once every delivered slot has been pulled and the request
-  /// finished — check finish() for the final status then.
-  std::optional<StreamedPattern> next();
-
-  /// Blocks until the request completes; returns the final status with the
-  /// request's stats. Deliveries still buffered remain pullable via
-  /// next(). Safe to call repeatedly. With a bounded buffer, a request
-  /// larger than the buffer cannot complete while its deliveries sit
-  /// unpulled — drain next() before (or instead of) parking in finish(),
-  /// or destroy the handle to cancel.
-  common::Result<GenerateStats> finish();
-
- private:
-  friend class PatternService;
-  struct State;
-  explicit StreamHandle(std::shared_ptr<State> state);
-  std::shared_ptr<State> state_;
 };
 
 class PatternService {
@@ -151,8 +106,10 @@ class PatternService {
   common::Result<drc::DesignRules> rule_set(const std::string& name) const;
   std::vector<std::string> rule_set_names() const;
 
-  /// Checks a request without executing it: INVALID_ARGUMENT for bad
-  /// counts, NOT_FOUND for an unregistered model or rule set.
+  /// Checks a request without executing it, through the same resolve step
+  /// every entry point runs first: INVALID_ARGUMENT for a rejected config
+  /// or bad fields, NOT_FOUND for an unregistered model or rule set. Not
+  /// counted in rejects_by_code.
   common::Status validate(const GenerateRequest& request) const;
 
   /// Full generation (sample -> pre-filter -> legalize). Blocks until the
@@ -169,11 +126,6 @@ class PatternService {
   /// completes and returns the final stats.
   common::Result<GenerateStats> generate_stream(
       const GenerateRequest& request, const StreamCallback& callback);
-
-  /// Pull streaming: same pipeline, but deliveries are buffered behind a
-  /// handle the caller drains at its own pace while the request keeps
-  /// running in the background.
-  StreamHandle generate_stream(const GenerateRequest& request);
 
   /// Topology sampling only.
   common::Result<SampleTopologiesResult> sample_topologies(

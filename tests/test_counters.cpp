@@ -46,8 +46,6 @@ dc::ServiceCounters sample_service_counters() {
   s.requests_degraded = 21;
   s.deadlines_expired = 23;
   s.jobs_cancelled = 24;
-  s.streams_abandoned = 25;
-  s.stream_pauses = 26;
   s.arena_bytes_reserved = 27;
   s.plan_cache_hits = 28;
   s.plan_cache_misses = 29;
@@ -72,8 +70,7 @@ TEST(CounterOutput, ServiceCountersJsonIsPinned) {
       "\"requests_completed\":17,\"stream_deliveries\":18,"
       "\"patterns_delivered\":19,\"requests_shed\":20,"
       "\"requests_degraded\":21,\"deadlines_expired\":23,"
-      "\"jobs_cancelled\":24,\"streams_abandoned\":25,"
-      "\"stream_pauses\":26,"
+      "\"jobs_cancelled\":24,"
       "\"arena_bytes_reserved\":27,\"plan_cache_hits\":28,"
       "\"plan_cache_misses\":29,\"embedding_cache_hits\":30,"
       "\"rejects_by_code\":{\"INVALID_ARGUMENT\":31,\"UNAVAILABLE\":32}}");
@@ -92,7 +89,6 @@ TEST(CounterOutput, EmptyServiceCountersJsonIsPinned) {
       "\"stream_deliveries\":0,\"patterns_delivered\":0,"
       "\"requests_shed\":0,\"requests_degraded\":0,"
       "\"deadlines_expired\":0,\"jobs_cancelled\":0,"
-      "\"streams_abandoned\":0,\"stream_pauses\":0,"
       "\"arena_bytes_reserved\":0,\"plan_cache_hits\":0,"
       "\"plan_cache_misses\":0,\"embedding_cache_hits\":0,"
       "\"rejects_by_code\":{}}");
@@ -108,9 +104,9 @@ TEST(CounterOutput, ServiceCountersTextNamesEveryField) {
         "max_round_slots", "fused_fill_ratio", "requests_accepted",
         "requests_completed", "stream_deliveries", "patterns_delivered",
         "requests_shed", "requests_degraded",
-        "deadlines_expired", "jobs_cancelled", "streams_abandoned",
-        "stream_pauses", "arena_bytes_reserved", "plan_cache_hits",
-        "plan_cache_misses", "embedding_cache_hits", "rejects_by_code"}) {
+        "deadlines_expired", "jobs_cancelled", "arena_bytes_reserved",
+        "plan_cache_hits", "plan_cache_misses", "embedding_cache_hits",
+        "rejects_by_code"}) {
     EXPECT_NE(text.find(std::string(name) + ":"), std::string::npos)
         << name << " missing from:\n"
         << text;
@@ -148,8 +144,6 @@ TEST(CounterOutput, CounterBlockSnapshotReadsEveryCounter) {
   record(block.requests_degraded, 18);
   record(block.deadlines_expired, 20);
   record(block.jobs_cancelled, 21);
-  record(block.streams_abandoned, 22);
-  record(block.stream_pauses, 23);
   record(block.rejects_by_code[static_cast<std::size_t>(
              dc::StatusCode::kInvalidArgument)],
          24);
@@ -178,8 +172,6 @@ TEST(CounterOutput, CounterBlockSnapshotReadsEveryCounter) {
   EXPECT_EQ(s.requests_degraded, 18);
   EXPECT_EQ(s.deadlines_expired, 20);
   EXPECT_EQ(s.jobs_cancelled, 21);
-  EXPECT_EQ(s.streams_abandoned, 22);
-  EXPECT_EQ(s.stream_pauses, 23);
   EXPECT_EQ(s.rejects(dc::StatusCode::kInvalidArgument), 24);
   EXPECT_EQ(s.rejects(dc::StatusCode::kUnavailable), 25);
   EXPECT_EQ(s.total_rejected(), 49);

@@ -3,6 +3,7 @@
 // generation reproducing single-threaded results bit-for-bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -153,6 +154,107 @@ TEST_F(PatternServiceTest, RejectsEmptyLegalizeRequests) {
   request.topologies.emplace_back();  // Empty grid.
   EXPECT_EQ(service_->legalize_topologies(request).status().code(),
             dc::StatusCode::kInvalidArgument);
+}
+
+TEST_F(PatternServiceTest, EveryEntryPointResolvesBadRequestsAlike) {
+  // One resolve step sits in front of validate() and every entry point,
+  // so a bad field gets the same StatusCode wherever the request type
+  // carries it. Each answered call counts one reject; validate() none.
+  ds::ServiceConfig config;
+  config.legalize_workers = 2;
+  config.max_count = 8;  // Keeps the over-cap legalize request small.
+  ds::PatternService service(config);
+  config.legalize_workers = 0;
+  ds::PatternService zero_workers(config);
+  for (auto* s : {&service, &zero_workers}) {
+    ASSERT_TRUE(s->models()
+                    .register_model("mini", mini_model_config(),
+                                    model_.registry(), {})
+                    .ok());
+  }
+  const ds::GenerateRequest good{.model = "mini", .count = 2, .seed = 5};
+  ASSERT_TRUE(service.validate(good).ok());
+  const auto with = [&good](const auto& edit) {
+    auto request = good;
+    edit(request);
+    return request;
+  };
+  using Code = dc::StatusCode;
+  struct Case {
+    const char* name;
+    ds::GenerateRequest request;
+    Code code;
+    bool sample;    // SampleTopologiesRequest carries the bad field.
+    bool legalize;  // LegalizeTopologiesRequest carries the bad field.
+    bool zero_workers = false;
+  };
+  const std::vector<Case> cases = {
+      {"empty model", with([](auto& r) { r.model.clear(); }),
+       Code::kInvalidArgument, true, true},
+      {"unknown model", with([](auto& r) { r.model = "ghost"; }),
+       Code::kNotFound, true, true},
+      {"count 0", with([](auto& r) { r.count = 0; }), Code::kInvalidArgument,
+       true, true},
+      {"count above max_count", with([](auto& r) { r.count = 9; }),
+       Code::kInvalidArgument, true, true},
+      {"geometries 0",
+       with([](auto& r) { r.geometries_per_topology = 0; }),
+       Code::kInvalidArgument, false, true},
+      {"negative deadline", with([](auto& r) { r.deadline_ms = -1; }),
+       Code::kInvalidArgument, true, false},
+      {"steps and stride both set",
+       with([](auto& r) { r.sampling = {.steps = 2, .stride = 2}; }),
+       Code::kInvalidArgument, true, false},
+      {"stride above K", with([](auto& r) { r.sampling.stride = 7; }),
+       Code::kInvalidArgument, true, false},
+      {"unknown rule set", with([](auto& r) { r.rule_set = "euv"; }),
+       Code::kNotFound, false, true},
+      {"zero-worker config", good, Code::kInvalidArgument, true, true,
+       /*zero_workers=*/true},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto& target = c.zero_workers ? zero_workers : service;
+    const auto& r = c.request;
+    const auto answers = [&](const char* entry, const auto& call) {
+      SCOPED_TRACE(entry);
+      const auto before = target.counters().total_rejected();
+      EXPECT_EQ(call().code(), c.code);
+      EXPECT_EQ(target.counters().total_rejected(), before + 1);
+    };
+    const auto before = target.counters().total_rejected();
+    EXPECT_EQ(target.validate(r).code(), c.code);
+    EXPECT_EQ(target.counters().total_rejected(), before);
+    answers("generate", [&] { return target.generate(r).status(); });
+    std::int64_t deliveries = 0;
+    answers("generate_stream", [&] {
+      return target
+          .generate_stream(
+              r, [&deliveries](const ds::StreamedPattern&) { ++deliveries; })
+          .status();
+    });
+    EXPECT_EQ(deliveries, 0);
+    if (c.sample) {
+      const ds::SampleTopologiesRequest sample{.model = r.model,
+                                               .count = r.count,
+                                               .seed = r.seed,
+                                               .deadline_ms = r.deadline_ms,
+                                               .sampling = r.sampling};
+      answers("sample_topologies",
+              [&] { return target.sample_topologies(sample).status(); });
+    }
+    if (c.legalize) {
+      ds::LegalizeTopologiesRequest legalize;
+      legalize.model = r.model;
+      legalize.topologies.assign(
+          static_cast<std::size_t>(std::max<std::int64_t>(0, r.count)),
+          diffpattern::geometry::BinaryGrid(16, 16));
+      legalize.geometries_per_topology = r.geometries_per_topology;
+      legalize.rule_set = r.rule_set;
+      answers("legalize_topologies",
+              [&] { return target.legalize_topologies(legalize).status(); });
+    }
+  }
 }
 
 // ------------------------------------------------------------ registry

@@ -1,6 +1,6 @@
 // Flow-control tests: admission windows, load shedding with retry hints,
-// degraded admission, deadlines (queued and mid-sampling), priority
-// scheduling, and bounded stream backpressure. The throughline is the
+// degraded admission, deadlines (queued and mid-sampling), and priority
+// scheduling. The throughline is the
 // project invariant: flow control decides WHETHER/WHEN/HOW MANY slots
 // run, never what they sample — every admitted slot's bytes must match
 // an unloaded sequential run.
@@ -430,50 +430,6 @@ TEST_F(ServiceFlowTest, PushStreamShedCarriesSameRetryHintAsBlocking) {
             blocking_shed.status().retry_after_ms());
   EXPECT_EQ(deliveries, 0);
   holder.join();
-}
-
-TEST_F(ServiceFlowTest, PullStreamShedCarriesRetryHint) {
-  auto service = make_service(1, depth_only_flow(4, 1));
-  const ds::GenerateRequest busy{.model = "a", .count = 8, .seed = 83};
-  std::thread holder([&] { ASSERT_TRUE(service->generate(busy).ok()); });
-  ASSERT_TRUE(wait_for(
-      [&] { return service->counters().admission_pending >= 1; }));
-
-  auto handle = service->generate_stream(
-      ds::GenerateRequest{.model = "a", .count = 1, .seed = 84});
-  EXPECT_FALSE(handle.next().has_value());  // Shed: nothing to pull.
-  const auto shed = handle.finish();
-  EXPECT_EQ(shed.status().code(), dc::StatusCode::kUnavailable);
-  EXPECT_TRUE(shed.status().has_retry_after());
-  EXPECT_GE(shed.status().retry_after_ms(), 1);
-  holder.join();
-}
-
-TEST_F(ServiceFlowTest, BoundedStreamBufferPausesThenDrainsIdentical) {
-  ds::FlowControlConfig flow = open_flow();
-  flow.stream_buffer_limit = 2;
-  auto service = make_service(16, flow);
-  const ds::GenerateRequest request{.model = "a", .count = 8, .seed = 71};
-  const auto reference = service->generate(request);
-  ASSERT_TRUE(reference.ok());
-
-  auto handle = service->generate_stream(request);
-  // A stalled consumer: the producer must hit the high-water mark and
-  // pause the fan-out instead of buffering all 8 deliveries.
-  ASSERT_TRUE(wait_for(
-      [&] { return service->counters().stream_pauses >= 1; }));
-
-  // Resume: draining yields every slot, byte-identical to generate().
-  std::vector<ds::StreamedPattern> slots;
-  while (auto delivery = handle.next()) {
-    slots.push_back(std::move(*delivery));
-  }
-  ASSERT_EQ(slots.size(), 8U);
-  const auto stats = handle.finish();
-  ASSERT_TRUE(stats.ok()) << stats.status().to_string();
-  EXPECT_TRUE(same_patterns(reference->patterns,
-                            ds::assemble_stream_patterns(std::move(slots))));
-  EXPECT_GE(service->counters().stream_pauses, 1);
 }
 
 }  // namespace
