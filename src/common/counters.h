@@ -131,7 +131,7 @@ struct ServiceCountersT {
   using Snapshot = typename Cells::template Snapshot<T>;
 
   // -- compute backend, process-wide --
-  /// Active SIMD kernel backend ("scalar" / "avx2" / "neon").
+  /// Active SIMD kernel backend ("scalar" / "avx2").
   Snapshot<std::string> kernel_backend;
   /// Compute-pool size plus how it was chosen (compute_pool_summary()).
   Snapshot<std::string> compute_pool;

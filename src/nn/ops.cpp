@@ -1081,50 +1081,6 @@ Var upsample_nearest2(const Var& x) {
   });
 }
 
-Var avg_pool2(const Var& x) {
-  const Tensor& v = x.value();
-  DP_REQUIRE(v.rank() == 4, "avg_pool2: expected [N,C,H,W]");
-  const auto n = v.dim(0);
-  const auto c = v.dim(1);
-  const auto h = v.dim(2);
-  const auto w = v.dim(3);
-  DP_REQUIRE(h % 2 == 0 && w % 2 == 0, "avg_pool2: H and W must be even");
-  Tensor out({n, c, h / 2, w / 2});
-  for (std::int64_t i = 0; i < n * c; ++i) {
-    const float* src = v.data() + i * h * w;
-    float* dst = out.data() + i * (h / 2) * (w / 2);
-    for (std::int64_t y = 0; y < h / 2; ++y) {
-      for (std::int64_t xx = 0; xx < w / 2; ++xx) {
-        const auto base = (2 * y) * w + 2 * xx;
-        dst[y * (w / 2) + xx] = 0.25F * (src[base] + src[base + 1] +
-                                         src[base + w] + src[base + w + 1]);
-      }
-    }
-  }
-  if (!graph_needed({&x})) {
-    return make_value_node(std::move(out));
-  }
-  auto px = x.node();
-  return make_op_node(std::move(out), {x}, [px, n, c, h, w](const Tensor& g) {
-    Tensor d({n, c, h, w});
-    for (std::int64_t i = 0; i < n * c; ++i) {
-      const float* src = g.data() + i * (h / 2) * (w / 2);
-      float* dst = d.data() + i * h * w;
-      for (std::int64_t y = 0; y < h / 2; ++y) {
-        for (std::int64_t xx = 0; xx < w / 2; ++xx) {
-          const float val = 0.25F * src[y * (w / 2) + xx];
-          const auto base = (2 * y) * w + 2 * xx;
-          dst[base] = val;
-          dst[base + 1] = val;
-          dst[base + w] = val;
-          dst[base + w + 1] = val;
-        }
-      }
-    }
-    accumulate_grad(*px, d);
-  });
-}
-
 // ---- regularization / lookup -------------------------------------------------
 
 Var dropout(const Var& x, float p, bool training, common::Rng& rng) {

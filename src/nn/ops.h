@@ -81,8 +81,6 @@ Var mean_all(const Var& a);
 // ---- resize --------------------------------------------------------------
 /// Nearest-neighbour 2x upsampling of [N,C,H,W].
 Var upsample_nearest2(const Var& x);
-/// 2x2 average pooling (H and W must be even).
-Var avg_pool2(const Var& x);
 
 // ---- regularization / lookup ---------------------------------------------
 /// Inverted dropout; identity when !training or p == 0.

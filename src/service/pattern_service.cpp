@@ -283,8 +283,8 @@ struct PatternService::Impl {
   void legalize_slot(const std::shared_ptr<StreamExec>& exec,
                      const geometry::BinaryGrid& topology, std::int64_t index);
   void submit_slots(const std::shared_ptr<StreamExec>& exec,
-                    const SampleJob& job, std::int64_t begin,
-                    std::int64_t end);
+                    const std::vector<geometry::BinaryGrid>& grids,
+                    std::int64_t begin, std::int64_t end);
   /// Blocks until every submitted slot drained, then returns the request's
   /// stats (topologies_requested += requested, solving_seconds from the
   /// first-submit..last-done window) — or first_error if the fan-out or a
@@ -548,13 +548,15 @@ common::Result<GenerateStats> PatternService::Impl::drain_exec(
   return stats;
 }
 
-/// Fans slots [begin, end) of a sampled job out onto the worker pool.
-/// Called from the shard thread (streaming path) or the issuing thread
-/// (legalize_topologies). Copies each topology so the tasks never touch
-/// the job after its future resolves.
+/// Fans slots [begin, end) of `grids` out onto the worker pool. Called
+/// from the shard thread with a sampled job's grids (streaming path) or
+/// from the issuing thread with the caller's topologies
+/// (legalize_topologies). Copies each topology into its task, so the tasks
+/// never touch `grids` after this returns.
 void PatternService::Impl::submit_slots(
-    const std::shared_ptr<StreamExec>& exec, const SampleJob& job,
-    std::int64_t begin, std::int64_t end) {
+    const std::shared_ptr<StreamExec>& exec,
+    const std::vector<geometry::BinaryGrid>& grids, std::int64_t begin,
+    std::int64_t end) {
   {
     const std::lock_guard<std::mutex> lock(exec->mutex);
     if (exec->first_submit_s < 0) {
@@ -566,8 +568,9 @@ void PatternService::Impl::submit_slots(
   try {
     for (std::int64_t i = begin; i < end; ++i) {
       workers.submit(
-          [this, exec, topology = job.grids[static_cast<std::size_t>(i)],
-           i] { legalize_slot(exec, topology, i); });
+          [this, exec, topology = grids[static_cast<std::size_t>(i)], i] {
+            legalize_slot(exec, topology, i);
+          });
       ++submitted;
     }
   } catch (...) {
@@ -634,7 +637,7 @@ common::Result<GenerateStats> PatternService::Impl::run_generate(
   // job pointer stays valid: this frame owns the shared_ptr until return.
   job->on_slots_sampled = [this, exec, raw = job.get()](std::int64_t begin,
                                                         std::int64_t end) {
-    submit_slots(exec, *raw, begin, end);
+    submit_slots(exec, raw->grids, begin, end);
   };
   const auto ran = run_job(job);
   if (!ran.ok()) {
@@ -772,6 +775,14 @@ common::Result<GenerateResult> PatternService::legalize_topologies(
   if (!resolved.ok()) {
     return impl_->reject(resolved.status());
   }
+  // Flow control as for sample_topologies: the window slot is held until
+  // every topology has left the worker pool; nothing to degrade into.
+  const auto decision = impl_->admission.admit(request.model, n,
+                                               /*allow_degrade=*/false);
+  if (!decision.status.ok()) {
+    return impl_->reject(decision.status);
+  }
+  const AdmissionGuard admission_guard{impl_->admission, request.model};
   impl_->counters.requests_accepted.add();
 
   std::vector<StreamedPattern> slots;
@@ -781,11 +792,9 @@ common::Result<GenerateResult> PatternService::legalize_topologies(
   exec->geometries = request.geometries_per_topology;
   exec->seed = request.seed;
   exec->collect = &slots;
-  // Reuse the streaming fan-out with a pre-sampled "job": caller-supplied
-  // topologies stand in for sampled grids.
-  SampleJob job;
-  job.grids = request.topologies;
-  impl_->submit_slots(exec, job, 0, n);
+  // Reuse the streaming fan-out: caller-supplied topologies stand in for
+  // sampled grids.
+  impl_->submit_slots(exec, request.topologies, 0, n);
 
   auto drained = impl_->drain_exec(*exec, n);
   if (!drained.ok()) {

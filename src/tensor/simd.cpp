@@ -6,10 +6,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#endif
-
 namespace diffpattern::tensor {
 
 namespace simd {
@@ -254,321 +250,6 @@ constexpr Kernels kScalarTable = {
     .silu = scalar_silu,
 };
 
-// ---- NEON backend (AArch64 baseline) --------------------------------------
-//
-// Mirrors the canonical 8-float / 4-double lane structure with paired
-// 128-bit registers (lanes 0-3 in the A register, 4-7 in B); tails and
-// reductions drop to the scalar canonical code on the stored lanes (sigmoid
-// and SiLU run their tail as one zero-padded vector), so the result is
-// bit-identical to the scalar backend.
-#if defined(__aarch64__)
-
-void neon_axpy(float a, const float* x, float* y, std::int64_t n) {
-  const float32x4_t va = vdupq_n_f32(a);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(y + i, vfmaq_f32(vld1q_f32(y + i), va, vld1q_f32(x + i)));
-  }
-  for (; i < n; ++i) {
-    y[i] = std::fma(a, x[i], y[i]);
-  }
-}
-
-// The canonical tile chain, one C row at a time: k ascending, a zero a_ik
-// (either sign) skipped, each step one neon_axpy per half of the row of B.
-void neon_gemm_tile(const float* a, std::int64_t lda, bool /*a_has_zero*/,
-                    const float* b_lo, const float* b_hi,
-                    const std::int64_t* koff, float* c, std::int64_t ldc,
-                    std::int64_t k) {
-  for (std::int64_t i = 0; i < kTileRows; ++i) {
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = a[i * lda + kk];
-      if (av != 0.0F) {
-        neon_axpy(av, b_lo + koff[kk], c + i * ldc, kTileHalf);
-        neon_axpy(av, b_hi + koff[kk], c + i * ldc + kTileHalf, kTileHalf);
-      }
-    }
-  }
-}
-
-bool neon_block_has_zero(const float* a, std::int64_t lda, std::int64_t k) {
-  const float32x4_t zero = vdupq_n_f32(0.0F);
-  uint32x4_t hit = vdupq_n_u32(0);
-  bool tail_hit = false;
-  for (std::int64_t i = 0; i < kTileRows; ++i) {
-    const float* row = a + i * lda;
-    std::int64_t kk = 0;
-    for (; kk + 4 <= k; kk += 4) {
-      hit = vorrq_u32(hit, vceqq_f32(vld1q_f32(row + kk), zero));
-    }
-    for (; kk < k; ++kk) {
-      tail_hit |= row[kk] == 0.0F;
-    }
-  }
-  return tail_hit || vmaxvq_u32(hit) != 0;
-}
-
-float neon_dot(const float* x, const float* y, std::int64_t n) {
-  float32x4_t acc_a = vdupq_n_f32(0.0F);
-  float32x4_t acc_b = vdupq_n_f32(0.0F);
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc_a = vfmaq_f32(acc_a, vld1q_f32(x + i), vld1q_f32(y + i));
-    acc_b = vfmaq_f32(acc_b, vld1q_f32(x + i + 4), vld1q_f32(y + i + 4));
-  }
-  float acc[8];
-  vst1q_f32(acc, acc_a);
-  vst1q_f32(acc + 4, acc_b);
-  for (const std::int64_t base = i; i < n; ++i) {
-    acc[i - base] = std::fma(x[i], y[i], acc[i - base]);
-  }
-  const float t0 = acc[0] + acc[4];
-  const float t1 = acc[1] + acc[5];
-  const float t2 = acc[2] + acc[6];
-  const float t3 = acc[3] + acc[7];
-  return (t0 + t2) + (t1 + t3);
-}
-
-void neon_add(float* y, const float* x, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(y + i, vaddq_f32(vld1q_f32(y + i), vld1q_f32(x + i)));
-  }
-  for (; i < n; ++i) {
-    y[i] += x[i];
-  }
-}
-
-void neon_mul(float* y, const float* x, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(y + i, vmulq_f32(vld1q_f32(y + i), vld1q_f32(x + i)));
-  }
-  for (; i < n; ++i) {
-    y[i] *= x[i];
-  }
-}
-
-void neon_scale(float* y, float s, std::int64_t n) {
-  const float32x4_t vs = vdupq_n_f32(s);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(y + i, vmulq_f32(vld1q_f32(y + i), vs));
-  }
-  for (; i < n; ++i) {
-    y[i] *= s;
-  }
-}
-
-void neon_shift(float* y, const float* x, float s, std::int64_t n) {
-  const float32x4_t vs = vdupq_n_f32(s);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(y + i, vaddq_f32(vld1q_f32(x + i), vs));
-  }
-  for (; i < n; ++i) {
-    y[i] = x[i] + s;
-  }
-}
-
-void neon_relu(float* y, std::int64_t n) {
-  const float32x4_t zero = vdupq_n_f32(0.0F);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // vbsl on (y > 0): keep y where strictly positive, else +0 — matches
-    // the scalar canonical (NaN and -0 map to +0).
-    const float32x4_t v = vld1q_f32(y + i);
-    vst1q_f32(y + i, vbslq_f32(vcgtq_f32(v, zero), v, zero));
-  }
-  for (; i < n; ++i) {
-    y[i] = y[i] > 0.0F ? y[i] : 0.0F;
-  }
-}
-
-float neon_max(const float* x, std::int64_t n) {
-  float32x4_t m_a = vdupq_n_f32(x[0]);
-  float32x4_t m_b = m_a;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const float32x4_t va = vld1q_f32(x + i);
-    const float32x4_t vb = vld1q_f32(x + i + 4);
-    // Select m where m > v, else v — the canonical (m > v ? m : v).
-    m_a = vbslq_f32(vcgtq_f32(m_a, va), m_a, va);
-    m_b = vbslq_f32(vcgtq_f32(m_b, vb), m_b, vb);
-  }
-  float m[8];
-  vst1q_f32(m, m_a);
-  vst1q_f32(m + 4, m_b);
-  for (const std::int64_t base = i; i < n; ++i) {
-    float& lane = m[i - base];
-    lane = lane > x[i] ? lane : x[i];
-  }
-  const float t0 = m[0] > m[4] ? m[0] : m[4];
-  const float t1 = m[1] > m[5] ? m[1] : m[5];
-  const float t2 = m[2] > m[6] ? m[2] : m[6];
-  const float t3 = m[3] > m[7] ? m[3] : m[7];
-  const float u0 = t0 > t2 ? t0 : t2;
-  const float u1 = t1 > t3 ? t1 : t3;
-  return u0 > u1 ? u0 : u1;
-}
-
-double neon_sum(const float* x, std::int64_t n) {
-  float64x2_t acc_a = vdupq_n_f64(0.0);  // Lanes 0, 1.
-  float64x2_t acc_b = vdupq_n_f64(0.0);  // Lanes 2, 3.
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t v = vld1q_f32(x + i);
-    acc_a = vaddq_f64(acc_a, vcvt_f64_f32(vget_low_f32(v)));
-    acc_b = vaddq_f64(acc_b, vcvt_f64_f32(vget_high_f32(v)));
-  }
-  double acc[4];
-  vst1q_f64(acc, acc_a);
-  vst1q_f64(acc + 2, acc_b);
-  for (const std::int64_t base = i; i < n; ++i) {
-    acc[i - base] += static_cast<double>(x[i]);
-  }
-  return (acc[0] + acc[2]) + (acc[1] + acc[3]);
-}
-
-double neon_sumsq_centered(const float* x, double mean, std::int64_t n) {
-  const float64x2_t vmean = vdupq_n_f64(mean);
-  float64x2_t acc_a = vdupq_n_f64(0.0);
-  float64x2_t acc_b = vdupq_n_f64(0.0);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t v = vld1q_f32(x + i);
-    const float64x2_t da = vsubq_f64(vcvt_f64_f32(vget_low_f32(v)), vmean);
-    const float64x2_t db = vsubq_f64(vcvt_f64_f32(vget_high_f32(v)), vmean);
-    acc_a = vaddq_f64(acc_a, vmulq_f64(da, da));
-    acc_b = vaddq_f64(acc_b, vmulq_f64(db, db));
-  }
-  double acc[4];
-  vst1q_f64(acc, acc_a);
-  vst1q_f64(acc + 2, acc_b);
-  for (const std::int64_t base = i; i < n; ++i) {
-    const double d = static_cast<double>(x[i]) - mean;
-    acc[i - base] += d * d;
-  }
-  return (acc[0] + acc[2]) + (acc[1] + acc[3]);
-}
-
-void neon_normalize_affine(const float* x, float mean, float istd,
-                           float gamma, float beta, float* xhat, float* y,
-                           std::int64_t n) {
-  const float32x4_t vmean = vdupq_n_f32(mean);
-  const float32x4_t vistd = vdupq_n_f32(istd);
-  const float32x4_t vgamma = vdupq_n_f32(gamma);
-  const float32x4_t vbeta = vdupq_n_f32(beta);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t xn =
-        vmulq_f32(vsubq_f32(vld1q_f32(x + i), vmean), vistd);
-    if (xhat != nullptr) {
-      vst1q_f32(xhat + i, xn);
-    }
-    vst1q_f32(y + i, vfmaq_f32(vbeta, xn, vgamma));
-  }
-  for (; i < n; ++i) {
-    const float xn = (x[i] - mean) * istd;
-    if (xhat != nullptr) {
-      xhat[i] = xn;
-    }
-    y[i] = std::fma(xn, gamma, beta);
-  }
-}
-
-void neon_normalize_affine_rows(const float* x, float mean, float istd,
-                                const float* gamma, const float* beta,
-                                float* xhat, float* y, std::int64_t n) {
-  const float32x4_t vmean = vdupq_n_f32(mean);
-  const float32x4_t vistd = vdupq_n_f32(istd);
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t xn =
-        vmulq_f32(vsubq_f32(vld1q_f32(x + i), vmean), vistd);
-    vst1q_f32(xhat + i, xn);
-    vst1q_f32(y + i,
-              vfmaq_f32(vld1q_f32(beta + i), xn, vld1q_f32(gamma + i)));
-  }
-  for (; i < n; ++i) {
-    const float xn = (x[i] - mean) * istd;
-    xhat[i] = xn;
-    y[i] = std::fma(xn, gamma[i], beta[i]);
-  }
-}
-
-/// Kernels::sigmoid on 4 lanes: the scalar canonical steps lane by lane.
-float32x4_t neon_sigmoid4(float32x4_t v) {
-  const float32x4_t one = vdupq_n_f32(1.0F);
-  const float32x4_t lo = vdupq_n_f32(detail::kExpLo);
-  const float32x4_t t = vnegq_f32(vabsq_f32(v));
-  // Lanes below the normal range (and NaN lanes) are masked to +0 below;
-  // the clamp only keeps their integer conversion in range.
-  const float32x4_t tc = vmaxq_f32(t, lo);
-  const float32x4_t n = vrndnq_f32(vmulq_f32(tc, vdupq_n_f32(detail::kLog2e)));
-  float32x4_t r = vfmaq_f32(tc, n, vdupq_n_f32(-detail::kLn2Hi));
-  r = vfmaq_f32(r, n, vdupq_n_f32(-detail::kLn2Lo));
-  float32x4_t p = vdupq_n_f32(detail::kExpPoly[0]);
-  for (int j = 1; j < detail::kExpPolyTerms; ++j) {
-    p = vfmaq_f32(vdupq_n_f32(detail::kExpPoly[j]), p, r);
-  }
-  const float32x4_t y = vaddq_f32(vfmaq_f32(r, p, vmulq_f32(r, r)), one);
-  const int32x4_t bits =
-      vshlq_n_s32(vaddq_s32(vcvtq_s32_f32(n), vdupq_n_s32(127)), 23);
-  const float32x4_t e = vbslq_f32(vcgeq_f32(t, lo),
-                                  vmulq_f32(y, vreinterpretq_f32_s32(bits)),
-                                  vdupq_n_f32(0.0F));
-  const float32x4_t num = vbslq_f32(vcgeq_f32(v, vdupq_n_f32(0.0F)), one, e);
-  const float32x4_t s = vdivq_f32(num, vaddq_f32(one, e));
-  return vbslq_f32(vceqq_f32(v, v), s, v);  // NaN lanes keep v.
-}
-
-/// y = op(x) over 4-lane vectors; the tail runs one zero-padded vector.
-template <typename Op>
-void neon_map(float* y, const float* x, std::int64_t n, Op op) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vst1q_f32(y + i, op(vld1q_f32(x + i)));
-  }
-  if (i < n) {
-    float buf[4] = {0.0F, 0.0F, 0.0F, 0.0F};
-    std::copy(x + i, x + n, buf);
-    vst1q_f32(buf, op(vld1q_f32(buf)));
-    std::copy(buf, buf + (n - i), y + i);
-  }
-}
-
-void neon_sigmoid(float* y, const float* x, std::int64_t n) {
-  neon_map(y, x, n, neon_sigmoid4);
-}
-
-void neon_silu(float* y, const float* x, std::int64_t n) {
-  neon_map(y, x, n,
-           [](float32x4_t v) { return vmulq_f32(v, neon_sigmoid4(v)); });
-}
-
-constexpr Kernels kNeonTable = {
-    .backend = KernelBackend::kNeon,
-    .axpy = neon_axpy,
-    .gemm_tile = neon_gemm_tile,
-    .block_has_zero = neon_block_has_zero,
-    .dot = neon_dot,
-    .add = neon_add,
-    .mul = neon_mul,
-    .scale = neon_scale,
-    .shift = neon_shift,
-    .relu = neon_relu,
-    .max = neon_max,
-    .sum = neon_sum,
-    .sumsq_centered = neon_sumsq_centered,
-    .normalize_affine = neon_normalize_affine,
-    .normalize_affine_rows = neon_normalize_affine_rows,
-    .sigmoid = neon_sigmoid,
-    .silu = neon_silu,
-};
-
-#endif  // defined(__aarch64__)
-
 // ---- dispatch --------------------------------------------------------------
 
 std::atomic<const Kernels*> g_active{nullptr};
@@ -612,12 +293,6 @@ const Kernels* table_for(KernelBackend backend) {
       return kernel_backend_supported(KernelBackend::kAvx2)
                  ? detail::avx2_table()
                  : nullptr;
-    case KernelBackend::kNeon:
-#if defined(__aarch64__)
-      return &kNeonTable;
-#else
-      return nullptr;
-#endif
   }
   return nullptr;
 }
@@ -630,8 +305,6 @@ const char* kernel_backend_label(KernelBackend backend) {
       return "scalar";
     case KernelBackend::kAvx2:
       return "avx2";
-    case KernelBackend::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -653,12 +326,6 @@ bool kernel_backend_supported(KernelBackend backend) {
 #else
       return false;
 #endif
-    case KernelBackend::kNeon:
-#if defined(__aarch64__)
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -667,16 +334,12 @@ KernelBackend detected_kernel_backend() {
   if (kernel_backend_supported(KernelBackend::kAvx2)) {
     return KernelBackend::kAvx2;
   }
-  if (kernel_backend_supported(KernelBackend::kNeon)) {
-    return KernelBackend::kNeon;
-  }
   return KernelBackend::kScalar;
 }
 
 std::vector<std::string> supported_kernel_backend_names() {
   std::vector<std::string> names;
-  for (const auto backend : {KernelBackend::kScalar, KernelBackend::kAvx2,
-                             KernelBackend::kNeon}) {
+  for (const auto backend : {KernelBackend::kScalar, KernelBackend::kAvx2}) {
     if (kernel_backend_supported(backend)) {
       names.emplace_back(kernel_backend_label(backend));
     }
@@ -691,15 +354,12 @@ common::Result<KernelBackend> parse_kernel_backend(const std::string& name) {
   if (name == "avx2") {
     return KernelBackend::kAvx2;
   }
-  if (name == "neon") {
-    return KernelBackend::kNeon;
-  }
   if (name == "auto") {
     return detected_kernel_backend();
   }
   return common::Status::InvalidArgument(
       "unknown kernel backend '" + name +
-      "' (expected scalar|avx2|neon|auto)");
+      "' (expected scalar|avx2|auto)");
 }
 
 common::Status set_kernel_backend(KernelBackend backend) {

@@ -2,7 +2,7 @@
 //
 // The blocked/parallel kernels in tensor_ops.cpp and the NN forward loops in
 // nn/ops.cpp call through the per-backend kernel table returned by
-// simd::active(). Three backends exist:
+// simd::active(). Two backends exist:
 //
 //   * scalar — portable C++, runs everywhere. This is also the *canonical
 //     semantics*: every kernel's accumulation order and rounding (fused
@@ -11,14 +11,16 @@
 //   * avx2   — AVX2 + FMA (x86-64), compiled into a separate object library
 //     with -mavx2 -mfma so the portable build still carries it; selected at
 //     runtime only when the CPU reports both features.
-//   * neon   — AArch64 NEON (baseline on that architecture).
 //
-// Determinism contract: the vector backends implement the scalar canonical
+// Any other host (AArch64 included) runs the scalar table. A further vector
+// table belongs here only once a host of its ISA compiles it, passes the
+// parity suites and measures it.
+//
+// Determinism contract: the AVX2 backend implements the scalar canonical
 // order *exactly* — same per-element fused operations, same lane-split
 // partial accumulators, same reduction tree — so results are bitwise
 // identical across backends, thread counts, and runs (IEEE-754 fma is
-// correctly rounded whether it comes from vfmadd231ps, NEON fmla, or libm
-// fmaf). The retained tensor::reference kernels keep the historic
+// correctly rounded whether it comes from vfmadd231ps or libm fmaf). The retained tensor::reference kernels keep the historic
 // mul-then-add rounding and therefore agree only within a small ULP bound;
 // tests/test_simd_kernels.cpp asserts both relations. The whole library is
 // compiled with -ffp-contract=off so the compiler cannot re-fuse (or
@@ -27,7 +29,7 @@
 // do not depend on the host's libm either.
 //
 // Dispatch: the process-wide backend starts at DIFFPATTERN_KERNEL_BACKEND
-// (scalar|avx2|neon|auto; malformed or host-unsupported values are ignored)
+// (scalar|avx2|auto; malformed or host-unsupported values are ignored)
 // else the best backend the host supports. set_kernel_backend* follows the
 // set_global_compute_threads precedent: unknown names and ISAs the host
 // cannot run answer INVALID_ARGUMENT instead of aborting or silently
@@ -45,10 +47,9 @@ namespace diffpattern::tensor {
 enum class KernelBackend {
   kScalar = 0,
   kAvx2 = 1,
-  kNeon = 2,
 };
 
-/// "scalar", "avx2", or "neon".
+/// "scalar" or "avx2".
 const char* kernel_backend_label(KernelBackend backend);
 
 /// Backend the current dispatch choice routes to.
@@ -66,7 +67,7 @@ bool kernel_backend_supported(KernelBackend backend);
 /// Labels of every backend the host supports ("scalar" is always present).
 std::vector<std::string> supported_kernel_backend_names();
 
-/// Maps "scalar" / "avx2" / "neon" / "auto" onto a backend ("auto" resolves
+/// Maps "scalar" / "avx2" / "auto" onto a backend ("auto" resolves
 /// to detected_kernel_backend()). Unknown names answer INVALID_ARGUMENT.
 common::Result<KernelBackend> parse_kernel_backend(const std::string& name);
 
@@ -112,7 +113,7 @@ struct Kernels {
   /// a zero-free block, and the AVX2 tile then runs a branch-free K loop;
   /// true is always correct. The AVX2 tile holds its accumulators as named
   /// __m256 values (an __m256 array got spilled to the stack after every
-  /// FMA pair); the scalar and NEON tiles test every a_ik.
+  /// FMA pair); the scalar tile tests every a_ik.
   void (*gemm_tile)(const float* a, std::int64_t lda, bool a_has_zero,
                     const float* b_lo, const float* b_hi,
                     const std::int64_t* koff, float* c, std::int64_t ldc,

@@ -595,15 +595,6 @@ double sum(const Tensor& t) {
   return acc;
 }
 
-float max_value(const Tensor& t) {
-  DP_REQUIRE(!t.empty(), "max_value: empty tensor");
-  float m = t[0];
-  for (std::int64_t i = 1; i < t.numel(); ++i) {
-    m = std::max(m, t[i]);
-  }
-  return m;
-}
-
 Tensor add(const Tensor& a, const Tensor& b) {
   DP_REQUIRE(a.same_shape(b), "add: shape mismatch " + a.shape_string() +
                                   " vs " + b.shape_string());

@@ -6,8 +6,8 @@
 // the batch-wide unrolls run blocked and parallel on the process-wide
 // compute pool
 // (src/tensor/parallel.h), with the inner loops routed through the
-// runtime-dispatched SIMD kernel tier (src/tensor/simd.h: scalar, AVX2/FMA,
-// NEON). Every kernel keeps the canonical fused accumulation order defined
+// runtime-dispatched SIMD kernel tier (src/tensor/simd.h: scalar and
+// AVX2/FMA). Every kernel keeps the canonical fused accumulation order defined
 // by the scalar backend, so results are byte-identical for any thread count
 // and any backend. The original single-threaded mul-then-add kernels are
 // retained under tensor::reference as the test oracle; the canonical fused
@@ -102,9 +102,6 @@ Tensor col2im_batch(const Tensor& columns, const Conv2dGeometry& geom,
 
 /// Sum of all elements (sequential double accumulation — deterministic).
 double sum(const Tensor& t);
-
-/// Maximum element (requires non-empty tensor).
-float max_value(const Tensor& t);
 
 /// out[i] = a[i] + b[i] (shapes must match).
 Tensor add(const Tensor& a, const Tensor& b);

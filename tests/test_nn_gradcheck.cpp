@@ -265,7 +265,7 @@ TEST(GradCheck, AddSpatialBroadcast) {
       {random_tensor(rng, {2, 3, 2, 2}), random_tensor(rng, {2, 3})});
 }
 
-TEST(GradCheck, UpsampleAndPool) {
+TEST(GradCheck, UpsampleNearest) {
   dc::Rng rng(14);
   Tensor w = random_tensor(rng, {1, 2, 4, 4});
   grad_check(
@@ -273,13 +273,6 @@ TEST(GradCheck, UpsampleAndPool) {
         return weighted_sum(nn::upsample_nearest2(v[0]), w);
       },
       {random_tensor(rng, {1, 2, 2, 2})});
-
-  Tensor w2 = random_tensor(rng, {1, 2, 2, 2});
-  grad_check(
-      [&](const std::vector<Var>& v) {
-        return weighted_sum(nn::avg_pool2(v[0]), w2);
-      },
-      {random_tensor(rng, {1, 2, 4, 4})});
 }
 
 TEST(GradCheck, EmbeddingLookup) {

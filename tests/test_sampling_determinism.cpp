@@ -84,6 +84,7 @@ std::uint64_t digest(const Tensor& t) {
 }
 
 using diffpattern::testutil::BackendGuard;
+using diffpattern::testutil::supported_backends;
 
 // Saves and restores the process-wide activation-arena switch so a test can
 // force either side of the kill switch without leaking into later tests.
@@ -140,9 +141,8 @@ TEST(SamplingDeterminism, FullScheduleByteIdenticalAcrossKernelBackends) {
                     diffpattern::tensor::KernelBackend::kScalar)
                     .ok());
     const Tensor scalar_out = run_full_schedule(model, schedule, 1);
-    for (const auto backend : {diffpattern::tensor::KernelBackend::kAvx2,
-                               diffpattern::tensor::KernelBackend::kNeon}) {
-      if (!diffpattern::tensor::kernel_backend_supported(backend)) {
+    for (const auto backend : supported_backends()) {
+      if (backend == diffpattern::tensor::KernelBackend::kScalar) {
         continue;
       }
       ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(backend).ok());
@@ -234,9 +234,8 @@ TEST(SamplingDeterminism, StridedByteIdenticalAcrossThreadsAndBackends) {
   ASSERT_TRUE(at_1.same_shape(at_8));
   EXPECT_EQ(std::memcmp(at_1.data(), at_8.data(), bytes), 0)
       << "thread count leaked into strided sampling bytes";
-  for (const auto backend : {diffpattern::tensor::KernelBackend::kAvx2,
-                             diffpattern::tensor::KernelBackend::kNeon}) {
-    if (!diffpattern::tensor::kernel_backend_supported(backend)) {
+  for (const auto backend : supported_backends()) {
+    if (backend == diffpattern::tensor::KernelBackend::kScalar) {
       continue;
     }
     ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(backend).ok());
@@ -341,12 +340,7 @@ TEST(SamplingDeterminism, ArenaByteIdenticalAcrossBackendsAndThreads) {
     const std::uint64_t reference =
         digest(run_full_schedule(model, schedule, 1));
     diffpattern::tensor::set_activation_arena_enabled(true);
-    for (const auto backend : {diffpattern::tensor::KernelBackend::kScalar,
-                               diffpattern::tensor::KernelBackend::kAvx2,
-                               diffpattern::tensor::KernelBackend::kNeon}) {
-      if (!diffpattern::tensor::kernel_backend_supported(backend)) {
-        continue;
-      }
+    for (const auto backend : supported_backends()) {
       ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(backend).ok());
       for (const std::int64_t threads : {1, 4, 8}) {
         EXPECT_EQ(digest(run_full_schedule(model, schedule, threads)),

@@ -6,8 +6,10 @@
 // an unloaded sequential run.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <functional>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -430,6 +432,57 @@ TEST_F(ServiceFlowTest, PushStreamShedCarriesSameRetryHintAsBlocking) {
             blocking_shed.status().retry_after_ms());
   EXPECT_EQ(deliveries, 0);
   holder.join();
+}
+
+TEST_F(ServiceFlowTest, LegalizeTopologiesPassesAdmission) {
+  // Caller topologies queue on the legalize pool, so they take a window
+  // slot like any sampled request: while a parked stream holds model a's
+  // only slot, legalize_topologies on a is shed with a retry hint.
+  std::vector<diffpattern::geometry::BinaryGrid> topologies;
+  for (const std::int64_t side : {3, 5}) {
+    diffpattern::geometry::BinaryGrid grid(side, side);
+    grid.set(side / 2, side / 2, 1);
+    topologies.push_back(grid);
+  }
+  const ds::LegalizeTopologiesRequest legalize{
+      .model = "a", .topologies = topologies, .seed = 91};
+  auto idle_service = make_service(16, open_flow());
+  const auto reference = idle_service->legalize_topologies(legalize);
+  ASSERT_TRUE(reference.ok()) << reference.status().to_string();
+  EXPECT_FALSE(reference->patterns.empty());
+
+  auto service = make_service(1, depth_only_flow(1, 1));
+  const ds::GenerateRequest parked_request{.model = "a", .count = 1,
+                                           .seed = 92};
+  std::atomic<bool> parked{false};
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread parker([&] {
+    EXPECT_TRUE(service
+                    ->generate_stream(parked_request,
+                                      [&](const ds::StreamedPattern&) {
+                                        parked.store(true);
+                                        released.wait();
+                                      })
+                    .ok());
+  });
+  ASSERT_TRUE(wait_for([&] {
+    return parked.load() && service->counters().admission_pending >= 1;
+  }));
+
+  const auto shed_before = service->counters().requests_shed;
+  const auto shed = service->legalize_topologies(legalize);
+  EXPECT_EQ(shed.status().code(), dc::StatusCode::kResourceExhausted);
+  EXPECT_TRUE(shed.status().has_retry_after());
+  EXPECT_GT(shed.status().retry_after_ms(), 0);
+  EXPECT_EQ(service->counters().requests_shed, shed_before + 1);
+
+  release.set_value();
+  parker.join();
+  const auto admitted = service->legalize_topologies(legalize);
+  ASSERT_TRUE(admitted.ok()) << admitted.status().to_string();
+  EXPECT_TRUE(same_patterns(reference->patterns, admitted->patterns));
+  EXPECT_EQ(service->counters().admission_pending, 0);
 }
 
 }  // namespace

@@ -203,5 +203,4 @@ TEST(TensorOps, ElementwiseHelpers) {
   EXPECT_FLOAT_EQ(m[1], 10.0F);
   EXPECT_FLOAT_EQ(dt::scale(a, 2.0F)[0], 2.0F);
   EXPECT_DOUBLE_EQ(dt::sum(a), 6.0);
-  EXPECT_FLOAT_EQ(dt::max_value(b), 6.0F);
 }

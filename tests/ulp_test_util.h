@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "common/float_compare.h"
 #include "tensor/simd.h"
@@ -32,6 +33,20 @@ class BackendGuard {
  private:
   tensor::KernelBackend previous_;
 };
+
+/// Every kernel backend this host runs, as the library lists them: scalar
+/// (the canonical one) first.
+inline std::vector<tensor::KernelBackend> supported_backends() {
+  std::vector<tensor::KernelBackend> backends;
+  for (const auto& name : tensor::supported_kernel_backend_names()) {
+    const auto parsed = tensor::parse_kernel_backend(name);
+    EXPECT_TRUE(parsed.ok()) << "listed backend '" << name << "' unparsable";
+    if (parsed.ok()) {
+      backends.push_back(*parsed);
+    }
+  }
+  return backends;
+}
 
 using common::float_order_key;
 using common::ulp_distance;

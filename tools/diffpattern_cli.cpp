@@ -110,7 +110,7 @@ int usage() {
       "           [--stats-json]\n\n"
       "Every subcommand accepts --threads N to size the compute pool used\n"
       "by the numeric kernels (default: DIFFPATTERN_THREADS env, else all\n"
-      "hardware threads) and --kernel-backend scalar|avx2|neon|auto to pin\n"
+      "hardware threads) and --kernel-backend scalar|avx2|auto to pin\n"
       "the SIMD dispatch (default: DIFFPATTERN_KERNEL_BACKEND env, else the\n"
       "best backend this CPU supports; unsupported ISAs are a usage error).\n"
       "--arena on|off toggles the inference memory plan (activation arena +\n"
