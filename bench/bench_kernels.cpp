@@ -4,8 +4,9 @@
 // register tile alone (the U-Net's level-1 conv shape, in GFLOP/s),
 // convolution (a 32x32 batch and the U-Net's 8x8 decoder shape), four conv
 // shapes of the benchmark U-Net at batch 8 next to the same product on a
-// resident panel (GFLOP/s and the conv's non-GEMM share), row softmax, and
-// SiLU (reported in ns per element).
+// resident panel (GFLOP/s and the conv's non-GEMM share), row softmax, the
+// group-norm moment kernels (us per 64 groups) and SiLU (reported in ns per
+// element).
 //
 // For every kernel the bench (a) verifies the backend-parity contract —
 // forced-scalar and vector dispatch produce bitwise-identical results — and
@@ -17,9 +18,11 @@
 // Results land in bench_out/BENCH_kernels.json; on a host with no vector
 // backend the "simd" rows repeat the scalar backend and the speedup is ~1.0
 // by construction, so the exit code gates only on correctness.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <iostream>
+#include <vector>
 
 #include "bench_common.h"
 #include "common/compute_pool.h"
@@ -346,6 +349,60 @@ int main() {
                           /*inner_dim=*/256,
                           [&] { return dp::tensor::softmax_rows(logits); });
 
+  // ---- group-norm moments: 64 groups of 128 floats -------------------------
+  // The b8 8x8-level group norm's statistics (8 samples x 8 groups of 2
+  // channel planes): sum and centered sum of squares per group, eight
+  // groups per kernel call (four interleaved add chains on AVX2) and, for
+  // comparison, one group per call. Every way must give the same doubles,
+  // within 1e-9 of a plain sequential double sum.
+  constexpr std::int64_t kGroups = 64;
+  constexpr std::int64_t kGroupElems = 128;
+  constexpr int kMomentPasses = 2000;
+  const Tensor gx = random_tensor({kGroups, kGroupElems}, rng);
+  const auto moments = [&](const dp::tensor::simd::Kernels& k,
+                           std::int64_t rows_per_call) {
+    std::vector<double> out(2 * kGroups);
+    for (std::int64_t r = 0; r < kGroups; r += rows_per_call) {
+      const float* src = gx.data() + r * kGroupElems;
+      k.sum(src, kGroupElems, rows_per_call, out.data() + r);
+      for (std::int64_t i = r; i < r + rows_per_call; ++i) {
+        out[static_cast<std::size_t>(kGroups + i)] =
+            out[static_cast<std::size_t>(i)] / kGroupElems;
+      }
+      k.sumsq_centered(src, out.data() + kGroups + r, kGroupElems,
+                       rows_per_call, out.data() + kGroups + r);
+    }
+    return out;
+  };
+  const auto& scalar_table =
+      *dp::tensor::simd::table_for(KernelBackend::kScalar);
+  const auto& best_table = *dp::tensor::simd::table_for(best);
+  const auto moments_want = moments(scalar_table, 1);
+  bool moments_ok = moments(scalar_table, 8) == moments_want &&
+                    moments(best_table, 8) == moments_want &&
+                    moments(best_table, 1) == moments_want;
+  for (std::int64_t r = 0; r < kGroups; ++r) {
+    double exact = 0.0;
+    for (std::int64_t i = 0; i < kGroupElems; ++i) {
+      exact += static_cast<double>(gx[r * kGroupElems + i]);
+    }
+    moments_ok = moments_ok &&
+                 std::abs(moments_want[static_cast<std::size_t>(r)] - exact) <=
+                     1e-9 * std::max(1.0, std::abs(exact));
+  }
+  const auto moments_us = [&](const dp::tensor::simd::Kernels& k,
+                              std::int64_t rows_per_call) {
+    return best_of_seconds(kReps, [&] {
+             for (int p = 0; p < kMomentPasses; ++p) {
+               moments(k, rows_per_call);
+             }
+           }) *
+           1e6 / kMomentPasses;
+  };
+  const double moments_us_scalar = moments_us(scalar_table, 8);
+  const double moments_us_simd_rows1 = moments_us(best_table, 1);
+  const double moments_us_simd = moments_us(best_table, 8);
+
   // ---- SiLU over 1 Mi elements (x * sigmoid(x), the table's own exp) ------
   // Normal inputs with sigma 4: the sigmoid's centre and both of its tails.
   Tensor act = random_tensor({16, 64, 32, 32}, rng);
@@ -366,7 +423,8 @@ int main() {
                       tile.reference_ok && conv.parity_ok &&
                       conv.reference_ok && unet_conv.parity_ok &&
                       unet_conv.reference_ok && sm.parity_ok &&
-                      sm.reference_ok && silu.parity_ok && silu.reference_ok;
+                      sm.reference_ok && silu.parity_ok &&
+                      silu.reference_ok && moments_ok;
   for (const auto& r : shape_reports) {
     all_ok = all_ok && r.conv.parity_ok && r.conv.reference_ok &&
              r.panel.parity_ok && r.panel.reference_ok;
@@ -397,6 +455,11 @@ int main() {
               << (ok ? "" : "  [PARITY BROKEN OR REFERENCE DRIFT]") << "\n";
   }
   row("softmax 4096x256:    ", sm);
+  std::cout << "gn moments 64x128:     scalar " << moments_us_scalar
+            << " us -> simd " << moments_us_simd << " us (one group per call "
+            << moments_us_simd_rows1 << " us)"
+            << (moments_ok ? "" : "  [PARITY BROKEN OR REFERENCE DRIFT]")
+            << "\n";
   std::cout << "silu    1Mi elements:  scalar "
             << silu.scalar_ms_1t * ms_to_ns_per_element
             << " ns/element -> simd "
@@ -439,6 +502,9 @@ int main() {
        {"silu_simd_speedup", silu.simd_speedup()},
        {"silu_ns_per_element_simd_n_threads",
         silu.simd_ms_nt * ms_to_ns_per_element},
+       {"gn_moments_us_scalar_1_thread", moments_us_scalar},
+       {"gn_moments_us_simd_1_thread", moments_us_simd},
+       {"gn_moments_us_simd_one_group_per_call", moments_us_simd_rows1},
        {"bitwise_backend_parity", all_ok ? 1.0 : 0.0}};
   for (std::size_t i = 0; i < shape_reports.size(); ++i) {
     const auto& r = shape_reports[i];

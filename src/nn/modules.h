@@ -55,6 +55,10 @@ struct Conv2d {
   Var operator()(const Var& x) const {
     return conv2d(x, weight, bias, stride, padding);
   }
+  /// The conv of an input its producer laid out, plus `epilogue`.
+  Var operator()(const ConvInput& x, const ConvEpilogue& epilogue) const {
+    return conv2d(x, weight, bias, stride, padding, epilogue);
+  }
 
   Var weight;  // [out, in, k, k]
   Var bias;    // [out]
@@ -68,6 +72,10 @@ struct GroupNorm {
 
   Var operator()(const Var& x) const {
     return group_norm(x, gamma, beta, groups);
+  }
+  /// silu(norm(x)) as the input of `next` (nn::group_norm_silu).
+  ConvInput silu_into(const Var& x, const Conv2d& next) const {
+    return group_norm_silu(x, gamma, beta, groups, next.padding);
   }
 
   Var gamma;  // [C], initialized to ones

@@ -756,25 +756,93 @@ Var conv2d(const Var& x, const Var& w, const Var& b, std::int64_t stride,
       });
 }
 
+Var conv2d(const ConvInput& x, const Var& w, const Var& b, std::int64_t stride,
+           std::int64_t padding, const ConvEpilogue& epilogue) {
+  const Var* t = epilogue.channel_add;
+  const Var* r = epilogue.residual;
+  if (graph_needed({&x.x, &w, &b}) || (t != nullptr && graph_needed({t})) ||
+      (r != nullptr && graph_needed({r}))) {
+    DP_REQUIRE(!x.bordered, "conv2d: a bordered input has no graph");
+    Var y = conv2d(x.x, w, b, stride, padding);
+    if (t != nullptr) {
+      y = add_spatial_broadcast(y, *t);
+    }
+    if (r != nullptr) {
+      y = add(y, *r);
+    }
+    return y;
+  }
+  const Tensor& vw = w.value();
+  DP_REQUIRE(vw.rank() == 4, "conv2d: w must be [O,C,kh,kw]");
+  DP_REQUIRE(stride >= 1 && padding >= 0, "conv2d: bad stride/padding");
+  const auto border = x.bordered ? 2 * padding : 0;
+  const tensor::Conv2dGeometry geom{x.x.dim(1),         x.x.dim(2) - border,
+                                    x.x.dim(3) - border, vw.dim(2),
+                                    vw.dim(3),          stride,
+                                    padding};
+  return make_value_node(tensor::conv2d(
+      x.x.value(), vw, b.value(), geom, x.bordered,
+      {t != nullptr ? &t->value() : nullptr,
+       r != nullptr ? &r->value() : nullptr}));
+}
+
 // ---- normalization ---------------------------------------------------------
 
-Var group_norm(const Var& x, const Var& gamma, const Var& beta,
-               std::int64_t groups, float eps) {
+namespace {
+
+/// Groups whose moments one pair of multi-row kernel calls takes.
+constexpr std::int64_t kMomentRows = 8;
+
+/// Runs body(t, mean, istd) for each group t in [t0, t1) of `x`, whose
+/// groups are `elems` consecutive floats. The moments go through the
+/// table's multi-row kernels, kMomentRows groups at a time; each group's
+/// sums keep their own canonical order, so the values do not depend on
+/// how [t0, t1) is chunked.
+template <typename Body>
+void for_each_group(const tensor::simd::Kernels& kern, const float* x,
+                    std::int64_t elems, std::int64_t t0, std::int64_t t1,
+                    float eps, Body&& body) {
+  double mean[kMomentRows];
+  double acc[kMomentRows];
+  for (std::int64_t b = t0; b < t1; b += kMomentRows) {
+    const auto rows = std::min(kMomentRows, t1 - b);
+    const float* src = x + b * elems;
+    kern.sum(src, elems, rows, acc);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      mean[r] = acc[r] / static_cast<double>(elems);
+    }
+    kern.sumsq_centered(src, mean, elems, rows, acc);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const double var = acc[r] / static_cast<double>(elems);
+      body(b + r, mean[r], static_cast<float>(1.0 / std::sqrt(var + eps)));
+    }
+  }
+}
+
+void check_group_norm(const Var& x, const Var& gamma, const Var& beta,
+                      std::int64_t groups) {
   const Tensor& v = x.value();
   DP_REQUIRE(v.rank() == 4, "group_norm: expected [N,C,H,W]");
-  const auto n = v.dim(0);
   const auto c = v.dim(1);
-  const auto h = v.dim(2);
-  const auto w = v.dim(3);
   DP_REQUIRE(groups >= 1 && c % groups == 0,
              "group_norm: groups must divide channels");
   DP_REQUIRE(gamma.value().rank() == 1 && gamma.value().dim(0) == c,
              "group_norm: gamma shape mismatch");
   DP_REQUIRE(beta.value().rank() == 1 && beta.value().dim(0) == c,
              "group_norm: beta shape mismatch");
+}
+
+}  // namespace
+
+Var group_norm(const Var& x, const Var& gamma, const Var& beta,
+               std::int64_t groups, float eps) {
+  check_group_norm(x, gamma, beta, groups);
+  const Tensor& v = x.value();
+  const auto n = v.dim(0);
+  const auto c = v.dim(1);
   const auto cg = c / groups;
-  const auto group_elems = cg * h * w;
-  const auto plane = h * w;
+  const auto plane = v.dim(2) * v.dim(3);
+  const auto group_elems = cg * plane;
 
   // Inference keeps neither the normalized input nor the inverse standard
   // deviations: only the backward reads them.
@@ -785,33 +853,28 @@ Var group_norm(const Var& x, const Var& gamma, const Var& beta,
   const float* gam = gamma.value().data();
   const float* bet = beta.value().data();
   const auto& kern = tensor::simd::active();
-  // One task per (sample, group): the mean/variance reductions and the
-  // normalize/affine loop run through the dispatched kernels, whose
-  // canonical lane-split accumulation order is fixed — the output is
-  // byte-identical for any thread count and any backend.
+  // Tasks are (sample, group) pairs, whose elements are consecutive: the
+  // mean/variance reductions and the normalize/affine loop run through the
+  // dispatched kernels, whose canonical lane-split accumulation order is
+  // fixed — the output is byte-identical for any thread count and any
+  // backend.
   tensor::parallel_for(0, n * groups, [&](std::int64_t t0, std::int64_t t1) {
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const auto i = t / groups;
-      const auto g = t % groups;
-      const auto base = (i * c + g * cg) * plane;
-      const float* src = v.data() + base;
-      const double mean =
-          kern.sum(src, group_elems) / static_cast<double>(group_elems);
-      const double var = kern.sumsq_centered(src, mean, group_elems) /
-                         static_cast<double>(group_elems);
-      const float istd = static_cast<float>(1.0 / std::sqrt(var + eps));
-      if (graph) {
-        inv_std.at({i, g}) = istd;
-      }
-      for (std::int64_t cc = 0; cc < cg; ++cc) {
-        const auto ch = g * cg + cc;
-        const auto off = base + cc * plane;
-        kern.normalize_affine(src + cc * plane, static_cast<float>(mean),
-                              istd, gam[ch], bet[ch],
-                              graph ? xhat.data() + off : nullptr,
-                              out.data() + off, plane);
-      }
-    }
+    for_each_group(kern, v.data(), group_elems, t0, t1, eps,
+                   [&](std::int64_t t, double mean, float istd) {
+                     if (graph) {
+                       inv_std[t] = istd;
+                     }
+                     const auto g = t % groups;
+                     for (std::int64_t cc = 0; cc < cg; ++cc) {
+                       const auto ch = g * cg + cc;
+                       const auto off = t * group_elems + cc * plane;
+                       kern.normalize_affine(
+                           v.data() + off, static_cast<float>(mean), istd,
+                           gam[ch], bet[ch],
+                           graph ? xhat.data() + off : nullptr,
+                           out.data() + off, plane);
+                     }
+                   });
   });
 
   if (!graph) {
@@ -890,6 +953,64 @@ Var group_norm(const Var& x, const Var& gamma, const Var& beta,
       });
 }
 
+ConvInput group_norm_silu(const Var& x, const Var& gamma, const Var& beta,
+                          std::int64_t groups, std::int64_t pad, float eps) {
+  if (graph_needed({&x, &gamma, &beta})) {
+    return silu(group_norm(x, gamma, beta, groups, eps));
+  }
+  check_group_norm(x, gamma, beta, groups);
+  const Tensor& v = x.value();
+  const auto n = v.dim(0);
+  const auto c = v.dim(1);
+  const auto h = v.dim(2);
+  const auto w = v.dim(3);
+  const auto cg = c / groups;
+  const auto plane = h * w;
+  const auto group_elems = cg * plane;
+  const tensor::Conv2dGeometry geom{.in_channels = c,
+                                    .in_h = h,
+                                    .in_w = w,
+                                    .padding = pad};
+  const bool bordered = NoGradGuard::active() && pad > 0;
+  Tensor out = bordered ? tensor::bordered_input(n, geom) : Tensor(v.shape());
+  const float* gam = gamma.value().data();
+  const float* bet = beta.value().data();
+  const auto& kern = tensor::simd::active();
+  // group_norm's tasks and kernels, then the SiLU kernel over each block
+  // of groups while it is in L1 (SiLU is elementwise, so the split does not
+  // change its bytes), then the block's planes into the bordered input.
+  const auto out_group = out.numel() / (n * groups);
+  tensor::parallel_for(0, n * groups, [&](std::int64_t t0, std::int64_t t1) {
+    thread_local std::vector<float> normed;  // One block; only grows.
+    const auto block = kMomentRows * group_elems;
+    if (normed.size() < static_cast<std::size_t>(block)) {
+      normed.resize(static_cast<std::size_t>(block));
+    }
+    for (std::int64_t b = t0; b < t1; b += kMomentRows) {
+      const auto b1 = std::min(t1, b + kMomentRows);
+      float* y = bordered ? normed.data() : out.data() + b * group_elems;
+      for_each_group(kern, v.data(), group_elems, b, b1, eps,
+                     [&](std::int64_t t, double mean, float istd) {
+                       const auto g = t % groups;
+                       const auto off = (t - b) * group_elems;
+                       for (std::int64_t cc = 0; cc < cg; ++cc) {
+                         const auto ch = g * cg + cc;
+                         kern.normalize_affine(
+                             v.data() + t * group_elems + cc * plane,
+                             static_cast<float>(mean), istd, gam[ch],
+                             bet[ch], nullptr, y + off + cc * plane, plane);
+                       }
+                     });
+      kern.silu(y, y, (b1 - b) * group_elems);
+      if (bordered) {
+        tensor::write_bordered(y, (b1 - b) * cg, geom,
+                               out.data() + b * out_group);
+      }
+    }
+  });
+  return ConvInput(make_value_node(std::move(out)), bordered);
+}
+
 Var layer_norm(const Var& x, const Var& gamma, const Var& beta, float eps) {
   const Tensor& v = x.value();
   DP_REQUIRE(v.rank() >= 2, "layer_norm: rank must be >= 2");
@@ -910,17 +1031,14 @@ Var layer_norm(const Var& x, const Var& gamma, const Var& beta, float eps) {
   tensor::parallel_for(
       0, rows,
       [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t r = r0; r < r1; ++r) {
-          const float* src = v.data() + r * f;
-          const double mean = kern.sum(src, f) / static_cast<double>(f);
-          const double var =
-              kern.sumsq_centered(src, mean, f) / static_cast<double>(f);
-          const float istd = static_cast<float>(1.0 / std::sqrt(var + eps));
-          inv_std[r] = istd;
-          kern.normalize_affine_rows(src, static_cast<float>(mean), istd,
-                                     gam, bet, xhat.data() + r * f,
-                                     out.data() + r * f, f);
-        }
+        for_each_group(kern, v.data(), f, r0, r1, eps,
+                       [&](std::int64_t r, double mean, float istd) {
+                         inv_std[r] = istd;
+                         kern.normalize_affine_rows(
+                             v.data() + r * f, static_cast<float>(mean),
+                             istd, gam, bet, xhat.data() + r * f,
+                             out.data() + r * f, f);
+                       });
       },
       std::max<std::int64_t>(1, tensor::kElementwiseGrain /
                                     std::max<std::int64_t>(1, f)));
@@ -1038,6 +1156,26 @@ Var mean_all(const Var& a) {
 
 // ---- resize -----------------------------------------------------------------
 
+namespace {
+
+/// One h x w plane upsampled 2x by nearest neighbour into the 2h rows of
+/// 2w floats at dst, `pitch` floats apart.
+void upsample_plane(const float* src, std::int64_t h, std::int64_t w,
+                    float* dst, std::int64_t pitch) {
+  for (std::int64_t y = 0; y < h; ++y) {
+    for (std::int64_t xx = 0; xx < w; ++xx) {
+      const float val = src[y * w + xx];
+      const auto base = (2 * y) * pitch + 2 * xx;
+      dst[base] = val;
+      dst[base + 1] = val;
+      dst[base + pitch] = val;
+      dst[base + pitch + 1] = val;
+    }
+  }
+}
+
+}  // namespace
+
 Var upsample_nearest2(const Var& x) {
   const Tensor& v = x.value();
   DP_REQUIRE(v.rank() == 4, "upsample_nearest2: expected [N,C,H,W]");
@@ -1047,18 +1185,8 @@ Var upsample_nearest2(const Var& x) {
   const auto w = v.dim(3);
   Tensor out({n, c, 2 * h, 2 * w});
   for (std::int64_t i = 0; i < n * c; ++i) {
-    const float* src = v.data() + i * h * w;
-    float* dst = out.data() + i * 4 * h * w;
-    for (std::int64_t y = 0; y < h; ++y) {
-      for (std::int64_t xx = 0; xx < w; ++xx) {
-        const float val = src[y * w + xx];
-        const auto base = (2 * y) * (2 * w) + 2 * xx;
-        dst[base] = val;
-        dst[base + 1] = val;
-        dst[base + 2 * w] = val;
-        dst[base + 2 * w + 1] = val;
-      }
-    }
+    upsample_plane(v.data() + i * h * w, h, w, out.data() + i * 4 * h * w,
+                   2 * w);
   }
   if (!graph_needed({&x})) {
     return make_value_node(std::move(out));
@@ -1079,6 +1207,27 @@ Var upsample_nearest2(const Var& x) {
     }
     accumulate_grad(*px, d);
   });
+}
+
+ConvInput upsample_nearest2(const Var& x, std::int64_t pad) {
+  if (!NoGradGuard::active() || pad == 0) {
+    return upsample_nearest2(x);
+  }
+  const Tensor& v = x.value();
+  DP_REQUIRE(v.rank() == 4, "upsample_nearest2: expected [N,C,H,W]");
+  const auto n = v.dim(0);
+  const auto c = v.dim(1);
+  const auto h = v.dim(2);
+  const auto w = v.dim(3);
+  Tensor out = tensor::bordered_input(
+      n, {.in_channels = c, .in_h = 2 * h, .in_w = 2 * w, .padding = pad});
+  const auto pitch = 2 * w + 2 * pad;
+  const auto out_plane = (2 * h + 2 * pad) * pitch;
+  for (std::int64_t i = 0; i < n * c; ++i) {
+    upsample_plane(v.data() + i * h * w, h, w,
+                   out.data() + i * out_plane + pad * pitch + pad, pitch);
+  }
+  return ConvInput(make_value_node(std::move(out)), true);
 }
 
 // ---- regularization / lookup -------------------------------------------------

@@ -64,10 +64,46 @@ Var linear(const Var& x, const Var& w, const Var& b);
 Var conv2d(const Var& x, const Var& w, const Var& b, std::int64_t stride,
            std::int64_t padding);
 
+/// A conv input as the op before the conv wrote it. Inside a NoGradGuard
+/// that op writes a padded conv's input with the zero border in place
+/// (`bordered`: [N, C, H+2p, W+2p], see tensor::bordered_input), and the
+/// conv reads it as it is; otherwise, and from a plain Var, it is
+/// [N, C, H, W].
+struct ConvInput {
+  ConvInput() = default;
+  ConvInput(Var v, bool b = false)  // NOLINT: implicit by design (plain)
+      : x(std::move(v)), bordered(b) {}
+
+  Var x;
+  bool bordered = false;
+};
+
+/// What a conv adds after its bias: a time-embedding row [N, O] broadcast
+/// over the plane, then a residual [N, O, OH, OW].
+struct ConvEpilogue {
+  const Var* channel_add = nullptr;
+  const Var* residual = nullptr;
+};
+
+/// conv2d of a prepared input, then the epilogue. With a graph this is
+/// conv2d, add_spatial_broadcast and add; without one the conv reads the
+/// input in place and adds the epilogue per output strip as
+/// (acc + bias) + e — the same bytes.
+Var conv2d(const ConvInput& x, const Var& w, const Var& b, std::int64_t stride,
+           std::int64_t padding, const ConvEpilogue& epilogue);
+
 // ---- normalization -------------------------------------------------------
 /// GroupNorm over [N,C,H,W] with per-channel affine (gamma, beta of [C]).
 Var group_norm(const Var& x, const Var& gamma, const Var& beta,
                std::int64_t groups, float eps = 1e-5F);
+/// silu(group_norm(x)) as the input of a conv with padding `pad`. With a
+/// graph this is exactly the two ops. Without one it is one pass over each
+/// block of groups — normalize, SiLU, then the planes into the conv's
+/// bordered input — with the same bytes and none of the intermediate
+/// tensors.
+ConvInput group_norm_silu(const Var& x, const Var& gamma, const Var& beta,
+                          std::int64_t groups, std::int64_t pad,
+                          float eps = 1e-5F);
 /// LayerNorm over the last axis with affine parameters of that axis length.
 Var layer_norm(const Var& x, const Var& gamma, const Var& beta,
                float eps = 1e-5F);
@@ -81,6 +117,9 @@ Var mean_all(const Var& a);
 // ---- resize --------------------------------------------------------------
 /// Nearest-neighbour 2x upsampling of [N,C,H,W].
 Var upsample_nearest2(const Var& x);
+/// upsample_nearest2 as the input of a conv with padding `pad` (see
+/// ConvInput).
+ConvInput upsample_nearest2(const Var& x, std::int64_t pad);
 
 // ---- regularization / lookup ---------------------------------------------
 /// Inverted dropout; identity when !training or p == 0.

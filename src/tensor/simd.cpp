@@ -142,34 +142,40 @@ float scalar_max(const float* x, std::int64_t n) {
   return u0 > u1 ? u0 : u1;
 }
 
-double scalar_sum(const float* x, std::int64_t n) {
-  double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (int l = 0; l < 4; ++l) {
-      acc[l] += static_cast<double>(x[i + l]);
+void scalar_sum(const float* x, std::int64_t n, std::int64_t rows,
+                double* out) {
+  for (std::int64_t r = 0; r < rows; ++r, x += n) {
+    double acc[4] = {0.0, 0.0, 0.0, 0.0};
+    std::int64_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      for (int l = 0; l < 4; ++l) {
+        acc[l] += static_cast<double>(x[i + l]);
+      }
     }
+    for (const std::int64_t base = i; i < n; ++i) {
+      acc[i - base] += static_cast<double>(x[i]);
+    }
+    out[r] = (acc[0] + acc[2]) + (acc[1] + acc[3]);
   }
-  for (const std::int64_t base = i; i < n; ++i) {
-    acc[i - base] += static_cast<double>(x[i]);
-  }
-  return (acc[0] + acc[2]) + (acc[1] + acc[3]);
 }
 
-double scalar_sumsq_centered(const float* x, double mean, std::int64_t n) {
-  double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (int l = 0; l < 4; ++l) {
-      const double d = static_cast<double>(x[i + l]) - mean;
-      acc[l] += d * d;
+void scalar_sumsq_centered(const float* x, const double* mean,
+                           std::int64_t n, std::int64_t rows, double* out) {
+  for (std::int64_t r = 0; r < rows; ++r, x += n) {
+    double acc[4] = {0.0, 0.0, 0.0, 0.0};
+    std::int64_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      for (int l = 0; l < 4; ++l) {
+        const double d = static_cast<double>(x[i + l]) - mean[r];
+        acc[l] += d * d;
+      }
     }
+    for (const std::int64_t base = i; i < n; ++i) {
+      const double d = static_cast<double>(x[i]) - mean[r];
+      acc[i - base] += d * d;
+    }
+    out[r] = (acc[0] + acc[2]) + (acc[1] + acc[3]);
   }
-  for (const std::int64_t base = i; i < n; ++i) {
-    const double d = static_cast<double>(x[i]) - mean;
-    acc[i - base] += d * d;
-  }
-  return (acc[0] + acc[2]) + (acc[1] + acc[3]);
 }
 
 void scalar_normalize_affine(const float* x, float mean, float istd,

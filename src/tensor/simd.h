@@ -145,14 +145,19 @@ struct Kernels {
   /// for every non-NaN input.
   float (*max)(const float* x, std::int64_t n);
 
-  /// Canonical 4-lane double-precision sum of x[0..n) (lane l owns
-  /// i ≡ l mod 4 over full 4-blocks, tail folds into lanes 0..; reduced
-  /// as (l0+l2) + (l1+l3)) — the group/layer-norm mean reduction.
-  double (*sum)(const float* x, std::int64_t n);
+  /// Canonical 4-lane double-precision sums of `rows` consecutive rows of
+  /// n floats: out[r] sums x[r*n .. (r+1)*n) (lane l owns i ≡ l mod 4
+  /// over full 4-blocks, tail folds into lanes 0..; reduced as
+  /// (l0+l2) + (l1+l3)) — the group/layer-norm mean reduction. Each row
+  /// keeps its own order, so out[r] does not depend on `rows`; the AVX2
+  /// table runs four rows' add chains interleaved.
+  void (*sum)(const float* x, std::int64_t n, std::int64_t rows,
+              double* out);
 
-  /// Same lane structure over d = double(x[i]) - mean, accumulating d*d —
-  /// the group/layer-norm variance reduction.
-  double (*sumsq_centered)(const float* x, double mean, std::int64_t n);
+  /// Same rows and lane structure over d = double(x[i]) - mean[r],
+  /// accumulating d*d — the group/layer-norm variance reduction.
+  void (*sumsq_centered)(const float* x, const double* mean, std::int64_t n,
+                         std::int64_t rows, double* out);
 
   /// xn = (x[i] - mean) * istd; xhat[i] = xn; y[i] = fma(xn, gamma, beta).
   /// Scalar gamma/beta: one group-norm channel plane per call. xhat may be

@@ -231,37 +231,78 @@ float avx2_max(const float* x, std::int64_t n) {
   return u0 > u1 ? u0 : u1;
 }
 
-double avx2_sum(const float* x, std::int64_t n) {
-  __m256d vacc = _mm256_setzero_pd();
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // Plain add (two roundings) — the canonical op here is NOT fused.
-    vacc = _mm256_add_pd(vacc, _mm256_cvtps_pd(_mm_loadu_ps(x + i)));
-  }
+/// The four lanes of `v` plus the scalar tail x[i..n) folded into lanes
+/// 0.., reduced as (l0+l2) + (l1+l3); `term` maps a float to its summand.
+template <typename Term>
+double fold_lanes(__m256d v, const float* x, std::int64_t i, std::int64_t n,
+                  Term term) {
   alignas(32) double acc[4];
-  _mm256_store_pd(acc, vacc);
+  _mm256_store_pd(acc, v);
   for (const std::int64_t base = i; i < n; ++i) {
-    acc[i - base] += static_cast<double>(x[i]);
+    acc[i - base] += term(x[i]);
   }
   return (acc[0] + acc[2]) + (acc[1] + acc[3]);
 }
 
-double avx2_sumsq_centered(const float* x, double mean, std::int64_t n) {
-  const __m256d vmean = _mm256_set1_pd(mean);
-  __m256d vacc = _mm256_setzero_pd();
+/// Kernels::sum and sumsq_centered over R rows at once: one __m256d add
+/// chain per row, interleaved so the adds of different rows overlap. Each
+/// row's lanes see the same adds in the same order as alone. Plain add and
+/// mul (two roundings) — the canonical ops here are NOT fused.
+template <int R, bool Centered>
+void avx2_moment_rows(const float* x, const double* mean, std::int64_t n,
+                      double* out) {
+  __m256d vmean[R];
+  __m256d vacc[R];
+  for (int r = 0; r < R; ++r) {
+    vmean[r] = _mm256_set1_pd(Centered ? mean[r] : 0.0);
+    vacc[r] = _mm256_setzero_pd();
+  }
   std::int64_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256d d =
-        _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(x + i)), vmean);
-    vacc = _mm256_add_pd(vacc, _mm256_mul_pd(d, d));  // mul+add, not FMA.
+    for (int r = 0; r < R; ++r) {
+      const __m256d v = _mm256_cvtps_pd(_mm_loadu_ps(x + r * n + i));
+      if constexpr (Centered) {
+        const __m256d d = _mm256_sub_pd(v, vmean[r]);
+        vacc[r] = _mm256_add_pd(vacc[r], _mm256_mul_pd(d, d));
+      } else {
+        vacc[r] = _mm256_add_pd(vacc[r], v);
+      }
+    }
   }
-  alignas(32) double acc[4];
-  _mm256_store_pd(acc, vacc);
-  for (const std::int64_t base = i; i < n; ++i) {
-    const double d = static_cast<double>(x[i]) - mean;
-    acc[i - base] += d * d;
+  for (int r = 0; r < R; ++r) {
+    out[r] = fold_lanes(vacc[r], x + r * n, i, n, [&](float f) {
+      if constexpr (Centered) {
+        const double d = static_cast<double>(f) - mean[r];
+        return d * d;
+      } else {
+        return static_cast<double>(f);
+      }
+    });
   }
-  return (acc[0] + acc[2]) + (acc[1] + acc[3]);
+}
+
+template <bool Centered>
+void avx2_moments(const float* x, const double* mean, std::int64_t n,
+                  std::int64_t rows, double* out) {
+  std::int64_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    avx2_moment_rows<4, Centered>(x + r * n, mean + (Centered ? r : 0), n,
+                                  out + r);
+  }
+  for (; r < rows; ++r) {
+    avx2_moment_rows<1, Centered>(x + r * n, mean + (Centered ? r : 0), n,
+                                  out + r);
+  }
+}
+
+void avx2_sum(const float* x, std::int64_t n, std::int64_t rows,
+              double* out) {
+  avx2_moments<false>(x, nullptr, n, rows, out);
+}
+
+void avx2_sumsq_centered(const float* x, const double* mean, std::int64_t n,
+                         std::int64_t rows, double* out) {
+  avx2_moments<true>(x, mean, n, rows, out);
 }
 
 void avx2_normalize_affine(const float* x, float mean, float istd,

@@ -347,53 +347,36 @@ Tensor col2im_batch(const Tensor& columns, const Conv2dGeometry& geom,
 
 namespace {
 
-/// The input planes with a zero border of `geom.padding`, in a buffer of the
-/// calling thread that only grows: each row is copied in runs of 8 and 4
-/// floats, and only the border is zeroed.
-const float* zero_bordered(const float* src, std::int64_t planes,
-                           const Conv2dGeometry& geom) {
-  // Zeros go out in runs of 8 (one vector store, no memset call). The
-  // buffer is written in ascending order, so a run's excess lands on
-  // entries written after it, or on the slack at the end of the buffer.
-  constexpr std::int64_t kRun = 8;
-  static constexpr float kZeros[kRun] = {};
-  const auto zero = [](float* d, std::int64_t n) {
-    for (std::int64_t i = 0; i < n; i += kRun) {
-      std::copy_n(kZeros, kRun, d + i);
-    }
-  };
-  const auto pad = geom.padding;
-  const auto w = geom.in_w;
+/// dst[0..n) = src[0..n) in runs of 8 and 4 floats (fixed-size copies, no
+/// memmove call for the short rows of the U-Net's planes).
+void copy_row(const float* src, std::int64_t n, float* dst) {
+  std::int64_t x = 0;
+  for (; x + 8 <= n; x += 8) {
+    std::copy_n(src + x, 8, dst + x);
+  }
+  for (; x + 4 <= n; x += 4) {
+    std::copy_n(src + x, 4, dst + x);
+  }
+  for (; x < n; ++x) {
+    dst[x] = src[x];
+  }
+}
+
+/// write_bordered with the row width fixed at compile time when W > 0, so
+/// the U-Net's short rows copy without a loop.
+template <std::int64_t W>
+void write_bordered_rows(const float* src, std::int64_t planes,
+                         std::int64_t h, std::int64_t width,
+                         std::int64_t pad, float* dst) {
+  const auto w = W > 0 ? W : width;
   const auto wp = w + 2 * pad;
-  const auto plane = (geom.in_h + 2 * pad) * wp;
-  thread_local std::vector<float> buf;
-  const auto need = static_cast<std::size_t>(planes * plane + kRun);
-  if (buf.size() < need) {
-    buf.resize(need);
-  }
-  float* dst = buf.data();
-  const auto edge = pad * wp + pad;  // Top rows and the first left border.
-  for (std::int64_t p = 0; p < planes; ++p) {
-    zero(dst, edge);
-    dst += edge;
-    for (std::int64_t y = 0; y < geom.in_h; ++y, src += w, dst += wp) {
-      std::int64_t x = 0;
-      for (; x + 8 <= w; x += 8) {
-        std::copy_n(src + x, 8, dst + x);
-      }
-      for (; x + 4 <= w; x += 4) {
-        std::copy_n(src + x, 4, dst + x);
-      }
-      for (; x < w; ++x) {
-        dst[x] = src[x];
-      }
-      zero(dst + w, 2 * pad);  // Right border, then the next row's left one.
+  const auto plane = (h + 2 * pad) * wp;
+  dst += pad * wp + pad;
+  for (std::int64_t p = 0; p < planes; ++p, dst += plane) {
+    for (std::int64_t y = 0; y < h; ++y, src += w) {
+      copy_row(src, w, dst + y * wp);
     }
-    // The last row's border ran into the bottom rows; zero the rest of them.
-    zero(dst, edge - 2 * pad);
-    dst += edge - 2 * pad;
   }
-  return buf.data();
 }
 
 /// Packs the K x 16 panel of one strip from the zero-bordered input: row kk
@@ -412,11 +395,34 @@ void gather_panel(const float* src, const std::int64_t* koff,
 
 }  // namespace
 
+Tensor bordered_input(std::int64_t batch, const Conv2dGeometry& geom) {
+  return Tensor({batch, geom.in_channels, geom.in_h + 2 * geom.padding,
+                 geom.in_w + 2 * geom.padding});
+}
+
+void write_bordered(const float* src, std::int64_t planes,
+                    const Conv2dGeometry& geom, float* dst) {
+  const auto h = geom.in_h;
+  const auto pad = geom.padding;
+  switch (geom.in_w) {
+    case 4:
+      write_bordered_rows<4>(src, planes, h, 4, pad, dst);
+      return;
+    case 8:
+      write_bordered_rows<8>(src, planes, h, 8, pad, dst);
+      return;
+    default:
+      write_bordered_rows<0>(src, planes, h, geom.in_w, pad, dst);
+  }
+}
+
 Tensor conv2d(const Tensor& images, const Tensor& weight, const Tensor& bias,
-              const Conv2dGeometry& geometry) {
+              const Conv2dGeometry& geometry, bool bordered,
+              const ConvEpilogue& epilogue) {
+  const auto border = bordered ? 2 * geometry.padding : 0;
   DP_REQUIRE(images.rank() == 4 && images.dim(1) == geometry.in_channels &&
-                 images.dim(2) == geometry.in_h &&
-                 images.dim(3) == geometry.in_w,
+                 images.dim(2) == geometry.in_h + border &&
+                 images.dim(3) == geometry.in_w + border,
              "conv2d: geometry mismatch with batch " + images.shape_string());
   const auto out_ch = weight.dim(0);
   const auto kdim = geometry.patch_size();
@@ -444,10 +450,31 @@ Tensor conv2d(const Tensor& images, const Tensor& weight, const Tensor& bias,
   const auto sample = geom.in_channels * plane;
   const auto stride = geom.stride;
   const auto& kern = simd::active();
-  const float* src =
-      geom.padding > 0
-          ? zero_bordered(images.data(), batch * geom.in_channels, geom)
-          : images.data();
+  const float* src = images.data();
+  if (geom.padding > 0 && !bordered) {
+    // A plain input is copied into a zero-filled per-thread buffer, which
+    // only grows.
+    thread_local std::vector<float> buf;
+    buf.assign(static_cast<std::size_t>(batch * sample), 0.0F);
+    write_bordered(src, batch * geom.in_channels, geom, buf.data());
+    src = buf.data();
+  }
+  const float* padd = nullptr;
+  if (epilogue.channel_add != nullptr) {
+    const Tensor& t = *epilogue.channel_add;
+    DP_REQUIRE(t.rank() == 2 && t.dim(0) == batch && t.dim(1) == out_ch,
+               "conv2d: channel add must be [N, O]");
+    padd = t.data();
+  }
+  const float* pres = nullptr;
+  if (epilogue.residual != nullptr) {
+    const Tensor& r = *epilogue.residual;
+    DP_REQUIRE(r.rank() == 4 && r.dim(0) == batch && r.dim(1) == out_ch &&
+                   r.dim(2) == geometry.out_h() &&
+                   r.dim(3) == geometry.out_w(),
+               "conv2d: residual must be [N, O, OH, OW]");
+    pres = r.data();
+  }
 
   // Patch row kk = (c, ky, kx) starts koff[kk] past a column's window origin
   // in the bordered input, and at kk * 16 in a packed panel.
@@ -480,7 +507,8 @@ Tensor conv2d(const Tensor& images, const Tensor& weight, const Tensor& bias,
   // One task per strip of 16 output columns (im2col column order: sample,
   // then output row, then output column). Each element is the im2col + GEMM
   // chain: fma over the patch rows k ascending from +0 (zero weights
-  // skipped), then + bias — so the bytes are those of the composition.
+  // skipped), then + bias, then the epilogue adds — so the bytes are those
+  // of the composition.
   parallel_for(
       0, ceil_div(ncols, simd::kTileCols),
       [&](std::int64_t s0, std::int64_t s1) {
@@ -518,7 +546,9 @@ Tensor conv2d(const Tensor& images, const Tensor& weight, const Tensor& bias,
         for (std::int64_t s = s0; s < s1; ++s) {
           const auto p0 = s * simd::kTileCols;
           const auto width = std::min(simd::kTileCols, ncols - p0);
-          // Output offset of the strip's first column, for direct_c.
+          // Sample and output offset of the strip's first column, for
+          // direct_c.
+          const auto n0 = n;
           const auto c0 = (n * out_ch) * n_out + oy * ow + ox;
           const float* b_lo = nullptr;
           const float* b_hi = nullptr;
@@ -556,8 +586,18 @@ Tensor conv2d(const Tensor& images, const Tensor& weight, const Tensor& bias,
                              n_out, out_ch, kdim);
             for (std::int64_t o = 0; o < out_ch; ++o, c += n_out) {
               const float bo = pbias[o];
+              const float to = padd == nullptr ? 0.0F : padd[n0 * out_ch + o];
+              const float* r =
+                  pres == nullptr ? nullptr : pres + c0 + o * n_out;
               for (std::int64_t j = 0; j < simd::kTileCols; ++j) {
-                c[j] += bo;
+                float v = c[j] + bo;
+                if (padd != nullptr) {
+                  v += to;
+                }
+                if (r != nullptr) {
+                  v += r[j];
+                }
+                c[j] = v;
               }
             }
             continue;
@@ -565,15 +605,23 @@ Tensor conv2d(const Tensor& images, const Tensor& weight, const Tensor& bias,
           std::fill_n(acc, out_ch * simd::kTileCols, 0.0F);
           strip_accumulate(kern, pw, kdim, has_zero, b_lo, b_hi, rows, acc,
                            simd::kTileCols, out_ch, kdim);
-          // acc + bias into [N, O, OH, OW], one run per sample.
+          // acc + bias (+ the epilogue) into [N, O, OH, OW], one run per
+          // sample.
           for (std::int64_t j = 0; j < width;) {
             const auto p = p0 + j;
             const auto pn = p / n_out;
             const auto q = p % n_out;
             const auto len = std::min(width - j, n_out - q);
             for (std::int64_t o = 0; o < out_ch; ++o) {
-              kern.shift(po + (pn * out_ch + o) * n_out + q,
-                         acc + o * simd::kTileCols + j, pbias[o], len);
+              const auto at = (pn * out_ch + o) * n_out + q;
+              kern.shift(po + at, acc + o * simd::kTileCols + j, pbias[o],
+                         len);
+              if (padd != nullptr) {
+                kern.shift(po + at, po + at, padd[pn * out_ch + o], len);
+              }
+              if (pres != nullptr) {
+                kern.add(po + at, pres + at, len);
+              }
             }
             j += len;
           }

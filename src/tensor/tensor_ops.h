@@ -76,20 +76,43 @@ Tensor im2col(const Tensor& image, const Conv2dGeometry& geom);
 /// bit-equal to the per-sample path.
 Tensor im2col_batch(const Tensor& images, const Conv2dGeometry& geom);
 
-/// Convolution forward: images [N,C,H,W], weight [O, C*kh*kw] (any shape
-/// with that element count, e.g. [O,C,kh,kw]), bias [O] -> [N,O,OH,OW].
-/// Bitwise the composition im2col_batch + matmul + bias, without the
-/// column buffer. Once per call: the input is copied into a per-thread
-/// buffer with a zero border, a k-offset table is built and each 4-row
-/// weight block is scanned for zeros. Each strip of 16 output columns then
-/// runs the register tiles over every output channel. A stride-1 conv
-/// whose output rows are whole runs of 8 (the U-Net's 8x8 level, and every
-/// 1x1 stride-1 conv, whose planes count as one row) feeds the tiles
-/// straight from the bordered input; other convs gather a K x 16 panel per
-/// strip (in runs of 4 where the rows allow). Strips inside one sample
-/// accumulate into the output in place. Strips are the parallel unit.
+/// Zero-filled [batch, C, H+2p, W+2p] for the conv `geom` (C, H, W and p
+/// from geom): the layout conv2d pads a plain input into. The op before a
+/// padded conv writes its output into one on inference paths (see
+/// write_bordered), and the conv reads it in place.
+Tensor bordered_input(std::int64_t batch, const Conv2dGeometry& geom);
+
+/// Writes `planes` consecutive in_h x in_w planes into the interiors of
+/// consecutive planes of a bordered_input; the border stays zero.
+void write_bordered(const float* src, std::int64_t planes,
+                    const Conv2dGeometry& geom, float* dst);
+
+/// What conv2d adds to each output element after the bias, as
+/// (acc + bias) + e: a per-(sample, channel) row [N, O] (a time
+/// embedding), then a residual [N, O, OH, OW]. The same float ops as a
+/// separate add after the conv.
+struct ConvEpilogue {
+  const Tensor* channel_add = nullptr;
+  const Tensor* residual = nullptr;
+};
+
+/// Convolution forward: images [N,C,H,W] — or a bordered_input when
+/// `bordered` — weight [O, C*kh*kw] (any shape with that element count,
+/// e.g. [O,C,kh,kw]), bias [O] -> [N,O,OH,OW], plus the epilogue. Bitwise
+/// the composition im2col_batch + matmul + bias (+ the epilogue adds),
+/// without the column buffer. Once per call: a plain padded input is
+/// copied into a zero-filled per-thread buffer (write_bordered), a k-offset
+/// table is built and each 4-row weight block is scanned for zeros. Each strip of 16
+/// output columns then runs the register tiles over every output channel.
+/// A stride-1 conv whose output rows are whole runs of 8 (the U-Net's 8x8
+/// level, and every 1x1 stride-1 conv, whose planes count as one row)
+/// feeds the tiles straight from the bordered input; other convs gather a
+/// K x 16 panel per strip (in runs of 4 where the rows allow). Strips inside
+/// one sample accumulate into the output in place. Strips are the parallel
+/// unit.
 Tensor conv2d(const Tensor& images, const Tensor& weight, const Tensor& bias,
-              const Conv2dGeometry& geom);
+              const Conv2dGeometry& geom, bool bordered = false,
+              const ConvEpilogue& epilogue = {});
 
 /// Adjoint of im2col: folds columns [C*kh*kw, OH*OW] back into an image
 /// [C,H,W], accumulating overlapping contributions.

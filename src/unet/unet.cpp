@@ -268,18 +268,18 @@ Tensor UNet::cached_time_embedding(const std::vector<std::int64_t>& k) {
 
 Var UNet::apply_res_block(const ResBlock& block, Var h, const Var& time_emb,
                           bool training, common::Rng& rng) const {
-  Var residual = h;
-  h = block.conv1(nn::silu(block.norm1(h)));
-  // Inject the time embedding as a per-channel bias.
+  // Inject the time embedding as a per-channel bias, added by conv1 after
+  // its own bias; conv2 adds the residual the same way.
   Var t = block.time_proj(nn::silu(time_emb));  // [N, out_ch]
-  h = nn::add_spatial_broadcast(h, t);
-  h = nn::silu(block.norm2(h));
-  h = nn::dropout(h, config_.dropout, training, rng);
-  h = block.conv2(h);
-  if (block.skip.has_value()) {
-    residual = (*block.skip)(residual);
-  }
-  return nn::add(h, residual);
+  const Var residual = block.skip.has_value() ? (*block.skip)(h) : h;
+  h = block.conv1(block.norm1.silu_into(h, block.conv1), {.channel_add = &t});
+  // Dropout draws one mask entry per element of the plain layout, so a
+  // training forward keeps it.
+  const nn::ConvInput in =
+      training ? nn::ConvInput(nn::dropout(nn::silu(block.norm2(h)),
+                                           config_.dropout, training, rng))
+               : block.norm2.silu_into(h, block.conv2);
+  return block.conv2(in, {.residual = &residual});
 }
 
 Var UNet::apply_attention(const AttentionBlock& block, Var h) const {
@@ -299,8 +299,8 @@ Var UNet::apply_attention(const AttentionBlock& block, Var h) const {
   Var attn = nn::softmax_last(scores);  // [N, T, T], rows sum to 1.
   // out[:, i] = sum_j attn[i, j] * v[:, j]  ->  [N, C, T]
   Var mixed = nn::bmm(v, nn::permute(attn, {0, 2, 1}));
-  Var out = block.proj(nn::reshape(mixed, {n, c, height, width}));
-  return nn::add(out, h);
+  return block.proj(nn::reshape(mixed, {n, c, height, width}),
+                    {.residual = &h});
 }
 
 Var UNet::forward(const Tensor& x, const std::vector<std::int64_t>& k,
@@ -310,9 +310,15 @@ Var UNet::forward(const Tensor& x, const std::vector<std::int64_t>& k,
              "UNet::forward: channel count mismatch");
   DP_REQUIRE(static_cast<std::int64_t>(k.size()) == x.dim(0),
              "UNet::forward: need one diffusion step per sample");
-  const auto min_side = x.dim(2) >> (config_.levels() - 1);
-  DP_REQUIRE(min_side >= 1 && (x.dim(2) % (std::int64_t{1} << (config_.levels() - 1))) == 0,
-             "UNet::forward: spatial size incompatible with level count");
+  const auto unit = std::int64_t{1} << (config_.levels() - 1);
+  DP_REQUIRE(x.dim(2) >= unit && x.dim(2) % unit == 0,
+             "UNet::forward: height " + std::to_string(x.dim(2)) +
+                 " is not a positive multiple of 2^(levels-1) = " +
+                 std::to_string(unit));
+  DP_REQUIRE(x.dim(3) >= unit && x.dim(3) % unit == 0,
+             "UNet::forward: width " + std::to_string(x.dim(3)) +
+                 " is not a positive multiple of 2^(levels-1) = " +
+                 std::to_string(unit));
 
   Var time_emb;
   if (!training && nn::NoGradGuard::active() &&
@@ -356,12 +362,13 @@ Var UNet::forward(const Tensor& x, const std::vector<std::int64_t>& k,
       }
     }
     if (blocks.resample.has_value()) {
-      h = (*blocks.resample)(nn::upsample_nearest2(h));
+      h = (*blocks.resample)(
+          nn::upsample_nearest2(h, blocks.resample->padding), {});
     }
   }
   DP_CHECK(skips.empty(), "UNet::forward: unconsumed skips");
 
-  return (*head_conv_)(nn::silu((*head_norm_)(h)));
+  return (*head_conv_)(head_norm_->silu_into(h, *head_conv_), {});
 }
 
 Var logit_difference(const Var& logits, std::int64_t in_channels) {

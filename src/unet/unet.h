@@ -58,7 +58,8 @@ class UNet {
   UNet(UNet&&) noexcept;
   UNet& operator=(UNet&&) noexcept;
 
-  /// x: [N, in_channels, H, W] with H == W divisible by 2^(levels-1).
+  /// x: [N, in_channels, H, W] with H and W each a positive multiple of
+  /// 2^(levels-1) (invalid_argument otherwise).
   /// k: per-sample diffusion step (size N). Returns [N, out_channels, H, W].
   nn::Var forward(const tensor::Tensor& x, const std::vector<std::int64_t>& k,
                   bool training, common::Rng& rng);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <vector>
 
@@ -103,6 +104,93 @@ TEST(Ops, UpsampleValues) {
   EXPECT_FLOAT_EQ(y.value().at({0, 0, 0, 0}), 1.0F);
   EXPECT_FLOAT_EQ(y.value().at({0, 0, 0, 1}), 1.0F);
   EXPECT_FLOAT_EQ(y.value().at({0, 0, 3, 3}), 4.0F);
+}
+
+namespace {
+
+/// The interior of each plane of a bordered [N, C, H+2p, W+2p] tensor is
+/// `plain` bit for bit, and every border entry is +0.
+::testing::AssertionResult bordered_holds(const Tensor& bordered,
+                                          const Tensor& plain,
+                                          std::int64_t pad) {
+  const auto planes = plain.dim(0) * plain.dim(1);
+  const auto h = plain.dim(2);
+  const auto w = plain.dim(3);
+  const auto wp = w + 2 * pad;
+  if (bordered.numel() != planes * (h + 2 * pad) * wp) {
+    return ::testing::AssertionFailure() << "shape " << bordered.shape_string();
+  }
+  for (std::int64_t p = 0; p < planes; ++p) {
+    for (std::int64_t y = 0; y < h + 2 * pad; ++y) {
+      for (std::int64_t x = 0; x < wp; ++x) {
+        const bool inside = y >= pad && y < h + pad && x >= pad && x < w + pad;
+        const float got = bordered[(p * (h + 2 * pad) + y) * wp + x];
+        const float want =
+            inside ? plain[(p * h + y - pad) * w + x - pad] : 0.0F;
+        if (std::memcmp(&got, &want, sizeof(float)) != 0) {
+          return ::testing::AssertionFailure()
+                 << "plane " << p << " (" << y << ", " << x << "): " << got
+                 << " vs " << want;
+        }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+}  // namespace
+
+// group_norm_silu and upsample_nearest2 into a conv's input: with a graph
+// they are the composed ops; without one the bytes are the same, written
+// with the zero border in place inside a NoGradGuard when the conv pads
+// and plain otherwise. 3 samples x 3 groups = 9 groups run as one block of
+// eight moment rows and one of one.
+TEST(Ops, GroupNormSiluAndUpsampleWriteTheConvInput) {
+  dc::Rng rng(71);
+  Tensor xt({3, 6, 5, 7});
+  for (std::int64_t i = 0; i < xt.numel(); ++i) {
+    xt[i] = static_cast<float>(rng.normal());
+  }
+  Tensor gt({6});
+  Tensor bt({6});
+  for (std::int64_t i = 0; i < 6; ++i) {
+    gt[i] = static_cast<float>(rng.normal());
+    bt[i] = static_cast<float>(rng.normal());
+  }
+  const Var x(xt, true);
+  const Var gamma(gt, true);
+  const Var beta(bt, true);
+  const Tensor want =
+      nn::silu(nn::group_norm(x, gamma, beta, 3)).value();
+  const Tensor up_want = nn::upsample_nearest2(x).value();
+  constexpr std::int64_t pad1 = 1;
+  constexpr std::int64_t pad0 = 0;
+
+  // A graph: the composed ops, plain.
+  const auto graph = nn::group_norm_silu(x, gamma, beta, 3, pad1);
+  EXPECT_FALSE(graph.bordered);
+  EXPECT_TRUE(graph.x.requires_grad());
+  EXPECT_TRUE(bordered_holds(graph.x.value(), want, 0));
+  // No graph outside a NoGradGuard (constant operands): fused, plain.
+  const Var xc(xt);
+  const Var gc(gt);
+  const Var bc(bt);
+  const auto fused_plain = nn::group_norm_silu(xc, gc, bc, 3, pad1);
+  EXPECT_FALSE(fused_plain.bordered);
+  EXPECT_TRUE(bordered_holds(fused_plain.x.value(), want, 0));
+  EXPECT_FALSE(nn::upsample_nearest2(xc, pad1).bordered);
+
+  const nn::NoGradGuard no_grad;
+  const auto fused = nn::group_norm_silu(x, gamma, beta, 3, pad1);
+  EXPECT_TRUE(fused.bordered);
+  EXPECT_TRUE(bordered_holds(fused.x.value(), want, 1));
+  const auto unpadded = nn::group_norm_silu(x, gamma, beta, 3, pad0);
+  EXPECT_FALSE(unpadded.bordered);
+  EXPECT_TRUE(bordered_holds(unpadded.x.value(), want, 0));
+  const auto up = nn::upsample_nearest2(x, pad1);
+  EXPECT_TRUE(up.bordered);
+  EXPECT_TRUE(bordered_holds(up.x.value(), up_want, 1));
+  EXPECT_FALSE(nn::upsample_nearest2(x, pad0).bordered);
 }
 
 TEST(Ops, ConcatSliceRoundTrip) {

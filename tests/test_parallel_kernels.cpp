@@ -375,7 +375,8 @@ Tensor conv2d_oracle(const Tensor& x, const Tensor& w, const Tensor& b,
 // runs), or ±0 only in the last full 4-row block (each block's own zero
 // flag). Inputs: normal, or with -0, ±inf and NaN mixed in, so a zero
 // weight that is not skipped turns an infinity into NaN. At 1/2/4 threads
-// and in both autograd modes.
+// and in both autograd modes, and from a bordered input (padded convs)
+// with a time-embedding row and a residual added in the epilogue.
 TEST(ParallelKernels, Conv2dDirectForwardMatchesIm2colComposition) {
   ThreadsGuard guard;
   struct Case {
@@ -440,6 +441,8 @@ TEST(ParallelKernels, Conv2dDirectForwardMatchesIm2colComposition) {
           }
         }
         const Tensor want = conv2d_oracle(x, w, b, geom);
+        const Tensor t = random_tensor({c.batch, c.out_ch}, rng);
+        const Tensor r = random_tensor(want.shape(), rng);
         for (const std::int64_t threads : {1, 2, 4}) {
           ASSERT_TRUE(dc::set_global_compute_threads(threads).ok());
           const Tensor train_out =
@@ -458,6 +461,23 @@ TEST(ParallelKernels, Conv2dDirectForwardMatchesIm2colComposition) {
                   .value(),
               want))
               << "inference, threads " << threads;
+          // The input written with its zero border in place, and the
+          // epilogue adds, against the oracle then the two adds.
+          const bool bordered = c.pad > 0;
+          Tensor in = x;
+          if (bordered) {
+            in = dt::bordered_input(c.batch, geom);
+            dt::write_bordered(x.data(), c.batch * c.in_ch, geom, in.data());
+          }
+          const auto n_out = want.numel() / (c.batch * c.out_ch);
+          Tensor added = want;
+          for (std::int64_t i = 0; i < added.numel(); ++i) {
+            added[i] = (added[i] + t[i / n_out]) + r[i];
+          }
+          EXPECT_TRUE(same_bits_or_nan(
+              dt::conv2d(in, w, b, geom, bordered, {&t, &r}), added))
+              << "bordered " << bordered << " with epilogue, threads "
+              << threads;
         }
       }
     }

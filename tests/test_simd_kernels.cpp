@@ -369,22 +369,48 @@ TEST(SimdKernels, MomentKernelsBackendParityAndDoubleReference) {
   dc::Rng rng(113);
   const auto* scalar = dt::simd::table_for(KernelBackend::kScalar);
   for (const auto n : kTailSizes) {
-    const Tensor x = random_tensor({n}, rng);
-    const double sum_want = scalar->sum(x.data(), n);
-    double exact = 0.0;
-    for (std::int64_t i = 0; i < n; ++i) {
-      exact += static_cast<double>(x[i]);
-    }
-    EXPECT_NEAR(sum_want, exact, 1e-9 * std::max(1.0, std::abs(exact)));
-    const double mean = sum_want / static_cast<double>(n);
-    const double sq_want = scalar->sumsq_centered(x.data(), mean, n);
-    for (const auto backend : supported_backends()) {
-      const auto* table = dt::simd::table_for(backend);
-      // Double lanes reduce in a fixed tree: bitwise across backends.
-      EXPECT_EQ(table->sum(x.data(), n), sum_want)
-          << dt::kernel_backend_label(backend) << " n=" << n;
-      EXPECT_EQ(table->sumsq_centered(x.data(), mean, n), sq_want)
-          << dt::kernel_backend_label(backend) << " n=" << n;
+    // 1..9 consecutive rows: whole blocks of four interleaved rows, the
+    // rows after them, and both together.
+    for (std::int64_t rows = 1; rows <= 9; ++rows) {
+      const Tensor x = random_tensor({rows, n}, rng);
+      std::vector<double> sum_want(static_cast<std::size_t>(rows));
+      scalar->sum(x.data(), n, rows, sum_want.data());
+      std::vector<double> mean(static_cast<std::size_t>(rows));
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const auto ri = static_cast<std::size_t>(r);
+        double exact = 0.0;
+        double alone = 0.0;
+        for (std::int64_t i = 0; i < n; ++i) {
+          exact += static_cast<double>(x[r * n + i]);
+        }
+        EXPECT_NEAR(sum_want[ri], exact,
+                    1e-9 * std::max(1.0, std::abs(exact)));
+        // A row's sum does not depend on the rows around it.
+        scalar->sum(x.data() + r * n, n, 1, &alone);
+        EXPECT_EQ(alone, sum_want[ri]) << "n=" << n << " row " << r;
+        mean[ri] = sum_want[ri] / static_cast<double>(n);
+      }
+      std::vector<double> sq_want(static_cast<std::size_t>(rows));
+      scalar->sumsq_centered(x.data(), mean.data(), n, rows, sq_want.data());
+      for (const auto backend : supported_backends()) {
+        const auto* table = dt::simd::table_for(backend);
+        // Double lanes reduce in a fixed tree: bitwise across backends.
+        std::vector<double> got(static_cast<std::size_t>(rows));
+        table->sum(x.data(), n, rows, got.data());
+        EXPECT_EQ(got, sum_want) << dt::kernel_backend_label(backend)
+                                 << " n=" << n << " rows=" << rows;
+        table->sumsq_centered(x.data(), mean.data(), n, rows, got.data());
+        EXPECT_EQ(got, sq_want) << dt::kernel_backend_label(backend)
+                                << " n=" << n << " rows=" << rows;
+        for (std::int64_t r = 0; r < rows; ++r) {
+          double alone = 0.0;
+          table->sumsq_centered(x.data() + r * n, mean.data() + r, n, 1,
+                                &alone);
+          EXPECT_EQ(alone, sq_want[static_cast<std::size_t>(r)])
+              << dt::kernel_backend_label(backend) << " n=" << n << " row "
+              << r;
+        }
+      }
     }
   }
 }

@@ -1,15 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
+#include "common/compute_pool.h"
 #include "common/rng.h"
 #include "nn/checkpoint.h"
 #include "nn/optim.h"
+#include "tensor/arena.h"
+#include "ulp_test_util.h"
 #include "unet/unet.h"
 
 namespace du = diffpattern::unet;
 namespace nn = diffpattern::nn;
 namespace dc = diffpattern::common;
+namespace dt = diffpattern::tensor;
 using diffpattern::tensor::Tensor;
 
 namespace {
@@ -77,6 +84,79 @@ TEST(UNet, RejectsBadInputs) {
   Tensor bad_size = random_binary(rng, {1, 4, 5, 5});
   EXPECT_THROW(model.forward(bad_size, {3}, false, rng),
                std::invalid_argument);
+  // The width is checked by the same rule, before the encoder runs (not
+  // by a channel concat deep in the decoder).
+  Tensor bad_width = random_binary(rng, {1, 4, 8, 5});
+  try {
+    model.forward(bad_width, {3}, false, rng);
+    ADD_FAILURE() << "width 5 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("width 5"), std::string::npos)
+        << e.what();
+  }
+  // A non-square input whose width is divisible still runs.
+  Tensor wide = random_binary(rng, {1, 4, 8, 6});
+  EXPECT_EQ(model.forward(wide, {3}, false, rng).shape(),
+            (diffpattern::tensor::Shape{1, 8, 8, 6}));
+}
+
+// The no-grad forward writes each padded conv's input with its zero border
+// in place and adds the time embedding and residuals in the conv
+// epilogues; a forward with grad enabled (training = false) runs the
+// composed ops. Their logits must be the same bytes at every batch shape,
+// backend, thread count and arena setting. The 8x8 input reads the
+// bordered input in place at 8x8 and gathers panels at 4x4; the 8x6 input
+// gathers at both levels and, at 4x3, accumulates strips that span
+// samples in the accumulator block.
+TEST(UNet, InferenceForwardMatchesGraphForward) {
+  diffpattern::testutil::BackendGuard backend_guard;
+  const bool arena_before = dt::activation_arena_enabled();
+  du::UNet model(tiny_config(), /*seed=*/11);
+  dc::Rng rng(12);
+  // Biases start at 0 and GroupNorm at gamma 1, beta 0, which would hide a
+  // bias added after the epilogue term: move every parameter off its init.
+  for (nn::Var param : model.registry().params()) {  // Shares the node.
+    Tensor& value = param.mutable_value();
+    for (std::int64_t i = 0; i < value.numel(); ++i) {
+      value[i] += 0.1F * static_cast<float>(rng.normal());
+    }
+  }
+  for (const auto backend : diffpattern::testutil::supported_backends()) {
+    ASSERT_TRUE(dt::set_kernel_backend(backend).ok());
+    for (const std::int64_t threads : {1, 2, 4}) {
+      ASSERT_TRUE(dc::set_global_compute_threads(threads).ok());
+      for (const bool arena : {true, false}) {
+        dt::set_activation_arena_enabled(arena);
+        for (const std::int64_t batch : {1, 3, 8}) {
+          for (const std::int64_t width : {8, 6}) {
+            const Tensor x = random_binary(rng, {batch, 4, 8, width});
+            std::vector<std::int64_t> ks;
+            for (std::int64_t i = 0; i < batch; ++i) {
+              ks.push_back(1 + 7 * i);
+            }
+            const Tensor want = model.forward(x, ks, false, rng).value();
+            const nn::NoGradGuard no_grad;
+            // Twice: the first forward records the arena plan, the second
+            // runs on recycled storage.
+            for (int rep = 0; rep < 2; ++rep) {
+              const dt::ArenaScope scope(model.plan_cache(), x.shape());
+              const Tensor got = model.forward(x, ks, false, rng).value();
+              ASSERT_TRUE(got.same_shape(want));
+              EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                    static_cast<std::size_t>(want.numel()) *
+                                        sizeof(float)),
+                        0)
+                  << dt::kernel_backend_label(backend) << " threads "
+                  << threads << " arena " << arena << " batch " << batch
+                  << " width " << width << " rep " << rep;
+            }
+          }
+        }
+      }
+    }
+  }
+  dt::set_activation_arena_enabled(arena_before);
+  EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
 }
 
 TEST(UNet, TimeStepChangesOutput) {
