@@ -16,15 +16,8 @@
 // name and races a heavy multi-round request against light requests on the
 // other model: with one batcher shard per model, the light model's wall
 // time must not degrade to the heavy model's (no head-of-line blocking),
-// with byte-identical outputs.
-//
-// A third phase measures the inference memory plan: the same steady-state
-// request stream with the activation arena + time-embedding cache ON vs
-// OFF, reporting wall time, samples/sec, and tensor heap allocations per
-// request (tensor_alloc_stats deltas) for both sides of the kill switch —
-// with byte-identical outputs, since the plan only moves storage, never
-// math. Emits BENCH_service_throughput.json, BENCH_service_sharded.json,
-// and BENCH_service_arena.json.
+// with byte-identical outputs. Emits BENCH_service_throughput.json and
+// BENCH_service_sharded.json.
 #include <condition_variable>
 #include <iostream>
 #include <mutex>
@@ -35,8 +28,6 @@
 #include "common/compute_pool.h"
 #include "common/timer.h"
 #include "io/io.h"
-#include "tensor/arena.h"
-#include "tensor/tensor.h"
 
 namespace dp = diffpattern;
 
@@ -185,39 +176,6 @@ MixedResult run_mixed(dp::service::PatternService& service,
     heavy_thread.join();
     run.heavy_wall_seconds = timer.seconds();
   }
-  return run;
-}
-
-/// One steady-state pass for the arena phase: `clients` sequential
-/// single-topology requests (stable batch shape round over round), plus the
-/// process-wide tensor heap-allocation delta across the pass.
-struct ArenaRun {
-  std::vector<dp::service::SampleTopologiesResult> responses;
-  double wall_seconds = 0.0;
-  std::int64_t heap_allocations = 0;
-};
-
-ArenaRun run_arena_pass(dp::service::PatternService& service, int clients) {
-  ArenaRun run;
-  run.responses.resize(static_cast<std::size_t>(clients));
-  const auto before = dp::tensor::tensor_alloc_stats();
-  dp::common::Timer timer;
-  for (int c = 0; c < clients; ++c) {
-    dp::service::SampleTopologiesRequest request;
-    request.model = dp::core::Pipeline::kServiceModel;
-    request.count = 1;
-    request.seed = 3000 + static_cast<std::uint64_t>(c);
-    auto result = service.sample_topologies(request);
-    if (!result.ok()) {
-      std::cerr << "[bench] arena-phase request failed: "
-                << result.status().to_string() << "\n";
-      std::abort();
-    }
-    run.responses[static_cast<std::size_t>(c)] = std::move(result).value();
-  }
-  run.wall_seconds = timer.seconds();
-  run.heap_allocations = dp::tensor::tensor_alloc_stats().heap_allocations -
-                         before.heap_allocations;
   return run;
 }
 
@@ -446,103 +404,5 @@ int main() {
        {"shards_active", static_cast<double>(counters.shards_active)},
        {"bit_identical", sharded_identical ? 1.0 : 0.0}});
 
-  // --------------------------------------------- inference memory plan A/B
-  // Steady-state request stream with the activation arena + time-embedding
-  // cache ON vs OFF. Interleaved min-of-reps like phase one; the alloc
-  // count is taken from the best-wall rep of each side. The ON side runs a
-  // discarded warmup pass first so the measured reps are all steady state
-  // (plans recorded, embedding rows cached).
-  dp::bench::print_header(
-      "Inference memory plan: arena + embedding cache on vs off");
-  constexpr int kArenaClients = 8;
-  const bool ambient_arena = dp::tensor::activation_arena_enabled();
-  // Pinned to one compute thread: that is the configuration where the
-  // thread-local arena sees every allocation (pool workers bypass it), so
-  // the A/B isolates the memory plan instead of mixing it with the pool's
-  // own scheduling noise.
-  if (!dp::common::set_global_compute_threads(1).ok()) {
-    std::abort();
-  }
-  dp::tensor::set_activation_arena_enabled(true);
-  run_arena_pass(service, kArenaClients);  // Warmup: record the plan.
-  ArenaRun arena_on;
-  ArenaRun arena_off;
-  for (int rep = 0; rep < kReps; ++rep) {
-    std::cout << "[bench] rep " << (rep + 1) << "/" << kReps << ": "
-              << kArenaClients
-              << " steady-state requests, arena off then on...\n";
-    dp::tensor::set_activation_arena_enabled(false);
-    auto off = run_arena_pass(service, kArenaClients);
-    if (rep == 0 || off.wall_seconds < arena_off.wall_seconds) {
-      arena_off = std::move(off);
-    }
-    dp::tensor::set_activation_arena_enabled(true);
-    auto on = run_arena_pass(service, kArenaClients);
-    if (rep == 0 || on.wall_seconds < arena_on.wall_seconds) {
-      arena_on = std::move(on);
-    }
-  }
-  dp::tensor::set_activation_arena_enabled(ambient_arena);
-  if (!dp::common::set_global_compute_threads(ambient_threads).ok()) {
-    std::abort();
-  }
-
-  bool arena_identical = true;
-  for (int c = 0; c < kArenaClients; ++c) {
-    arena_identical =
-        arena_identical &&
-        same_topologies(arena_off.responses[static_cast<std::size_t>(c)],
-                        arena_on.responses[static_cast<std::size_t>(c)]);
-  }
-  const double arena_speedup = arena_on.wall_seconds > 0.0
-                                   ? arena_off.wall_seconds /
-                                         arena_on.wall_seconds
-                                   : 0.0;
-  const double off_rate = arena_off.wall_seconds > 0.0
-                              ? kArenaClients / arena_off.wall_seconds
-                              : 0.0;
-  const double on_rate = arena_on.wall_seconds > 0.0
-                             ? kArenaClients / arena_on.wall_seconds
-                             : 0.0;
-  const auto arena_counters = service.counters();
-  std::cout << "\narena off:             " << arena_off.wall_seconds << " s ("
-            << off_rate << " samples/s, "
-            << arena_off.heap_allocations / kArenaClients
-            << " tensor heap allocs/request)\n"
-            << "arena on:              " << arena_on.wall_seconds << " s ("
-            << on_rate << " samples/s, "
-            << arena_on.heap_allocations / kArenaClients
-            << " tensor heap allocs/request)\n"
-            << "speedup:               " << arena_speedup << "x\n"
-            << "plan cache:            " << arena_counters.plan_cache_hits
-            << " hits / " << arena_counters.plan_cache_misses << " misses ("
-            << arena_counters.arena_bytes_reserved << " bytes reserved)\n"
-            << "embedding cache hits:  "
-            << arena_counters.embedding_cache_hits << "\n"
-            << "bit-identical output:  " << (arena_identical ? "yes" : "NO")
-            << "\n";
-  dp::bench::write_bench_json(
-      "service_arena",
-      {{"clients", static_cast<double>(kArenaClients)},
-       {"arena_off_wall_seconds", arena_off.wall_seconds},
-       {"arena_on_wall_seconds", arena_on.wall_seconds},
-       {"arena_off_samples_per_sec", off_rate},
-       {"arena_on_samples_per_sec", on_rate},
-       {"arena_off_heap_allocs_per_request",
-        static_cast<double>(arena_off.heap_allocations) / kArenaClients},
-       {"arena_on_heap_allocs_per_request",
-        static_cast<double>(arena_on.heap_allocations) / kArenaClients},
-       {"speedup_vs_arena_off", arena_speedup},
-       {"plan_cache_hits",
-        static_cast<double>(arena_counters.plan_cache_hits)},
-       {"plan_cache_misses",
-        static_cast<double>(arena_counters.plan_cache_misses)},
-       {"arena_bytes_reserved",
-        static_cast<double>(arena_counters.arena_bytes_reserved)},
-       {"embedding_cache_hits",
-        static_cast<double>(arena_counters.embedding_cache_hits)},
-       {"bit_identical", arena_identical ? 1.0 : 0.0}});
-  return identical && sharded_identical && arena_identical && speedup > 1.0
-             ? 0
-             : 1;
+  return identical && sharded_identical && speedup > 1.0 ? 0 : 1;
 }

@@ -185,8 +185,6 @@ struct ServiceCountersT {
   /// Rounds that recorded a fresh plan (new batch shape, re-record after
   /// eviction, or a lease conflict).
   Snapshot<std::int64_t> plan_cache_misses{};
-  /// Time-embedding rows served from the per-model post-MLP cache.
-  Snapshot<std::int64_t> embedding_cache_hits{};
 
   /// Requests answered with a non-OK status.
   CodeCounts<Counter> rejects_by_code{};
@@ -219,7 +217,6 @@ struct ServiceCountersT {
     f("arena_bytes_reserved", s.arena_bytes_reserved...);
     f("plan_cache_hits", s.plan_cache_hits...);
     f("plan_cache_misses", s.plan_cache_misses...);
-    f("embedding_cache_hits", s.embedding_cache_hits...);
     f("rejects_by_code", s.rejects_by_code...);
   }
 

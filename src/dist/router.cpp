@@ -15,6 +15,10 @@ using common::steady_now_ms;
 
 namespace {
 
+/// Cooldown applied to a shedding replica when its status carries no
+/// retry_after hint.
+constexpr std::int64_t kBaseBackoffMs = 5;
+
 bool is_shed(const Status& status) {
   return status.code() == common::StatusCode::kUnavailable ||
          status.code() == common::StatusCode::kResourceExhausted;
@@ -57,11 +61,7 @@ struct ReplicaRouter::ModelTable {
 ReplicaRouter::~ReplicaRouter() = default;
 
 ReplicaRouter::ReplicaRouter(RouterConfig config)
-    : config_(config), rng_state_(config.seed ^ 0xD1B54A32D192ED03ULL) {
-  config_.base_backoff_ms = std::max<std::int64_t>(1, config_.base_backoff_ms);
-  config_.max_backoff_ms =
-      std::max(config_.base_backoff_ms, config_.max_backoff_ms);
-}
+    : config_(config), rng_state_(config.seed ^ 0xD1B54A32D192ED03ULL) {}
 
 std::uint64_t ReplicaRouter::next_random() {
   return common::splitmix64_next(rng_state_);
@@ -284,7 +284,7 @@ common::Result<Bytes> ReplicaRouter::route(const std::string& model,
     // Shed: honor the worker's retry hint as this replica's cooldown,
     // escalating on consecutive sheds, capped at max_backoff_ms.
     std::int64_t backoff =
-        shed.has_retry_after() ? shed.retry_after_ms() : config_.base_backoff_ms;
+        shed.has_retry_after() ? shed.retry_after_ms() : kBaseBackoffMs;
     const std::int64_t shift =
         std::min<std::int64_t>(replica->consecutive_sheds, 6);
     backoff = std::min(config_.max_backoff_ms, backoff << shift);

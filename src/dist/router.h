@@ -55,9 +55,6 @@ struct RouterConfig {
   /// (also the revival path for down replicas). <= 0 disables periodic
   /// probing; refresh_health() probes on demand.
   std::int64_t health_refresh_every = 16;
-  /// Cooldown applied to a shedding replica when its status carries no
-  /// retry_after hint.
-  std::int64_t base_backoff_ms = 5;
   /// Hard cap on any single cooldown, hinted or escalated.
   std::int64_t max_backoff_ms = 250;
 };

@@ -18,7 +18,6 @@
 #include "service/worker_pool.h"
 #include "tensor/arena.h"
 #include "tensor/simd.h"
-#include "unet/unet.h"
 
 namespace diffpattern::service {
 
@@ -688,13 +687,11 @@ common::ServiceCounters PatternService::counters() const {
   snap.kernel_backend = tensor::kernel_backend_name();
   snap.compute_pool = common::compute_pool_summary();
   // Inference memory-plan counters are process-wide (the arena lives in
-  // the tensor layer, the embedding cache in each model), same as the
-  // backend identity above.
+  // the tensor layer), same as the backend identity above.
   const auto arena = tensor::arena_stats();
   snap.arena_bytes_reserved = arena.bytes_reserved;
   snap.plan_cache_hits = arena.plan_cache_hits;
   snap.plan_cache_misses = arena.plan_cache_misses;
-  snap.embedding_cache_hits = unet::time_embedding_cache_hits();
   return snap;
 }
 

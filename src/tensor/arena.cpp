@@ -1,38 +1,16 @@
 #include "tensor/arena.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 #include "common/contracts.h"
 
 namespace diffpattern::tensor {
 
 namespace {
 
-std::atomic<bool> g_arena_enabled{[] {
-  const char* env = std::getenv("DIFFPATTERN_ARENA");
-  if (env != nullptr &&
-      (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
-       std::strcmp(env, "false") == 0)) {
-    return false;
-  }
-  return true;
-}()};
-
 constinit ArenaStatsT<common::LiveCells> g_stats;
 
 thread_local ActivationArena* t_current_arena = nullptr;
 
 }  // namespace
-
-bool activation_arena_enabled() {
-  return g_arena_enabled.load(std::memory_order_relaxed);
-}
-
-void set_activation_arena_enabled(bool enabled) {
-  g_arena_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 ArenaStats arena_stats() { return common::snapshot(g_stats); }
 
@@ -55,14 +33,12 @@ bool ActivationArena::acquire(std::vector<float>& out, std::size_t n) {
     it->second.pop_back();
     out.clear();
     note_pooled(-static_cast<std::int64_t>(out.capacity() * sizeof(float)));
-    g_stats.pool_hits.add();
     return true;
   }
   // Recording pass (or a size the plan has not seen): take heap storage.
   // The buffer joins the pool when its tensor dies, so the next round hits.
   out.clear();
   out.reserve(n);
-  g_stats.pool_misses.add();
   return false;
 }
 
@@ -83,9 +59,6 @@ InferencePlanCache::InferencePlanCache(std::size_t capacity)
 }
 
 ActivationArena* InferencePlanCache::lease(const Shape& key) {
-  if (!activation_arena_enabled()) {
-    return nullptr;
-  }
   std::lock_guard<std::mutex> lock(mutex_);
   ++tick_;
   for (auto& entry : entries_) {
@@ -157,20 +130,14 @@ std::int64_t InferencePlanCache::evictions() const {
 
 // ---- ArenaScope ------------------------------------------------------------
 
-ArenaScope::ArenaScope(ActivationArena* arena) : previous_(t_current_arena) {
-  t_current_arena = arena;
-}
-
 ArenaScope::ArenaScope(InferencePlanCache& cache, const Shape& key)
-    : previous_(t_current_arena), leased_(cache.lease(key)), cache_(&cache) {
+    : previous_(t_current_arena), leased_(cache.lease(key)), cache_(cache) {
   t_current_arena = leased_;
 }
 
 ArenaScope::~ArenaScope() {
   t_current_arena = previous_;
-  if (cache_ != nullptr) {
-    cache_->unlease(leased_);
-  }
+  cache_.unlease(leased_);
 }
 
 ActivationArena* ArenaScope::current() { return t_current_arena; }

@@ -11,13 +11,19 @@
 // from the pool — zero tensor-storage heap allocations in steady state
 // (asserted by tests/test_inference_arena.cpp via tensor_alloc_stats()).
 //
+// Pooling happens exactly where an ArenaScope is open (each sampler round,
+// the benchmark's traced forward, tests); everywhere else storage comes
+// from the plain heap. Either way the bytes are identical: the arena only
+// changes where storage lives, never the math (pinned golden digests in
+// test_sampling_determinism.cpp).
+//
 // The pool recycles whole std::vector<float> storages rather than carving
 // offsets out of one slab. That keeps every buffer an independent heap
 // object with its own ASan redzones — slab reuse is exactly where lifetime
-// bugs hide, and CI runs these suites under ASan with the arena forced on —
-// and it makes ownership trivially safe: a tensor that outlives its scope
-// simply keeps (and eventually frees) its vector; nothing ever points into
-// arena-owned memory.
+// bugs hide, and CI runs these suites under ASan — and it makes ownership
+// trivially safe: a tensor that outlives its scope simply keeps (and
+// eventually frees) its vector; nothing ever points into arena-owned
+// memory.
 //
 // Wiring:
 //   - Tensor's storage hooks (tensor.cpp) consult the thread-local scope on
@@ -32,14 +38,6 @@
 //     heap (no inference kernel allocates a tensor there today). With a
 //     1-thread pool the caller runs every chunk inline and the arena sees
 //     every allocation.
-//
-// Kill switch: DIFFPATTERN_ARENA=off|0|false disables the feature
-// process-wide (the CLI --arena flag lands on set_activation_arena_enabled;
-// last explicit choice wins, like the kernel-backend override). Disabled
-// means ArenaScope installs nothing and every path behaves exactly as
-// before this layer existed. On or off, the bytes are identical: the arena
-// only changes where storage lives, never the math (pinned golden digests
-// in test_sampling_determinism.cpp).
 #pragma once
 
 #include <cstdint>
@@ -53,12 +51,6 @@
 
 namespace diffpattern::tensor {
 
-/// Process-wide arena kill switch. Defaults from DIFFPATTERN_ARENA at first
-/// use ("off"/"0"/"false" disables; anything else, or unset, enables).
-bool activation_arena_enabled();
-/// Explicit override (ServiceConfig / CLI / tests); last call wins.
-void set_activation_arena_enabled(bool enabled);
-
 /// Process-wide arena telemetry (a common/counters.h set; totals are
 /// monotone, bytes_reserved is a gauge).
 template <class Cells = common::PlainCells>
@@ -69,11 +61,6 @@ struct ArenaStatsT {
   /// Leases that created a new plan (first round at a batch shape) or found
   /// the plan busy on another thread (no reuse happened either way).
   Counter plan_cache_misses{};
-  /// Storage acquisitions served from an arena pool (recycled buffer).
-  Counter pool_hits{};
-  /// Storage acquisitions inside an active scope that had to grow the pool
-  /// from the heap (plan recording, or a shape the plan has not seen).
-  Counter pool_misses{};
   /// Bytes currently pooled across live arenas. Sampled between rounds this
   /// is the planned working set; mid-round it dips while buffers are out.
   Counter bytes_reserved{};
@@ -82,8 +69,6 @@ struct ArenaStatsT {
   static void fields(F&& f, S&... s) {
     f("plan_cache_hits", s.plan_cache_hits...);
     f("plan_cache_misses", s.plan_cache_misses...);
-    f("pool_hits", s.pool_hits...);
-    f("pool_misses", s.pool_misses...);
     f("bytes_reserved", s.bytes_reserved...);
   }
 };
@@ -134,8 +119,8 @@ class InferencePlanCache {
   InferencePlanCache& operator=(const InferencePlanCache&) = delete;
 
   /// Leases the plan for `key`, creating (and LRU-evicting past capacity)
-  /// as needed. Returns nullptr when the feature is disabled or the plan
-  /// is currently leased by another thread. Pair with unlease().
+  /// as needed. Returns nullptr when the plan is currently leased by
+  /// another thread. Pair with unlease().
   ActivationArena* lease(const Shape& key);
   void unlease(ActivationArena* arena);
 
@@ -162,10 +147,8 @@ class InferencePlanCache {
 /// Scopes nest (the previous arena is restored on destruction).
 class ArenaScope {
  public:
-  /// Activates `arena` (nullptr = inactive scope, all paths unchanged).
-  explicit ArenaScope(ActivationArena* arena);
-  /// Convenience for the sampling loops: leases `key` from `cache` when
-  /// the feature is enabled, activates the lease, and unleases on exit.
+  /// Leases `key` from `cache`, activates the lease, and unleases on exit.
+  /// A busy plan leaves the scope inactive: that round runs unpooled.
   ArenaScope(InferencePlanCache& cache, const Shape& key);
   ~ArenaScope();
   ArenaScope(const ArenaScope&) = delete;
@@ -176,8 +159,8 @@ class ArenaScope {
 
  private:
   ActivationArena* previous_;
-  ActivationArena* leased_ = nullptr;
-  InferencePlanCache* cache_ = nullptr;
+  ActivationArena* leased_;
+  InferencePlanCache& cache_;
 };
 
 }  // namespace diffpattern::tensor

@@ -12,13 +12,9 @@ namespace diffpattern::tensor {
 namespace {
 
 std::atomic<std::int64_t> g_heap_allocations{0};
-std::atomic<std::int64_t> g_heap_bytes{0};
-std::atomic<std::int64_t> g_pool_reuses{0};
 
-void note_heap_alloc(std::size_t elems) {
+void note_heap_alloc() {
   g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  g_heap_bytes.fetch_add(static_cast<std::int64_t>(elems * sizeof(float)),
-                         std::memory_order_relaxed);
 }
 
 /// Leaves `dst` empty with capacity >= n, recycled from the active arena
@@ -27,10 +23,8 @@ void note_heap_alloc(std::size_t elems) {
 void acquire_storage(std::vector<float>& dst, std::size_t n) {
   ActivationArena* arena = ArenaScope::current();
   if (arena != nullptr && n > 0) {
-    if (arena->acquire(dst, n)) {
-      g_pool_reuses.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      note_heap_alloc(n);
+    if (!arena->acquire(dst, n)) {
+      note_heap_alloc();
     }
     return;
   }
@@ -38,7 +32,7 @@ void acquire_storage(std::vector<float>& dst, std::size_t n) {
   if (dst.capacity() < n) {
     std::vector<float>().swap(dst);  // Old storage is stale; skip the copy.
     dst.reserve(n);
-    note_heap_alloc(n);
+    note_heap_alloc();
   }
 }
 
@@ -58,8 +52,6 @@ void release_storage(std::vector<float>& buf) {
 AllocStats tensor_alloc_stats() {
   AllocStats s;
   s.heap_allocations = g_heap_allocations.load(std::memory_order_relaxed);
-  s.heap_bytes = g_heap_bytes.load(std::memory_order_relaxed);
-  s.pool_reuses = g_pool_reuses.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -126,7 +118,7 @@ Tensor Tensor::from_data(Shape shape, std::vector<float> data) {
              "from_data: shape " + shape_to_string(shape) +
                  " does not match data size " + std::to_string(data.size()));
   if (data.capacity() > 0) {
-    note_heap_alloc(data.capacity());  // Adopted storage is heap storage.
+    note_heap_alloc();  // Adopted storage is heap storage.
   }
   Tensor t;
   t.shape_ = std::move(shape);

@@ -81,15 +81,13 @@ class Tensor {
 
 /// Process-wide tensor-storage allocation telemetry (relaxed atomics).
 /// heap_allocations counts every storage materialization that reached the
-/// heap (constructions, copies, growth, from_data adoptions); pool_reuses
-/// counts storages served by an active ActivationArena instead. The
+/// heap (constructions, copies, growth, from_data adoptions); storages an
+/// active ActivationArena serves from its pool are not counted. The
 /// steady-state zero-allocation regression test asserts heap_allocations
-/// stays flat across denoising rounds with the arena on. Node/closure
-/// bookkeeping in nn/ is not storage and is not counted here.
+/// stays flat across pooled denoising rounds. Node/closure bookkeeping in
+/// nn/ is not storage and is not counted here.
 struct AllocStats {
   std::int64_t heap_allocations = 0;
-  std::int64_t heap_bytes = 0;
-  std::int64_t pool_reuses = 0;
 };
 AllocStats tensor_alloc_stats();
 

@@ -1,13 +1,9 @@
 #include "unet/unet.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstring>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "common/contracts.h"
 
@@ -15,41 +11,6 @@ namespace diffpattern::unet {
 
 using nn::Var;
 using tensor::Tensor;
-
-namespace {
-
-std::atomic<std::int64_t> g_embedding_cache_hits{0};
-
-/// FNV-1a-style fingerprint over a tensor's raw float bytes, chained
-/// through `h` (the time-MLP parameter fingerprint guarding the embedding
-/// cache). Processes 8 bytes per multiply — this runs once per denoising
-/// round, so it is on the inference hot path; every byte still reaches the
-/// hash, so any in-place parameter mutation (an optimizer step) changes
-/// the fingerprint.
-std::uint64_t fnv1a64_tensor(std::uint64_t h, const Tensor& t) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(t.data());
-  const auto n = t.numel() * static_cast<std::int64_t>(sizeof(float));
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, bytes + i, sizeof(word));
-    h ^= word;
-    h *= 1099511628211ULL;
-  }
-  for (; i < n; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-
-}  // namespace
-
-std::int64_t time_embedding_cache_hits() {
-  return g_embedding_cache_hits.load(std::memory_order_relaxed);
-}
 
 tensor::Tensor sinusoidal_time_embedding(const std::vector<std::int64_t>& k,
                                          std::int64_t dim) {
@@ -121,16 +82,6 @@ struct UNet::LevelBlocks {
   std::vector<ResBlock> res;
   std::vector<std::optional<AttentionBlock>> attn;  // Parallel to `res`.
   std::optional<nn::Conv2d> resample;  // Downsample (stride 2) or post-up conv.
-};
-
-// Per-model cache of post-MLP time-embedding rows, keyed by diffusion step.
-// A fingerprint over the time-MLP parameters invalidates the cache whenever
-// they change (optimizer steps), so stale rows can never be served.
-struct UNet::TimeEmbedCache {
-  std::mutex mutex;
-  bool fingerprint_valid = false;
-  std::uint64_t fingerprint = 0;
-  std::unordered_map<std::int64_t, Tensor> rows;  // step -> [time_dim]
 };
 
 UNet::UNet(UNetConfig config, std::uint64_t seed) : config_(std::move(config)) {
@@ -223,48 +174,11 @@ UNet::UNet(UNetConfig config, std::uint64_t seed) : config_(std::move(config)) {
   // Constructed eagerly (not lazily on first forward) so concurrent
   // inference threads never race on member initialization.
   plan_cache_ = std::make_unique<tensor::InferencePlanCache>();
-  time_cache_ = std::make_unique<TimeEmbedCache>();
 }
 
 UNet::~UNet() = default;
 UNet::UNet(UNet&&) noexcept = default;
 UNet& UNet::operator=(UNet&&) noexcept = default;
-
-Tensor UNet::cached_time_embedding(const std::vector<std::int64_t>& k) {
-  const auto n = static_cast<std::int64_t>(k.size());
-  const auto time_dim = config_.time_embed_dim();
-  Tensor out({n, time_dim});
-  std::lock_guard<std::mutex> lock(time_cache_->mutex);
-  std::uint64_t fp = kFnvOffset;
-  fp = fnv1a64_tensor(fp, time_fc1_->weight.value());
-  fp = fnv1a64_tensor(fp, time_fc1_->bias.value());
-  fp = fnv1a64_tensor(fp, time_fc2_->weight.value());
-  fp = fnv1a64_tensor(fp, time_fc2_->bias.value());
-  if (!time_cache_->fingerprint_valid || fp != time_cache_->fingerprint) {
-    time_cache_->rows.clear();
-    time_cache_->fingerprint = fp;
-    time_cache_->fingerprint_valid = true;
-  }
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto step = k[static_cast<std::size_t>(i)];
-    auto it = time_cache_->rows.find(step);
-    if (it == time_cache_->rows.end()) {
-      // The embedding and both Linear layers are row-independent with a
-      // fixed reduction order, so a batch-1 forward yields bytes identical
-      // to the same row of any fused batch — the same invariant the
-      // narrowing batcher already relies on.
-      nn::NoGradGuard guard;
-      Var row(sinusoidal_time_embedding({step}, config_.model_channels));
-      row = (*time_fc2_)(nn::silu((*time_fc1_)(row)));
-      it = time_cache_->rows.emplace(step, row.value()).first;
-    } else {
-      g_embedding_cache_hits.fetch_add(1, std::memory_order_relaxed);
-    }
-    const float* src = it->second.data();
-    std::copy(src, src + time_dim, out.data() + i * time_dim);
-  }
-  return out;
-}
 
 Var UNet::apply_res_block(const ResBlock& block, Var h, const Var& time_emb,
                           bool training, common::Rng& rng) const {
@@ -320,14 +234,8 @@ Var UNet::forward(const Tensor& x, const std::vector<std::int64_t>& k,
                  " is not a positive multiple of 2^(levels-1) = " +
                  std::to_string(unit));
 
-  Var time_emb;
-  if (!training && nn::NoGradGuard::active() &&
-      tensor::activation_arena_enabled()) {
-    time_emb = Var(cached_time_embedding(k));
-  } else {
-    time_emb = Var(sinusoidal_time_embedding(k, config_.model_channels));
-    time_emb = (*time_fc2_)(nn::silu((*time_fc1_)(time_emb)));
-  }
+  Var time_emb(sinusoidal_time_embedding(k, config_.model_channels));
+  time_emb = (*time_fc2_)(nn::silu((*time_fc1_)(time_emb)));
 
   Var h = (*stem_)(Var(x));
   std::vector<Var> skips = {h};

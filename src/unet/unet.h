@@ -46,11 +46,6 @@ struct UNetConfig {
 tensor::Tensor sinusoidal_time_embedding(const std::vector<std::int64_t>& k,
                                          std::int64_t dim);
 
-/// Process-wide count of time-embedding rows served from a model's post-MLP
-/// cache instead of recomputed (monotone total, relaxed atomics). Surfaced
-/// as ServiceCounters::embedding_cache_hits.
-std::int64_t time_embedding_cache_hits();
-
 class UNet {
  public:
   UNet(UNetConfig config, std::uint64_t seed);
@@ -76,13 +71,6 @@ class UNet {
   struct ResBlock;
   struct AttentionBlock;
   struct LevelBlocks;
-  struct TimeEmbedCache;
-
-  /// Inference-only: assembles the post-MLP time embedding [N, time_dim] by
-  /// row-copying per-step cached rows (computing and caching any step seen
-  /// for the first time). Invalidated by fingerprint when the time-MLP
-  /// parameters change (optimizer steps).
-  tensor::Tensor cached_time_embedding(const std::vector<std::int64_t>& k);
 
   nn::Var apply_res_block(const ResBlock& block, nn::Var h,
                           const nn::Var& time_emb, bool training,
@@ -106,9 +94,8 @@ class UNet {
   // Head.
   std::unique_ptr<nn::GroupNorm> head_norm_;
   std::unique_ptr<nn::Conv2d> head_conv_;
-  // Inference caches (arena plans + per-step time embeddings).
+  // Inference activation plans, one per batch shape.
   std::unique_ptr<tensor::InferencePlanCache> plan_cache_;
-  std::unique_ptr<TimeEmbedCache> time_cache_;
 };
 
 /// Converts the 2-logit-per-channel output into per-entry probabilities of

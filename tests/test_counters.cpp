@@ -49,7 +49,6 @@ dc::ServiceCounters sample_service_counters() {
   s.arena_bytes_reserved = 27;
   s.plan_cache_hits = 28;
   s.plan_cache_misses = 29;
-  s.embedding_cache_hits = 30;
   s.rejects_by_code[static_cast<std::size_t>(
       dc::StatusCode::kInvalidArgument)] = 31;
   s.rejects_by_code[static_cast<std::size_t>(dc::StatusCode::kUnavailable)] =
@@ -72,7 +71,7 @@ TEST(CounterOutput, ServiceCountersJsonIsPinned) {
       "\"requests_degraded\":21,\"deadlines_expired\":23,"
       "\"jobs_cancelled\":24,"
       "\"arena_bytes_reserved\":27,\"plan_cache_hits\":28,"
-      "\"plan_cache_misses\":29,\"embedding_cache_hits\":30,"
+      "\"plan_cache_misses\":29,"
       "\"rejects_by_code\":{\"INVALID_ARGUMENT\":31,\"UNAVAILABLE\":32}}");
 }
 
@@ -90,7 +89,7 @@ TEST(CounterOutput, EmptyServiceCountersJsonIsPinned) {
       "\"requests_shed\":0,\"requests_degraded\":0,"
       "\"deadlines_expired\":0,\"jobs_cancelled\":0,"
       "\"arena_bytes_reserved\":0,\"plan_cache_hits\":0,"
-      "\"plan_cache_misses\":0,\"embedding_cache_hits\":0,"
+      "\"plan_cache_misses\":0,"
       "\"rejects_by_code\":{}}");
 }
 
@@ -105,8 +104,7 @@ TEST(CounterOutput, ServiceCountersTextNamesEveryField) {
         "requests_completed", "stream_deliveries", "patterns_delivered",
         "requests_shed", "requests_degraded",
         "deadlines_expired", "jobs_cancelled", "arena_bytes_reserved",
-        "plan_cache_hits", "plan_cache_misses", "embedding_cache_hits",
-        "rejects_by_code"}) {
+        "plan_cache_hits", "plan_cache_misses", "rejects_by_code"}) {
     EXPECT_NE(text.find(std::string(name) + ":"), std::string::npos)
         << name << " missing from:\n"
         << text;
@@ -183,7 +181,6 @@ TEST(CounterOutput, CounterBlockSnapshotReadsEveryCounter) {
   EXPECT_EQ(s.arena_bytes_reserved, 0);
   EXPECT_EQ(s.plan_cache_hits, 0);
   EXPECT_EQ(s.plan_cache_misses, 0);
-  EXPECT_EQ(s.embedding_cache_hits, 0);
 }
 
 TEST(CounterOutput, LiveCounterTracksGaugesAndPeaks) {

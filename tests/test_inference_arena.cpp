@@ -1,13 +1,11 @@
 // Inference memory plan: the activation arena must eliminate tensor-storage
 // heap allocations in steady-state denoising (the zero-allocation claim),
-// the plan cache must bound its footprint via LRU eviction and key plans by
-// batch shape, and the time-embedding cache must invalidate itself when the
-// time-MLP parameters change. Byte-identity of arena-on vs arena-off lives
-// in test_sampling_determinism.cpp; this file covers the machinery.
+// and the plan cache must bound its footprint via LRU eviction and key
+// plans by batch shape. Byte-identity of pooled vs unpooled rounds lives in
+// test_sampling_determinism.cpp; this file covers the machinery.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "common/compute_pool.h"
@@ -24,18 +22,6 @@ using diffpattern::tensor::Tensor;
 
 namespace {
 
-// Saves and restores the process-wide arena switch around each test.
-class ArenaGuard {
- public:
-  ArenaGuard() : previous_(dt::activation_arena_enabled()) {}
-  ~ArenaGuard() { dt::set_activation_arena_enabled(previous_); }
-  ArenaGuard(const ArenaGuard&) = delete;
-  ArenaGuard& operator=(const ArenaGuard&) = delete;
-
- private:
-  bool previous_;
-};
-
 du::UNetConfig micro_config() {
   du::UNetConfig cfg;
   cfg.in_channels = 1;
@@ -50,62 +36,47 @@ du::UNetConfig micro_config() {
   return cfg;
 }
 
-Tensor run_sampling(du::UNet& model, const dd::BinarySchedule& schedule) {
+Tensor run_sampling(du::UNet& model, const dd::BinarySchedule& schedule,
+                    const dd::RoundHook& hook = nullptr) {
   return diffpattern::testutil::sample_slots(
       model, schedule, /*side=*/8, diffpattern::testutil::uniform_strides(2),
-      /*seed=*/515151, /*stream=*/3);
+      /*seed=*/515151, /*stream=*/3, hook);
 }
 
 }  // namespace
 
-// The zero-allocation claim. With the arena on, a warmed-up sampling run
-// performs exactly ONE tensor heap allocation — the prior tensor created
-// before the round loop, outside any arena scope. Every activation inside
-// the rounds recycles through the plan: zero steady-state tensor-storage
-// heap allocations per round. Pool workers run without an arena scope, so
-// this holds at 2 and 4 compute threads only because no kernel creates a
-// tensor inside a parallel_for body.
+// The zero-allocation claim. A warmed-up sampling run performs exactly ONE
+// tensor heap allocation — the prior tensor created before the round loop,
+// outside any arena scope. Every activation inside the rounds recycles
+// through the plan: zero steady-state tensor-storage heap allocations per
+// round. Pool workers run without an arena scope, so this holds at 2 and 4
+// compute threads only because no kernel creates a tensor inside a
+// parallel_for body.
 TEST(InferenceArena, ZeroSteadyStateTensorHeapAllocationsPerRound) {
-  ArenaGuard guard;
-  dt::set_activation_arena_enabled(true);
   du::UNet model(micro_config(), /*seed=*/17);
   dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 6});
   for (const std::int64_t threads : {1, 2, 4}) {
     ASSERT_TRUE(dc::set_global_compute_threads(threads).ok());
-    // Warmup: records the activation plan and fills the embedding cache.
+    // Warmup: records the activation plan.
     run_sampling(model, schedule);
 
+    std::int64_t rounds = 0;
     const auto before = dt::tensor_alloc_stats();
-    run_sampling(model, schedule);
+    const auto plans_before = dt::arena_stats();
+    run_sampling(model, schedule,
+                 [&rounds](std::int64_t, std::int64_t) { ++rounds; });
     const auto after = dt::tensor_alloc_stats();
+    const auto plans_after = dt::arena_stats();
 
     EXPECT_EQ(after.heap_allocations - before.heap_allocations, 1)
         << threads << " thread(s): expected only the pre-loop prior tensor "
            "to hit the heap; steady-state rounds must be served entirely "
            "from the plan";
-    EXPECT_GT(after.pool_reuses - before.pool_reuses, 0)
-        << "the warmed plan served no recycled storage";
+    EXPECT_GT(rounds, 0);
+    EXPECT_GE(plans_after.plan_cache_hits - plans_before.plan_cache_hits,
+              rounds)
+        << "every warmed round should lease its recorded plan";
   }
-  EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
-}
-
-// With the kill switch off the arena must be fully inert: no pool traffic,
-// and sampling allocates from the heap exactly as it did before the layer
-// existed.
-TEST(InferenceArena, KillSwitchDisablesAllPooling) {
-  ArenaGuard guard;
-  dt::set_activation_arena_enabled(false);
-  ASSERT_TRUE(dc::set_global_compute_threads(1).ok());
-  du::UNet model(micro_config(), /*seed=*/17);
-  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 6});
-
-  const auto before = dt::arena_stats();
-  run_sampling(model, schedule);
-  const auto after = dt::arena_stats();
-
-  EXPECT_EQ(after.pool_hits, before.pool_hits);
-  EXPECT_EQ(after.pool_misses, before.pool_misses);
-  EXPECT_EQ(after.plan_cache_hits, before.plan_cache_hits);
   EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
 }
 
@@ -134,8 +105,6 @@ TEST(InferenceArena, ArenaRecyclesReleasedStorageBySize) {
 // idle plan is evicted at capacity, and a rekeyed (re-created) shape counts
 // as a fresh plan.
 TEST(InferenceArena, PlanCacheEvictsLeastRecentlyUsedShape) {
-  ArenaGuard guard;
-  dt::set_activation_arena_enabled(true);
   dt::InferencePlanCache cache(/*capacity=*/2);
   const dt::Shape a = {3, 1, 8, 8};
   const dt::Shape b = {2, 1, 8, 8};
@@ -177,8 +146,6 @@ TEST(InferenceArena, PlanCacheEvictsLeastRecentlyUsedShape) {
 // first is out yields nullptr (that round runs arena-less — same bytes,
 // just unpooled), and the plan becomes available again after unlease.
 TEST(InferenceArena, ConcurrentSameShapeLeaseYieldsNull) {
-  ArenaGuard guard;
-  dt::set_activation_arena_enabled(true);
   dt::InferencePlanCache cache(/*capacity=*/2);
   const dt::Shape shape = {4, 1, 8, 8};
   dt::ActivationArena* first = cache.lease(shape);
@@ -191,11 +158,9 @@ TEST(InferenceArena, ConcurrentSameShapeLeaseYieldsNull) {
   cache.unlease(second);
 }
 
-// Distinct shapes own distinct plans (a narrowed strided batch never pools
-// into the full batch's plan), and a disabled switch short-circuits lease.
-TEST(InferenceArena, PlanCacheKeysByShapeAndHonorsKillSwitch) {
-  ArenaGuard guard;
-  dt::set_activation_arena_enabled(true);
+// Distinct shapes own distinct plans: a narrowed strided batch never pools
+// into the full batch's plan.
+TEST(InferenceArena, PlanCacheKeysByShape) {
   dt::InferencePlanCache cache(/*capacity=*/4);
   dt::ActivationArena* full = cache.lease({3, 1, 8, 8});
   dt::ActivationArena* narrowed = cache.lease({2, 1, 8, 8});
@@ -204,45 +169,4 @@ TEST(InferenceArena, PlanCacheKeysByShapeAndHonorsKillSwitch) {
   EXPECT_NE(full, narrowed);
   cache.unlease(full);
   cache.unlease(narrowed);
-
-  dt::set_activation_arena_enabled(false);
-  EXPECT_EQ(cache.lease({3, 1, 8, 8}), nullptr)
-      << "disabled arena must never lease a plan";
-}
-
-// Fingerprint invalidation of the time-embedding cache: after the time-MLP
-// parameters change (here: every parameter, as an optimizer step would),
-// the cached rows from the old weights must NOT be served. The reference is
-// an arena-off run of the mutated model (the embedding cache is bypassed
-// when the plan is off), which the arena-on run must reproduce byte for
-// byte.
-TEST(InferenceArena, EmbeddingCacheInvalidatesWhenParametersChange) {
-  ArenaGuard guard;
-  ASSERT_TRUE(dc::set_global_compute_threads(1).ok());
-  du::UNet model(micro_config(), /*seed=*/17);
-  dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 6});
-
-  // Populate the embedding cache under the original weights.
-  dt::set_activation_arena_enabled(true);
-  run_sampling(model, schedule);
-
-  // Mutate every parameter in place, as an optimizer step does.
-  for (auto param : model.registry().params()) {
-    Tensor& value = param.mutable_value();
-    for (std::int64_t i = 0; i < value.numel(); ++i) {
-      value[i] += 0.125F;
-    }
-  }
-
-  dt::set_activation_arena_enabled(false);
-  const Tensor reference = run_sampling(model, schedule);
-  dt::set_activation_arena_enabled(true);
-  const Tensor cached = run_sampling(model, schedule);
-  ASSERT_TRUE(reference.same_shape(cached));
-  EXPECT_EQ(std::memcmp(reference.data(), cached.data(),
-                        static_cast<std::size_t>(reference.numel()) *
-                            sizeof(float)),
-            0)
-      << "stale time-embedding rows served after a parameter mutation";
-  EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
 }

@@ -22,6 +22,7 @@
 namespace dd = diffpattern::diffusion;
 namespace dc = diffpattern::common;
 namespace du = diffpattern::unet;
+namespace dt = diffpattern::tensor;
 using diffpattern::tensor::Tensor;
 
 namespace {
@@ -46,8 +47,8 @@ du::UNetConfig micro_config() {
 constexpr std::int64_t kScheduleSteps[] = {6, 20};
 
 // Per-slot seed derivation shared by every run below. Each run builds
-// fresh streams: comparisons are across thread counts, backends and arena
-// modes, so every run must consume identical randomness.
+// fresh streams: comparisons are across thread counts, backends and pooled
+// vs unpooled rounds, so every run must consume identical randomness.
 constexpr std::uint64_t kSeed = 424242;
 constexpr std::uint64_t kStream = 7;
 
@@ -86,20 +87,31 @@ std::uint64_t digest(const Tensor& t) {
 using diffpattern::testutil::BackendGuard;
 using diffpattern::testutil::supported_backends;
 
-// Saves and restores the process-wide activation-arena switch so a test can
-// force either side of the kill switch without leaking into later tests.
-class ArenaGuard {
- public:
-  ArenaGuard() : previous_(diffpattern::tensor::activation_arena_enabled()) {}
-  ~ArenaGuard() {
-    diffpattern::tensor::set_activation_arena_enabled(previous_);
+// Runs `run` while holding the plan leases for `shapes`, as a concurrent
+// same-shape round would: every sampler round at one of those shapes finds
+// its plan busy and takes the lease-conflict fallback, i.e. runs unpooled.
+// Returns the unpooled result and checks that the rounds did take that path.
+template <class Run>
+Tensor run_with_plans_held(du::UNet& model,
+                           const std::vector<dt::Shape>& shapes, Run&& run) {
+  auto& cache = model.plan_cache();
+  std::vector<dt::ActivationArena*> held;
+  for (const auto& shape : shapes) {
+    held.push_back(cache.lease(shape));
+    EXPECT_NE(held.back(), nullptr);
   }
-  ArenaGuard(const ArenaGuard&) = delete;
-  ArenaGuard& operator=(const ArenaGuard&) = delete;
-
- private:
-  bool previous_;
-};
+  const auto before = dt::arena_stats();
+  Tensor result = run();
+  const auto after = dt::arena_stats();
+  for (auto* arena : held) {
+    cache.unlease(arena);
+  }
+  EXPECT_GT(after.plan_cache_misses, before.plan_cache_misses)
+      << "no round hit the held plans' lease conflict";
+  EXPECT_EQ(after.plan_cache_hits, before.plan_cache_hits)
+      << "a round leased a plan while every plan it could use was held";
+  return result;
+}
 
 // Solo run of ONE slot with the stream that slot `slot` carries in a fused
 // run — the reference for fusion-invariance checks.
@@ -301,52 +313,51 @@ TEST(SamplingDeterminism, StridedGoldenDigestsPinnedUnderScalarDispatch) {
   EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
 }
 
-// The inference memory plan (activation arena + time-embedding cache) is a
-// pure allocation strategy: it must never reach the bytes. Both sides of
-// the kill switch have to land on the SAME pinned golden digest — if the
-// arena-on digest moved, the plan perturbed floating-point results; if the
-// arena-off digest moved, the fast-path restructuring did.
+// The inference memory plan is a pure allocation strategy: it must never
+// reach the bytes. Pooled rounds and unpooled rounds (the plan held by
+// another lease) have to land on the SAME pinned golden digest — if the
+// pooled digest moved, the plan perturbed floating-point results; if the
+// unpooled digest moved, the lease-conflict fallback did.
 TEST(SamplingDeterminism, ArenaOnAndOffPinnedToSameGoldenDigest) {
   BackendGuard backend_guard;
-  ArenaGuard arena_guard;
   ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(
                   diffpattern::tensor::KernelBackend::kScalar)
                   .ok());
   du::UNet model(micro_config(), /*seed=*/91);
   dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 6});
   constexpr std::uint64_t kGoldenDigest = 0x7373f45c5b440cb3ULL;
-  diffpattern::tensor::set_activation_arena_enabled(true);
   EXPECT_EQ(digest(run_full_schedule(model, schedule, 1)), kGoldenDigest)
-      << "arena-on bytes drifted from the pinned golden digest";
-  diffpattern::tensor::set_activation_arena_enabled(false);
-  EXPECT_EQ(digest(run_full_schedule(model, schedule, 1)), kGoldenDigest)
-      << "arena-off bytes drifted from the pinned golden digest";
+      << "pooled bytes drifted from the pinned golden digest";
+  const Tensor unpooled = run_with_plans_held(model, {{3, 1, 8, 8}}, [&] {
+    return run_full_schedule(model, schedule, 1);
+  });
+  EXPECT_EQ(digest(unpooled), kGoldenDigest)
+      << "unpooled bytes drifted from the pinned golden digest";
   EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
 }
 
-// Arena on vs off byte identity across kernel backends and thread counts:
-// the recycled buffers must be invisible no matter which kernels write
-// into them or how many pool workers share the round.
+// Pooled vs unpooled byte identity across kernel backends and thread
+// counts: the recycled buffers must be invisible no matter which kernels
+// write into them or how many pool workers share the round.
 TEST(SamplingDeterminism, ArenaByteIdenticalAcrossBackendsAndThreads) {
   BackendGuard backend_guard;
-  ArenaGuard arena_guard;
   du::UNet model(micro_config(), /*seed=*/91);
   for (const auto steps : kScheduleSteps) {
     dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = steps});
     ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(
                     diffpattern::tensor::KernelBackend::kScalar)
                     .ok());
-    diffpattern::tensor::set_activation_arena_enabled(false);
     const std::uint64_t reference =
-        digest(run_full_schedule(model, schedule, 1));
-    diffpattern::tensor::set_activation_arena_enabled(true);
+        digest(run_with_plans_held(model, {{3, 1, 8, 8}}, [&] {
+          return run_full_schedule(model, schedule, 1);
+        }));
     for (const auto backend : supported_backends()) {
       ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(backend).ok());
       for (const std::int64_t threads : {1, 4, 8}) {
         EXPECT_EQ(digest(run_full_schedule(model, schedule, threads)),
                   reference)
-            << "K=" << steps << ": arena-on sampling diverged from "
-            << "arena-off under "
+            << "K=" << steps << ": pooled sampling diverged from "
+            << "unpooled under "
             << diffpattern::tensor::kernel_backend_label(backend) << " with "
             << threads << " thread(s)";
       }
@@ -357,19 +368,18 @@ TEST(SamplingDeterminism, ArenaByteIdenticalAcrossBackendsAndThreads) {
 
 // Mixed-stride fused batches narrow mid-job, so rounds lease differently
 // shaped plans back to back (batch 3, then 2, then 1...). The plan churn
-// must not perturb any slot: arena-on fused bytes must equal arena-off.
+// must not perturb any slot: pooled fused bytes must equal unpooled ones.
 TEST(SamplingDeterminism, ArenaByteIdenticalOnMixedStrideFusedBatches) {
   BackendGuard backend_guard;
-  ArenaGuard arena_guard;
   ASSERT_TRUE(diffpattern::tensor::set_kernel_backend(
                   diffpattern::tensor::KernelBackend::kScalar)
                   .ok());
   du::UNet model(micro_config(), /*seed=*/91);
   dd::BinarySchedule schedule(dd::ScheduleConfig{.steps = 6});
   const std::vector<std::int64_t> strides = {1, 2, 4};
-  diffpattern::tensor::set_activation_arena_enabled(false);
-  const Tensor reference = run_strided(model, schedule, strides, 1);
-  diffpattern::tensor::set_activation_arena_enabled(true);
+  const Tensor reference = run_with_plans_held(
+      model, {{1, 1, 8, 8}, {2, 1, 8, 8}, {3, 1, 8, 8}},
+      [&] { return run_strided(model, schedule, strides, 1); });
   const Tensor with_arena = run_strided(model, schedule, strides, 1);
   ASSERT_TRUE(reference.same_shape(with_arena));
   EXPECT_EQ(std::memcmp(reference.data(), with_arena.data(),

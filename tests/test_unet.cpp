@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,13 +105,12 @@ TEST(UNet, RejectsBadInputs) {
 // in place and adds the time embedding and residuals in the conv
 // epilogues; a forward with grad enabled (training = false) runs the
 // composed ops. Their logits must be the same bytes at every batch shape,
-// backend, thread count and arena setting. The 8x8 input reads the
-// bordered input in place at 8x8 and gathers panels at 4x4; the 8x6 input
-// gathers at both levels and, at 4x3, accumulates strips that span
-// samples in the accumulator block.
+// backend and thread count, inside an ArenaScope and without one. The 8x8
+// input reads the bordered input in place at 8x8 and gathers panels at
+// 4x4; the 8x6 input gathers at both levels and, at 4x3, accumulates strips
+// that span samples in the accumulator block.
 TEST(UNet, InferenceForwardMatchesGraphForward) {
   diffpattern::testutil::BackendGuard backend_guard;
-  const bool arena_before = dt::activation_arena_enabled();
   du::UNet model(tiny_config(), /*seed=*/11);
   dc::Rng rng(12);
   // Biases start at 0 and GroupNorm at gamma 1, beta 0, which would hide a
@@ -125,8 +125,7 @@ TEST(UNet, InferenceForwardMatchesGraphForward) {
     ASSERT_TRUE(dt::set_kernel_backend(backend).ok());
     for (const std::int64_t threads : {1, 2, 4}) {
       ASSERT_TRUE(dc::set_global_compute_threads(threads).ok());
-      for (const bool arena : {true, false}) {
-        dt::set_activation_arena_enabled(arena);
+      for (const bool pooled : {true, false}) {
         for (const std::int64_t batch : {1, 3, 8}) {
           for (const std::int64_t width : {8, 6}) {
             const Tensor x = random_binary(rng, {batch, 4, 8, width});
@@ -136,10 +135,13 @@ TEST(UNet, InferenceForwardMatchesGraphForward) {
             }
             const Tensor want = model.forward(x, ks, false, rng).value();
             const nn::NoGradGuard no_grad;
-            // Twice: the first forward records the arena plan, the second
-            // runs on recycled storage.
+            // Twice: pooled, the first forward records the arena plan and
+            // the second runs on recycled storage.
             for (int rep = 0; rep < 2; ++rep) {
-              const dt::ArenaScope scope(model.plan_cache(), x.shape());
+              std::optional<dt::ArenaScope> scope;
+              if (pooled) {
+                scope.emplace(model.plan_cache(), x.shape());
+              }
               const Tensor got = model.forward(x, ks, false, rng).value();
               ASSERT_TRUE(got.same_shape(want));
               EXPECT_EQ(std::memcmp(got.data(), want.data(),
@@ -147,7 +149,7 @@ TEST(UNet, InferenceForwardMatchesGraphForward) {
                                         sizeof(float)),
                         0)
                   << dt::kernel_backend_label(backend) << " threads "
-                  << threads << " arena " << arena << " batch " << batch
+                  << threads << " pooled " << pooled << " batch " << batch
                   << " width " << width << " rep " << rep;
             }
           }
@@ -155,7 +157,6 @@ TEST(UNet, InferenceForwardMatchesGraphForward) {
       }
     }
   }
-  dt::set_activation_arena_enabled(arena_before);
   EXPECT_TRUE(dc::set_global_compute_threads(-1).ok());
 }
 

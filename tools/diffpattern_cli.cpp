@@ -48,7 +48,6 @@
 #include "dist/socket_transport.h"
 #include "dist/transport.h"
 #include "dist/worker_node.h"
-#include "tensor/arena.h"
 #include "tensor/simd.h"
 #include "drc/checker.h"
 #include "io/gds.h"
@@ -113,10 +112,8 @@ int usage() {
       "hardware threads) and --kernel-backend scalar|avx2|auto to pin\n"
       "the SIMD dispatch (default: DIFFPATTERN_KERNEL_BACKEND env, else the\n"
       "best backend this CPU supports; unsupported ISAs are a usage error).\n"
-      "--arena on|off toggles the inference memory plan (activation arena +\n"
-      "time-embedding cache; default: DIFFPATTERN_ARENA env, else on).\n"
-      "Results are identical for every thread count, backend, and arena\n"
-      "setting. Any other flag a subcommand does not list is an error.\n"
+      "Results are identical for every thread count and backend. Any other\n"
+      "flag a subcommand does not list is an error.\n"
       "generate --stream prints each pattern (index + legality) as it is\n"
       "delivered; --stats dumps the service counters after the run and\n"
       "--stats-json emits the same snapshot as one JSON object.\n"
@@ -172,24 +169,6 @@ void apply_kernel_backend_option(const Args& args) {
       dp::tensor::set_kernel_backend_name(args.get("kernel-backend", ""));
   if (!status.ok()) {
     throw UsageError("--kernel-backend: " + status.message());
-  }
-}
-
-/// Applies --arena to the process-wide inference memory plan (activation
-/// arena + time-embedding cache). Only "on" and "off" are accepted; output
-/// bytes do not depend on the setting.
-void apply_arena_option(const Args& args) {
-  if (!args.has("arena")) {
-    return;
-  }
-  const auto mode = args.get("arena", "");
-  if (mode == "on") {
-    dp::tensor::set_activation_arena_enabled(true);
-  } else if (mode == "off") {
-    dp::tensor::set_activation_arena_enabled(false);
-  } else {
-    throw UsageError("--arena: expected \"on\" or \"off\", got \"" + mode +
-                     "\"");
   }
 }
 
@@ -776,7 +755,7 @@ int cmd_export_gds(const Args& args) {
 }
 
 /// One subcommand: its handler and every flag it reads. The process-wide
-/// compute flags (--threads, --kernel-backend, --arena) are accepted by all.
+/// compute flags (--threads, --kernel-backend) are accepted by all.
 struct Command {
   const char* name;
   int (*run)(const Args&);
@@ -809,7 +788,7 @@ const Command kCommands[] = {
 void check_flags(const Command& command, const Args& args) {
   for (const auto& [key, value] : args.options) {
     const bool known =
-        key == "threads" || key == "kernel-backend" || key == "arena" ||
+        key == "threads" || key == "kernel-backend" ||
         std::find(command.flags.begin(), command.flags.end(), key) !=
             command.flags.end();
     if (!known) {
@@ -853,7 +832,6 @@ int main(int argc, char** argv) {
     check_flags(*command, args);
     apply_thread_option(args);
     apply_kernel_backend_option(args);
-    apply_arena_option(args);
     return command->run(args);
   } catch (const UsageError& e) {
     std::cerr << "error: " << e.what() << "\n";
