@@ -210,11 +210,11 @@ int main() {
     Tensor conv_ref({batch, out_ch, geom.out_h(), geom.out_w()});
     const Tensor w2d = cw.reshaped({out_ch, geom.patch_size()});
     for (std::int64_t n = 0; n < batch; ++n) {
-      Tensor image({in_ch, side, side});
+      Tensor image({1, in_ch, side, side});
       std::copy(cx.data() + n * image.numel(),
                 cx.data() + (n + 1) * image.numel(), image.data());
-      const Tensor y =
-          dp::tensor::reference::matmul(w2d, dp::tensor::im2col(image, geom));
+      const Tensor y = dp::tensor::reference::matmul(
+          w2d, dp::tensor::im2col_batch(image, geom));
       for (std::int64_t o = 0; o < out_ch; ++o) {
         for (std::int64_t p = 0; p < n_out; ++p) {
           conv_ref[(n * out_ch + o) * n_out + p] = y[o * n_out + p] + cb[o];

@@ -174,14 +174,6 @@ GenerationBatch ConvAutoencoder::generate(std::int64_t count,
   return batch;
 }
 
-double ConvAutoencoder::reconstruction_loss(const Tensor& folded) {
-  nn::NoGradGuard no_grad;
-  Var logits = decode(encode_mu(Var(folded)));
-  Var bce = nn::mean_all(
-      nn::sub(nn::softplus(logits), nn::mul_const(logits, folded)));
-  return bce.value()[0];
-}
-
 std::vector<double> ConvAutoencoder::per_sample_reconstruction_bce(
     const Tensor& folded) {
   nn::NoGradGuard no_grad;

@@ -41,9 +41,6 @@ class ConvAutoencoder final : public TopologyGenerator {
              common::Rng& rng) override;
   GenerationBatch generate(std::int64_t count, common::Rng& rng) override;
 
-  /// Mean reconstruction BCE on the given folded batch (eval diagnostics).
-  double reconstruction_loss(const tensor::Tensor& folded);
-
   /// Per-sample reconstruction BCE — the building block of the
   /// "validity" metric this repository reproduces only to critique
   /// (paper Sec. IV-F; see bench_discussion_validity).

@@ -147,7 +147,6 @@ struct ServiceCountersT {
   Counter shards_active{};  ///< Live per-model batcher shards.
 
   // -- sampling --
-  Counter shards_spawned{};   ///< Shards ever created (lazy spawn).
   Counter rounds_executed{};  ///< Fused sampling rounds run.
   Counter denoise_steps{};    ///< Reverse-diffusion steps, all rounds.
   /// U-Net slot-evaluations executed (sum of each step's active batch).
@@ -198,7 +197,6 @@ struct ServiceCountersT {
     f("admission_pending", s.admission_pending...);
     f("admission_pending_peak", s.admission_pending_peak...);
     f("shards_active", s.shards_active...);
-    f("shards_spawned", s.shards_spawned...);
     f("rounds_executed", s.rounds_executed...);
     f("denoise_steps", s.denoise_steps...);
     f("net_evals", s.net_evals...);

@@ -8,9 +8,11 @@
 // Both carry the same endian-fixed, versioned wire bytes.
 //
 // Failure semantics mirror a real network: calling a channel whose endpoint
-// was unregistered (worker shut down) or marked unreachable (partition
-// injection for failover tests) returns UNAVAILABLE, not UB. A handler that
-// throws is caught at the boundary and surfaces as INTERNAL.
+// is not registered (worker not up yet, or shut down) returns UNAVAILABLE,
+// not UB. A handler that throws is caught at the boundary and surfaces as
+// INTERNAL. The loopback transport injects no faults of its own: tests cut
+// a worker off by unregistering its endpoint, and the network fault classes
+// (latency, stalls, resets) are exercised over sockets.
 #pragma once
 
 #include <cstdint>
@@ -69,20 +71,9 @@ class LoopbackTransport {
   /// Registers (or replaces) an endpoint. The handler is invoked on the
   /// caller's thread.
   void register_endpoint(const std::string& name, WireHandler handler);
-  /// Removes an endpoint; existing channels to it start failing.
+  /// Removes an endpoint; existing channels to it start failing until the
+  /// name is registered again.
   void unregister_endpoint(const std::string& name);
-  /// Partition injection: an unreachable endpoint stays registered but all
-  /// calls to it fail with UNAVAILABLE until re-enabled.
-  void set_endpoint_reachable(const std::string& name, bool reachable);
-  /// Latency injection: every call to `name` sleeps this long before the
-  /// handler runs (0 disables). Gives loopback tests the socket
-  /// transport's added-latency fault class without sockets.
-  void set_endpoint_latency(const std::string& name, std::int64_t delay_ms);
-  /// One-shot call failure: the next call to `name` returns `status`
-  /// instead of reaching the handler (injections queue in FIFO order).
-  /// Mirrors a socket-level timeout/reset so loopback suites can reuse the
-  /// chaos assertions.
-  void inject_call_failure(const std::string& name, common::Status status);
 
   /// Returns a channel to `name`. Connecting to a not-yet-registered
   /// endpoint is allowed (calls fail until it registers), matching how a

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "common/contracts.h"
 #include "geometry/components.h"
@@ -12,45 +11,6 @@ namespace diffpattern::drc {
 
 using geometry::Coord;
 using layout::SquishPattern;
-
-const char* to_string(ViolationKind kind) {
-  switch (kind) {
-    case ViolationKind::width: return "width";
-    case ViolationKind::space: return "space";
-    case ViolationKind::corner_contact: return "corner_contact";
-    case ViolationKind::corner_space: return "corner_space";
-    case ViolationKind::area_min: return "area_min";
-    case ViolationKind::area_max: return "area_max";
-  }
-  return "unknown";
-}
-
-std::string Violation::description() const {
-  std::ostringstream out;
-  out << to_string(kind);
-  if (axis != '-') {
-    out << " along " << axis;
-  }
-  if (index >= 0) {
-    out << " at " << (kind == ViolationKind::area_min ||
-                              kind == ViolationKind::area_max
-                          ? "polygon "
-                          : "line ")
-        << index;
-  }
-  out << ": measured " << measured << ", required " << required;
-  return out.str();
-}
-
-std::int64_t DrcReport::count(ViolationKind kind) const {
-  std::int64_t n = 0;
-  for (const auto& v : violations) {
-    if (v.kind == kind) {
-      ++n;
-    }
-  }
-  return n;
-}
 
 namespace {
 

@@ -6,7 +6,6 @@
 // the run/space/area predicates of rules.h.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "drc/rules.h"
@@ -23,8 +22,6 @@ enum class ViolationKind {
   area_max,
 };
 
-const char* to_string(ViolationKind kind);
-
 struct Violation {
   ViolationKind kind = ViolationKind::width;
   /// 'x' for a horizontal measurement, 'y' for vertical, '-' otherwise.
@@ -36,15 +33,12 @@ struct Violation {
   std::int64_t measured = 0;
   /// Rule bound that was violated.
   std::int64_t required = 0;
-
-  std::string description() const;
 };
 
 struct DrcReport {
   std::vector<Violation> violations;
 
   bool clean() const { return violations.empty(); }
-  std::int64_t count(ViolationKind kind) const;
 };
 
 /// Checks a squish pattern directly (topology runs weighted by deltas).

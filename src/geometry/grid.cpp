@@ -11,12 +11,6 @@ BinaryGrid::BinaryGrid(std::int64_t rows, std::int64_t cols, std::uint8_t fill)
   DP_REQUIRE(fill <= 1, "BinaryGrid: cells are binary");
 }
 
-std::uint8_t BinaryGrid::at(std::int64_t row, std::int64_t col) const {
-  DP_REQUIRE(row >= 0 && row < rows_ && col >= 0 && col < cols_,
-             "BinaryGrid::at: index out of bounds");
-  return cells_[static_cast<std::size_t>(row * cols_ + col)];
-}
-
 void BinaryGrid::set(std::int64_t row, std::int64_t col, std::uint8_t value) {
   DP_REQUIRE(row >= 0 && row < rows_ && col >= 0 && col < cols_,
              "BinaryGrid::set: index out of bounds");

@@ -21,7 +21,6 @@ class BinaryGrid {
   std::int64_t cell_count() const { return rows_ * cols_; }
   bool empty() const { return cells_.empty(); }
 
-  std::uint8_t at(std::int64_t row, std::int64_t col) const;
   void set(std::int64_t row, std::int64_t col, std::uint8_t value);
 
   /// Unchecked access for hot loops.

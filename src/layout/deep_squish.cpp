@@ -84,48 +84,4 @@ Tensor fold_batch(const std::vector<BinaryGrid>& grids,
   return out;
 }
 
-Tensor naive_concat_encode(const BinaryGrid& grid,
-                           const DeepSquishConfig& config) {
-  const auto p = config.patch_side();
-  DP_REQUIRE(config.channels <= 24,
-             "naive_concat_encode: state space 2^C overflows beyond C=24");
-  DP_REQUIRE(grid.rows() % p == 0 && grid.cols() % p == 0,
-             "naive_concat_encode: grid side not divisible by patch side");
-  const auto m_rows = grid.rows() / p;
-  const auto m_cols = grid.cols() / p;
-  Tensor out({m_rows, m_cols});
-  for (std::int64_t i = 0; i < m_rows; ++i) {
-    for (std::int64_t j = 0; j < m_cols; ++j) {
-      std::int64_t state = 0;
-      for (std::int64_t c = 0; c < config.channels; ++c) {
-        const auto bit = grid.get_unchecked(i * p + c / p, j * p + c % p);
-        state |= static_cast<std::int64_t>(bit) << c;
-      }
-      out.at({i, j}) = static_cast<float>(state);
-    }
-  }
-  return out;
-}
-
-BinaryGrid naive_concat_decode(const Tensor& states,
-                               const DeepSquishConfig& config) {
-  DP_REQUIRE(states.rank() == 2, "naive_concat_decode: expected [M,M]");
-  const auto p = config.patch_side();
-  const auto m_rows = states.dim(0);
-  const auto m_cols = states.dim(1);
-  BinaryGrid grid(m_rows * p, m_cols * p);
-  for (std::int64_t i = 0; i < m_rows; ++i) {
-    for (std::int64_t j = 0; j < m_cols; ++j) {
-      const auto state = static_cast<std::int64_t>(states.at({i, j}));
-      DP_REQUIRE(state >= 0 && state < (std::int64_t{1} << config.channels),
-                 "naive_concat_decode: state out of range");
-      for (std::int64_t c = 0; c < config.channels; ++c) {
-        grid.set(i * p + c / p, j * p + c % p,
-                 static_cast<std::uint8_t>((state >> c) & 1));
-      }
-    }
-  }
-  return grid;
-}
-
 }  // namespace diffpattern::layout

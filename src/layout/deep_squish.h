@@ -5,8 +5,9 @@
 // dimension (space-to-depth). Every channel carries equal weight — unlike
 // the "naive concatenating" alternative that packs a patch into one integer
 // in [0, 2^C), giving bit i a weight of 2^i and an exponentially growing
-// state space (the paper's Fig. 5 argument; benchmarked in
-// bench_fig5_deepsquish).
+// state space (the paper's Fig. 5 argument). Only the deep squish encoding
+// is implemented; bench_fig5_deepsquish reports the naive state count as
+// 2^C without encoding anything.
 #pragma once
 
 #include <cstdint>
@@ -36,14 +37,5 @@ geometry::BinaryGrid unfold_topology(const tensor::Tensor& folded,
 /// Folds a batch of identical-size grids into an [N, C, M, M] tensor.
 tensor::Tensor fold_batch(const std::vector<geometry::BinaryGrid>& grids,
                           const DeepSquishConfig& config);
-
-/// "Naive concatenating" encoding from the paper's Fig. 5: packs each
-/// sqrt(C) x sqrt(C) patch into one integer state in [0, 2^C). Returned as
-/// an [M, M] tensor of state indices (stored in float for convenience).
-/// Provided for the representation ablation only.
-tensor::Tensor naive_concat_encode(const geometry::BinaryGrid& grid,
-                                   const DeepSquishConfig& config);
-geometry::BinaryGrid naive_concat_decode(const tensor::Tensor& states,
-                                         const DeepSquishConfig& config);
 
 }  // namespace diffpattern::layout

@@ -14,22 +14,6 @@ namespace diffpattern::legalize {
 
 using geometry::BinaryGrid;
 
-const char* to_string(InitMode mode) {
-  switch (mode) {
-    case InitMode::solving_r: return "Solving-R";
-    case InitMode::solving_e: return "Solving-E";
-  }
-  return "unknown";
-}
-
-const char* to_string(SolverBackend backend) {
-  switch (backend) {
-    case SolverBackend::repair: return "repair";
-    case SolverBackend::penalty_descent: return "penalty-descent";
-  }
-  return "unknown";
-}
-
 namespace {
 
 // ---- float-stage helpers ---------------------------------------------------

@@ -37,8 +37,6 @@ enum class InitMode {
   solving_e,  // Existing geometric vectors from the dataset.
 };
 
-const char* to_string(InitMode mode);
-
 /// Numerical backend for the float stage.
 enum class SolverBackend {
   /// Special-purpose iterative repair + projection (fast; converges in a
@@ -50,8 +48,6 @@ enum class SolverBackend {
   /// backend that reproduces Table II's Solving-R vs Solving-E gap).
   penalty_descent,
 };
-
-const char* to_string(SolverBackend backend);
 
 /// Pool of existing geometric vectors used by Solving-E.
 struct DeltaLibrary {

@@ -16,30 +16,12 @@ Var ParamRegistry::add(const std::string& name, Tensor init) {
   return v;
 }
 
-std::int64_t ParamRegistry::parameter_count() const {
-  std::int64_t n = 0;
-  for (const auto& p : params_) {
-    n += p.numel();
-  }
-  return n;
-}
-
 Tensor kaiming_normal(common::Rng& rng, Shape shape, std::int64_t fan_in) {
   DP_REQUIRE(fan_in > 0, "kaiming_normal: fan_in must be positive");
   Tensor t(std::move(shape));
   const double stddev = std::sqrt(2.0 / static_cast<double>(fan_in));
   for (std::int64_t i = 0; i < t.numel(); ++i) {
     t[i] = static_cast<float>(rng.normal(0.0, stddev));
-  }
-  return t;
-}
-
-Tensor uniform_fan_in(common::Rng& rng, Shape shape, std::int64_t fan_in) {
-  DP_REQUIRE(fan_in > 0, "uniform_fan_in: fan_in must be positive");
-  Tensor t(std::move(shape));
-  const double bound = 1.0 / std::sqrt(static_cast<double>(fan_in));
-  for (std::int64_t i = 0; i < t.numel(); ++i) {
-    t[i] = static_cast<float>(rng.uniform(-bound, bound));
   }
   return t;
 }

@@ -24,9 +24,6 @@ class ParamRegistry {
   const std::vector<std::string>& names() const { return names_; }
   std::size_t size() const { return params_.size(); }
 
-  /// Total number of scalar parameters.
-  std::int64_t parameter_count() const;
-
  private:
   std::vector<Var> params_;
   std::vector<std::string> names_;
@@ -34,8 +31,6 @@ class ParamRegistry {
 
 /// Kaiming-normal initialization: N(0, sqrt(2 / fan_in)).
 Tensor kaiming_normal(common::Rng& rng, Shape shape, std::int64_t fan_in);
-/// Uniform Xavier-style init in [-1/sqrt(fan_in), 1/sqrt(fan_in)].
-Tensor uniform_fan_in(common::Rng& rng, Shape shape, std::int64_t fan_in);
 
 struct Linear {
   Linear(ParamRegistry& registry, common::Rng& rng, const std::string& name,

@@ -256,23 +256,6 @@ Var gelu(const Var& a) {
                       });
 }
 
-Var tanh_act(const Var& a) {
-  Tensor out = map_unary(a.value(), [](float x) { return std::tanh(x); });
-  if (!graph_needed({&a})) {
-    return make_value_node(std::move(out));
-  }
-  auto pa = a.node();
-  Tensor t = out;
-  return make_op_node(std::move(out), {a},
-                      [pa, t = std::move(t)](const Tensor& g) {
-                        Tensor d = g;
-                        for (std::int64_t i = 0; i < d.numel(); ++i) {
-                          d[i] *= 1.0F - t[i] * t[i];
-                        }
-                        accumulate_grad(*pa, d);
-                      });
-}
-
 Var softplus(const Var& a) {
   Tensor out = map_unary(a.value(), [](float x) {
     return std::max(x, 0.0F) + std::log1p(std::exp(-std::abs(x)));
@@ -537,23 +520,6 @@ Var add_spatial_broadcast(const Var& x, const Var& bias_nc) {
 Var detach(const Var& a) { return Var(a.value(), /*requires_grad=*/false); }
 
 // ---- linear algebra --------------------------------------------------------
-
-Var matmul(const Var& a, const Var& b) {
-  Tensor out = tensor::matmul(a.value(), b.value());
-  if (!graph_needed({&a, &b})) {
-    return make_value_node(std::move(out));
-  }
-  auto pa = a.node();
-  auto pb = b.node();
-  return make_op_node(std::move(out), {a, b}, [pa, pb](const Tensor& g) {
-    if (pa->requires_grad) {
-      accumulate_grad(*pa, tensor::matmul_transpose_b(g, pb->value));
-    }
-    if (pb->requires_grad) {
-      accumulate_grad(*pb, tensor::matmul_transpose_a(pa->value, g));
-    }
-  });
-}
 
 Var bmm(const Var& a, const Var& b) {
   const Tensor& va = a.value();

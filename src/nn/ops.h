@@ -34,7 +34,6 @@ Var relu(const Var& a);
 Var sigmoid(const Var& a);
 Var silu(const Var& a);
 Var gelu(const Var& a);
-Var tanh_act(const Var& a);
 /// Numerically stable softplus: log(1 + exp(x)).
 Var softplus(const Var& a);
 /// log(max(x, eps)); gradient is zero where the clamp is active.
@@ -55,7 +54,6 @@ Var add_spatial_broadcast(const Var& x, const Var& bias_nc);
 Var detach(const Var& a);
 
 // ---- linear algebra ------------------------------------------------------
-Var matmul(const Var& a, const Var& b);
 /// Batched matmul: [B,M,K] x [B,K,N] -> [B,M,N].
 Var bmm(const Var& a, const Var& b);
 /// y = x * w^T + b with x:[N,Fin], w:[Fout,Fin], b:[Fout].

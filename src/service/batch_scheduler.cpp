@@ -27,12 +27,6 @@ BatchScheduler::BatchScheduler(std::int64_t max_fused_batch,
 
 BatchScheduler::~BatchScheduler() { shutdown(); }
 
-void BatchScheduler::set_spawn_gate(
-    std::function<bool(const std::string&)> gate) {
-  const std::lock_guard<std::mutex> lock(shards_mutex_);
-  spawn_gate_ = std::move(gate);
-}
-
 common::Status BatchScheduler::submit(std::shared_ptr<SampleJob> job) {
   const std::lock_guard<std::mutex> lock(shards_mutex_);
   if (shutdown_requested_) {
@@ -41,10 +35,6 @@ common::Status BatchScheduler::submit(std::shared_ptr<SampleJob> job) {
   const auto& model = job->artifacts->name;
   auto it = shards_.find(model);
   if (it == shards_.end()) {
-    if (spawn_gate_ && !spawn_gate_(model)) {
-      return common::Status::NotFound("model '" + model +
-                                      "' was unregistered");
-    }
     auto fresh = std::make_unique<Shard>();
     fresh->model = model;
     // Insert BEFORE starting the thread: if the map node allocation threw
@@ -60,14 +50,13 @@ common::Status BatchScheduler::submit(std::shared_ptr<SampleJob> job) {
           "could not start a batcher shard for model '" + model + "'");
     }
     counters_.shards_active.add();
-    counters_.shards_spawned.add();
   }
   Shard* shard = it->second.get();
-  // Enqueue AND notify under shards_mutex_: remove_shard/shutdown extract
-  // the shard from the map under the same lock before destroying it, so
-  // the cv we notify cannot be freed underneath us. The gauge increments
-  // BEFORE the push — the shard thread decrements only after popping, so
-  // the queue_depth gauge can never be observed negative.
+  // Enqueue AND notify under shards_mutex_: shutdown extracts the shards
+  // from the map under the same lock before destroying them, so the cv we
+  // notify cannot be freed underneath us. The gauge increments BEFORE the
+  // push — the shard thread decrements only after popping, so the
+  // queue_depth gauge can never be observed negative.
   counters_.queue_depth_peak.raise_to(counters_.queue_depth.add());
   {
     const std::lock_guard<std::mutex> shard_lock(shard->mutex);
@@ -112,31 +101,6 @@ void BatchScheduler::expire_deadlines(Shard& shard) {
   }
 }
 
-void BatchScheduler::remove_shard(const std::string& model) {
-  std::unique_ptr<Shard> shard;
-  {
-    const std::lock_guard<std::mutex> lock(shards_mutex_);
-    const auto it = shards_.find(model);
-    if (it == shards_.end()) {
-      return;
-    }
-    shard = std::move(it->second);
-    shards_.erase(it);
-  }
-  {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->drain_and_stop = true;
-  }
-  shard->cv.notify_all();
-  shard->thread.join();
-  counters_.shards_active.add(-1);
-}
-
-std::int64_t BatchScheduler::shard_count() const {
-  const std::lock_guard<std::mutex> lock(shards_mutex_);
-  return static_cast<std::int64_t>(shards_.size());
-}
-
 void BatchScheduler::shutdown() {
   std::map<std::string, std::unique_ptr<Shard>> shards;
   {
@@ -163,23 +127,11 @@ void BatchScheduler::shutdown() {
   }
 }
 
-std::int64_t BatchScheduler::acquire_slots(const Shard& shard,
-                                           std::int64_t wanted) {
-  // The budget handles the shutdown wakeup itself (shutdown() calls
-  // budget_.shutdown() before joining shard threads).
-  return budget_.acquire(shard.model, wanted);
-}
-
-void BatchScheduler::release_slots(const Shard& shard, std::int64_t granted) {
-  budget_.release(shard.model, granted);
-}
-
 void BatchScheduler::shard_loop(Shard& shard) {
   std::unique_lock<std::mutex> lock(shard.mutex);
   for (;;) {
     shard.cv.wait(lock, [&] {
-      return shard.drain_and_stop || !shard.queue.empty() ||
-             shutdown_.load(std::memory_order_relaxed);
+      return !shard.queue.empty() || shutdown_.load(std::memory_order_relaxed);
     });
     if (shutdown_.load(std::memory_order_relaxed)) {
       for (auto& job : shard.queue) {
@@ -190,12 +142,6 @@ void BatchScheduler::shard_loop(Shard& shard) {
       }
       shard.queue.clear();
       return;
-    }
-    if (shard.queue.empty()) {
-      if (shard.drain_and_stop) {
-        return;  // Unregistered with nothing left to sample.
-      }
-      continue;
     }
     try {
       run_round(shard, lock);
@@ -246,9 +192,10 @@ void BatchScheduler::run_round(Shard& shard,
   wanted = std::min(wanted, max_fused_batch_);
 
   // Admission: wait for a share of the global fused-slot budget. The wait
-  // happens without shard.mutex so submits keep landing meanwhile.
+  // happens without shard.mutex so submits keep landing meanwhile; at
+  // shutdown() the budget wakes it with a grant of 0.
   lock.unlock();
-  const auto granted = acquire_slots(shard, wanted);
+  const auto granted = budget_.acquire(shard.model, wanted);
   lock.lock();
   if (granted == 0) {
     return;  // Shutdown: the loop fails the queue.
@@ -274,7 +221,7 @@ void BatchScheduler::run_round(Shard& shard,
       }
       entry.job->finish();
     }
-    release_slots(shard, granted);
+    budget_.release(shard.model, granted);
   };
 
   std::shared_ptr<SampleJob> leftover;  // Partially-handed job, if any.
@@ -312,7 +259,7 @@ void BatchScheduler::run_round(Shard& shard,
       it = shard.queue.erase(it);
     }
     if (round.empty()) {
-      release_slots(shard, granted);
+      budget_.release(shard.model, granted);
       return;
     }
     if (leftover != nullptr) {
@@ -387,7 +334,7 @@ void BatchScheduler::run_round(Shard& shard,
           common::Status::Internal("sampling round failed unexpectedly");
     }
   }
-  release_slots(shard, granted);
+  budget_.release(shard.model, granted);
   counters_.rounds_executed.add();
   counters_.fused_slots_total.add(total_slots);
   counters_.max_round_slots.raise_to(total_slots);

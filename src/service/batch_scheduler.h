@@ -4,13 +4,12 @@
 // on one model head-of-line blocked every other model's rounds. The
 // BatchScheduler splits that monolith: each model gets its own shard (a
 // queue + batcher thread), spawned lazily on the first request that names
-// the model and torn down when the model is unregistered. Shards run
-// independently, so traffic on one model never delays another model's
-// rounds — but peak memory is still bounded globally: before running a
-// round, a shard acquires slots from a shared admission budget of
-// max_fused_batch fused slots, so the sum of concurrently sampled slots
-// across ALL shards never exceeds what one fused batch was allowed to use
-// before.
+// the model and joined at shutdown(). Shards run independently, so traffic
+// on one model never delays another model's rounds — but peak memory is
+// still bounded globally: before running a round, a shard acquires slots
+// from a shared admission budget of max_fused_batch fused slots, so the
+// sum of concurrently sampled slots across ALL shards never exceeds what
+// one fused batch was allowed to use before.
 //
 // Determinism: a slot's RNG stream depends only on (request seed, slot
 // index), never on round composition, shard count, or admission grants —
@@ -117,28 +116,10 @@ class BatchScheduler {
   BatchScheduler(const BatchScheduler&) = delete;
   BatchScheduler& operator=(const BatchScheduler&) = delete;
 
-  /// Installs a predicate consulted (under the scheduler lock) before a
-  /// shard is lazily spawned: when it returns false for the model name,
-  /// submit answers NOT_FOUND instead of creating a shard. The service
-  /// points this at ModelRegistry::contains, which closes the
-  /// respawn race with unregister: a true answer under the lock means the
-  /// registry erase has not completed yet, so the unregister hook's
-  /// remove_shard is still to come and will observe (and tear down) the
-  /// freshly spawned shard. Install before serving traffic.
-  void set_spawn_gate(std::function<bool(const std::string&)> gate);
-
   /// Enqueues a job on the shard for job->artifacts->name, spawning the
-  /// shard on first use (subject to the spawn gate). UNAVAILABLE after
-  /// shutdown(); NOT_FOUND when the gate rejects a spawn.
+  /// shard on first use. A shard lives until shutdown(), serving every
+  /// revision the name is re-registered with. UNAVAILABLE after shutdown().
   common::Status submit(std::shared_ptr<SampleJob> job);
-
-  /// Tears down the model's shard: the shard finishes its queued jobs,
-  /// then its thread exits and is joined. No-op for models without a
-  /// shard. A later submit for the same name spawns a fresh shard.
-  void remove_shard(const std::string& model);
-
-  /// Live shards (also exported through the counters as shards_active).
-  std::int64_t shard_count() const;
 
   /// Fails all queued jobs with UNAVAILABLE and joins every shard thread.
   /// Subsequent submits are rejected. Idempotent; the destructor calls it.
@@ -150,7 +131,6 @@ class BatchScheduler {
     std::mutex mutex;
     std::condition_variable cv;
     std::deque<std::shared_ptr<SampleJob>> queue;
-    bool drain_and_stop = false;  // Unregister: finish queue, then exit.
     std::thread thread;
   };
 
@@ -168,17 +148,11 @@ class BatchScheduler {
   /// expired job never occupies fused slots.
   void expire_deadlines(Shard& shard);
 
-  /// Blocks until the budget grants `shard`'s model at least one slot (or
-  /// shutdown). Returns 0 only on shutdown.
-  std::int64_t acquire_slots(const Shard& shard, std::int64_t wanted);
-  void release_slots(const Shard& shard, std::int64_t granted);
-
   const std::int64_t max_fused_batch_;
   common::CounterBlock& counters_;
 
-  mutable std::mutex shards_mutex_;
+  std::mutex shards_mutex_;
   std::map<std::string, std::unique_ptr<Shard>> shards_;
-  std::function<bool(const std::string&)> spawn_gate_;
   bool shutdown_requested_ = false;
   /// Read by shard threads without shards_mutex_ (they must not take it).
   std::atomic<bool> shutdown_{false};

@@ -142,43 +142,4 @@ common::Result<std::shared_ptr<const ModelArtifacts>> ModelRegistry::lookup(
   return it->second;
 }
 
-common::Status ModelRegistry::unregister(const std::string& name) {
-  std::function<void(const std::string&)> hook;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (models_.erase(name) == 0) {
-      return common::Status::NotFound("model '" + name +
-                                      "' is not registered");
-    }
-    hook = unregister_hook_;
-  }
-  // Outside the lock: the hook joins the model's batcher shard, which may
-  // take as long as the shard's queued jobs.
-  if (hook) {
-    hook(name);
-  }
-  return common::Status::Ok();
-}
-
-void ModelRegistry::set_unregister_hook(
-    std::function<void(const std::string&)> hook) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  unregister_hook_ = std::move(hook);
-}
-
-bool ModelRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return models_.count(name) > 0;
-}
-
-std::vector<std::string> ModelRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(models_.size());
-  for (const auto& [name, artifacts] : models_) {
-    out.push_back(name);
-  }
-  return out;
-}
-
 }  // namespace diffpattern::service

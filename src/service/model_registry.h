@@ -4,13 +4,13 @@
 // (copied in, so the trainer can keep mutating its own instance), the noise
 // schedule, the deep-squish geometry, the solver configuration, the default
 // rule deck, and the delta library for Solving-E initialization. Entries are
-// immutable after registration; re-registering a name atomically replaces
-// the entry without disturbing in-flight requests, which keep their
-// shared_ptr to the old artifacts.
+// immutable after registration and stay registered for the life of the
+// registry; re-registering a name atomically replaces the entry without
+// disturbing in-flight requests, which keep their shared_ptr to the old
+// artifacts.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -82,19 +82,9 @@ class ModelRegistry {
   common::Result<std::shared_ptr<const ModelArtifacts>> lookup(
       const std::string& name) const;
 
-  common::Status unregister(const std::string& name);
-  bool contains(const std::string& name) const;
-  std::vector<std::string> names() const;
-
-  /// Installs a hook invoked after a successful unregister, with the
-  /// registry lock released (the hook may block). The PatternService uses
-  /// it to tear down the model's batcher shard. Pass nullptr to clear.
-  void set_unregister_hook(std::function<void(const std::string&)> hook);
-
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::shared_ptr<const ModelArtifacts>> models_;
-  std::function<void(const std::string&)> unregister_hook_;
 };
 
 }  // namespace diffpattern::service

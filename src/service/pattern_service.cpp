@@ -211,6 +211,11 @@ struct PatternService::Impl {
           "least one thread (use a negative value to keep the ambient pool "
           "size)");
     }
+    if (cfg.max_fused_batch < 1) {
+      return common::Status::InvalidArgument(
+          "ServiceConfig.max_fused_batch is below 1: every sampling round "
+          "needs at least one fused slot");
+    }
     return common::Status::Ok();
   }
 
@@ -236,18 +241,9 @@ struct PatternService::Impl {
     rule_sets["normal"] = drc::standard_rules();
     rule_sets["space"] = drc::larger_space_rules();
     rule_sets["area"] = drc::smaller_area_rules();
-    // Shards are per-model: tear one down the moment its model leaves the
-    // registry (in-flight jobs drain first), and never spawn one for a
-    // name the registry no longer holds (closes the submit/unregister
-    // race — see BatchScheduler::set_spawn_gate).
-    registry.set_unregister_hook(
-        [this](const std::string& name) { scheduler.remove_shard(name); });
-    scheduler.set_spawn_gate(
-        [this](const std::string& name) { return registry.contains(name); });
   }
 
   ~Impl() {
-    registry.set_unregister_hook(nullptr);
     // Stop the shards before `workers` is destroyed (member order below
     // already guarantees it; shutting down explicitly keeps that
     // dependency visible).

@@ -12,7 +12,7 @@
 //
 // Execution model:
 //   * Each registered model gets its own batcher shard (spawned lazily on
-//     first request, torn down on unregister): reverse diffusion for
+//     first request, joined at shutdown): reverse diffusion for
 //     concurrently queued requests of that model is fused into one batch
 //     per denoising round. Shards run independently — heavy traffic on one
 //     model never head-of-line blocks another — while a shared admission
@@ -73,7 +73,8 @@ struct ServiceConfig {
   std::int64_t compute_threads = -1;
   /// Global admission budget: upper bound on sampling slots fused into
   /// reverse-diffusion batches across ALL model shards at once (bounds
-  /// peak activation memory; larger requests run in chunks).
+  /// peak activation memory; larger requests run in chunks). Values < 1
+  /// are rejected like legalize_workers == 0.
   std::int64_t max_fused_batch = 64;
   /// Per-request topology cap; larger counts are INVALID_ARGUMENT.
   std::int64_t max_count = 4096;

@@ -275,19 +275,6 @@ void col2im_block(const float* src, const Conv2dGeometry& geom, float* dst,
 
 }  // namespace
 
-Tensor im2col(const Tensor& image, const Conv2dGeometry& geom) {
-  DP_REQUIRE(image.rank() == 3, "im2col: expected [C,H,W]");
-  DP_REQUIRE(image.dim(0) == geom.in_channels && image.dim(1) == geom.in_h &&
-                 image.dim(2) == geom.in_w,
-             "im2col: geometry mismatch with image " + image.shape_string());
-  const auto oh = geom.out_h();
-  const auto ow = geom.out_w();
-  DP_REQUIRE(oh > 0 && ow > 0, "im2col: empty output window");
-  Tensor cols({geom.patch_size(), oh * ow});
-  im2col_block(image.data(), geom, cols.data(), 0, oh * ow);
-  return cols;
-}
-
 Tensor im2col_batch(const Tensor& images, const Conv2dGeometry& geom) {
   DP_REQUIRE(images.rank() == 4, "im2col_batch: expected [N,C,H,W]");
   DP_REQUIRE(images.dim(1) == geom.in_channels &&
@@ -308,18 +295,6 @@ Tensor im2col_batch(const Tensor& images, const Conv2dGeometry& geom) {
     }
   });
   return cols;
-}
-
-Tensor col2im(const Tensor& columns, const Conv2dGeometry& geom) {
-  DP_REQUIRE(columns.rank() == 2, "col2im: expected rank-2 columns");
-  const auto oh = geom.out_h();
-  const auto ow = geom.out_w();
-  DP_REQUIRE(columns.dim(0) == geom.patch_size() &&
-                 columns.dim(1) == oh * ow,
-             "col2im: column shape mismatch");
-  Tensor image({geom.in_channels, geom.in_h, geom.in_w}, 0.0F);
-  col2im_block(columns.data(), geom, image.data(), 0, oh * ow);
-  return image;
 }
 
 Tensor col2im_batch(const Tensor& columns, const Conv2dGeometry& geom,

@@ -65,15 +65,12 @@ struct Conv2dGeometry {
   std::int64_t patch_size() const { return in_channels * kernel_h * kernel_w; }
 };
 
-/// Unrolls one image [C,H,W] into columns [C*kh*kw, OH*OW]. Out-of-bounds
-/// (padding) positions contribute zeros.
-Tensor im2col(const Tensor& image, const Conv2dGeometry& geom);
-
 /// Batch-wide unroll: [N,C,H,W] -> [C*kh*kw, N*OH*OW], sample-major columns
-/// (sample n owns columns [n*OH*OW, (n+1)*OH*OW)). One matmul against the
-/// flattened conv weight then convolves the whole batch; each column block
-/// is byte-identical to im2col of that sample, so batched convolution is
-/// bit-equal to the per-sample path.
+/// (sample n owns columns [n*OH*OW, (n+1)*OH*OW)); out-of-bounds (padding)
+/// positions contribute zeros. One matmul against the flattened conv
+/// weight then convolves the whole batch; each sample's column block
+/// depends on that sample alone, so batched convolution is bit-equal to a
+/// batch of one per sample.
 Tensor im2col_batch(const Tensor& images, const Conv2dGeometry& geom);
 
 /// Zero-filled [batch, C, H+2p, W+2p] for the conv `geom` (C, H, W and p
@@ -114,12 +111,9 @@ Tensor conv2d(const Tensor& images, const Tensor& weight, const Tensor& bias,
               const Conv2dGeometry& geom, bool bordered = false,
               const ConvEpilogue& epilogue = {});
 
-/// Adjoint of im2col: folds columns [C*kh*kw, OH*OW] back into an image
-/// [C,H,W], accumulating overlapping contributions.
-Tensor col2im(const Tensor& columns, const Conv2dGeometry& geom);
-
 /// Adjoint of im2col_batch: folds [C*kh*kw, N*OH*OW] back into [N,C,H,W],
-/// one independent (parallel) fold per sample.
+/// one independent (parallel) fold per sample, accumulating overlapping
+/// contributions.
 Tensor col2im_batch(const Tensor& columns, const Conv2dGeometry& geom,
                     std::int64_t batch);
 

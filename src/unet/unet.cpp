@@ -177,8 +177,6 @@ UNet::UNet(UNetConfig config, std::uint64_t seed) : config_(std::move(config)) {
 }
 
 UNet::~UNet() = default;
-UNet::UNet(UNet&&) noexcept = default;
-UNet& UNet::operator=(UNet&&) noexcept = default;
 
 Var UNet::apply_res_block(const ResBlock& block, Var h, const Var& time_emb,
                           bool training, common::Rng& rng) const {

@@ -50,8 +50,6 @@ class UNet {
  public:
   UNet(UNetConfig config, std::uint64_t seed);
   ~UNet();  // Out of line: members use types private to the .cpp.
-  UNet(UNet&&) noexcept;
-  UNet& operator=(UNet&&) noexcept;
 
   /// x: [N, in_channels, H, W] with H and W each a positive multiple of
   /// 2^(levels-1) (invalid_argument otherwise).

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "baselines/autoencoder.h"
 #include "baselines/layoutransformer.h"
 #include "baselines/legalgan.h"
@@ -57,9 +59,14 @@ TEST(Cae, ReconstructionImprovesWithTraining) {
   dc::Rng rng(4);
   const auto probe =
       shared_dataset().folded_batch(shared_dataset().train_indices);
-  const double before = cae.reconstruction_loss(probe);
+  const auto mean_bce = [&cae, &probe] {
+    const auto per_sample = cae.per_sample_reconstruction_bce(probe);
+    return std::accumulate(per_sample.begin(), per_sample.end(), 0.0) /
+           static_cast<double>(per_sample.size());
+  };
+  const double before = mean_bce();
   cae.train(shared_dataset(), 60, rng);
-  const double after = cae.reconstruction_loss(probe);
+  const double after = mean_bce();
   EXPECT_LT(after, before * 0.9) << before << " -> " << after;
 }
 

@@ -30,7 +30,6 @@ dc::ServiceCounters sample_service_counters() {
   s.admission_pending = 5;
   s.admission_pending_peak = 6;
   s.shards_active = 7;
-  s.shards_spawned = 8;
   s.rounds_executed = 9;
   s.denoise_steps = 10;
   s.net_evals = 11;
@@ -62,7 +61,7 @@ TEST(CounterOutput, ServiceCountersJsonIsPinned) {
       "{\"kernel_backend\":\"avx2\",\"compute_pool\":\"4 threads "
       "(hardware)\",\"queue_depth\":3,\"queue_depth_peak\":4,"
       "\"admission_pending\":5,\"admission_pending_peak\":6,"
-      "\"shards_active\":7,\"shards_spawned\":8,\"rounds_executed\":9,"
+      "\"shards_active\":7,\"rounds_executed\":9,"
       "\"denoise_steps\":10,\"net_evals\":11,\"steps_skipped\":12,"
       "\"fused_slots_total\":13,\"max_round_slots\":14,"
       "\"fused_fill_ratio\":0.4375,\"requests_accepted\":16,"
@@ -81,7 +80,7 @@ TEST(CounterOutput, EmptyServiceCountersJsonIsPinned) {
       "{\"kernel_backend\":\"\",\"compute_pool\":\"\",\"queue_depth\":0,"
       "\"queue_depth_peak\":0,\"admission_pending\":0,"
       "\"admission_pending_peak\":0,\"shards_active\":0,"
-      "\"shards_spawned\":0,\"rounds_executed\":0,\"denoise_steps\":0,"
+      "\"rounds_executed\":0,\"denoise_steps\":0,"
       "\"net_evals\":0,\"steps_skipped\":0,\"fused_slots_total\":0,"
       "\"max_round_slots\":0,\"fused_fill_ratio\":0,"
       "\"requests_accepted\":0,\"requests_completed\":0,"
@@ -98,7 +97,7 @@ TEST(CounterOutput, ServiceCountersTextNamesEveryField) {
   for (const char* name :
        {"kernel_backend", "compute_pool", "queue_depth", "queue_depth_peak",
         "admission_pending", "admission_pending_peak", "shards_active",
-        "shards_spawned", "rounds_executed", "denoise_steps", "net_evals",
+        "rounds_executed", "denoise_steps", "net_evals",
         "steps_skipped", "fused_slots_total",
         "max_round_slots", "fused_fill_ratio", "requests_accepted",
         "requests_completed", "stream_deliveries", "patterns_delivered",
@@ -127,7 +126,6 @@ TEST(CounterOutput, CounterBlockSnapshotReadsEveryCounter) {
   record(block.admission_pending, 3);
   record(block.admission_pending_peak, 4);
   record(block.shards_active, 5);
-  record(block.shards_spawned, 6);
   record(block.rounds_executed, 7);
   record(block.denoise_steps, 8);
   record(block.net_evals, 9);
@@ -155,7 +153,6 @@ TEST(CounterOutput, CounterBlockSnapshotReadsEveryCounter) {
   EXPECT_EQ(s.admission_pending, 3);
   EXPECT_EQ(s.admission_pending_peak, 4);
   EXPECT_EQ(s.shards_active, 5);
-  EXPECT_EQ(s.shards_spawned, 6);
   EXPECT_EQ(s.rounds_executed, 7);
   EXPECT_EQ(s.denoise_steps, 8);
   EXPECT_EQ(s.net_evals, 9);

@@ -173,18 +173,19 @@ TEST_F(DistRouterTest, FailoverReplaysIdenticalBytesAndProbesRevive) {
   router.add_replica("demo", transport_.connect("w0"));
   router.add_replica("demo", transport_.connect("w1"));
 
-  // Partition w0. Round-robin tries it first (deterministically), takes
+  // Cut w0 off. Round-robin tries it first (deterministically), takes
   // the transport failure, marks it down, and replays on w1 — the client
   // sees one OK result, byte-identical to an unloaded run.
-  transport_.set_endpoint_reachable("w0", false);
+  transport_.unregister_endpoint("w0");
   const auto failed_over = router.generate(request);
   ASSERT_TRUE(failed_over.ok()) << failed_over.status().to_string();
   EXPECT_TRUE(same_patterns(golden->patterns, failed_over->patterns));
   EXPECT_GE(router.counters().failovers, 1);
   EXPECT_EQ(router.healthy_replicas("demo"), 1);
 
-  // Heal the partition: an on-demand probe revives w0.
-  transport_.set_endpoint_reachable("w0", true);
+  // Bring w0 back: an on-demand probe revives it.
+  transport_.register_endpoint(
+      "w0", [&w0](const dd::Bytes& frame) { return w0->handle(frame); });
   router.refresh_health();
   EXPECT_EQ(router.healthy_replicas("demo"), 2);
   EXPECT_GE(router.counters().health_probes, 2);
@@ -199,7 +200,7 @@ TEST_F(DistRouterTest, FailedProbeMarksReplicaDown) {
   auto w0 = make_worker("w0");
   dd::ReplicaRouter router(round_robin());
   router.add_replica("demo", transport_.connect("w0"));
-  transport_.set_endpoint_reachable("w0", false);
+  transport_.unregister_endpoint("w0");
   router.refresh_health();
   EXPECT_EQ(router.healthy_replicas("demo"), 0);
   EXPECT_GE(router.counters().health_failures, 1);

@@ -52,10 +52,10 @@ TEST(Rect, InflatedGrowsAllSides) {
 TEST(BinaryGrid, SetGetAndBounds) {
   BinaryGrid g(3, 4);
   g.set(2, 3, 1);
-  EXPECT_EQ(g.at(2, 3), 1);
-  EXPECT_EQ(g.at(0, 0), 0);
+  EXPECT_EQ(g.get_unchecked(2, 3), 1);
+  EXPECT_EQ(g.get_unchecked(0, 0), 0);
   EXPECT_EQ(g.popcount(), 1);
-  EXPECT_THROW(g.at(3, 0), std::invalid_argument);
+  EXPECT_THROW(g.set(3, 0, 1), std::invalid_argument);
   EXPECT_THROW(g.set(0, 0, 2), std::invalid_argument);
 }
 
@@ -75,7 +75,7 @@ TEST(BinaryGrid, MirrorAndTranspose) {
   EXPECT_EQ(t.rows(), 3);
   EXPECT_EQ(t.cols(), 2);
   // g(r=1, c=0) is '#' (top row, first char) -> t(0, 1).
-  EXPECT_EQ(t.at(0, 1), 1);
+  EXPECT_EQ(t.get_unchecked(0, 1), 1);
 }
 
 TEST(Components, LabelsFourConnectivity) {

@@ -103,8 +103,7 @@ TEST(GradCheck, ConstOps) {
 TEST(GradCheck, ActivationsSmooth) {
   dc::Rng rng(3);
   Tensor w = random_tensor(rng, {3, 3});
-  for (auto* op : {&nn::sigmoid, &nn::silu, &nn::gelu, &nn::tanh_act,
-                   &nn::softplus}) {
+  for (auto* op : {&nn::sigmoid, &nn::silu, &nn::gelu, &nn::softplus}) {
     grad_check(
         [&](const std::vector<Var>& v) { return weighted_sum((*op)(v[0]), w); },
         {random_tensor(rng, {3, 3})});
@@ -140,15 +139,8 @@ TEST(GradCheck, LogClamped) {
       {x});
 }
 
-TEST(GradCheck, MatmulAndLinear) {
+TEST(GradCheck, Linear) {
   dc::Rng rng(6);
-  Tensor w = random_tensor(rng, {2, 4});
-  grad_check(
-      [&](const std::vector<Var>& v) {
-        return weighted_sum(nn::matmul(v[0], v[1]), w);
-      },
-      {random_tensor(rng, {2, 3}), random_tensor(rng, {3, 4})});
-
   Tensor w2 = random_tensor(rng, {3, 5});
   grad_check(
       [&](const std::vector<Var>& v) {

@@ -32,7 +32,7 @@ TEST(Training, MlpFitsXor) {
   double final_loss = 1e9;
   for (int it = 0; it < 600; ++it) {
     opt.zero_grad();
-    Var h = nn::tanh_act(l1(Var(x)));
+    Var h = nn::silu(l1(Var(x)));
     Var logits = l2(h);
     // BCE with logits: softplus(z) - t*z, averaged.
     Var bce = nn::sub(nn::softplus(logits), nn::mul_const(logits, t));

@@ -251,10 +251,10 @@ TEST(ParallelKernels, Im2colBatchMatchesPerSampleBlocks) {
     ASSERT_EQ(cols.dim(0), geom.patch_size());
     ASSERT_EQ(cols.dim(1), batch * n_out);
     for (std::int64_t n = 0; n < batch; ++n) {
-      Tensor image({3, 9, 7});
+      Tensor image({1, 3, 9, 7});
       std::copy(x.data() + n * image.numel(),
                 x.data() + (n + 1) * image.numel(), image.data());
-      const Tensor single = dt::im2col(image, geom);
+      const Tensor single = dt::im2col_batch(image, geom);
       for (std::int64_t r = 0; r < geom.patch_size(); ++r) {
         for (std::int64_t p = 0; p < n_out; ++p) {
           ASSERT_EQ(cols[r * batch * n_out + n * n_out + p],
@@ -263,7 +263,7 @@ TEST(ParallelKernels, Im2colBatchMatchesPerSampleBlocks) {
         }
       }
     }
-    // Round trip: col2im_batch equals per-sample col2im.
+    // Round trip: col2im_batch equals a batch-of-one fold per sample.
     const Tensor folded = dt::col2im_batch(cols, geom, batch);
     for (std::int64_t n = 0; n < batch; ++n) {
       Tensor block({geom.patch_size(), n_out});
@@ -272,7 +272,7 @@ TEST(ParallelKernels, Im2colBatchMatchesPerSampleBlocks) {
                   cols.data() + r * batch * n_out + (n + 1) * n_out,
                   block.data() + r * n_out);
       }
-      const Tensor single = dt::col2im(block, geom);
+      const Tensor single = dt::col2im_batch(block, geom, /*batch=*/1);
       for (std::int64_t i = 0; i < single.numel(); ++i) {
         ASSERT_EQ(folded[n * single.numel() + i], single[i]);
       }

@@ -7,9 +7,11 @@
 #include "common/rng.h"
 #include "datagen/datagen.h"
 #include "drc/checker.h"
+#include "drc_test_util.h"
 #include "layout/squish.h"
 
 namespace dd = diffpattern::drc;
+using dd::test::count_kind;
 namespace dl = diffpattern::layout;
 namespace dg = diffpattern::geometry;
 namespace dc = diffpattern::common;
@@ -61,8 +63,8 @@ TEST_P(DrcMetamorphic, VerdictInvariantUnderPadding) {
        {dd::ViolationKind::width, dd::ViolationKind::space,
         dd::ViolationKind::area_min, dd::ViolationKind::area_max,
         dd::ViolationKind::corner_contact}) {
-    EXPECT_EQ(base.count(kind) > 0, after.count(kind) > 0)
-        << "kind " << dd::to_string(kind);
+    EXPECT_EQ(count_kind(base, kind) > 0, count_kind(after, kind) > 0)
+        << "kind " << static_cast<int>(kind);
   }
 }
 
@@ -178,7 +180,7 @@ TEST(DrcDifferential, RunChecksAgreeWithBruteForceOnSmallGrids) {
     };
     scan(true);
     scan(false);
-    EXPECT_EQ(report.count(dd::ViolationKind::width), expected_width);
-    EXPECT_EQ(report.count(dd::ViolationKind::space), expected_space);
+    EXPECT_EQ(count_kind(report, dd::ViolationKind::width), expected_width);
+    EXPECT_EQ(count_kind(report, dd::ViolationKind::space), expected_space);
   }
 }

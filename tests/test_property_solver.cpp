@@ -82,8 +82,8 @@ TEST_P(SolverMatrix, EmittedPatternsAreAlwaysClean) {
       ++solved;
       EXPECT_TRUE(dd::check_pattern(result.pattern, rules).clean())
           << "preset=" << static_cast<int>(preset)
-          << " backend=" << dle::to_string(backend)
-          << " init=" << dle::to_string(init) << "\n"
+          << " backend=" << static_cast<int>(backend)
+          << " init=" << static_cast<int>(init) << "\n"
           << topology.to_ascii();
       EXPECT_EQ(result.pattern.topology, topology);
       EXPECT_EQ(result.pattern.width(), 2048);

@@ -154,28 +154,3 @@ TEST_P(DeepSquishChannels, PopcountInvariantUnderFolding) {
 
 INSTANTIATE_TEST_SUITE_P(ChannelSweep, DeepSquishChannels,
                          ::testing::Values(1, 4, 9, 16, 25));
-
-class NaiveConcatChannels : public ::testing::TestWithParam<std::int64_t> {};
-
-TEST_P(NaiveConcatChannels, RoundTripWithinOverflowLimit) {
-  const auto channels = GetParam();
-  dl::DeepSquishConfig cfg;
-  cfg.channels = channels;
-  const auto side = cfg.patch_side() * 3;
-  dc::Rng rng(channels + 7);
-  dg::BinaryGrid grid(side, side);
-  for (std::int64_t r = 0; r < side; ++r) {
-    for (std::int64_t c = 0; c < side; ++c) {
-      grid.set(r, c, rng.bernoulli(0.5) ? 1 : 0);
-    }
-  }
-  const auto states = dl::naive_concat_encode(grid, cfg);
-  EXPECT_EQ(dl::naive_concat_decode(states, cfg), grid);
-  // State values bounded by 2^C.
-  for (std::int64_t i = 0; i < states.numel(); ++i) {
-    EXPECT_LT(states[i], static_cast<float>(std::int64_t{1} << channels));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ChannelSweep, NaiveConcatChannels,
-                         ::testing::Values(1, 4, 9, 16));

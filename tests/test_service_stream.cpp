@@ -193,7 +193,7 @@ TEST_F(ServiceStreamTest, ThrowingCallbackFailsRequestTyped) {
 
 // -------------------------------------------------------------- sharding
 
-TEST_F(ServiceStreamTest, ShardsSpawnLazilyAndTearDownOnUnregister) {
+TEST_F(ServiceStreamTest, ShardsSpawnLazilyOnePerModel) {
   EXPECT_EQ(service_->counters().shards_active, 0);
 
   const ds::SampleTopologiesRequest request{.model = "a", .count = 1,
@@ -205,13 +205,80 @@ TEST_F(ServiceStreamTest, ShardsSpawnLazilyAndTearDownOnUnregister) {
                                           .seed = 2};
   ASSERT_TRUE(service_->sample_topologies(other).ok());
   EXPECT_EQ(service_->counters().shards_active, 2);
-  EXPECT_EQ(service_->counters().shards_spawned, 2);
 
-  ASSERT_TRUE(service_->models().unregister("a").ok());
-  EXPECT_EQ(service_->counters().shards_active, 1);
-  ASSERT_TRUE(service_->models().unregister("b").ok());
-  EXPECT_EQ(service_->counters().shards_active, 0);
-  EXPECT_EQ(service_->counters().shards_spawned, 2);
+  // A second request on a model reuses its shard.
+  ASSERT_TRUE(service_->sample_topologies(request).ok());
+  EXPECT_EQ(service_->counters().shards_active, 2);
+}
+
+TEST_F(ServiceStreamTest, ReRegisteringAModelReplacesItForLaterRequests) {
+  // Solo references: model b holds the weights "a" is replaced with, and
+  // a slot's noise depends only on (seed, slot), not on the model's name.
+  // The first and second requests are the same, so only the weights tell
+  // their answers apart.
+  const ds::SampleTopologiesRequest request{.model = "a", .count = 3,
+                                            .seed = 41};
+  const ds::SampleTopologiesRequest straggler{.model = "a", .count = 1,
+                                              .seed = 43, .priority = -1};
+  const auto old_reference = service_->sample_topologies(request);
+  const auto straggler_reference = service_->sample_topologies(straggler);
+  auto on_b = request;
+  on_b.model = "b";
+  const auto new_reference = service_->sample_topologies(on_b);
+  ASSERT_TRUE(old_reference.ok());
+  ASSERT_TRUE(straggler_reference.ok());
+  ASSERT_TRUE(new_reference.ok());
+  ASSERT_FALSE(old_reference->topologies == new_reference->topologies);
+
+  ds::ServiceConfig config;
+  config.legalize_workers = 2;
+  // Two slots per round: the first request's last slot leaves room in its
+  // round. Rounds are formed per revision, so that room goes to the
+  // straggler, never to the second request that sorts ahead of it.
+  config.max_fused_batch = 2;
+  config.flow.shed_fill_ratio = 0.0;
+  ds::PatternService service(config);
+  ASSERT_TRUE(service.models()
+                  .register_model("a", mini_model_config(),
+                                  model_a_.registry(), {})
+                  .ok());
+
+  // Queued on the old revision, each once the one before is accepted: a
+  // 32-round job that outranks the rest, the first request, and the
+  // straggler.
+  const std::vector<ds::SampleTopologiesRequest> queued = {
+      {.model = "a", .count = 64, .seed = 40, .priority = 1}, request,
+      straggler};
+  std::vector<dc::Result<ds::SampleTopologiesResult>> results(
+      queued.size(), dc::Status::Unavailable("not served"));
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < queued.size(); ++i) {
+    clients.emplace_back(
+        [&, i] { results[i] = service.sample_topologies(queued[i]); });
+    while (service.counters().requests_accepted <
+           static_cast<std::int64_t>(i + 1)) {
+      std::this_thread::yield();
+    }
+  }
+
+  ASSERT_TRUE(service.models()
+                  .register_model("a", mini_model_config(),
+                                  model_b_.registry(), {})
+                  .ok());
+  const auto second = service.sample_topologies(request);
+  for (auto& client : clients) {
+    client.join();
+  }
+
+  for (const auto& result : results) {
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+  }
+  ASSERT_TRUE(second.ok()) << second.status().to_string();
+  EXPECT_TRUE(results[1]->topologies == old_reference->topologies);
+  EXPECT_TRUE(results[2]->topologies == straggler_reference->topologies);
+  EXPECT_TRUE(second->topologies == new_reference->topologies);
+  // Both revisions ran on the one shard the name spawned.
+  EXPECT_EQ(service.counters().shards_active, 1);
 }
 
 TEST_F(ServiceStreamTest, OversizedJobDoesNotStarveSecondModel) {

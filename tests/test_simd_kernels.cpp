@@ -670,7 +670,8 @@ TEST(SimdKernels, SoftmaxRowsBackendInvariant) {
 namespace {
 
 /// Per-sample conv reference composed from the retained naive kernels
-/// (reference GEMM over per-sample im2col), the oracle bench_kernels uses.
+/// (reference GEMM over a batch-of-one im2col per sample), the oracle
+/// bench_kernels uses.
 Tensor conv_reference(const Tensor& x, const Tensor& w, const Tensor& b,
                       std::int64_t stride, std::int64_t padding) {
   dt::Conv2dGeometry geom;
@@ -687,10 +688,11 @@ Tensor conv_reference(const Tensor& x, const Tensor& w, const Tensor& b,
   const Tensor w2d = w.reshaped({out_ch, geom.patch_size()});
   Tensor out({batch, out_ch, geom.out_h(), geom.out_w()});
   for (std::int64_t n = 0; n < batch; ++n) {
-    Tensor image({x.dim(1), x.dim(2), x.dim(3)});
+    Tensor image({1, x.dim(1), x.dim(2), x.dim(3)});
     std::copy(x.data() + n * image.numel(),
               x.data() + (n + 1) * image.numel(), image.data());
-    const Tensor y = dt::reference::matmul(w2d, dt::im2col(image, geom));
+    const Tensor y =
+        dt::reference::matmul(w2d, dt::im2col_batch(image, geom));
     for (std::int64_t o = 0; o < out_ch; ++o) {
       for (std::int64_t p = 0; p < n_out; ++p) {
         out[(n * out_ch + o) * n_out + p] = y[o * n_out + p] + b[o];

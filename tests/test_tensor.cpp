@@ -121,14 +121,14 @@ TEST(TensorOps, TransposeVariantsAgreeWithExplicitTranspose) {
 
 TEST(TensorOps, Im2ColIdentityKernel) {
   // 1x1 kernel, stride 1, no padding: columns equal the flattened image.
-  Tensor img = Tensor::from_data({1, 2, 2}, {1, 2, 3, 4});
+  Tensor img = Tensor::from_data({1, 1, 2, 2}, {1, 2, 3, 4});
   dt::Conv2dGeometry geom;
   geom.in_channels = 1;
   geom.in_h = 2;
   geom.in_w = 2;
   geom.kernel_h = 1;
   geom.kernel_w = 1;
-  Tensor cols = dt::im2col(img, geom);
+  Tensor cols = dt::im2col_batch(img, geom);
   ASSERT_EQ(cols.dim(0), 1);
   ASSERT_EQ(cols.dim(1), 4);
   for (std::int64_t i = 0; i < 4; ++i) {
@@ -137,7 +137,7 @@ TEST(TensorOps, Im2ColIdentityKernel) {
 }
 
 TEST(TensorOps, Im2ColPaddingZeros) {
-  Tensor img = Tensor::from_data({1, 1, 1}, {7});
+  Tensor img = Tensor::from_data({1, 1, 1, 1}, {7});
   dt::Conv2dGeometry geom;
   geom.in_channels = 1;
   geom.in_h = 1;
@@ -145,7 +145,7 @@ TEST(TensorOps, Im2ColPaddingZeros) {
   geom.kernel_h = 3;
   geom.kernel_w = 3;
   geom.padding = 1;
-  Tensor cols = dt::im2col(img, geom);
+  Tensor cols = dt::im2col_batch(img, geom);
   ASSERT_EQ(cols.dim(0), 9);
   ASSERT_EQ(cols.dim(1), 1);
   // Only the center tap sees the pixel.
@@ -166,12 +166,12 @@ TEST(TensorOps, Col2ImIsAdjointOfIm2Col) {
   geom.kernel_w = 3;
   geom.stride = 2;
   geom.padding = 1;
-  Tensor x({2, 5, 4});
+  Tensor x({1, 2, 5, 4});
   for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(rng.normal());
   Tensor y({geom.patch_size(), geom.out_h() * geom.out_w()});
   for (std::int64_t i = 0; i < y.numel(); ++i) y[i] = static_cast<float>(rng.normal());
-  Tensor cx = dt::im2col(x, geom);
-  Tensor iy = dt::col2im(y, geom);
+  Tensor cx = dt::im2col_batch(x, geom);
+  Tensor iy = dt::col2im_batch(y, geom, /*batch=*/1);
   double lhs = 0.0;
   for (std::int64_t i = 0; i < cx.numel(); ++i) lhs += static_cast<double>(cx[i]) * y[i];
   double rhs = 0.0;

@@ -219,7 +219,11 @@ TEST(UNet, PaperConfigIsConstructible) {
   cfg.num_res_blocks = 2;
   cfg.attention_levels = {1};
   du::UNet model(cfg, 1);
-  EXPECT_GT(model.registry().parameter_count(), 10'000'000);
+  std::int64_t parameters = 0;
+  for (const auto& p : model.registry().params()) {
+    parameters += p.numel();
+  }
+  EXPECT_GT(parameters, 10'000'000);
 }
 
 TEST(UNet, LogitHelpers) {

@@ -209,8 +209,8 @@ dp::drc::DesignRules rules_by_name(const std::string& name) {
   if (name == "normal") {
     return dp::drc::standard_rules();
   }
-  throw std::invalid_argument("unknown rule deck: " + name +
-                              " (expected normal|space|area)");
+  throw UsageError("unknown rule deck: " + name +
+                   " (expected normal|space|area)");
 }
 
 int cmd_train(const Args& args) {
@@ -373,9 +373,11 @@ int cmd_evaluate(const Args& args) {
     std::cerr << "evaluate: --library is required\n";
     return 1;
   }
+  // The deck first: a typo in --rules is a usage error whatever the
+  // library holds.
+  const auto rules = rules_by_name(args.get("rules", "normal"));
   const auto patterns =
       dp::io::load_pattern_library(args.get("library", ""));
-  const auto rules = rules_by_name(args.get("rules", "normal"));
   const auto eval = dp::core::evaluate_patterns(patterns, rules);
   std::cout << "patterns:        " << eval.total_patterns << "\n"
             << "legal:           " << eval.legal_patterns << " ("
