@@ -31,6 +31,7 @@
 #include "common/timer.h"
 #include "nn/autograd.h"
 #include "nn/ops.h"
+#include "support/reference_kernels.h"
 #include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 

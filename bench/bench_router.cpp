@@ -34,12 +34,12 @@
 
 #include "bench_common.h"
 #include "common/timer.h"
-#include "dist/fault_injection.h"
 #include "dist/router.h"
 #include "dist/socket_transport.h"
 #include "dist/transport.h"
 #include "dist/worker_node.h"
 #include "service/pattern_service.h"
+#include "support/fault_injection.h"
 #include "unet/unet.h"
 
 namespace dp = diffpattern;

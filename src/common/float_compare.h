@@ -2,8 +2,9 @@
 //
 // Shared by the test suites (tests/ulp_test_util.h) and the kernel
 // microbench: the dispatched SIMD kernels accumulate with fused
-// multiply-adds while the retained tensor::reference kernels round mul and
-// add separately, so equivalence checks are phrased as "within N ULPs"
+// multiply-adds while the test-support tensor::reference kernels
+// (tests/support/reference_kernels.h) round mul and add separately, so
+// equivalence checks are phrased as "within N ULPs"
 // rather than bitwise — and both consumers must agree on what an ULP is.
 #pragma once
 

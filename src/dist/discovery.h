@@ -3,19 +3,17 @@
 // shrink under a live router without restart.
 //
 // A directory is just "snapshot() -> desired (model, address) pairs";
-// where those pairs come from is the implementation's business:
-//   StaticWorkerDirectory  a fixed in-memory list (the --connect flags of
-//                          a CLI invocation), swappable for tests;
-//   FileWorkerDirectory    a "model address" text file re-read on every
-//                          snapshot — edit the file, re-sync the router,
-//                          no process restart (periodic re-read).
+// where those pairs come from is the implementation's business. The
+// shipped one is FileWorkerDirectory: a "model address" text file re-read
+// on every snapshot — edit the file, re-sync the router, no process
+// restart (periodic re-read). Tests swap in an in-memory list
+// (tests/support/static_worker_directory.h).
 // The router's sync_directory() diffs a snapshot against its replica set:
 // new pairs are added through a caller-supplied channel factory, vanished
 // pairs are retired (kept allocated — the router never frees a Replica —
 // but excluded from routing until the directory lists them again).
 #pragma once
 
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -42,27 +40,6 @@ class WorkerDirectory {
   /// INVALID_ARGUMENT...) means "source unreadable" — the router keeps
   /// its current set rather than draining on a flaky source.
   virtual common::Result<std::vector<WorkerEndpoint>> snapshot() = 0;
-};
-
-/// Fixed list, swappable under a lock — the degenerate directory that
-/// makes static configuration and runtime discovery the same code path.
-class StaticWorkerDirectory : public WorkerDirectory {
- public:
-  StaticWorkerDirectory() = default;
-  explicit StaticWorkerDirectory(std::vector<WorkerEndpoint> endpoints);
-
-  common::Result<std::vector<WorkerEndpoint>> snapshot() override;
-
-  /// Replaces the whole desired set (takes effect at the next snapshot).
-  void set_endpoints(std::vector<WorkerEndpoint> endpoints);
-  /// Appends one endpoint (a replica joining).
-  void add_endpoint(WorkerEndpoint endpoint);
-  /// Drops every endpoint with this address (a replica leaving).
-  void remove_address(const std::string& address);
-
- private:
-  std::mutex mutex_;
-  std::vector<WorkerEndpoint> endpoints_;
 };
 
 /// Parses the worker-directory text format: one "MODEL ADDRESS" pair per

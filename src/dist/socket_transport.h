@@ -158,9 +158,10 @@ struct SocketAddress {
 common::Result<SocketAddress> parse_socket_address(const std::string& spec);
 
 /// A bound, listening socket plus the address it actually landed on
-/// ("tcp:host:port" with the real port when asked for port 0). Shared by
-/// SocketServer and the chaos FaultInjector so both speak the same
-/// resolver grammar.
+/// ("tcp:host:port" with the real port when asked for port 0). Used by
+/// SocketServer and by the test-support chaos proxy
+/// (tests/support/fault_injection.h), so both speak the same resolver
+/// grammar.
 struct ListenSocket {
   int fd = -1;
   std::string bound_address;

@@ -1,13 +1,28 @@
 #include "geometry/grid.h"
 
+#include <limits>
+
 #include "common/contracts.h"
 
 namespace diffpattern::geometry {
 
-BinaryGrid::BinaryGrid(std::int64_t rows, std::int64_t cols, std::uint8_t fill)
-    : rows_(rows), cols_(cols),
-      cells_(static_cast<std::size_t>(rows * cols), fill) {
+namespace {
+
+/// rows * cols, checked before anything is allocated: a negative or
+/// overflowing product would otherwise size the cell vector wrongly.
+std::size_t checked_cell_count(std::int64_t rows, std::int64_t cols) {
   DP_REQUIRE(rows >= 0 && cols >= 0, "BinaryGrid: negative dimensions");
+  DP_REQUIRE(cols == 0 ||
+                 rows <= std::numeric_limits<std::int64_t>::max() / cols,
+             "BinaryGrid: " + std::to_string(rows) + " x " +
+                 std::to_string(cols) + " cells overflow");
+  return static_cast<std::size_t>(rows * cols);
+}
+
+}  // namespace
+
+BinaryGrid::BinaryGrid(std::int64_t rows, std::int64_t cols, std::uint8_t fill)
+    : rows_(rows), cols_(cols), cells_(checked_cell_count(rows, cols), fill) {
   DP_REQUIRE(fill <= 1, "BinaryGrid: cells are binary");
 }
 

@@ -11,28 +11,6 @@ namespace diffpattern::io {
 
 namespace {
 
-// Record types (subset).
-constexpr std::uint8_t kHeader = 0x00;
-constexpr std::uint8_t kBgnLib = 0x01;
-constexpr std::uint8_t kLibName = 0x02;
-constexpr std::uint8_t kUnits = 0x03;
-constexpr std::uint8_t kEndLib = 0x04;
-constexpr std::uint8_t kBgnStr = 0x05;
-constexpr std::uint8_t kStrName = 0x06;
-constexpr std::uint8_t kEndStr = 0x07;
-constexpr std::uint8_t kBoundary = 0x08;
-constexpr std::uint8_t kLayer = 0x0D;
-constexpr std::uint8_t kDatatype = 0x0E;
-constexpr std::uint8_t kXy = 0x10;
-constexpr std::uint8_t kEndEl = 0x11;
-
-// Data types.
-constexpr std::uint8_t kNoData = 0x00;
-constexpr std::uint8_t kInt16 = 0x02;
-constexpr std::uint8_t kInt32 = 0x03;
-constexpr std::uint8_t kReal8 = 0x05;
-constexpr std::uint8_t kAscii = 0x06;
-
 class RecordWriter {
  public:
   explicit RecordWriter(std::ofstream& out) : out_(out) {}
@@ -87,71 +65,6 @@ class RecordWriter {
   std::ofstream& out_;
 };
 
-struct RawRecord {
-  std::uint8_t type = 0;
-  std::uint8_t data_type = 0;
-  std::vector<std::uint8_t> payload;
-};
-
-class RecordReader {
- public:
-  explicit RecordReader(std::ifstream& in) : in_(in) {}
-
-  bool next(RawRecord& record) {
-    const int hi = in_.get();
-    if (hi == EOF) {
-      return false;
-    }
-    const int lo = in_.get();
-    const int type = in_.get();
-    const int data_type = in_.get();
-    if (lo == EOF || type == EOF || data_type == EOF) {
-      throw std::runtime_error("gds: truncated record header");
-    }
-    const auto length = static_cast<std::size_t>((hi << 8) | lo);
-    if (length < 4) {
-      throw std::runtime_error("gds: invalid record length");
-    }
-    record.type = static_cast<std::uint8_t>(type);
-    record.data_type = static_cast<std::uint8_t>(data_type);
-    record.payload.resize(length - 4);
-    in_.read(reinterpret_cast<char*>(record.payload.data()),
-             static_cast<std::streamsize>(record.payload.size()));
-    if (!in_ && !record.payload.empty()) {
-      throw std::runtime_error("gds: truncated record payload");
-    }
-    return true;
-  }
-
- private:
-  std::ifstream& in_;
-};
-
-std::int16_t read_i16(const std::vector<std::uint8_t>& payload,
-                      std::size_t offset) {
-  DP_REQUIRE(offset + 2 <= payload.size(), "gds: short i16 payload");
-  return static_cast<std::int16_t>((payload[offset] << 8) |
-                                   payload[offset + 1]);
-}
-
-std::int32_t read_i32(const std::vector<std::uint8_t>& payload,
-                      std::size_t offset) {
-  DP_REQUIRE(offset + 4 <= payload.size(), "gds: short i32 payload");
-  return static_cast<std::int32_t>(
-      (static_cast<std::uint32_t>(payload[offset]) << 24) |
-      (static_cast<std::uint32_t>(payload[offset + 1]) << 16) |
-      (static_cast<std::uint32_t>(payload[offset + 2]) << 8) |
-      static_cast<std::uint32_t>(payload[offset + 3]));
-}
-
-std::string read_ascii(const std::vector<std::uint8_t>& payload) {
-  std::string text(payload.begin(), payload.end());
-  while (!text.empty() && text.back() == '\0') {
-    text.pop_back();
-  }
-  return text;
-}
-
 std::vector<std::uint8_t> timestamp_payload() {
   // Twelve i16 fields (creation + modification date); fixed for
   // reproducible output.
@@ -190,19 +103,6 @@ std::uint64_t encode_gds_real(double value) {
          (mantissa & 0x00FFFFFFFFFFFFFFULL);
 }
 
-double decode_gds_real(std::uint64_t bits) {
-  if (bits == 0) {
-    return 0.0;
-  }
-  const bool negative = (bits >> 63) != 0;
-  const int exponent = static_cast<int>((bits >> 56) & 0x7F) - 64;
-  const double mantissa =
-      static_cast<double>(bits & 0x00FFFFFFFFFFFFFFULL) /
-      72057594037927936.0;  // / 2^56
-  const double value = mantissa * std::pow(16.0, exponent);
-  return negative ? -value : value;
-}
-
 void write_gds(const std::string& path, const GdsLibrary& library) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
@@ -212,33 +112,34 @@ void write_gds(const std::string& path, const GdsLibrary& library) {
   {
     std::vector<std::uint8_t> payload;
     RecordWriter::append_i16(payload, 600);  // Stream version 6.
-    writer.record(kHeader, kInt16, payload);
+    writer.record(gds::kHeader, gds::kInt16, payload);
   }
-  writer.record(kBgnLib, kInt16, timestamp_payload());
-  writer.record(kLibName, kAscii, RecordWriter::ascii_payload(library.name));
+  writer.record(gds::kBgnLib, gds::kInt16, timestamp_payload());
+  writer.record(gds::kLibName, gds::kAscii,
+                RecordWriter::ascii_payload(library.name));
   {
     // Database unit = 1 nm: 1e-3 user units (um), 1e-9 meters.
     std::vector<std::uint8_t> payload;
     RecordWriter::append_u64(payload, encode_gds_real(1e-3));
     RecordWriter::append_u64(payload, encode_gds_real(1e-9));
-    writer.record(kUnits, kReal8, payload);
+    writer.record(gds::kUnits, gds::kReal8, payload);
   }
   for (const auto& structure : library.structures) {
-    writer.record(kBgnStr, kInt16, timestamp_payload());
-    writer.record(kStrName, kAscii,
+    writer.record(gds::kBgnStr, gds::kInt16, timestamp_payload());
+    writer.record(gds::kStrName, gds::kAscii,
                   RecordWriter::ascii_payload(structure.name));
     for (const auto& polygon : structure.polygons) {
       DP_REQUIRE(polygon.ring.size() >= 3, "write_gds: degenerate polygon");
-      writer.record(kBoundary, kNoData, {});
+      writer.record(gds::kBoundary, gds::kNoData, {});
       {
         std::vector<std::uint8_t> payload;
         RecordWriter::append_i16(payload, polygon.layer);
-        writer.record(kLayer, kInt16, payload);
+        writer.record(gds::kLayer, gds::kInt16, payload);
       }
       {
         std::vector<std::uint8_t> payload;
         RecordWriter::append_i16(payload, polygon.datatype);
-        writer.record(kDatatype, kInt16, payload);
+        writer.record(gds::kDatatype, gds::kInt16, payload);
       }
       {
         std::vector<std::uint8_t> payload;
@@ -253,92 +154,16 @@ void write_gds(const std::string& path, const GdsLibrary& library) {
             payload, static_cast<std::int32_t>(polygon.ring.front().x));
         RecordWriter::append_i32(
             payload, static_cast<std::int32_t>(polygon.ring.front().y));
-        writer.record(kXy, kInt32, payload);
+        writer.record(gds::kXy, gds::kInt32, payload);
       }
-      writer.record(kEndEl, kNoData, {});
+      writer.record(gds::kEndEl, gds::kNoData, {});
     }
-    writer.record(kEndStr, kNoData, {});
+    writer.record(gds::kEndStr, gds::kNoData, {});
   }
-  writer.record(kEndLib, kNoData, {});
+  writer.record(gds::kEndLib, gds::kNoData, {});
   if (!out) {
     throw std::runtime_error("write_gds: write failed for " + path);
   }
-}
-
-GdsLibrary read_gds(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("read_gds: cannot open " + path);
-  }
-  RecordReader reader(in);
-  RawRecord record;
-  GdsLibrary library;
-  GdsStructure* current_structure = nullptr;
-  GdsPolygon* current_polygon = nullptr;
-  bool saw_header = false;
-  bool ended = false;
-  while (reader.next(record)) {
-    switch (record.type) {
-      case kHeader:
-        saw_header = true;
-        break;
-      case kLibName:
-        library.name = read_ascii(record.payload);
-        break;
-      case kBgnStr:
-        library.structures.emplace_back();
-        current_structure = &library.structures.back();
-        break;
-      case kStrName:
-        DP_REQUIRE(current_structure != nullptr, "gds: STRNAME outside STR");
-        current_structure->name = read_ascii(record.payload);
-        break;
-      case kBoundary:
-        DP_REQUIRE(current_structure != nullptr, "gds: BOUNDARY outside STR");
-        current_structure->polygons.emplace_back();
-        current_polygon = &current_structure->polygons.back();
-        break;
-      case kLayer:
-        DP_REQUIRE(current_polygon != nullptr, "gds: LAYER outside element");
-        current_polygon->layer = read_i16(record.payload, 0);
-        break;
-      case kDatatype:
-        DP_REQUIRE(current_polygon != nullptr,
-                   "gds: DATATYPE outside element");
-        current_polygon->datatype = read_i16(record.payload, 0);
-        break;
-      case kXy: {
-        DP_REQUIRE(current_polygon != nullptr, "gds: XY outside element");
-        DP_REQUIRE(record.payload.size() % 8 == 0, "gds: odd XY payload");
-        const auto points = record.payload.size() / 8;
-        DP_REQUIRE(points >= 4, "gds: XY ring too short");
-        for (std::size_t i = 0; i + 1 < points; ++i) {  // Drop the closure.
-          current_polygon->ring.push_back(geometry::Point{
-              read_i32(record.payload, i * 8),
-              read_i32(record.payload, i * 8 + 4)});
-        }
-        break;
-      }
-      case kEndEl:
-        current_polygon = nullptr;
-        break;
-      case kEndStr:
-        current_structure = nullptr;
-        break;
-      case kEndLib:
-        ended = true;
-        break;
-      default:
-        break;  // Ignore records this subset does not model (UNITS, BGNLIB).
-    }
-    if (ended) {
-      break;
-    }
-  }
-  if (!saw_header || !ended) {
-    throw std::runtime_error("read_gds: missing HEADER or ENDLIB in " + path);
-  }
-  return library;
 }
 
 GdsStructure pattern_to_structure(const layout::SquishPattern& pattern,

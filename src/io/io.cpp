@@ -42,6 +42,15 @@ std::uint64_t read_u64(std::ifstream& in) {
   return v;
 }
 
+/// Bytes from the read position to the end of the file.
+std::uint64_t bytes_left(std::ifstream& in) {
+  const auto here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto end = in.tellg();
+  in.seekg(here);
+  return static_cast<std::uint64_t>(end - here);
+}
+
 }  // namespace
 
 void write_grid_pgm(const std::string& path, const BinaryGrid& grid,
@@ -160,12 +169,36 @@ std::vector<SquishPattern> load_pattern_library(const std::string& path) {
   if (!in || std::string(magic, 7) != "DPLIB01") {
     throw std::runtime_error("load_pattern_library: bad magic");
   }
+  // Every count and dimension is checked against the bytes left in the
+  // file before anything is allocated for it.
   const auto count = read_u64(in);
+  if (count > bytes_left(in) / 16) {  // u64 rows + u64 cols per pattern.
+    throw std::runtime_error("load_pattern_library: " +
+                             std::to_string(count) +
+                             " patterns claimed, more than the file holds");
+  }
   std::vector<SquishPattern> patterns;
   patterns.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    const auto rows = static_cast<std::int64_t>(read_u64(in));
-    const auto cols = static_cast<std::int64_t>(read_u64(in));
+    const auto claimed_rows = read_u64(in);
+    const auto claimed_cols = read_u64(in);
+    // A pattern stores rows * cols cell bytes, then cols + rows u64 deltas.
+    const auto left = bytes_left(in);
+    const bool fits =
+        claimed_rows <= left / 8 && claimed_cols <= left / 8 &&
+        8 * (claimed_rows + claimed_cols) <= left &&
+        (claimed_cols == 0 ||
+         claimed_rows <=
+             (left - 8 * (claimed_rows + claimed_cols)) / claimed_cols);
+    if (!fits) {
+      throw std::runtime_error(
+          "load_pattern_library: pattern " + std::to_string(i) + " claims " +
+          std::to_string(claimed_rows) + " x " +
+          std::to_string(claimed_cols) + " cells, more than the " +
+          std::to_string(left) + " bytes left in the file");
+    }
+    const auto rows = static_cast<std::int64_t>(claimed_rows);
+    const auto cols = static_cast<std::int64_t>(claimed_cols);
     SquishPattern p;
     p.topology = BinaryGrid(rows, cols);
     for (std::int64_t r = 0; r < rows; ++r) {

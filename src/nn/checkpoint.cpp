@@ -25,6 +25,15 @@ std::uint64_t read_u64(std::ifstream& in) {
   return v;
 }
 
+/// Bytes from the read position to the end of the file.
+std::uint64_t bytes_left(std::ifstream& in) {
+  const auto here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto end = in.tellg();
+  in.seekg(here);
+  return static_cast<std::uint64_t>(end - here);
+}
+
 }  // namespace
 
 void save_checkpoint(const ParamRegistry& registry, const std::string& path) {
@@ -67,7 +76,14 @@ void load_checkpoint(ParamRegistry& registry, const std::string& path) {
                  std::to_string(count) + ", registry has " +
                  std::to_string(registry.size()) + ")");
   for (std::size_t i = 0; i < count; ++i) {
+    // Name length and rank are checked against the bytes left in the file
+    // before anything is allocated for them.
     const auto name_len = read_u64(in);
+    if (name_len > bytes_left(in)) {
+      throw std::runtime_error("checkpoint: parameter " + std::to_string(i) +
+                               " claims a " + std::to_string(name_len) +
+                               "-byte name, more than the file holds");
+    }
     std::string name(name_len, '\0');
     in.read(name.data(), static_cast<std::streamsize>(name_len));
     DP_REQUIRE(name == registry.names()[i],
@@ -75,6 +91,11 @@ void load_checkpoint(ParamRegistry& registry, const std::string& path) {
                    std::to_string(i) + ": file has '" + name +
                    "', registry has '" + registry.names()[i] + "'");
     const auto rank = read_u64(in);
+    if (rank > bytes_left(in) / 8) {  // One u64 per dimension.
+      throw std::runtime_error("checkpoint: " + name + " claims rank " +
+                               std::to_string(rank) +
+                               ", more than the file holds");
+    }
     tensor::Shape shape(rank);
     for (auto& d : shape) {
       d = static_cast<std::int64_t>(read_u64(in));

@@ -20,13 +20,14 @@
 // order *exactly* — same per-element fused operations, same lane-split
 // partial accumulators, same reduction tree — so results are bitwise
 // identical across backends, thread counts, and runs (IEEE-754 fma is
-// correctly rounded whether it comes from vfmadd231ps or libm fmaf). The retained tensor::reference kernels keep the historic
-// mul-then-add rounding and therefore agree only within a small ULP bound;
-// tests/test_simd_kernels.cpp asserts both relations. The whole library is
-// compiled with -ffp-contract=off so the compiler cannot re-fuse (or
-// un-fuse) any of this behind our back. Sigmoid and SiLU use no libm
-// approximation: their exp is the table's own fma polynomial, so their bits
-// do not depend on the host's libm either.
+// correctly rounded whether it comes from vfmadd231ps or libm fmaf). The
+// test-support tensor::reference kernels (tests/support/reference_kernels.h)
+// keep the historic mul-then-add rounding and therefore agree only within
+// a small ULP bound; tests/test_simd_kernels.cpp asserts both relations.
+// The whole library is compiled with -ffp-contract=off so the compiler
+// cannot re-fuse (or un-fuse) any of this behind our back. Sigmoid and
+// SiLU use no libm approximation: their exp is the table's own fma
+// polynomial, so their bits do not depend on the host's libm either.
 //
 // Dispatch: the process-wide backend starts at DIFFPATTERN_KERNEL_BACKEND
 // (scalar|avx2|auto; malformed or host-unsupported values are ignored)

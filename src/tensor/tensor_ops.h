@@ -9,10 +9,11 @@
 // runtime-dispatched SIMD kernel tier (src/tensor/simd.h: scalar and
 // AVX2/FMA). Every kernel keeps the canonical fused accumulation order defined
 // by the scalar backend, so results are byte-identical for any thread count
-// and any backend. The original single-threaded mul-then-add kernels are
-// retained under tensor::reference as the test oracle; the canonical fused
-// kernels agree with them within a small ULP bound
-// (tests/test_simd_kernels.cpp), not bitwise.
+// and any backend. The original single-threaded mul-then-add kernels live
+// on as the test oracle tensor::reference
+// (tests/support/reference_kernels.h); the canonical fused kernels agree
+// with them within a small ULP bound (tests/test_simd_kernels.cpp), not
+// bitwise.
 #pragma once
 
 #include <cstdint>
@@ -131,22 +132,5 @@ Tensor scale(const Tensor& a, float s);
 
 /// Numerically stable row-wise softmax over the last axis of a 2-D tensor.
 Tensor softmax_rows(const Tensor& logits);
-
-/// Retained naive single-threaded kernels: the oracle for the
-/// blocked/parallel implementations above (tests assert agreement within a
-/// tight ULP bound — the dispatched kernels accumulate with fused
-/// multiply-adds, these keep separate mul/add roundings), and a readable
-/// spec of the arithmetic.
-namespace reference {
-Tensor matmul(const Tensor& a, const Tensor& b);
-void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& out);
-Tensor matmul_transpose_a(const Tensor& a, const Tensor& b);
-Tensor matmul_transpose_b(const Tensor& a, const Tensor& b);
-Tensor softmax_rows(const Tensor& logits);
-/// 1 / (1 + exp(-x)) in double, rounded once to float.
-Tensor sigmoid(const Tensor& x);
-/// x * sigmoid(x) in double, rounded once to float.
-Tensor silu(const Tensor& x);
-}  // namespace reference
 
 }  // namespace diffpattern::tensor

@@ -1,4 +1,4 @@
-#include "dist/fault_injection.h"
+#include "support/fault_injection.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>

@@ -27,13 +27,14 @@
 #include "common/status.h"
 #include "counter_test_util.h"
 #include "dist/discovery.h"
-#include "dist/fault_injection.h"
 #include "dist/router.h"
 #include "dist/socket_transport.h"
 #include "dist/transport.h"
 #include "dist/wire.h"
 #include "dist/worker_node.h"
 #include "service_test_util.h"
+#include "support/fault_injection.h"
+#include "support/static_worker_directory.h"
 #include "unet/unet.h"
 
 namespace dd = diffpattern::dist;

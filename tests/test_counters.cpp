@@ -9,10 +9,10 @@
 
 #include "common/counters.h"
 #include "common/status.h"
-#include "dist/fault_injection.h"
 #include "dist/router.h"
 #include "dist/socket_transport.h"
 #include "dist/worker_node.h"
+#include "support/fault_injection.h"
 
 namespace dc = diffpattern::common;
 namespace dd = diffpattern::dist;

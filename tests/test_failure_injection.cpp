@@ -2,9 +2,13 @@
 // rejected with exceptions, never silently mis-parsed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "io/io.h"
@@ -43,6 +47,41 @@ std::string make_library_file() {
   dio::save_pattern_library(path, {dl::extract_squish(l),
                                    dl::extract_squish(l)});
   return path;
+}
+
+/// Overwrites the little-endian u64 at `offset`.
+void put_u64(std::vector<char>& bytes, std::size_t offset,
+             std::uint64_t value) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[offset + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+}
+
+/// A pattern-library file with a hostile header: magic, count, rows,
+/// cols, then `tail` zero bytes.
+std::string write_library_header(const std::string& name,
+                                  std::uint64_t count, std::uint64_t rows,
+                                  std::uint64_t cols, std::size_t tail) {
+  std::vector<char> bytes(32 + tail, 0);
+  const char magic[] = "DPLIB01";
+  std::copy(magic, magic + 8, bytes.begin());
+  put_u64(bytes, 8, count);
+  put_u64(bytes, 16, rows);
+  put_u64(bytes, 24, cols);
+  const auto path = temp_path(name);
+  write_all(path, bytes);
+  return path;
+}
+
+/// Message of the std::runtime_error `load` throws ("" if it throws none).
+template <class Load>
+std::string runtime_error_message(Load&& load) {
+  try {
+    load();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 std::string make_checkpoint_file(nn::ParamRegistry& registry) {
@@ -92,7 +131,78 @@ TEST(LibraryCorruption, AbsurdCountRejected) {
     bytes[static_cast<std::size_t>(i)] = static_cast<char>(0xFF);
   }
   write_all(path, bytes);
-  EXPECT_THROW(dio::load_pattern_library(path), std::exception);
+  // Rejected against the bytes left before the pattern vector is sized.
+  const auto message =
+      runtime_error_message([&] { dio::load_pattern_library(path); });
+  EXPECT_NE(message.find("patterns claimed, more than the file holds"),
+            std::string::npos)
+      << message;
+  std::remove(path.c_str());
+}
+
+// Hostile headers: every count and dimension is checked against the bytes
+// left in the file before anything is allocated for it.
+
+TEST(LibraryCorruption, OverflowingDimensionsRejected) {
+  // 48 bytes claiming 2^32 x 2^32 cells: rows * cols wrapped to an empty
+  // grid, and the first cell write crashed the process.
+  const auto path = write_library_header(
+      "dp_fi_lib_overflow.bin", 1, std::uint64_t{1} << 32,
+      std::uint64_t{1} << 32, 16);
+  const auto message =
+      runtime_error_message([&] { dio::load_pattern_library(path); });
+  EXPECT_NE(message.find("claims 4294967296 x 4294967296 cells"),
+            std::string::npos)
+      << message;
+  std::remove(path.c_str());
+}
+
+TEST(LibraryCorruption, DimensionsBeyondFileRejectedBeforeAllocating) {
+  // 32 bytes claiming 10 000 x 10 000 cells: ~100 MB used to be
+  // zero-filled before the read ran out.
+  const auto path =
+      write_library_header("dp_fi_lib_large.bin", 1, 10000, 10000, 0);
+  const auto message =
+      runtime_error_message([&] { dio::load_pattern_library(path); });
+  EXPECT_NE(message.find("claims 10000 x 10000 cells, more than the 0 "
+                         "bytes left"),
+            std::string::npos)
+      << message;
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointCorruption, NameLengthBeyondFileRejected) {
+  dc::Rng rng(13);
+  nn::ParamRegistry reg;
+  nn::Linear lin(reg, rng, "lin", 4, 4);
+  const auto path = make_checkpoint_file(reg);
+  auto bytes = read_all(path);
+  put_u64(bytes, 16, std::uint64_t{1} << 62);  // First name length.
+  write_all(path, bytes);
+  const auto message =
+      runtime_error_message([&] { nn::load_checkpoint(reg, path); });
+  EXPECT_NE(message.find("-byte name, more than the file holds"),
+            std::string::npos)
+      << message;
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointCorruption, RankBeyondFileRejected) {
+  dc::Rng rng(14);
+  nn::ParamRegistry reg;
+  nn::Linear lin(reg, rng, "lin", 4, 4);
+  const auto path = make_checkpoint_file(reg);
+  auto bytes = read_all(path);
+  // Magic, count and name length, then the name, then the first rank.
+  const auto rank_offset = 24 + reg.names()[0].size();
+  put_u64(bytes, rank_offset, std::uint64_t{1} << 61);
+  write_all(path, bytes);
+  const auto message =
+      runtime_error_message([&] { nn::load_checkpoint(reg, path); });
+  EXPECT_NE(message.find("claims rank 2305843009213693952, more than the "
+                         "file holds"),
+            std::string::npos)
+      << message;
   std::remove(path.c_str());
 }
 

@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "io/gds.h"
 #include "layout/squish.h"
+#include "support/gds_reader.h"
 
 namespace dio = diffpattern::io;
 namespace dl = diffpattern::layout;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "geometry/components.h"
 #include "geometry/grid.h"
 #include "geometry/types.h"
@@ -57,6 +60,18 @@ TEST(BinaryGrid, SetGetAndBounds) {
   EXPECT_EQ(g.popcount(), 1);
   EXPECT_THROW(g.set(3, 0, 1), std::invalid_argument);
   EXPECT_THROW(g.set(0, 0, 2), std::invalid_argument);
+}
+
+TEST(BinaryGrid, RejectsNegativeAndOverflowingDimensions) {
+  // Checked before the cell vector is sized: 2^32 x 2^32 used to wrap to
+  // an empty grid whose set(0, 0) wrote through it.
+  constexpr std::int64_t kHuge = std::int64_t{1} << 32;
+  EXPECT_THROW(BinaryGrid(kHuge, kHuge), std::invalid_argument);
+  EXPECT_THROW(BinaryGrid(std::numeric_limits<std::int64_t>::max(), 2),
+               std::invalid_argument);
+  EXPECT_THROW(BinaryGrid(-1, 5), std::invalid_argument);
+  EXPECT_THROW(BinaryGrid(5, -1), std::invalid_argument);
+  EXPECT_EQ(BinaryGrid(0, 7).cell_count(), 0);
 }
 
 TEST(BinaryGrid, BowtieDetection) {

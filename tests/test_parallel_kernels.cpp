@@ -19,6 +19,7 @@
 #include "nn/autograd.h"
 #include "nn/ops.h"
 #include "service/worker_pool.h"
+#include "support/reference_kernels.h"
 #include "tensor/tensor_ops.h"
 #include "ulp_test_util.h"
 

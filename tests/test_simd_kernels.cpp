@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "nn/autograd.h"
 #include "nn/ops.h"
+#include "support/reference_kernels.h"
 #include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 #include "ulp_test_util.h"

@@ -18,6 +18,7 @@
 #include "dist/transport.h"
 #include "dist/worker_node.h"
 #include "service_test_util.h"
+#include "support/static_worker_directory.h"
 #include "unet/unet.h"
 
 namespace dd = diffpattern::dist;

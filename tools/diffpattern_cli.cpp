@@ -213,6 +213,21 @@ dp::drc::DesignRules rules_by_name(const std::string& name) {
                    " (expected normal|space|area)");
 }
 
+/// Loads the --library file of `command`. A missing or unreadable library
+/// is a user mistake, like a missing checkpoint: a diagnostic naming the
+/// file and exit 1, not the runtime-failure exit 2.
+std::vector<dp::layout::SquishPattern> load_library(const char* command,
+                                                    const Args& args) {
+  const auto path = args.get("library", "");
+  try {
+    return dp::io::load_pattern_library(path);
+  } catch (const std::exception& e) {
+    throw UsageError(std::string(command) + ": '" + path +
+                     "' is missing or not a pattern library (" + e.what() +
+                     ")");
+  }
+}
+
 int cmd_train(const Args& args) {
   if (!args.has("out")) {
     std::cerr << "train: --out is required\n";
@@ -376,8 +391,7 @@ int cmd_evaluate(const Args& args) {
   // The deck first: a typo in --rules is a usage error whatever the
   // library holds.
   const auto rules = rules_by_name(args.get("rules", "normal"));
-  const auto patterns =
-      dp::io::load_pattern_library(args.get("library", ""));
+  const auto patterns = load_library("evaluate", args);
   const auto eval = dp::core::evaluate_patterns(patterns, rules);
   std::cout << "patterns:        " << eval.total_patterns << "\n"
             << "legal:           " << eval.legal_patterns << " ("
@@ -392,8 +406,7 @@ int cmd_render(const Args& args) {
     std::cerr << "render: --library and --out-dir are required\n";
     return 1;
   }
-  const auto patterns =
-      dp::io::load_pattern_library(args.get("library", ""));
+  const auto patterns = load_library("render", args);
   const auto dir = dp::io::ensure_directory(args.get("out-dir", ""));
   const auto limit =
       std::min<std::int64_t>(args.get_int("limit", 16),
@@ -746,8 +759,7 @@ int cmd_export_gds(const Args& args) {
     std::cerr << "export-gds: --library and --out are required\n";
     return 1;
   }
-  const auto patterns =
-      dp::io::load_pattern_library(args.get("library", ""));
+  const auto patterns = load_library("export-gds", args);
   dp::io::write_pattern_library_gds(
       args.get("out", ""), patterns,
       static_cast<std::int16_t>(args.get_int("layer", 1)));
