@@ -144,8 +144,8 @@ TEST(LibraryCorruption, AbsurdCountRejected) {
 // left in the file before anything is allocated for it.
 
 TEST(LibraryCorruption, OverflowingDimensionsRejected) {
-  // 48 bytes claiming 2^32 x 2^32 cells: rows * cols wrapped to an empty
-  // grid, and the first cell write crashed the process.
+  // 48 bytes claiming 2^32 x 2^32 cells: rows * cols must not wrap to an
+  // empty grid that the first cell write goes through.
   const auto path = write_library_header(
       "dp_fi_lib_overflow.bin", 1, std::uint64_t{1} << 32,
       std::uint64_t{1} << 32, 16);
@@ -158,8 +158,8 @@ TEST(LibraryCorruption, OverflowingDimensionsRejected) {
 }
 
 TEST(LibraryCorruption, DimensionsBeyondFileRejectedBeforeAllocating) {
-  // 32 bytes claiming 10 000 x 10 000 cells: ~100 MB used to be
-  // zero-filled before the read ran out.
+  // 32 bytes claiming 10 000 x 10 000 cells: rejected before ~100 MB of
+  // cells are allocated, not when the read runs out.
   const auto path =
       write_library_header("dp_fi_lib_large.bin", 1, 10000, 10000, 0);
   const auto message =

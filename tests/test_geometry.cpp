@@ -63,8 +63,8 @@ TEST(BinaryGrid, SetGetAndBounds) {
 }
 
 TEST(BinaryGrid, RejectsNegativeAndOverflowingDimensions) {
-  // Checked before the cell vector is sized: 2^32 x 2^32 used to wrap to
-  // an empty grid whose set(0, 0) wrote through it.
+  // Checked before the cell vector is sized: 2^32 x 2^32 must not wrap to
+  // an empty grid whose set(0, 0) writes through it.
   constexpr std::int64_t kHuge = std::int64_t{1} << 32;
   EXPECT_THROW(BinaryGrid(kHuge, kHuge), std::invalid_argument);
   EXPECT_THROW(BinaryGrid(std::numeric_limits<std::int64_t>::max(), 2),
