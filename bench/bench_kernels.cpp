@@ -1,7 +1,8 @@
 // Kernel microbench: the runtime-dispatched SIMD backend vs forced-scalar
 // dispatch, and the parallel pool vs single-thread execution, on the
 // kernels that dominate the reverse-diffusion hot path — GEMM, the GEMM
-// register tile alone (the U-Net's level-1 conv shape, in GFLOP/s),
+// register tile alone (the U-Net's level-1 conv shape, in GFLOP/s), the
+// dot tile under matmul_transpose_b (the conv weight gradient of training),
 // convolution (a 32x32 batch and the U-Net's 8x8 decoder shape), four conv
 // shapes of the benchmark U-Net at batch 8 next to the same product on a
 // resident panel (GFLOP/s and the conv's non-GEMM share), row softmax, the
@@ -186,6 +187,38 @@ int main() {
       });
   const auto gflops = [&](double ms) {
     return 2.0 * kTileM * kTileK * kTileN * kTileProducts / (ms * 1e6);
+  };
+
+  // ---- dot tile: gW[16,144] = gY[16,512] * cols[144,512]^T ---------------
+  // The benchmark U-Net's level-0 conv weight gradient at batch 8, through
+  // matmul_transpose_b's dot tiles. Besides backend and pool parity, every
+  // element must be bitwise the canonical dot of its two rows.
+  constexpr std::int64_t kDotM = 16;
+  constexpr std::int64_t kDotK = 144;
+  constexpr std::int64_t kDotN = 512;
+  const Tensor da = random_tensor({kDotM, kDotN}, rng);
+  const Tensor db = random_tensor({kDotK, kDotN}, rng);
+  const auto dot_tile =
+      measure(best, ambient, kReps,
+              dp::tensor::reference::matmul_transpose_b(da, db),
+              /*inner_dim=*/kDotN,
+              [&] { return dp::tensor::matmul_transpose_b(da, db); });
+  bool dot_tile_is_dot = true;
+  {
+    const Tensor tiled = dp::tensor::matmul_transpose_b(da, db);
+    const auto& kern = *dp::tensor::simd::table_for(best);
+    for (std::int64_t i = 0; i < kDotM; ++i) {
+      for (std::int64_t j = 0; j < kDotK; ++j) {
+        const float want =
+            kern.dot(da.data() + i * kDotN, db.data() + j * kDotN, kDotN);
+        dot_tile_is_dot = dot_tile_is_dot &&
+                          std::memcmp(&want, tiled.data() + i * kDotK + j,
+                                      sizeof(float)) == 0;
+      }
+    }
+  }
+  const auto dot_gflops = [&](double ms) {
+    return 2.0 * kDotM * kDotK * kDotN / (ms * 1e6);
   };
 
   // ---- conv2d forward, 3x3 stride 1 pad 1 --------------------------------
@@ -421,7 +454,9 @@ int main() {
   set_backend_or_die(best);
 
   bool all_ok = mm.parity_ok && mm.reference_ok && tile.parity_ok &&
-                      tile.reference_ok && conv.parity_ok &&
+                      tile.reference_ok && dot_tile.parity_ok &&
+                      dot_tile.reference_ok && dot_tile_is_dot &&
+                      conv.parity_ok &&
                       conv.reference_ok && unet_conv.parity_ok &&
                       unet_conv.reference_ok && sm.parity_ok &&
                       sm.reference_ok && silu.parity_ok &&
@@ -443,6 +478,14 @@ int main() {
             << tile.simd_speedup() << ")"
             << (tile.parity_ok ? "" : "  [PARITY BROKEN]")
             << (tile.reference_ok ? "" : "  [REFERENCE DRIFT]") << "\n";
+  std::cout << "dot_tile 16x144x512:   scalar "
+            << dot_gflops(dot_tile.scalar_ms_1t) << " GFLOP/s -> simd "
+            << dot_gflops(dot_tile.simd_ms_1t) << " GFLOP/s (x"
+            << dot_tile.simd_speedup() << "), threaded "
+            << dot_gflops(dot_tile.simd_ms_nt) << " GFLOP/s"
+            << (dot_tile.parity_ok && dot_tile_is_dot ? ""
+                                                      : "  [PARITY BROKEN]")
+            << (dot_tile.reference_ok ? "" : "  [REFERENCE DRIFT]") << "\n";
   row("conv2d  16x16x32x32: ", conv);
   row("conv2d  8x48x8x8->16:", unet_conv);
   for (std::size_t i = 0; i < shape_reports.size(); ++i) {
@@ -484,6 +527,9 @@ int main() {
        {"gemm_tile_gflops_scalar_1_thread", gflops(tile.scalar_ms_1t)},
        {"gemm_tile_gflops_simd_1_thread", gflops(tile.simd_ms_1t)},
        {"gemm_tile_simd_speedup", tile.simd_speedup()},
+       {"dot_tile_gflops_scalar_1_thread", dot_gflops(dot_tile.scalar_ms_1t)},
+       {"dot_tile_gflops_simd_1_thread", dot_gflops(dot_tile.simd_ms_1t)},
+       {"dot_tile_gflops_simd_n_threads", dot_gflops(dot_tile.simd_ms_nt)},
        {"conv2d_ms_scalar_1_thread", conv.scalar_ms_1t},
        {"conv2d_ms_simd_1_thread", conv.simd_ms_1t},
        {"conv2d_simd_speedup", conv.simd_speedup()},

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -18,6 +19,37 @@ thread_local bool t_in_region = false;
 
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
+}
+
+/// How long a thread spins on pool state before it blocks: an idle worker
+/// parks on the condition variable, a caller waiting for its workers
+/// yields. Long enough to bridge the gaps between the back-to-back regions
+/// of a training step, short enough that an idle pool costs no CPU.
+constexpr auto kSpinBound = std::chrono::microseconds(100);
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Spins until ready() holds or kSpinBound passes; returns ready().
+template <typename Ready>
+bool spin_until(const Ready& ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBound;
+  for (;;) {
+    for (int i = 0; i < 64; ++i) {
+      if (ready()) {
+        return true;
+      }
+      cpu_relax();
+    }
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return ready();
+    }
+  }
 }
 
 }  // namespace
@@ -82,22 +114,17 @@ ComputePool::ComputePool(std::int64_t threads) : threads_(threads) {
     // Thread-resource exhaustion mid-spawn: join what started (destroying a
     // joinable std::thread would std::terminate) and let the error
     // propagate as an exception the service layer converts to a Status.
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      shutdown_ = true;
-    }
-    wake_cv_.notify_all();
-    for (auto& t : workers_) {
-      t.join();
-    }
+    shut_down();
     throw;
   }
 }
 
-ComputePool::~ComputePool() {
+ComputePool::~ComputePool() { shut_down(); }
+
+void ComputePool::shut_down() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
+    shutdown_.store(true);
   }
   wake_cv_.notify_all();
   for (auto& t : workers_) {
@@ -105,37 +132,47 @@ ComputePool::~ComputePool() {
   }
 }
 
-void ComputePool::work_on_job(std::unique_lock<std::mutex>& lock) {
-  Job* job = job_;
-  while (job->next < job->chunks) {
-    const auto c = job->next++;
-    const auto chunk_begin = job->begin + c * job->chunk;
-    const auto chunk_end = std::min(chunk_begin + job->chunk, job->end);
-    const auto body = job->body;
-    lock.unlock();
-    t_in_region = true;
-    (*body)(chunk_begin, chunk_end);
-    t_in_region = false;
-    lock.lock();
-    if (++job->done == job->chunks) {
-      done_cv_.notify_all();
+void ComputePool::run_chunks(Job& job) {
+  for (;;) {
+    const auto c = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (c >= job.chunks) {
+      return;
     }
+    const auto chunk_begin = job.begin + c * job.chunk;
+    (*job.body)(chunk_begin, std::min(chunk_begin + job.chunk, job.end));
   }
 }
 
+bool ComputePool::await_region(std::uint64_t seen) {
+  const auto moved = [&] {
+    return epoch_.load(std::memory_order_acquire) != seen ||
+           shutdown_.load(std::memory_order_relaxed);
+  };
+  if (!spin_until(moved)) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    // parked_ is raised before the epoch is re-read (both seq_cst), and a
+    // caller bumps the epoch before it reads parked_: either this worker
+    // sees the new epoch or the caller sees it parked and notifies.
+    parked_.fetch_add(1);
+    wake_cv_.wait(lock, [&] { return epoch_.load() != seen || shutdown_; });
+    parked_.fetch_sub(1);
+  }
+  return !shutdown_.load();
+}
+
 void ComputePool::worker_loop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  std::uint64_t seen_epoch = 0;
-  for (;;) {
-    wake_cv_.wait(lock, [&] {
-      return shutdown_ || (job_ != nullptr && epoch_ != seen_epoch &&
-                           job_->next < job_->chunks);
-    });
-    if (shutdown_) {
-      return;
+  t_in_region = true;  // A worker only ever runs bodies.
+  std::uint64_t seen = 0;
+  while (await_region(seen)) {
+    seen = epoch_.load(std::memory_order_acquire);
+    // inside_ is raised before job_ is read (both seq_cst), and the caller
+    // clears job_ before it waits for inside_ to drain: a worker that can
+    // still see a job is one the caller waits for.
+    inside_.fetch_add(1);
+    if (Job* job = job_.load()) {
+      run_chunks(*job);
     }
-    seen_epoch = epoch_;
-    work_on_job(lock);
+    inside_.fetch_sub(1, std::memory_order_release);
   }
 }
 
@@ -147,15 +184,13 @@ void ComputePool::parallel_for(
     return;
   }
   grain = std::max<std::int64_t>(1, grain);
-  if (threads_ == 1 || range <= grain || t_in_region) {
-    body(begin, end);
-    return;
-  }
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (job_ != nullptr) {
-    // Another thread's region is in flight; run inline rather than queueing
-    // (regions are rare enough that fairness is not worth the complexity).
-    lock.unlock();
+  bool idle = false;
+  if (threads_ == 1 || range <= grain || t_in_region ||
+      !busy_.compare_exchange_strong(idle, true,
+                                     std::memory_order_acquire)) {
+    // Serial, nested, or racing another caller's region: run inline rather
+    // than queueing (regions are rare enough that fairness is not worth
+    // the complexity).
     body(begin, end);
     return;
   }
@@ -169,12 +204,26 @@ void ComputePool::parallel_for(
   const auto max_chunks = std::min(threads_ * 4, ceil_div(range, grain));
   job.chunk = std::max(grain, ceil_div(range, max_chunks));
   job.chunks = ceil_div(range, job.chunk);
-  job_ = &job;
-  ++epoch_;
-  wake_cv_.notify_all();
-  work_on_job(lock);
-  done_cv_.wait(lock, [&] { return job.done == job.chunks; });
-  job_ = nullptr;
+  job_.store(&job);
+  epoch_.fetch_add(1);
+  if (parked_.load() > 0) {
+    // Taking the mutex orders this notify after a parking worker's wait.
+    { const std::lock_guard<std::mutex> lock(mutex_); }
+    wake_cv_.notify_all();
+  }
+  t_in_region = true;
+  run_chunks(job);
+  t_in_region = false;
+  // Every chunk is claimed; wait for the workers still inside the job to
+  // finish theirs (their release decrements publish the chunks' writes).
+  job_.store(nullptr);
+  const auto drained = [&] {
+    return inside_.load(std::memory_order_acquire) == 0;
+  };
+  while (!spin_until(drained)) {
+    std::this_thread::yield();
+  }
+  busy_.store(false, std::memory_order_release);
 }
 
 namespace {

@@ -2,11 +2,17 @@
 //
 // ComputePool runs parallel-for regions over a fixed set of worker threads;
 // the calling thread participates, so a pool of size T uses T cores. Work is
-// split into contiguous index chunks that tasks claim atomically — WHICH
-// thread runs a chunk is nondeterministic, but kernels built on top assign
-// whole output rows (or samples) to chunks and fix the per-element reduction
-// order, so results are byte-identical for any thread count (see
-// src/tensor/parallel.h for the determinism contract).
+// split into contiguous index chunks that tasks claim with one atomic
+// increment each — WHICH thread runs a chunk is nondeterministic, but
+// kernels built on top assign whole output rows (or samples) to chunks and
+// fix the per-element reduction order, so results are byte-identical for
+// any thread count (see src/tensor/parallel.h for the determinism contract).
+//
+// Fork/join: a region publishes its job and bumps an atomic epoch. Workers
+// spin on the epoch for a fixed bound (compute_pool.cpp) after a region, so
+// back-to-back regions start without a kernel wake-up, and park on a
+// condition variable once the bound passes, so an idle pool costs no CPU.
+// The caller spins until every worker has left the job.
 //
 // Sizing: the process-wide pool defaults to DIFFPATTERN_THREADS (positive
 // integer) when set, else std::thread::hardware_concurrency(), else 1 when
@@ -16,6 +22,7 @@
 // rejected with INVALID_ARGUMENT rather than silently spinning zero workers.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -75,21 +82,28 @@ class ComputePool {
     std::int64_t end = 0;
     std::int64_t chunk = 0;
     std::int64_t chunks = 0;
-    std::int64_t next = 0;  // Next unclaimed chunk (guarded by mutex_).
-    std::int64_t done = 0;  // Completed chunks (guarded by mutex_).
+    std::atomic<std::int64_t> next{0};  // Next unclaimed chunk.
   };
 
   void worker_loop();
-  /// Claims and runs chunks of the current job until none remain.
-  void work_on_job(std::unique_lock<std::mutex>& lock);
+  /// Stops and joins the workers.
+  void shut_down();
+  /// Spins, then parks, until the epoch differs from `seen`; false on
+  /// shutdown.
+  bool await_region(std::uint64_t seen);
+  /// Claims and runs chunks of `job` until none remain.
+  static void run_chunks(Job& job);
 
   const std::int64_t threads_;
-  std::mutex mutex_;
-  std::condition_variable wake_cv_;  // Workers: new job or shutdown.
-  std::condition_variable done_cv_;  // Caller: job fully executed.
-  Job* job_ = nullptr;               // Non-null while a region is active.
-  std::uint64_t epoch_ = 0;          // Bumped per region; workers key off it.
-  bool shutdown_ = false;
+  /// Bumped per region; the word idle workers spin on, alone on its line.
+  alignas(64) std::atomic<std::uint64_t> epoch_{0};
+  alignas(64) std::atomic<Job*> job_{nullptr};  // The region in flight.
+  std::atomic<int> inside_{0};   // Workers that may still touch *job_.
+  std::atomic<int> parked_{0};   // Workers blocked on wake_cv_.
+  std::atomic<bool> busy_{false};  // A caller owns the pool.
+  std::atomic<bool> shutdown_{false};
+  std::mutex mutex_;                 // Guards the park/wake handshake.
+  std::condition_variable wake_cv_;  // Parked workers: new region/shutdown.
   std::vector<std::thread> workers_;
 };
 

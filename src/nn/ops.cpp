@@ -492,8 +492,7 @@ Var add_spatial_broadcast(const Var& x, const Var& bias_nc) {
           kern.shift(dst, dst, b[i], plane);
         }
       },
-      std::max<std::int64_t>(1, tensor::kElementwiseGrain /
-                                    std::max<std::int64_t>(1, plane)));
+      tensor::work_grain(plane));
   if (!graph_needed({&x, &bias_nc})) {
     return make_value_node(std::move(out));
   }
@@ -535,13 +534,17 @@ Var bmm(const Var& a, const Var& b) {
   // One independent GEMM per batch slice, straight from pointers into the
   // operands: parallelism comes from the batch axis (the natural grain for
   // the attention scores), and a worker allocates nothing.
-  tensor::parallel_for(0, batch, [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t i = b0; i < b1; ++i) {
-      tensor::gemm_accumulate(va.data() + i * m * kd, kd,
-                              vb.data() + i * kd * n, n,
-                              out.data() + i * m * n, n, m, n, kd);
-    }
-  });
+  const auto grain = tensor::work_grain(m * kd * n, tensor::kGemmGrainFlops);
+  tensor::parallel_for(
+      0, batch,
+      [&](std::int64_t b0, std::int64_t b1) {
+        for (std::int64_t i = b0; i < b1; ++i) {
+          tensor::gemm_accumulate(va.data() + i * m * kd, kd,
+                                  vb.data() + i * kd * n, n,
+                                  out.data() + i * m * n, n, m, n, kd);
+        }
+      },
+      grain);
   if (!graph_needed({&a, &b})) {
     return make_value_node(std::move(out));
   }
@@ -549,28 +552,24 @@ Var bmm(const Var& a, const Var& b) {
   auto pb = b.node();
   return make_op_node(
       std::move(out), {a, b},
-      [pa, pb, batch, m, kd, n](const Tensor& g) {
+      [pa, pb, batch, m, kd, n, grain](const Tensor& g) {
         const float* pg = g.data();
         const float* pav = pa->value.data();
         const float* pbv = pb->value.data();
         if (pa->requires_grad) {
-          // ga_i = g_i b_i^T: one canonical dot per element, as
-          // matmul_transpose_b computes it.
+          // ga_i = g_i b_i^T: one canonical dot per element, in the dot
+          // tiles matmul_transpose_b runs.
           Tensor ga(pa->value.shape());
           float* pga = ga.data();
-          const auto& kern = tensor::simd::active();
-          tensor::parallel_for(0, batch, [&](std::int64_t b0,
-                                             std::int64_t b1) {
-            for (std::int64_t i = b0; i < b1; ++i) {
-              for (std::int64_t r = 0; r < m; ++r) {
-                for (std::int64_t kk = 0; kk < kd; ++kk) {
-                  pga[(i * m + r) * kd + kk] =
-                      kern.dot(pg + (i * m + r) * n, pbv + (i * kd + kk) * n,
-                               n);
+          tensor::parallel_for(
+              0, batch,
+              [&](std::int64_t b0, std::int64_t b1) {
+                for (std::int64_t i = b0; i < b1; ++i) {
+                  tensor::gemm_transpose_b(pg + i * m * n, pbv + i * kd * n,
+                                           pga + i * m * kd, m, kd, n);
                 }
-              }
-            }
-          });
+              },
+              grain);
           accumulate_grad(*pa, ga);
         }
         if (pb->requires_grad) {
@@ -581,20 +580,22 @@ Var bmm(const Var& a, const Var& b) {
           Tensor gb(pb->value.shape(), 0.0F);
           float* pat = at.data();
           float* pgb = gb.data();
-          tensor::parallel_for(0, batch, [&](std::int64_t b0,
-                                             std::int64_t b1) {
-            for (std::int64_t i = b0; i < b1; ++i) {
-              const float* ai = pav + i * m * kd;
-              float* ati = pat + i * kd * m;
-              for (std::int64_t r = 0; r < m; ++r) {
-                for (std::int64_t kk = 0; kk < kd; ++kk) {
-                  ati[kk * m + r] = ai[r * kd + kk];
+          tensor::parallel_for(
+              0, batch,
+              [&](std::int64_t b0, std::int64_t b1) {
+                for (std::int64_t i = b0; i < b1; ++i) {
+                  const float* ai = pav + i * m * kd;
+                  float* ati = pat + i * kd * m;
+                  for (std::int64_t r = 0; r < m; ++r) {
+                    for (std::int64_t kk = 0; kk < kd; ++kk) {
+                      ati[kk * m + r] = ai[r * kd + kk];
+                    }
+                  }
+                  tensor::gemm_accumulate(ati, m, pg + i * m * n, n,
+                                          pgb + i * kd * n, n, kd, n, m);
                 }
-              }
-              tensor::gemm_accumulate(ati, m, pg + i * m * n, n,
-                                      pgb + i * kd * n, n, kd, n, m);
-            }
-          });
+              },
+              grain);
           accumulate_grad(*pb, gb);
         }
       });
@@ -685,26 +686,35 @@ Var conv2d(const Var& x, const Var& w, const Var& b, std::int64_t stride,
         Tensor gy2d({out_ch, ncols});
         const float* pg = g.data();
         float* pgy = gy2d.data();
-        tensor::parallel_for(0, out_ch, [&](std::int64_t o0, std::int64_t o1) {
-          for (std::int64_t o = o0; o < o1; ++o) {
-            for (std::int64_t n = 0; n < batch; ++n) {
-              const float* src = pg + (n * out_ch + o) * n_out;
-              std::copy(src, src + n_out, pgy + o * ncols + n * n_out);
-            }
-          }
-        });
+        const auto grain = tensor::work_grain(ncols);
+        tensor::parallel_for(
+            0, out_ch,
+            [&](std::int64_t o0, std::int64_t o1) {
+              for (std::int64_t o = o0; o < o1; ++o) {
+                for (std::int64_t n = 0; n < batch; ++n) {
+                  const float* src = pg + (n * out_ch + o) * n_out;
+                  std::copy(src, src + n_out, pgy + o * ncols + n * n_out);
+                }
+              }
+            },
+            grain);
         if (pb->requires_grad) {
           Tensor gb({out_ch}, 0.0F);
           float* pgb = gb.data();
           tensor::parallel_for(
               0, out_ch, [&](std::int64_t o0, std::int64_t o1) {
                 for (std::int64_t o = o0; o < o1; ++o) {
+                  // A local sum, stored once: neighbouring channels share
+                  // a cache line across chunks.
                   const float* row = pgy + o * ncols;
+                  float acc = 0.0F;
                   for (std::int64_t p = 0; p < ncols; ++p) {
-                    pgb[o] += row[p];
+                    acc += row[p];
                   }
+                  pgb[o] = acc;
                 }
-              });
+              },
+              grain);
           accumulate_grad(*pb, gb);
         }
         if (pw->requires_grad) {
@@ -824,24 +834,27 @@ Var group_norm(const Var& x, const Var& gamma, const Var& beta,
   // dispatched kernels, whose canonical lane-split accumulation order is
   // fixed — the output is byte-identical for any thread count and any
   // backend.
-  tensor::parallel_for(0, n * groups, [&](std::int64_t t0, std::int64_t t1) {
-    for_each_group(kern, v.data(), group_elems, t0, t1, eps,
-                   [&](std::int64_t t, double mean, float istd) {
-                     if (graph) {
-                       inv_std[t] = istd;
-                     }
-                     const auto g = t % groups;
-                     for (std::int64_t cc = 0; cc < cg; ++cc) {
-                       const auto ch = g * cg + cc;
-                       const auto off = t * group_elems + cc * plane;
-                       kern.normalize_affine(
-                           v.data() + off, static_cast<float>(mean), istd,
-                           gam[ch], bet[ch],
-                           graph ? xhat.data() + off : nullptr,
-                           out.data() + off, plane);
-                     }
-                   });
-  });
+  tensor::parallel_for(
+      0, n * groups,
+      [&](std::int64_t t0, std::int64_t t1) {
+        for_each_group(kern, v.data(), group_elems, t0, t1, eps,
+                       [&](std::int64_t t, double mean, float istd) {
+                         if (graph) {
+                           inv_std[t] = istd;
+                         }
+                         const auto g = t % groups;
+                         for (std::int64_t cc = 0; cc < cg; ++cc) {
+                           const auto ch = g * cg + cc;
+                           const auto off = t * group_elems + cc * plane;
+                           kern.normalize_affine(
+                               v.data() + off, static_cast<float>(mean),
+                               istd, gam[ch], bet[ch],
+                               graph ? xhat.data() + off : nullptr,
+                               out.data() + off, plane);
+                         }
+                       });
+      },
+      tensor::work_grain(group_elems));
 
   if (!graph) {
     return make_value_node(std::move(out));
@@ -859,61 +872,72 @@ Var group_norm(const Var& x, const Var& gamma, const Var& beta,
           Tensor ggam({c}, 0.0F);
           Tensor gbet({c}, 0.0F);
           // Parallel over channels; each channel's sample-major accumulation
-          // order matches the sequential loop exactly.
-          tensor::parallel_for(0, c, [&](std::int64_t c0, std::int64_t c1) {
-            for (std::int64_t ch = c0; ch < c1; ++ch) {
-              for (std::int64_t i = 0; i < n; ++i) {
-                const float* grow = g.data() + (i * c + ch) * plane;
-                const float* xrow = xhat.data() + (i * c + ch) * plane;
-                for (std::int64_t p = 0; p < plane; ++p) {
-                  ggam[ch] += grow[p] * xrow[p];
-                  gbet[ch] += grow[p];
+          // order matches the sequential loop exactly. The sums are local
+          // and stored once: neighbouring channels share a cache line
+          // across chunks.
+          tensor::parallel_for(
+              0, c,
+              [&](std::int64_t c0, std::int64_t c1) {
+                for (std::int64_t ch = c0; ch < c1; ++ch) {
+                  float sg = 0.0F;
+                  float sb = 0.0F;
+                  for (std::int64_t i = 0; i < n; ++i) {
+                    const float* grow = g.data() + (i * c + ch) * plane;
+                    const float* xrow = xhat.data() + (i * c + ch) * plane;
+                    for (std::int64_t p = 0; p < plane; ++p) {
+                      sg += grow[p] * xrow[p];
+                      sb += grow[p];
+                    }
+                  }
+                  ggam[ch] = sg;
+                  gbet[ch] = sb;
                 }
-              }
-            }
-          });
+              },
+              tensor::work_grain(n * plane));
           if (pg->requires_grad) accumulate_grad(*pg, ggam);
           if (pb->requires_grad) accumulate_grad(*pb, gbet);
         }
         if (px->requires_grad) {
           Tensor gx(xhat.shape());
-          tensor::parallel_for(0, n * groups, [&](std::int64_t t0,
-                                                  std::int64_t t1) {
-            for (std::int64_t t = t0; t < t1; ++t) {
-              const auto i = t / groups;
-              const auto gr = t % groups;
-              const auto base = (i * c + gr * cg) * plane;
-              const float* grow = g.data() + base;
-              const float* xrow = xhat.data() + base;
-              // dxhat = dy * gamma (per channel)
-              double sum_dxhat = 0.0;
-              double sum_dxhat_xhat = 0.0;
-              for (std::int64_t cc = 0; cc < cg; ++cc) {
-                const float gam = gamma_c[gr * cg + cc];
-                for (std::int64_t p = 0; p < plane; ++p) {
-                  const auto e = cc * plane + p;
-                  const float dxh = grow[e] * gam;
-                  sum_dxhat += dxh;
-                  sum_dxhat_xhat += dxh * xrow[e];
+          tensor::parallel_for(
+              0, n * groups,
+              [&](std::int64_t t0, std::int64_t t1) {
+                for (std::int64_t t = t0; t < t1; ++t) {
+                  const auto i = t / groups;
+                  const auto gr = t % groups;
+                  const auto base = (i * c + gr * cg) * plane;
+                  const float* grow = g.data() + base;
+                  const float* xrow = xhat.data() + base;
+                  // dxhat = dy * gamma (per channel)
+                  double sum_dxhat = 0.0;
+                  double sum_dxhat_xhat = 0.0;
+                  for (std::int64_t cc = 0; cc < cg; ++cc) {
+                    const float gam = gamma_c[gr * cg + cc];
+                    for (std::int64_t p = 0; p < plane; ++p) {
+                      const auto e = cc * plane + p;
+                      const float dxh = grow[e] * gam;
+                      sum_dxhat += dxh;
+                      sum_dxhat_xhat += dxh * xrow[e];
+                    }
+                  }
+                  const float m = static_cast<float>(group_elems);
+                  const float istd = inv_std.at({i, gr});
+                  const float mean_dxhat = static_cast<float>(sum_dxhat) / m;
+                  const float mean_dxhat_xhat =
+                      static_cast<float>(sum_dxhat_xhat) / m;
+                  float* dst = gx.data() + base;
+                  for (std::int64_t cc = 0; cc < cg; ++cc) {
+                    const float gam = gamma_c[gr * cg + cc];
+                    for (std::int64_t p = 0; p < plane; ++p) {
+                      const auto e = cc * plane + p;
+                      const float dxh = grow[e] * gam;
+                      dst[e] = istd * (dxh - mean_dxhat -
+                                       xrow[e] * mean_dxhat_xhat);
+                    }
+                  }
                 }
-              }
-              const float m = static_cast<float>(group_elems);
-              const float istd = inv_std.at({i, gr});
-              const float mean_dxhat = static_cast<float>(sum_dxhat) / m;
-              const float mean_dxhat_xhat =
-                  static_cast<float>(sum_dxhat_xhat) / m;
-              float* dst = gx.data() + base;
-              for (std::int64_t cc = 0; cc < cg; ++cc) {
-                const float gam = gamma_c[gr * cg + cc];
-                for (std::int64_t p = 0; p < plane; ++p) {
-                  const auto e = cc * plane + p;
-                  const float dxh = grow[e] * gam;
-                  dst[e] = istd * (dxh - mean_dxhat -
-                                   xrow[e] * mean_dxhat_xhat);
-                }
-              }
-            }
-          });
+              },
+              tensor::work_grain(group_elems));
           accumulate_grad(*px, gx);
         }
       });
@@ -946,34 +970,37 @@ ConvInput group_norm_silu(const Var& x, const Var& gamma, const Var& beta,
   // of groups while it is in L1 (SiLU is elementwise, so the split does not
   // change its bytes), then the block's planes into the bordered input.
   const auto out_group = out.numel() / (n * groups);
-  tensor::parallel_for(0, n * groups, [&](std::int64_t t0, std::int64_t t1) {
-    thread_local std::vector<float> normed;  // One block; only grows.
-    const auto block = kMomentRows * group_elems;
-    if (normed.size() < static_cast<std::size_t>(block)) {
-      normed.resize(static_cast<std::size_t>(block));
-    }
-    for (std::int64_t b = t0; b < t1; b += kMomentRows) {
-      const auto b1 = std::min(t1, b + kMomentRows);
-      float* y = bordered ? normed.data() : out.data() + b * group_elems;
-      for_each_group(kern, v.data(), group_elems, b, b1, eps,
-                     [&](std::int64_t t, double mean, float istd) {
-                       const auto g = t % groups;
-                       const auto off = (t - b) * group_elems;
-                       for (std::int64_t cc = 0; cc < cg; ++cc) {
-                         const auto ch = g * cg + cc;
-                         kern.normalize_affine(
-                             v.data() + t * group_elems + cc * plane,
-                             static_cast<float>(mean), istd, gam[ch],
-                             bet[ch], nullptr, y + off + cc * plane, plane);
-                       }
-                     });
-      kern.silu(y, y, (b1 - b) * group_elems);
-      if (bordered) {
-        tensor::write_bordered(y, (b1 - b) * cg, geom,
-                               out.data() + b * out_group);
-      }
-    }
-  });
+  tensor::parallel_for(
+      0, n * groups,
+      [&](std::int64_t t0, std::int64_t t1) {
+        thread_local std::vector<float> normed;  // One block; only grows.
+        const auto block = kMomentRows * group_elems;
+        if (normed.size() < static_cast<std::size_t>(block)) {
+          normed.resize(static_cast<std::size_t>(block));
+        }
+        for (std::int64_t b = t0; b < t1; b += kMomentRows) {
+          const auto b1 = std::min(t1, b + kMomentRows);
+          float* y = bordered ? normed.data() : out.data() + b * group_elems;
+          for_each_group(kern, v.data(), group_elems, b, b1, eps,
+                         [&](std::int64_t t, double mean, float istd) {
+                           const auto g = t % groups;
+                           const auto off = (t - b) * group_elems;
+                           for (std::int64_t cc = 0; cc < cg; ++cc) {
+                             const auto ch = g * cg + cc;
+                             kern.normalize_affine(
+                                 v.data() + t * group_elems + cc * plane,
+                                 static_cast<float>(mean), istd, gam[ch],
+                                 bet[ch], nullptr, y + off + cc * plane, plane);
+                           }
+                         });
+          kern.silu(y, y, (b1 - b) * group_elems);
+          if (bordered) {
+            tensor::write_bordered(y, (b1 - b) * cg, geom,
+                                   out.data() + b * out_group);
+          }
+        }
+      },
+      tensor::work_grain(group_elems));
   return ConvInput(make_value_node(std::move(out)), bordered);
 }
 
@@ -1006,8 +1033,7 @@ Var layer_norm(const Var& x, const Var& gamma, const Var& beta, float eps) {
                              out.data() + r * f, f);
                        });
       },
-      std::max<std::int64_t>(1, tensor::kElementwiseGrain /
-                                    std::max<std::int64_t>(1, f)));
+      tensor::work_grain(f));
   if (!graph_needed({&x, &gamma, &beta})) {
     return make_value_node(std::move(out));
   }
@@ -1094,8 +1120,7 @@ Var softmax_last(const Var& a) {
                 }
               }
             },
-            std::max<std::int64_t>(1, tensor::kElementwiseGrain /
-                                          std::max<std::int64_t>(1, f)));
+            tensor::work_grain(f));
         accumulate_grad(*pa, d);
       });
 }

@@ -1,8 +1,10 @@
 #include "nn/optim.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/contracts.h"
+#include "tensor/parallel.h"
 
 namespace diffpattern::nn {
 
@@ -11,11 +13,13 @@ Adam::Adam(std::vector<Var> params, AdamConfig config)
   DP_REQUIRE(!params_.empty(), "Adam: no parameters");
   m_.reserve(params_.size());
   v_.reserve(params_.size());
+  offsets_.push_back(0);
   for (const auto& p : params_) {
     DP_REQUIRE(p.defined() && p.requires_grad(),
                "Adam: parameter must require gradients");
     m_.emplace_back(p.value().shape(), 0.0F);
     v_.emplace_back(p.value().shape(), 0.0F);
+    offsets_.push_back(offsets_.back() + p.value().numel());
   }
 }
 
@@ -43,12 +47,14 @@ double Adam::step() {
   ++t_;
   const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
-  for (std::size_t i = 0; i < params_.size(); ++i) {
+  // Elements [j0, j1) of parameter i: each element's update reads and
+  // writes only that element, so the bytes do not depend on the chunking.
+  const auto update = [&](std::size_t i, std::int64_t j0, std::int64_t j1) {
     Tensor& value = params_[i].mutable_value();
     const Tensor& g = params_[i].grad();
     Tensor& m = m_[i];
     Tensor& v = v_[i];
-    for (std::int64_t j = 0; j < value.numel(); ++j) {
+    for (std::int64_t j = j0; j < j1; ++j) {
       const float gj = static_cast<float>(g[j] * clip_scale);
       m[j] = config_.beta1 * m[j] + (1.0F - config_.beta1) * gj;
       v[j] = config_.beta2 * v[j] + (1.0F - config_.beta2) * gj * gj;
@@ -57,7 +63,19 @@ double Adam::step() {
       value[j] -= static_cast<float>(config_.learning_rate * mhat /
                                      (std::sqrt(vhat) + config_.eps));
     }
-  }
+  };
+  // One region over every parameter's elements laid end to end.
+  tensor::parallel_elements(
+      offsets_.back(), [&](std::int64_t e0, std::int64_t e1) {
+        auto i = static_cast<std::size_t>(
+            std::upper_bound(offsets_.begin(), offsets_.end(), e0) -
+            offsets_.begin() - 1);
+        for (auto e = e0; e < e1; ++i) {
+          const auto end = std::min(e1, offsets_[i + 1]);
+          update(i, e - offsets_[i], end - offsets_[i]);
+          e = end;
+        }
+      });
   return norm;
 }
 

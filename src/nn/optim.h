@@ -38,6 +38,9 @@ class Adam {
   AdamConfig config_;
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;
+  /// offsets_[i] = elements of params_[0..i): the parameters laid end to
+  /// end, one index space for the update region.
+  std::vector<std::int64_t> offsets_;
   std::int64_t t_ = 0;
 };
 

@@ -17,6 +17,7 @@
 // --threads.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 
@@ -25,6 +26,19 @@ namespace diffpattern::tensor {
 /// Default minimum number of elementwise operations worth shipping to the
 /// pool; below this the dispatch overhead beats the parallel win.
 inline constexpr std::int64_t kElementwiseGrain = 16 * 1024;
+
+/// Minimum multiply-accumulates worth one parallel chunk of a GEMM-like
+/// region.
+inline constexpr std::int64_t kGemmGrainFlops = 32 * 1024;
+
+/// Grain for a region whose every index costs `work_per_index` operations:
+/// enough indices that a chunk does at least `min_work` of them, so a
+/// region smaller than the fork/join cost runs inline.
+inline std::int64_t work_grain(std::int64_t work_per_index,
+                               std::int64_t min_work = kElementwiseGrain) {
+  return std::max<std::int64_t>(
+      1, min_work / std::max<std::int64_t>(1, work_per_index));
+}
 
 /// Runs body(chunk_begin, chunk_end) over a partition of [begin, end) on the
 /// process-wide compute pool. `grain` is the minimum chunk width; ranges not

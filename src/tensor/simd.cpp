@@ -88,6 +88,15 @@ float scalar_dot(const float* x, const float* y, std::int64_t n) {
   return (t0 + t2) + (t1 + t3);
 }
 
+void scalar_dot_tile(const float* a, const float* b, std::int64_t n,
+                     float* c, std::int64_t ldc) {
+  for (std::int64_t i = 0; i < kDotRows; ++i) {
+    for (std::int64_t j = 0; j < kDotCols; ++j) {
+      c[i * ldc + j] = scalar_dot(a + i * n, b + j * n, n);
+    }
+  }
+}
+
 void scalar_add(float* y, const float* x, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) {
     y[i] += x[i];
@@ -242,6 +251,7 @@ constexpr Kernels kScalarTable = {
     .gemm_tile = scalar_gemm_tile,
     .block_has_zero = scalar_block_has_zero,
     .dot = scalar_dot,
+    .dot_tile = scalar_dot_tile,
     .add = scalar_add,
     .mul = scalar_mul,
     .scale = scalar_scale,

@@ -91,6 +91,10 @@ inline constexpr std::int64_t kTileRows = 4;
 inline constexpr std::int64_t kTileCols = 16;
 inline constexpr std::int64_t kTileHalf = kTileCols / 2;
 
+/// Dot-tile shape of Kernels::dot_tile: rows of A by rows of B.
+inline constexpr std::int64_t kDotRows = 4;
+inline constexpr std::int64_t kDotCols = 3;
+
 /// Per-backend kernel table. Every function implements the canonical
 /// semantics documented at the top of this header; `n` is an element count
 /// and all pointers may overlap only where a parameter is documented as
@@ -129,6 +133,14 @@ struct Kernels {
   /// lanes 0..), reduced as ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) —
   /// matching one 256-bit FMA register reduced hi-onto-lo.
   float (*dot)(const float* x, const float* y, std::int64_t n);
+
+  /// A tile of dots that share their loads: c[i * ldc + j] = dot(a + i * n,
+  /// b + j * n, n) for i < kDotRows, j < kDotCols (rows of n floats, packed
+  /// at stride n). Every output is bitwise `dot`'s: its own 8-lane
+  /// accumulator, the same tail into lanes 0.., the same reduction tree.
+  /// The AVX2 tile keeps the twelve accumulators in registers.
+  void (*dot_tile)(const float* a, const float* b, std::int64_t n, float* c,
+                   std::int64_t ldc);
 
   /// y[i] += x[i].
   void (*add)(float* y, const float* x, std::int64_t n);

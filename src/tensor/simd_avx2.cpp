@@ -152,6 +152,90 @@ float avx2_dot(const float* x, const float* y, std::int64_t n) {
   return (t0 + t2) + (t1 + t3);
 }
 
+/// dot's reduction tree on one accumulator: the hi half onto the lo half
+/// gives t0..t3, then (t0 + t2) + (t1 + t3).
+inline float reduce_dot_lanes(__m256 v) {
+  const __m128 t = _mm_add_ps(_mm256_castps256_ps128(v),
+                              _mm256_extractf128_ps(v, 1));
+  const __m128 u = _mm_add_ps(t, _mm_movehl_ps(t, t));
+  return _mm_cvtss_f32(_mm_add_ss(u, _mm_movehdup_ps(u)));
+}
+
+/// One row of the dot tile: the accumulators against B rows 0..2.
+struct DotRow {
+  __m256 b0;
+  __m256 b1;
+  __m256 b2;
+};
+
+inline void fma_dot_row(__m256 va, __m256 vb0, __m256 vb1, __m256 vb2,
+                        DotRow& r) {
+  r.b0 = _mm256_fmadd_ps(va, vb0, r.b0);
+  r.b1 = _mm256_fmadd_ps(va, vb1, r.b1);
+  r.b2 = _mm256_fmadd_ps(va, vb2, r.b2);
+}
+
+/// The tail of n % 8 elements: lanes below it take the scalar tail's fma,
+/// the lanes above keep their value bit for bit (a blend, so nothing rests
+/// on how an fma with zero padding rounds).
+inline __m256 fma_tail(__m256 acc, const float* x, const float* y,
+                       __m256i mask) {
+  const __m256 fused = _mm256_fmadd_ps(_mm256_maskload_ps(x, mask),
+                                       _mm256_maskload_ps(y, mask), acc);
+  return _mm256_blendv_ps(acc, fused, _mm256_castsi256_ps(mask));
+}
+
+inline void store_dot_row(DotRow r, float* c) {
+  c[0] = reduce_dot_lanes(r.b0);
+  c[1] = reduce_dot_lanes(r.b1);
+  c[2] = reduce_dot_lanes(r.b2);
+}
+
+void avx2_dot_tile(const float* a, const float* b, std::int64_t n, float* c,
+                   std::int64_t ldc) {
+  static_assert(kDotRows == 4 && kDotCols == 3);
+  const float* a0 = a;
+  const float* a1 = a + n;
+  const float* a2 = a + 2 * n;
+  const float* a3 = a + 3 * n;
+  const float* b0 = b;
+  const float* b1 = b + n;
+  const float* b2 = b + 2 * n;
+  const __m256 zero = _mm256_setzero_ps();
+  DotRow r0{zero, zero, zero};
+  DotRow r1{zero, zero, zero};
+  DotRow r2{zero, zero, zero};
+  DotRow r3{zero, zero, zero};
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 vb0 = _mm256_loadu_ps(b0 + i);
+    const __m256 vb1 = _mm256_loadu_ps(b1 + i);
+    const __m256 vb2 = _mm256_loadu_ps(b2 + i);
+    fma_dot_row(_mm256_loadu_ps(a0 + i), vb0, vb1, vb2, r0);
+    fma_dot_row(_mm256_loadu_ps(a1 + i), vb0, vb1, vb2, r1);
+    fma_dot_row(_mm256_loadu_ps(a2 + i), vb0, vb1, vb2, r2);
+    fma_dot_row(_mm256_loadu_ps(a3 + i), vb0, vb1, vb2, r3);
+  }
+  if (i < n) {
+    const __m256i mask = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(n - i)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    const auto tail_row = [&](const float* ar, DotRow& r) {
+      r.b0 = fma_tail(r.b0, ar + i, b0 + i, mask);
+      r.b1 = fma_tail(r.b1, ar + i, b1 + i, mask);
+      r.b2 = fma_tail(r.b2, ar + i, b2 + i, mask);
+    };
+    tail_row(a0, r0);
+    tail_row(a1, r1);
+    tail_row(a2, r2);
+    tail_row(a3, r3);
+  }
+  store_dot_row(r0, c);
+  store_dot_row(r1, c + ldc);
+  store_dot_row(r2, c + 2 * ldc);
+  store_dot_row(r3, c + 3 * ldc);
+}
+
 void avx2_add(float* y, const float* x, std::int64_t n) {
   std::int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -410,6 +494,7 @@ constexpr Kernels kAvx2Table = {
     .gemm_tile = avx2_gemm_tile,
     .block_has_zero = avx2_block_has_zero,
     .dot = avx2_dot,
+    .dot_tile = avx2_dot_tile,
     .add = avx2_add,
     .mul = avx2_mul,
     .scale = avx2_scale,

@@ -17,16 +17,6 @@ void require_matrix(const Tensor& t, const char* name) {
                                 t.shape_string());
 }
 
-/// Minimum multiply-accumulates per parallel chunk; rows are cheap enough
-/// below this that pool dispatch dominates.
-constexpr std::int64_t kGemmGrainFlops = 32 * 1024;
-
-std::int64_t row_grain(std::int64_t flops_per_row) {
-  return std::max<std::int64_t>(1,
-                                kGemmGrainFlops / std::max<std::int64_t>(
-                                                      1, flops_per_row));
-}
-
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
 }
@@ -155,7 +145,7 @@ void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& out) {
         const auto i1 = std::min(m, g1 * simd::kTileRows);
         gemm_accumulate(pa + i0 * k, k, pb, n, pc + i0 * n, n, i1 - i0, n, k);
       },
-      row_grain(simd::kTileRows * k * n));
+      work_grain(simd::kTileRows * k * n, kGemmGrainFlops));
 }
 
 Tensor matmul_transpose_a(const Tensor& a, const Tensor& b) {
@@ -178,6 +168,43 @@ Tensor matmul_transpose_a(const Tensor& a, const Tensor& b) {
   return out;
 }
 
+namespace {
+
+/// Tiles [t0, t1) of c[m,k] = a[m,n] · b[k,n]^T, numbered row block major
+/// (kDotRows x kDotCols each): a full tile through dot_tile, a ragged one
+/// through dot, so every element is the same canonical dot.
+void transpose_b_tiles(const simd::Kernels& kern, const float* a,
+                       const float* b, float* c, std::int64_t m,
+                       std::int64_t k, std::int64_t n, std::int64_t t0,
+                       std::int64_t t1) {
+  const auto col_tiles = ceil_div(k, simd::kDotCols);
+  for (std::int64_t t = t0; t < t1; ++t) {
+    const auto i0 = (t / col_tiles) * simd::kDotRows;
+    const auto j0 = (t % col_tiles) * simd::kDotCols;
+    if (i0 + simd::kDotRows <= m && j0 + simd::kDotCols <= k) {
+      kern.dot_tile(a + i0 * n, b + j0 * n, n, c + i0 * k + j0, k);
+      continue;
+    }
+    for (auto i = i0; i < std::min(m, i0 + simd::kDotRows); ++i) {
+      for (auto j = j0; j < std::min(k, j0 + simd::kDotCols); ++j) {
+        c[i * k + j] = kern.dot(a + i * n, b + j * n, n);
+      }
+    }
+  }
+}
+
+std::int64_t transpose_b_tile_count(std::int64_t m, std::int64_t k) {
+  return ceil_div(m, simd::kDotRows) * ceil_div(k, simd::kDotCols);
+}
+
+}  // namespace
+
+void gemm_transpose_b(const float* a, const float* b, float* c,
+                      std::int64_t m, std::int64_t k, std::int64_t n) {
+  transpose_b_tiles(simd::active(), a, b, c, m, k, n, 0,
+                    transpose_b_tile_count(m, k));
+}
+
 Tensor matmul_transpose_b(const Tensor& a, const Tensor& b) {
   require_matrix(a, "matmul_transpose_b(a)");
   require_matrix(b, "matmul_transpose_b(b)");
@@ -185,23 +212,17 @@ Tensor matmul_transpose_b(const Tensor& a, const Tensor& b) {
   const auto n = a.dim(1);
   DP_REQUIRE(b.dim(1) == n, "matmul_transpose_b: column mismatch");
   const auto k = b.dim(0);
-  Tensor out({m, k}, 0.0F);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = out.data();
+  Tensor out({m, k});
   const auto& kern = simd::active();
+  // Parallel over tiles, so a product with few rows (the conv weight
+  // gradient has one per output channel) still splits.
   parallel_for(
-      0, m,
-      [&](std::int64_t row_begin, std::int64_t row_end) {
-        for (std::int64_t i = row_begin; i < row_end; ++i) {
-          const float* arow = pa + i * n;
-          float* crow = pc + i * k;
-          for (std::int64_t kk = 0; kk < k; ++kk) {
-            crow[kk] = kern.dot(arow, pb + kk * n, n);
-          }
-        }
+      0, transpose_b_tile_count(m, k),
+      [&](std::int64_t t0, std::int64_t t1) {
+        transpose_b_tiles(kern, a.data(), b.data(), out.data(), m, k, n, t0,
+                          t1);
       },
-      row_grain(k * n));
+      work_grain(simd::kDotRows * simd::kDotCols * n, kGemmGrainFlops));
   return out;
 }
 
@@ -289,11 +310,14 @@ Tensor im2col_batch(const Tensor& images, const Conv2dGeometry& geom) {
   const auto per_sample = images.numel() / batch;
   const float* src = images.data();
   float* dst = cols.data();
-  parallel_for(0, batch, [&](std::int64_t nb, std::int64_t ne) {
-    for (std::int64_t n = nb; n < ne; ++n) {
-      im2col_block(src + n * per_sample, geom, dst, n * n_out, ncols);
-    }
-  });
+  parallel_for(
+      0, batch,
+      [&](std::int64_t nb, std::int64_t ne) {
+        for (std::int64_t n = nb; n < ne; ++n) {
+          im2col_block(src + n * per_sample, geom, dst, n * n_out, ncols);
+        }
+      },
+      work_grain(geom.patch_size() * n_out));
   return cols;
 }
 
@@ -309,12 +333,15 @@ Tensor col2im_batch(const Tensor& columns, const Conv2dGeometry& geom,
   const auto per_sample = images.numel() / batch;
   const float* src = columns.data();
   float* dst = images.data();
-  parallel_for(0, batch, [&](std::int64_t nb, std::int64_t ne) {
-    for (std::int64_t n = nb; n < ne; ++n) {
-      col2im_block(src, geom, dst + n * per_sample, n * n_out,
-                   batch * n_out);
-    }
-  });
+  parallel_for(
+      0, batch,
+      [&](std::int64_t nb, std::int64_t ne) {
+        for (std::int64_t n = nb; n < ne; ++n) {
+          col2im_block(src, geom, dst + n * per_sample, n * n_out,
+                       batch * n_out);
+        }
+      },
+      work_grain(geom.patch_size() * n_out));
   return images;
 }
 
@@ -602,7 +629,7 @@ Tensor conv2d(const Tensor& images, const Tensor& weight, const Tensor& bias,
           }
         }
       },
-      row_grain(kdim * simd::kTileCols * out_ch));
+      work_grain(kdim * simd::kTileCols * out_ch, kGemmGrainFlops));
   return out;
 }
 

@@ -45,8 +45,14 @@ void gemm_accumulate(const float* a, std::int64_t lda, const float* b,
 /// C[K,N] = A[M,K]^T * B[M,N].
 Tensor matmul_transpose_a(const Tensor& a, const Tensor& b);
 
-/// C[M,K] = A[M,N] * B[K,N]^T.
+/// C[M,K] = A[M,N] * B[K,N]^T: every element one canonical lane-split dot,
+/// in simd dot tiles.
 Tensor matmul_transpose_b(const Tensor& a, const Tensor& b);
+
+/// matmul_transpose_b over packed row-major pointers (c[m,k] from a[m,n]
+/// and b[k,n]) on the calling thread — the bmm input gradient.
+void gemm_transpose_b(const float* a, const float* b, float* c,
+                      std::int64_t m, std::int64_t k, std::int64_t n);
 
 struct Conv2dGeometry {
   std::int64_t in_channels = 0;

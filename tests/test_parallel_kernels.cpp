@@ -8,10 +8,14 @@
 // half of the contract).
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "common/compute_pool.h"
@@ -139,6 +143,33 @@ TEST(ComputePool, EmptyRangeIsANoOp) {
   bool ran = false;
   pool.parallel_for(5, 5, 1, [&](std::int64_t, std::int64_t) { ran = true; });
   EXPECT_FALSE(ran);
+}
+
+// Workers spin only for a bounded time after a region, then park: an idle
+// pool must cost (next to) no CPU. Process CPU time over a 200 ms idle
+// sleep stays far below what even one spinning worker would burn.
+TEST(ComputePool, IdlePoolParksAfterBoundedSpin) {
+  dc::ComputePool pool(4);
+  std::vector<std::int64_t> out(64);
+  pool.parallel_for(0, 64, 1, [&](std::int64_t b, std::int64_t e) {
+    for (std::int64_t i = b; i < e; ++i) {
+      out[static_cast<std::size_t>(i)] = i;
+    }
+  });
+  const auto cpu_ms = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const auto ms = [](const timeval& t) {
+      return static_cast<double>(t.tv_sec) * 1e3 +
+             static_cast<double>(t.tv_usec) / 1e3;
+    };
+    return ms(usage.ru_utime) + ms(usage.ru_stime);
+  };
+  const double before = cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const double idle = cpu_ms() - before;
+  EXPECT_LT(idle, 20.0) << "an idle pool burned " << idle << " ms of CPU";
+  EXPECT_EQ(out[63], 63);
 }
 
 TEST(ServiceWorkerPool, DefaultSizeIsAtLeastOne) {
@@ -510,4 +541,81 @@ TEST(ParallelKernels, Conv2dGradientsBitwiseEqualAcrossPoolSizes) {
       EXPECT_TRUE(bitwise_equal(vb.grad(), gb_ref)) << threads;
     }
   }
+}
+
+namespace {
+
+/// Runs `backward` (which builds a graph over `inputs`, reduces it to a
+/// scalar and backpropagates) at every pool size and checks that each
+/// input's gradient is bitwise the 1-thread one.
+template <typename Backward>
+void expect_gradients_pool_invariant(const std::vector<Tensor>& inputs,
+                                     const Backward& backward) {
+  ThreadsGuard guard;
+  std::vector<Tensor> reference;
+  for (const auto threads : kPoolSizes) {
+    ASSERT_TRUE(dc::set_global_compute_threads(threads).ok());
+    std::vector<dn::Var> vars;
+    for (const auto& t : inputs) {
+      vars.emplace_back(t, true);
+    }
+    backward(vars);
+    for (std::size_t i = 0; i < vars.size(); ++i) {
+      if (reference.size() < vars.size()) {
+        reference.push_back(vars[i].grad());
+      } else {
+        EXPECT_TRUE(bitwise_equal(vars[i].grad(), reference[i]))
+            << "input " << i << " at " << threads << " threads";
+      }
+    }
+  }
+}
+
+}  // namespace
+
+// Large enough that every backward region splits at 2 and 8 threads: 32
+// channels of 32 x 32 planes in 8 groups.
+TEST(ParallelKernels, GroupNormGradientsBitwiseEqualAcrossPoolSizes) {
+  dc::Rng rng(37);
+  const Tensor x = random_tensor({4, 32, 32, 32}, rng);
+  const Tensor gamma = random_tensor({32}, rng);
+  const Tensor beta = random_tensor({32}, rng);
+  const Tensor upstream = random_tensor({4, 32, 32, 32}, rng);
+  expect_gradients_pool_invariant(
+      {x, gamma, beta}, [&](const std::vector<dn::Var>& v) {
+        dn::sum_all(dn::mul_const(dn::group_norm(v[0], v[1], v[2], 8),
+                                  upstream))
+            .backward();
+      });
+}
+
+// Ragged shapes (97 = 24 * 4 + 1 rows, 71 = 23 * 3 + 2 outputs) so the
+// forward's dot tiles have partial tiles, with zeros of both signs.
+TEST(ParallelKernels, LinearGradientsBitwiseEqualAcrossPoolSizes) {
+  dc::Rng rng(41);
+  Tensor x = random_tensor({97, 200}, rng);
+  for (std::int64_t i = 0; i < x.numel(); i += 5) {
+    x[i] = (i % 2 == 0) ? 0.0F : -0.0F;
+  }
+  const Tensor w = random_tensor({71, 200}, rng);
+  const Tensor b = random_tensor({71}, rng);
+  const Tensor upstream = random_tensor({97, 71}, rng);
+  expect_gradients_pool_invariant(
+      {x, w, b}, [&](const std::vector<dn::Var>& v) {
+        dn::sum_all(dn::mul_const(dn::linear(v[0], v[1], v[2]), upstream))
+            .backward();
+      });
+}
+
+// The input gradient runs the dot tiles per batch slice (37 rows, 24
+// outputs, a 50-long reduction with a tail of 2).
+TEST(ParallelKernels, BmmGradientsBitwiseEqualAcrossPoolSizes) {
+  dc::Rng rng(43);
+  const Tensor a = random_tensor({6, 37, 24}, rng);
+  const Tensor b = random_tensor({6, 24, 50}, rng);
+  const Tensor upstream = random_tensor({6, 37, 50}, rng);
+  expect_gradients_pool_invariant(
+      {a, b}, [&](const std::vector<dn::Var>& v) {
+        dn::sum_all(dn::mul_const(dn::bmm(v[0], v[1]), upstream)).backward();
+      });
 }

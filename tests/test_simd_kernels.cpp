@@ -312,6 +312,53 @@ TEST(SimdKernels, DotBackendParityAndDoubleReference) {
   }
 }
 
+// Every output of the dot tile is bitwise its own `dot`: the same 8-lane
+// accumulator, tail lanes and reduction tree, at every tail length and
+// with zeros of both signs in the operands.
+TEST(SimdKernels, DotTileMatchesDotBitwise) {
+  dc::Rng rng(107);
+  std::vector<std::int64_t> sizes;
+  for (std::int64_t n = 1; n <= 17; ++n) {
+    sizes.push_back(n);
+  }
+  sizes.push_back(128);
+  sizes.push_back(512);
+  constexpr std::int64_t kRows = dt::simd::kDotRows;
+  constexpr std::int64_t kCols = dt::simd::kDotCols;
+  constexpr std::int64_t kLdc = kCols + 2;  // Padding the tile must not touch.
+  for (const auto n : sizes) {
+    Tensor a = random_tensor({kRows, n}, rng);
+    Tensor b = random_tensor({kCols, n}, rng);
+    for (std::int64_t i = 0; i < a.numel(); i += 3) {
+      a[i] = (i % 2 == 0) ? 0.0F : -0.0F;
+    }
+    for (std::int64_t i = 1; i < b.numel(); i += 4) {
+      b[i] = -0.0F;
+    }
+    std::fill(a.data() + n, a.data() + 2 * n, -0.0F);  // An all -0 row.
+    for (const auto backend : supported_backends()) {
+      const auto* table = dt::simd::table_for(backend);
+      std::vector<float> c(kRows * kLdc, 7.0F);
+      table->dot_tile(a.data(), b.data(), n, c.data(), kLdc);
+      for (std::int64_t i = 0; i < kRows; ++i) {
+        for (std::int64_t j = 0; j < kCols; ++j) {
+          const float want =
+              table->dot(a.data() + i * n, b.data() + j * n, n);
+          const float got = c[static_cast<std::size_t>(i * kLdc + j)];
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(got),
+                    std::bit_cast<std::uint32_t>(want))
+              << dt::kernel_backend_label(backend) << " n=" << n << " (" << i
+              << ", " << j << "): " << got << " vs " << want;
+        }
+        for (std::int64_t j = kCols; j < kLdc; ++j) {
+          EXPECT_EQ(c[static_cast<std::size_t>(i * kLdc + j)], 7.0F)
+              << dt::kernel_backend_label(backend) << " wrote past the tile";
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernels, ElementwiseKernelsExactAcrossBackends) {
   dc::Rng rng(107);
   for (const auto backend : supported_backends()) {
