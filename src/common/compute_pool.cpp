@@ -35,7 +35,9 @@ inline void cpu_relax() {
 #endif
 }
 
-/// Spins until ready() holds or kSpinBound passes; returns ready().
+/// Spins until ready() holds or kSpinBound passes; returns ready(). Every
+/// 64 polls the thread yields, so on a host with fewer free cores than
+/// pool threads a spinner hands its core to the thread doing the work.
 template <typename Ready>
 bool spin_until(const Ready& ready) {
   const auto deadline = std::chrono::steady_clock::now() + kSpinBound;
@@ -49,6 +51,7 @@ bool spin_until(const Ready& ready) {
     if (std::chrono::steady_clock::now() >= deadline) {
       return ready();
     }
+    std::this_thread::yield();
   }
 }
 
