@@ -9,10 +9,11 @@
 // any thread count (see src/tensor/parallel.h for the determinism contract).
 //
 // Fork/join: a region publishes its job and bumps an atomic epoch. Workers
-// spin on the epoch for a fixed bound (compute_pool.cpp) after a region, so
-// back-to-back regions start without a kernel wake-up, and park on a
-// condition variable once the bound passes, so an idle pool costs no CPU.
-// The caller spins until every worker has left the job.
+// poll the epoch for a fixed bound (kSpinBound in compute_pool.cpp) after a
+// region, yielding between bursts of polls, so back-to-back regions start
+// without a kernel wake-up; they park on a condition variable once the
+// bound passes, so an idle pool costs no CPU. The caller polls the same way
+// until every worker has left the job.
 //
 // Sizing: the process-wide pool defaults to DIFFPATTERN_THREADS (positive
 // integer) when set, else std::thread::hardware_concurrency(), else 1 when
